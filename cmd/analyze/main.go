@@ -50,7 +50,7 @@ func main() {
 		}
 	}
 
-	cat := taxonomy.NewCategorizer()
+	cat := taxonomy.Shared()
 	var (
 		cthDocs, doxDocs, piiDocs int
 		labels                    []taxonomy.Label

@@ -77,6 +77,7 @@ import (
 	"harassrepro/internal/registry"
 	"harassrepro/internal/resilience/chaos"
 	"harassrepro/internal/serve"
+	"harassrepro/internal/taxonomy"
 )
 
 // fail prints a one-line diagnostic and exits non-zero.
@@ -214,18 +215,24 @@ func main() {
 		cfg.Feedback = mgr
 		cfg.Admin = mgr
 	}
+	if cfg.Annotate {
+		// Compile the attack-cue rules now, not under the first request.
+		taxonomy.Shared()
+	}
 	srv := serve.New(cfg)
 	if mgr != nil {
 		mgr.Bind(srv)
 	}
+	// The handler must be in place before /readyz can answer 200: a
+	// SIGTERM sent the moment the service looks ready still drains.
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
+	defer stop()
 	if err := srv.Start(*addr); err != nil {
 		fail("%v", err)
 	}
 	fmt.Fprintf(os.Stderr, "harassd: serving model generation %d (seed %d)\n", mdl.Generation, mdl.Seed)
 	fmt.Fprintf(os.Stderr, "harassd: listening on http://%s\n", srv.Addr())
 
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
 	<-ctx.Done()
 	stop() // restore default signal handling: a second signal kills hard
 

@@ -420,14 +420,12 @@ func PIITypes(text string) []string {
 	return out
 }
 
-var sharedCategorizer = taxonomy.NewCategorizer()
-
 // CategorizeAttack codes text into the paper's attack-type taxonomy,
 // returning subcategory names (Table 11 rows). Empty means no attack
 // cues were found.
 func CategorizeAttack(text string) []string {
 	var out []string
-	for _, s := range sharedCategorizer.Categorize(text).Subs() {
+	for _, s := range taxonomy.Shared().Categorize(text).Subs() {
 		out = append(out, string(s))
 	}
 	return out
@@ -437,7 +435,7 @@ func CategorizeAttack(text string) []string {
 // rows).
 func AttackParents(text string) []string {
 	var out []string
-	for _, p := range sharedCategorizer.Categorize(text).Parents() {
+	for _, p := range taxonomy.Shared().Categorize(text).Parents() {
 		out = append(out, string(p))
 	}
 	return out
@@ -460,11 +458,11 @@ func InferTargetGender(text string) string {
 	return string(gender.Infer(text))
 }
 
+var seedQuery = query.WithAttackTerms(query.Figure4())
+
 // MatchesSeedQuery reports whether text matches the paper's Figure 4
 // mobilizing-language seed query (with the attack-term clause).
-func MatchesSeedQuery(text string) bool {
-	return query.WithAttackTerms(query.Figure4()).Match(text)
-}
+func MatchesSeedQuery(text string) bool { return seedQuery.Match(text) }
 
 // TaxonomyParents lists the 10 parent attack types.
 func TaxonomyParents() []string {

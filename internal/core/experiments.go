@@ -181,7 +181,7 @@ func (p *Pipeline) Table4() (string, error) {
 // categorizer, grouped per Table 5 column. Compute body for the
 // coded-cth artifact; use the codedCTH accessor (artifacts.go).
 func (p *Pipeline) computeCodedCTH() map[string][]taxonomy.Label {
-	cat := taxonomy.NewCategorizer()
+	cat := taxonomy.Shared()
 	out := map[string][]taxonomy.Label{}
 	for plat, r := range p.CTH.Results {
 		col := columnFor(plat)
@@ -256,7 +256,7 @@ func (p *Pipeline) Table11() (string, error) {
 
 // Table10 reports the full taxonomy per inferred target gender.
 func (p *Pipeline) Table10() (string, error) {
-	cat := taxonomy.NewCategorizer()
+	cat := taxonomy.Shared()
 	byGender := map[gender.Gender][]taxonomy.Label{}
 	for _, d := range p.CTH.AllPositives() {
 		label := cat.Categorize(d.Text)
@@ -458,7 +458,7 @@ func (p *Pipeline) Figure4() (string, error) {
 // for CTH and dox flags. Compute body for the board-posts artifact; use
 // the boardPosts accessor (artifacts.go).
 func (p *Pipeline) computeBoardPosts() []threads.Post {
-	cat := taxonomy.NewCategorizer()
+	cat := taxonomy.Shared()
 	cthIDs := map[string]bool{}
 	for _, d := range p.CTH.Results[corpus.PlatformBoards].Positives {
 		cthIDs[d.ID] = true
@@ -642,7 +642,7 @@ func (p *Pipeline) PositionsReport() (string, error) {
 
 // CoOccurrenceReport reports §6.2 attack-type co-occurrence.
 func (p *Pipeline) CoOccurrenceReport() (string, error) {
-	cat := taxonomy.NewCategorizer()
+	cat := taxonomy.Shared()
 	var labels []taxonomy.Label
 	for _, d := range p.CTH.AllPositives() {
 		label := cat.Categorize(d.Text)

@@ -156,3 +156,31 @@ func TestScoreStreamSteadyStateAllocs(t *testing.T) {
 		t.Errorf("scoreCTHWith allocates %v per op, want 0", n)
 	}
 }
+
+// TestAnnotateStagesCueFreeAllocs pins the annotation stages' common
+// case — a document with no PII, no attack cue and no seed-query match,
+// nine in ten — to zero allocations: the PII engine's clean path, the
+// taxonomy gate's single scan and the seed query's substring tests.
+func TestAnnotateStagesCueFreeAllocs(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	det := testDetector(t)
+	sd := StreamDoc{ID: "x", Text: "anyone up for ranked tonight, the patch notes are out and they look good"}
+	ran := 0
+	for _, st := range det.streamStages(StreamOptions{Annotate: true}) {
+		if st.Name != "pii" && st.Name != "taxonomy" {
+			continue
+		}
+		ran++
+		if err := st.Fn(context.Background(), 0, &sd); err != nil { // warm
+			t.Fatal(err)
+		}
+		if n := testing.AllocsPerRun(200, func() { _ = st.Fn(context.Background(), 0, &sd) }); n > 0 {
+			t.Errorf("%s stage allocates %v per cue-free document, want 0", st.Name, n)
+		}
+	}
+	if ran != 2 || sd.PII != nil || sd.Attacks != nil || sd.SeedQuery {
+		t.Fatalf("ran %d annotation stages, doc = %+v", ran, sd)
+	}
+}

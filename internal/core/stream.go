@@ -70,9 +70,8 @@ type StreamOptions struct {
 }
 
 var (
-	streamExtractor   = pii.NewExtractor()
-	streamCategorizer = taxonomy.NewCategorizer()
-	streamSeedQuery   = query.WithAttackTerms(query.Figure4())
+	streamExtractor = pii.NewExtractor()
+	streamSeedQuery = query.WithAttackTerms(query.Figure4())
 )
 
 // streamStages builds the stage pipeline for streaming scoring.
@@ -127,6 +126,9 @@ func (d *Detector) streamStages(opts StreamOptions) []resilience.Stage[StreamDoc
 		},
 	}
 	if opts.Annotate {
+		// Compiled on first use, not at package init: processes that never
+		// annotate (harassd -no-annotate, the offline re-score) skip it.
+		cat := taxonomy.Shared()
 		stages = append(stages,
 			resilience.Stage[StreamDoc]{
 				Name:       "pii",
@@ -151,7 +153,7 @@ func (d *Detector) streamStages(opts StreamOptions) []resilience.Stage[StreamDoc
 				Degradable: true,
 				Fn: func(_ context.Context, _ int, sd *StreamDoc) error {
 					var subs []string
-					for _, s := range streamCategorizer.Categorize(sd.Text).Subs() {
+					for _, s := range cat.Categorize(sd.Text).Subs() {
 						subs = append(subs, string(s))
 					}
 					sd.Attacks = subs

@@ -52,7 +52,7 @@ func (p *Pipeline) CollectMetrics() SweepMetrics {
 		CTHKappa: p.CTH.CrowdStats.Kappa,
 	}
 
-	cat := taxonomy.NewCategorizer()
+	cat := taxonomy.Shared()
 	var labels []taxonomy.Label
 	for _, d := range p.CTH.AllPositives() {
 		l := cat.Categorize(d.Text)

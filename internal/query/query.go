@@ -16,33 +16,54 @@ import (
 // any phrase occurs as a substring of the lowercased body.
 type Clause []string
 
-// Match reports whether the clause matches the lowercased body.
-func (c Clause) Match(lowerBody string) bool {
+// Query is a conjunction of clauses: a document matches when every
+// clause matches. Build one with New, Figure4 or WithAttackTerms; the
+// zero Query matches nothing.
+type Query struct {
+	clauses []Clause // phrases already lowercased
+}
+
+// New returns the conjunction of the clauses. Phrases are lowercased
+// here, once, so matching is case-insensitive without touching them
+// again per document.
+func New(clauses ...Clause) Query {
+	q := Query{clauses: make([]Clause, len(clauses))}
+	for i, c := range clauses {
+		q.clauses[i] = make(Clause, len(c))
+		for j, phrase := range c {
+			q.clauses[i][j] = strings.ToLower(phrase)
+		}
+	}
+	return q
+}
+
+// Match reports whether the document body matches the query. The
+// Figure 4 phrases anchor on a leading space; so that they also match
+// the first word of a document, a phrase that starts with a space
+// matches a body that starts with the rest of it (equivalent to padding
+// the body with a leading space, without building the padded string).
+func (q Query) Match(body string) bool {
+	lower := strings.ToLower(body)
+	for _, c := range q.clauses {
+		if !c.match(lower) {
+			return false
+		}
+	}
+	return len(q.clauses) > 0
+}
+
+// match reports whether any (lowercased) phrase occurs in the
+// lowercased body or, for a space-anchored phrase, starts it.
+func (c Clause) match(lowerBody string) bool {
 	for _, phrase := range c {
-		if strings.Contains(lowerBody, strings.ToLower(phrase)) {
+		if strings.Contains(lowerBody, phrase) {
+			return true
+		}
+		if phrase != "" && phrase[0] == ' ' && strings.HasPrefix(lowerBody, phrase[1:]) {
 			return true
 		}
 	}
 	return false
-}
-
-// Query is a conjunction of clauses: a document matches when every
-// clause matches.
-type Query struct {
-	Clauses []Clause
-}
-
-// Match reports whether the document body matches the query. The body is
-// padded with a leading space so that the Figure 4 phrases' leading-space
-// word anchors also match at the start of a document.
-func (q Query) Match(body string) bool {
-	lower := " " + strings.ToLower(body)
-	for _, c := range q.Clauses {
-		if !c.Match(lower) {
-			return false
-		}
-	}
-	return len(q.Clauses) > 0
 }
 
 // Select returns the indices of the bodies matching the query, in order.
@@ -59,14 +80,14 @@ func (q Query) Select(bodies []string) []int {
 // Figure4 returns the exact seed query from the paper's appendix: a
 // mobilizing-language clause AND an in-group-versus-target subclause.
 func Figure4() Query {
-	return Query{Clauses: []Clause{
-		{ // First clause: contains mobilizing language.
+	return New(
+		Clause{ // First clause: contains mobilizing language.
 			" we need to", " we should", " lets", " we have", " we will", " we",
 		},
-		{ // Subclause: in-group mobilizing language vs target.
+		Clause{ // Subclause: in-group mobilizing language vs target.
 			" them", " him", " her", " all", " entire",
 		},
-	}}
+	)
 }
 
 // WithAttackTerms narrows a query with a third clause of call-to-
@@ -76,7 +97,6 @@ func WithAttackTerms(q Query, terms ...string) Query {
 	if len(terms) == 0 {
 		terms = []string{"dox", "raid", "report", "spam", "flag", "brigade", "swat"}
 	}
-	out := Query{Clauses: append([]Clause(nil), q.Clauses...)}
-	out.Clauses = append(out.Clauses, Clause(terms))
-	return out
+	attack := New(Clause(terms))
+	return Query{clauses: append(append([]Clause(nil), q.clauses...), attack.clauses...)}
 }

@@ -2,6 +2,7 @@ package query
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"harassrepro/internal/corpus"
@@ -12,19 +13,19 @@ import (
 
 func TestClauseMatch(t *testing.T) {
 	c := Clause{"we should", "lets"}
-	if !c.Match("i think we should go") {
+	if !c.match("i think we should go") {
 		t.Error("clause should match")
 	}
-	if c.Match("nothing here") {
+	if c.match("nothing here") {
 		t.Error("clause should not match")
 	}
-	if (Clause{}).Match("anything") {
+	if (Clause{}).match("anything") {
 		t.Error("empty clause matches nothing")
 	}
 }
 
 func TestQueryConjunction(t *testing.T) {
-	q := Query{Clauses: []Clause{{"alpha"}, {"beta"}}}
+	q := New(Clause{"alpha"}, Clause{"beta"})
 	if !q.Match("alpha and beta") {
 		t.Error("both clauses present should match")
 	}
@@ -37,14 +38,14 @@ func TestQueryConjunction(t *testing.T) {
 }
 
 func TestQueryCaseInsensitive(t *testing.T) {
-	q := Query{Clauses: []Clause{{"We Should"}}}
+	q := New(Clause{"We Should"})
 	if !q.Match("WE SHOULD ALL GO") {
 		t.Error("matching must be case-insensitive")
 	}
 }
 
 func TestSelect(t *testing.T) {
-	q := Query{Clauses: []Clause{{"x"}}}
+	q := New(Clause{"x"})
 	got := q.Select([]string{"has x", "nope", "x again"})
 	if !reflect.DeepEqual(got, []int{0, 2}) {
 		t.Errorf("Select = %v", got)
@@ -174,5 +175,69 @@ func BenchmarkFigure4(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q.Match(body)
+	}
+}
+
+// oracleMatch is Query.Match as it was before phrases were lowered at
+// construction: pad the lowercased body with a leading space, re-lower
+// every phrase, substring-match. Kept as the differential oracle.
+func oracleMatch(clauses []Clause, body string) bool {
+	lower := " " + strings.ToLower(body)
+	for _, c := range clauses {
+		matched := false
+		for _, phrase := range c {
+			if strings.Contains(lower, strings.ToLower(phrase)) {
+				matched = true
+				break
+			}
+		}
+		if !matched {
+			return false
+		}
+	}
+	return len(clauses) > 0
+}
+
+func TestMatchAgreesWithOracle(t *testing.T) {
+	queries := [][]Clause{
+		{{" we need to", " we should", " lets", " we have", " we will", " we"}, {" them", " him", " her", " all", " entire"}},
+		{{" we"}, {" her"}, {"dox", "raid", "report", "spam", "flag", "brigade", "swat"}},
+		{{" We Should"}, {"İstanbul", " ſwat", "K"}},
+		{{"", " "}},
+		{{" "}},
+		{{" x"}, {}},
+		nil,
+	}
+	bodies := []string{
+		"", " ", "we", "we should report her", "We Should Report HER", "wE", " we", "x", "xx x",
+		"lets all go", "letsall", "entire", "so we will dox them",
+		"İSTANBUL we should", "we ſwat him", "\u212a we", "WE\u212a", "we\xff should \xc5 her", "\xe2\x84 we all",
+		"ＷＥ should", "we\nshould raid her", "émigré we all",
+	}
+	g := corpus.NewGenerator(corpus.Config{Seed: 11, VolumeScale: 200_000, PositiveScale: 100})
+	for _, cp := range g.Generate() {
+		for i := range cp.Docs {
+			bodies = append(bodies, cp.Docs[i].Text)
+		}
+	}
+	for _, clauses := range queries {
+		q := New(clauses...)
+		for _, b := range bodies {
+			if got, want := q.Match(b), oracleMatch(clauses, b); got != want {
+				t.Fatalf("New(%q).Match(%q) = %v, oracle %v", clauses, b, got, want)
+			}
+		}
+	}
+}
+
+func TestMatchAllocs(t *testing.T) {
+	q := WithAttackTerms(Figure4())
+	for _, body := range []string{
+		"we should all get lunch, tell them to meet at noon",
+		"ok so we need to mass report him today",
+	} {
+		if n := testing.AllocsPerRun(100, func() { q.Match(body) }); n != 0 {
+			t.Errorf("Match(%q) allocates %.0f times", body, n)
+		}
 	}
 }

@@ -1,7 +1,9 @@
 package taxonomy
 
 import (
+	"math/bits"
 	"regexp"
+	"sync"
 )
 
 // Categorizer codes call-to-harassment text into taxonomy subcategories
@@ -9,12 +11,19 @@ import (
 // expert coders for the automated reproduction: each subcategory has a
 // bank of cue patterns derived from the paper's category definitions and
 // published examples.
+//
+// Categorize does not run every cue over every document: a gate (gate.go)
+// finds, in one pass, the rules whose pattern can possibly match, and
+// only those regexps run. The regexps remain the single verifier, so the
+// coding is exactly what running all of them would produce.
 type Categorizer struct {
-	rules []rule
+	rules []rule // in Subs() order, then cue order within a subcategory
+	gate  *gate
 }
 
 type rule struct {
 	sub Sub
+	bit uint32 // the subcategory's Label bit
 	re  *regexp.Regexp
 }
 
@@ -133,16 +142,36 @@ var cuePatterns = map[Sub][]string{
 	},
 }
 
-// NewCategorizer compiles the cue rules.
+// NewCategorizer compiles the cue rules and the gate in front of them.
+// Most callers want Shared instead.
 func NewCategorizer() *Categorizer {
 	c := &Categorizer{}
-	for _, s := range Subs() {
+	var lits [][]string
+	for i, s := range subTable {
 		for _, pat := range cuePatterns[s] {
-			c.rules = append(c.rules, rule{sub: s, re: regexp.MustCompile(`(?i)` + pat)})
+			pat = `(?i)` + pat
+			set, err := requiredLiterals(pat)
+			if err != nil || len(set) == 0 {
+				// Every rule must be gated: an ungateable cue would have to
+				// run on every document. TestCueLiteralsGolden names it.
+				panic("taxonomy: no required literal for cue " + pat)
+			}
+			c.rules = append(c.rules, rule{sub: s, bit: 1 << i, re: regexp.MustCompile(pat)})
+			lits = append(lits, set)
 		}
 	}
+	c.gate = newGate(lits)
 	return c
 }
+
+var shared = sync.OnceValue(NewCategorizer)
+
+// Shared returns the process-wide Categorizer, compiling it on first
+// use. Compilation (78 regexps and the gate) is deliberately not a
+// package-level initialiser: processes that never annotate do not pay
+// for it at start-up. A Categorizer is immutable and safe for
+// concurrent use.
+func Shared() *Categorizer { return shared() }
 
 // Categorize codes text into a multi-label taxonomy Label. Generic and
 // misc. subcategories are treated as fallbacks within their parent: a
@@ -150,45 +179,28 @@ func NewCategorizer() *Categorizer {
 // specific parent suppresses Generic, mirroring the coders' rule that
 // misc./generic apply only when no more specific category fits.
 func (c *Categorizer) Categorize(text string) Label {
-	matched := map[Sub]bool{}
-	for _, r := range c.rules {
-		if matched[r.sub] {
-			continue
-		}
-		if r.re.MatchString(text) {
-			matched[r.sub] = true
-		}
-	}
-	// Specific subcategory suppresses its parent's misc label.
-	miscOf := map[Parent]Sub{
-		ContentLeakage: SubContentLeakMisc,
-		Impersonation:  SubImpersonationMisc,
-		Lockout:        SubLockoutMisc,
-		Overloading:    SubOverloadingMisc,
-		PublicOpinion:  SubPublicOpinionMisc,
-		Reporting:      SubReportingMisc,
-		Reputational:   SubReputationMisc,
-		Surveillance:   SubSurveillanceMisc,
-		ToxicContent:   SubToxicMisc,
-	}
-	for parent, misc := range miscOf {
-		if !matched[misc] {
-			continue
-		}
-		for _, s := range SubsOf(parent) {
-			if s != misc && matched[s] {
-				delete(matched, misc)
-				break
+	var matched uint32
+	for w, word := range c.gate.scan(text) {
+		for ; word != 0; word &= word - 1 {
+			r := &c.rules[w*64+bits.TrailingZeros64(word)]
+			if matched&r.bit == 0 && r.re.MatchString(text) {
+				matched |= r.bit
 			}
 		}
 	}
-	// Any specific parent suppresses the Generic fallback.
-	if matched[SubGeneric] && len(matched) > 1 {
-		delete(matched, SubGeneric)
+	return Label{bits: suppressFallbacks(matched)}
+}
+
+// suppressFallbacks applies the coders' fallback rules to the matched
+// subcategory bits.
+func suppressFallbacks(matched uint32) uint32 {
+	for _, f := range miscFallbacks {
+		if matched&f.misc != 0 && matched&f.specific != 0 {
+			matched &^= f.misc
+		}
 	}
-	subs := make([]Sub, 0, len(matched))
-	for s := range matched {
-		subs = append(subs, s)
+	if generic := subBits[SubGeneric]; matched&generic != 0 && matched != generic {
+		matched &^= generic
 	}
-	return NewLabel(subs...)
+	return matched
 }

@@ -10,6 +10,8 @@
 // multi-label codings (§6.2).
 package taxonomy
 
+import "math/bits"
+
 // Parent is one of the 10 parent attack types of §6.1.1.
 type Parent string
 
@@ -27,13 +29,14 @@ const (
 	ToxicContent   Parent = "Toxic Content"
 )
 
-// Parents lists all parent attack types in Table 5 row order.
-func Parents() []Parent {
-	return []Parent{
-		ContentLeakage, Generic, Impersonation, Lockout, Overloading,
-		PublicOpinion, Reporting, Reputational, Surveillance, ToxicContent,
-	}
+// parentTable is Table 5's row order.
+var parentTable = [...]Parent{
+	ContentLeakage, Generic, Impersonation, Lockout, Overloading,
+	PublicOpinion, Reporting, Reputational, Surveillance, ToxicContent,
 }
+
+// Parents lists all parent attack types in Table 5 row order.
+func Parents() []Parent { return append([]Parent(nil), parentTable[:]...) }
 
 // Definition returns the paper's §6.1.1 definition of the parent type.
 func (p Parent) Definition() string {
@@ -116,24 +119,26 @@ const (
 // parent row of Table 11 is excluded.
 const SubcategoryCount = 28
 
+// subTable is Table 11's row order with the Generic parent marker last;
+// a subcategory's index here is its bit in a Label.
+var subTable = [...]Sub{
+	SubDoxing, SubLeakedChats, SubNonConsensual, SubOutingDeadnaming,
+	SubDoxPropagation, SubContentLeakMisc,
+	SubImpersonatedProfiles, SubSyntheticPorn, SubImpersonationMisc,
+	SubAccountLockout, SubLockoutMisc,
+	SubNegativeRatings, SubRaiding, SubSpamming, SubOverloadingMisc,
+	SubHashtagHijacking, SubPublicOpinionMisc,
+	SubFalseReporting, SubMassFlagging, SubReportingMisc,
+	SubReputationPrivate, SubReputationPublic, SubReputationMisc,
+	SubStalkingTracking, SubSurveillanceMisc,
+	SubHateSpeech, SubUnwantedExplicit, SubToxicMisc,
+	SubGeneric,
+}
+
 // Subs lists the 28 subcategories in Table 11 row order, plus the
 // Generic parent marker as the final element (matching Table 11's last
 // row).
-func Subs() []Sub {
-	return []Sub{
-		SubDoxing, SubLeakedChats, SubNonConsensual, SubOutingDeadnaming,
-		SubDoxPropagation, SubContentLeakMisc,
-		SubImpersonatedProfiles, SubSyntheticPorn, SubImpersonationMisc,
-		SubAccountLockout, SubLockoutMisc,
-		SubNegativeRatings, SubRaiding, SubSpamming, SubOverloadingMisc,
-		SubHashtagHijacking, SubPublicOpinionMisc,
-		SubFalseReporting, SubMassFlagging, SubReportingMisc,
-		SubReputationPrivate, SubReputationPublic, SubReputationMisc,
-		SubStalkingTracking, SubSurveillanceMisc,
-		SubHateSpeech, SubUnwantedExplicit, SubToxicMisc,
-		SubGeneric,
-	}
-}
+func Subs() []Sub { return append([]Sub(nil), subTable[:]...) }
 
 // parentOf maps each subcategory to its parent attack type.
 var parentOf = map[Sub]Parent{
@@ -199,7 +204,7 @@ func (s Sub) Describe() string { return subDescriptions[s] }
 // SubsOf returns the subcategories of a parent, in Table 11 order.
 func SubsOf(p Parent) []Sub {
 	var out []Sub
-	for _, s := range Subs() {
+	for _, s := range subTable {
 		if s.Parent() == p {
 			out = append(out, s)
 		}
@@ -209,40 +214,62 @@ func SubsOf(p Parent) []Sub {
 
 // Label is the multi-label coding of one call to harassment: the set of
 // subcategory attack types it incites. The paper codes each call to
-// harassment with one or more categories.
+// harassment with one or more categories. It is a bitset over subTable,
+// so labels are comparable values and cost nothing to build.
 type Label struct {
-	subs map[Sub]bool
+	bits uint32
 }
 
-// NewLabel builds a Label from subcategories, ignoring duplicates.
-func NewLabel(subs ...Sub) Label {
-	m := make(map[Sub]bool, len(subs))
-	for _, s := range subs {
-		m[s] = true
+// fallback pairs one parent's misc. subcategory bit with the bits of
+// that parent's specific subcategories.
+type fallback struct{ misc, specific uint32 }
+
+// Bit tables derived from subTable and parentOf.
+var (
+	subBits       = map[Sub]uint32{}    // subcategory → its Label bit; 0 for an unknown Sub
+	parentBits    = map[Parent]uint32{} // parent → the bits of its subcategories
+	miscFallbacks []fallback
+)
+
+func init() {
+	for i, s := range subTable {
+		subBits[s] = 1 << i
+		parentBits[parentOf[s]] |= 1 << i
 	}
-	return Label{subs: m}
+	for _, misc := range []Sub{
+		SubContentLeakMisc, SubImpersonationMisc, SubLockoutMisc,
+		SubOverloadingMisc, SubPublicOpinionMisc, SubReportingMisc,
+		SubReputationMisc, SubSurveillanceMisc, SubToxicMisc,
+	} {
+		bit := subBits[misc]
+		miscFallbacks = append(miscFallbacks, fallback{misc: bit, specific: parentBits[parentOf[misc]] &^ bit})
+	}
+}
+
+// NewLabel builds a Label from subcategories, ignoring duplicates and
+// anything that is not one of Subs().
+func NewLabel(subs ...Sub) Label {
+	var l Label
+	for _, s := range subs {
+		l.bits |= subBits[s]
+	}
+	return l
 }
 
 // Has reports whether the label includes the subcategory.
-func (l Label) Has(s Sub) bool { return l.subs[s] }
+func (l Label) Has(s Sub) bool { return l.bits&subBits[s] != 0 }
 
 // HasParent reports whether the label includes any subcategory of p.
-func (l Label) HasParent(p Parent) bool {
-	for s := range l.subs {
-		if s.Parent() == p {
-			return true
-		}
-	}
-	return false
-}
+func (l Label) HasParent(p Parent) bool { return l.bits&parentBits[p] != 0 }
 
 // Subs returns the label's subcategories in Table 11 order.
 func (l Label) Subs() []Sub {
-	var out []Sub
-	for _, s := range Subs() {
-		if l.subs[s] {
-			out = append(out, s)
-		}
+	if l.bits == 0 {
+		return nil
+	}
+	out := make([]Sub, 0, l.Size())
+	for b := l.bits; b != 0; b &= b - 1 {
+		out = append(out, subTable[bits.TrailingZeros32(b)])
 	}
 	return out
 }
@@ -251,7 +278,7 @@ func (l Label) Subs() []Sub {
 // order.
 func (l Label) Parents() []Parent {
 	var out []Parent
-	for _, p := range Parents() {
+	for _, p := range parentTable {
 		if l.HasParent(p) {
 			out = append(out, p)
 		}
@@ -260,24 +287,23 @@ func (l Label) Parents() []Parent {
 }
 
 // Size returns the number of subcategories in the label.
-func (l Label) Size() int { return len(l.subs) }
+func (l Label) Size() int { return bits.OnesCount32(l.bits) }
 
 // ParentCount returns the number of distinct parent attack types, the
 // quantity behind the paper's co-occurrence analysis ("13% of the
 // annotated calls to harassment contained more than one attack type").
-func (l Label) ParentCount() int { return len(l.Parents()) }
+func (l Label) ParentCount() int {
+	n := 0
+	for _, p := range parentTable {
+		if l.HasParent(p) {
+			n++
+		}
+	}
+	return n
+}
 
 // Empty reports whether the label carries no categories.
-func (l Label) Empty() bool { return len(l.subs) == 0 }
+func (l Label) Empty() bool { return l.bits == 0 }
 
 // Merge returns the union of two labels.
-func (l Label) Merge(other Label) Label {
-	m := make(map[Sub]bool, len(l.subs)+len(other.subs))
-	for s := range l.subs {
-		m[s] = true
-	}
-	for s := range other.subs {
-		m[s] = true
-	}
-	return Label{subs: m}
-}
+func (l Label) Merge(other Label) Label { return Label{bits: l.bits | other.bits} }

@@ -273,12 +273,23 @@ func floatEq(a, b float64) bool {
 	return d < 1e-12 && d > -1e-12
 }
 
+// BenchmarkCategorize shows both regimes of the gated categorizer: a
+// document with several cues (gate plus a handful of regexp
+// verifications) and a cue-free one (the gate alone, as for nine
+// documents in ten).
 func BenchmarkCategorize(b *testing.B) {
 	c := NewCategorizer()
-	text := "get her phone number and address, then raid the stream and mass report her channel until it is banned"
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Categorize(text)
+	for _, bc := range []struct{ name, text string }{
+		{"cues", "get her phone number and address, then raid the stream and mass report her channel until it is banned"},
+		{"cue-free", "anyone want to play ranked tonight? the new update is out and the patch notes look good to me"},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(bc.text)))
+			for i := 0; i < b.N; i++ {
+				c.Categorize(bc.text)
+			}
+		})
 	}
 }
 

@@ -38,12 +38,13 @@ echo "== store parallel-scan race step"
 go test -race -count=2 -run 'TestScanParallelWhileAppend|TestScanWhileAppend|TestDocConcurrentWithClose' ./internal/corpus/store/
 
 # Allocation-regression gates: the scoring hot path (tokenize,
-# featurize, PII clean path, pooled detector scoring) and the obs
+# featurize, PII clean path, pooled detector scoring), the annotation
+# stages on a cue-free document (taxonomy gate, seed query) and the obs
 # metric handles it records into must stay allocation-free. These run
 # under the race detector above too, but the race detector changes the
 # allocator, so assert them in a plain run.
 echo "== alloc-regression tests"
-go test -run 'Allocs' ./internal/tokenize/ ./internal/features/ ./internal/pii/ ./internal/core/ ./internal/obs/
+go test -run 'Allocs' ./internal/tokenize/ ./internal/features/ ./internal/pii/ ./internal/taxonomy/ ./internal/query/ ./internal/core/ ./internal/obs/
 
 if [[ $fast -eq 0 ]]; then
   # Differential fuzz smoke: the one-pass PII engine must stay
@@ -52,6 +53,12 @@ if [[ $fast -eq 0 ]]; then
   # automaton soundness bugs before they need a long campaign.
   echo "== pii differential fuzz smoke (-fuzztime=10s)"
   go test -run '^$' -fuzz '^FuzzExtractPrefilterEquivalence$' -fuzztime 10s ./internal/pii/
+
+  # Attack-cue gate differential fuzz smoke: the gated
+  # taxonomy.Categorize must code every input exactly as running all 78
+  # cue regexps does (the ungated loop is its in-test oracle).
+  echo "== taxonomy gate differential fuzz smoke (-fuzztime=10s)"
+  go test -run '^$' -fuzz '^FuzzCategorizeGateEquivalence$' -fuzztime 10s ./internal/taxonomy/
 
   # Corpus-store differential fuzz smokes: the segment record decoder
   # must reject every non-canonical framing and round-trip every
