@@ -19,22 +19,24 @@
 //	GET  /metrics.json    JSON metrics snapshot
 //	GET  /debug/pprof/*   live profiling
 //
-// Requests are routed onto -shards independent supervised scoring
-// shards, each with its own bounded queue and detector stream: a shard
-// that panics or stalls is killed and restarted under backoff, its
-// in-flight documents re-dispatched exactly once to a healthy shard (or
-// answered 503 + Retry-After), and a per-shard circuit breaker routes
-// traffic around a shard that keeps dying. /readyz reports 503 when a
-// quorum of shards is down. Overload is shed with 429 + Retry-After
-// (bounded in-flight requests and per-shard queue depth, never an
-// unbounded goroutine pile-up), and SIGINT/SIGTERM triggers a graceful
-// drain: stop admitting, finish every accepted request, then exit 0.
-// If -drain-timeout expires first, the abandoned in-flight requests are
-// counted, logged, and the process exits non-zero.
+// A request is scored on its own goroutine — admit, load the model
+// pointer once, score each document in place — by at most GOMAXPROCS
+// requests at a time, whatever the client count. Overload is shed at
+// the door with 429 + Retry-After (bounded in-flight requests and one
+// bounded count of admitted-but-unscored documents, never an unbounded
+// goroutine pile-up), a request that outlives -request-timeout gets
+// 504 and gives back everything it held, and a document whose scoring
+// stage keeps failing or panicking is quarantined inside its own 200
+// response. SIGINT/SIGTERM triggers a graceful drain: stop admitting,
+// finish every accepted request, then exit 0. If -drain-timeout
+// expires first, the abandoned in-flight requests are counted, logged,
+// and the process exits non-zero.
 //
-// -chaos enables the seeded serve-layer fault plan (shard panics, hard
-// stalls, latency spikes) for self-healing certification, e.g.
-// -chaos "seed=7,panic=0.02,stall=0.004,spike=0.05,spike-ms=20".
+// -chaos wraps every scoring stage in the seeded per-document fault
+// harness (internal/resilience/chaos: panics, transient errors, poison
+// documents, latency), e.g.
+// -chaos "seed=7,panic=0.02,transient=0.05,latency=0.05,latency-ms=20".
+// A latency longer than -request-timeout is a stall.
 //
 // With -models the classifiers are loaded from a directory written by
 // `harassrepro -save-models`; otherwise they are trained at startup by
@@ -57,7 +59,7 @@
 //	harassd [-addr :8712] [-models DIR] [-scale quick|default] [-seed N]
 //	        [-registry DIR] [-shadow-rate F] [-auto-retrain]
 //	        [-replay-store DIR] [-replay-limit N]
-//	        [-shards N] [-workers N] [-max-inflight N] [-queue-depth N]
+//	        [-workers N] [-max-inflight N] [-queue-depth N]
 //	        [-max-batch-docs N] [-request-timeout D] [-drain-timeout D]
 //	        [-chaos PLAN] [-no-annotate] [-metrics]
 package main
@@ -75,6 +77,7 @@ import (
 	"harassrepro/internal/lifecycle"
 	"harassrepro/internal/obs"
 	"harassrepro/internal/registry"
+	"harassrepro/internal/resilience"
 	"harassrepro/internal/resilience/chaos"
 	"harassrepro/internal/serve"
 	"harassrepro/internal/taxonomy"
@@ -97,16 +100,15 @@ func main() {
 		replayStore    = flag.String("replay-store", "", "segmented corpus store whose historical documents augment every retrain (with -registry)")
 		replayLimit    = flag.Int("replay-limit", 0, "cap on replayed store documents per retrain (0 = default 256)")
 		seed           = flag.Uint64("seed", 1, "training and span-sampling seed")
-		shards         = flag.Int("shards", 0, "independent supervised scoring shards (0 = min(GOMAXPROCS, 8))")
-		workers        = flag.Int("workers", 0, "scoring worker pool size, divided across shards (0 = GOMAXPROCS)")
+		workers        = flag.Int("workers", 0, "training worker pool size when -models is unset (0 = GOMAXPROCS)")
 		maxInFlight    = flag.Int("max-inflight", 256, "maximum concurrently admitted score requests")
 		queueDepth     = flag.Int("queue-depth", 1024, "maximum admitted-but-unscored documents across all requests")
-		maxBatchDocs   = flag.Int("max-batch-docs", 4096, "maximum documents in one batch request")
+		maxBatchDocs   = flag.Int("max-batch-docs", 4096, "maximum documents in one batch request (capped by -queue-depth)")
 		maxBodyBytes   = flag.Int64("max-body-bytes", 32<<20, "maximum request body size")
 		maxLineBytes   = flag.Int("max-line-bytes", 1<<20, "maximum JSONL line length in a batch body")
 		requestTimeout = flag.Duration("request-timeout", 30*time.Second, "per-request scoring deadline")
 		drainTimeout   = flag.Duration("drain-timeout", 30*time.Second, "graceful shutdown bound after SIGINT/SIGTERM")
-		chaosPlan      = flag.String("chaos", "", "seeded serve-layer fault plan, e.g. \"seed=7,panic=0.02,stall=0.004,spike=0.05,spike-ms=20,shards=0,max-faults=40\"")
+		chaosPlan      = flag.String("chaos", "", "seeded per-document fault plan, e.g. \"seed=7,panic=0.02,transient=0.05,poison=0.001,latency=0.05,latency-ms=20\"")
 		noAnnotate     = flag.Bool("no-annotate", false, "skip the PII and taxonomy annotation stages")
 		metrics        = flag.Bool("metrics", false, "print a JSON metrics snapshot to stderr on exit")
 	)
@@ -116,7 +118,7 @@ func main() {
 		fail("-replay-store requires -registry")
 	}
 
-	faults, err := chaos.ParseServePlan(*chaosPlan)
+	faults, err := chaos.ParsePlan(*chaosPlan)
 	if err != nil {
 		fail("%v", err)
 	}
@@ -196,8 +198,6 @@ func main() {
 
 	cfg := serve.Config{
 		Model:          mdl,
-		Shards:         *shards,
-		Workers:        *workers,
 		Seed:           *seed,
 		Annotate:       !*noAnnotate,
 		MaxInFlight:    *maxInFlight,
@@ -209,7 +209,9 @@ func main() {
 		Metrics:        reg,
 	}
 	if faults != nil {
-		cfg.Faults = faults
+		cfg.StageWrap = func(st resilience.Stage[core.StreamDoc]) resilience.Stage[core.StreamDoc] {
+			return chaos.Wrap(st, *faults)
+		}
 	}
 	if mgr != nil {
 		cfg.Feedback = mgr

@@ -2,16 +2,155 @@ package main
 
 import (
 	"bytes"
+	"context"
+	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"syscall"
 	"testing"
 	"time"
+
+	"harassrepro/internal/core"
+	"harassrepro/internal/obs"
+	"harassrepro/internal/resilience"
+	"harassrepro/internal/resilience/chaos"
+	"harassrepro/internal/serve"
 )
+
+// buildHarassd compiles the binary under test.
+func buildHarassd(t *testing.T) string {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("builds and execs the binary")
+	}
+	bin := filepath.Join(t.TempDir(), "harassd")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("building harassd: %v\n%s", err, out)
+	}
+	return bin
+}
+
+// daemon is one live harassd process. stderr may be read once exited
+// has delivered.
+type daemon struct {
+	cmd    *exec.Cmd
+	addr   string
+	stderr bytes.Buffer
+	exited chan error
+}
+
+// startHarassd runs the binary on a free port with the given flags and
+// returns once /readyz first answers 200.
+func startHarassd(t *testing.T, bin string, flags ...string) *daemon {
+	t.Helper()
+	// The address must be known before the process logs it, so pick a
+	// free port here and hand it over.
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := &daemon{addr: l.Addr().String(), exited: make(chan error, 1)}
+	l.Close()
+	d.cmd = exec.Command(bin, append([]string{"-addr", d.addr, "-scale", "quick"}, flags...)...)
+	d.cmd.Stderr = &d.stderr
+	if err := d.cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	go func() { d.exited <- d.cmd.Wait() }()
+	t.Cleanup(func() { d.cmd.Process.Kill() })
+
+	deadline := time.Now().Add(2 * time.Minute)
+	for time.Now().Before(deadline) {
+		select {
+		case err := <-d.exited:
+			t.Fatalf("harassd exited before it was ready: %v\n%s", err, d.stderr.String())
+		default:
+		}
+		resp, err := http.Get("http://" + d.addr + "/readyz")
+		if err != nil {
+			time.Sleep(time.Millisecond)
+			continue
+		}
+		resp.Body.Close()
+		if resp.StatusCode == http.StatusOK {
+			return d
+		}
+	}
+	d.cmd.Process.Kill()
+	<-d.exited // stderr is complete once Wait has returned
+	t.Fatalf("harassd never became ready\n%s", d.stderr.String())
+	return nil
+}
+
+// drain sends SIGTERM and requires exit 0 with the clean-drain line.
+func (d *daemon) drain(t *testing.T) {
+	t.Helper()
+	if err := d.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-d.exited:
+		if err != nil {
+			t.Fatalf("harassd did not exit 0 after SIGTERM: %v\n%s", err, d.stderr.String())
+		}
+	case <-time.After(time.Minute):
+		d.cmd.Process.Kill()
+		<-d.exited
+		t.Fatalf("harassd did not exit after SIGTERM\n%s", d.stderr.String())
+	}
+	if !strings.Contains(d.stderr.String(), "drained cleanly") {
+		t.Fatalf("no clean drain in stderr:\n%s", d.stderr.String())
+	}
+}
+
+// post sends one request body and returns the status, headers and body.
+func (d *daemon) post(t *testing.T, path, body string) (int, http.Header, []byte) {
+	t.Helper()
+	resp, err := http.Post("http://"+d.addr+path, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatalf("POST %s: %v", path, err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatalf("POST %s: reading the response: %v", path, err)
+	}
+	return resp.StatusCode, resp.Header, raw
+}
+
+// metrics scrapes /metrics.json.
+func (d *daemon) metrics(t *testing.T) obs.Snapshot {
+	t.Helper()
+	resp, err := http.Get("http://" + d.addr + "/metrics.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var snap obs.Snapshot
+	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
+		t.Fatalf("decoding /metrics.json: %v", err)
+	}
+	return snap
+}
+
+// awaitInFlight polls the in-flight gauge until n requests are admitted.
+func (d *daemon) awaitInFlight(t *testing.T, n float64) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for d.metrics(t).CounterValue("serve_inflight_requests") != n {
+		if time.Now().After(deadline) {
+			t.Fatalf("never saw %v requests in flight", n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
 
 // TestSIGTERMRightAfterReadyDrains signals the service the instant
 // /readyz first answers 200. The signal handler used to be installed
@@ -20,69 +159,155 @@ import (
 // wide: against the old ordering this test fails only occasionally, and
 // it pins the contract (exit 0, "drained cleanly") rather than the race.
 func TestSIGTERMRightAfterReadyDrains(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds and execs the binary")
-	}
-	bin := filepath.Join(t.TempDir(), "harassd")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("building harassd: %v\n%s", err, out)
-	}
-
+	bin := buildHarassd(t)
 	for round := 0; round < 3; round++ {
-		// The address must be known before the process logs it, so pick a
-		// free port here and hand it over.
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		addr := l.Addr().String()
-		l.Close()
+		startHarassd(t, bin).drain(t)
+	}
+}
 
-		var stderr bytes.Buffer
-		cmd := exec.Command(bin, "-addr", addr, "-scale", "quick")
-		cmd.Stderr = &stderr
-		if err := cmd.Start(); err != nil {
-			t.Fatal(err)
-		}
-		exited := make(chan error, 1)
-		go func() { exited <- cmd.Wait() }()
+// -max-inflight and -queue-depth reach the admission check: with both at
+// one, a second request arriving while the first is being scored is shed
+// at the door. The first is held open by a -chaos latency fault.
+func TestAdmissionFlagsShedSecondConcurrentRequest(t *testing.T) {
+	d := startHarassd(t, buildHarassd(t), "-no-annotate", "-max-inflight", "1", "-queue-depth", "1",
+		"-chaos", "seed=1,latency=1,latency-ms=300")
 
-		ready := false
-		deadline := time.Now().Add(2 * time.Minute)
-		for !ready && time.Now().Before(deadline) {
-			select {
-			case err := <-exited:
-				t.Fatalf("harassd exited before it was ready: %v\n%s", err, stderr.String())
-			default:
+	first := make(chan int, 1)
+	go func() {
+		code, _, _ := d.post(t, "/v1/score", `{"id":"held","text":"holds the only slot"}`)
+		first <- code
+	}()
+	d.awaitInFlight(t, 1)
+	code, hdr, body := d.post(t, "/v1/score", `{"id":"shed","text":"arrives second"}`)
+	if code != http.StatusTooManyRequests || hdr.Get("Retry-After") == "" {
+		t.Errorf("second concurrent request: status %d, Retry-After %q, body %s", code, hdr.Get("Retry-After"), body)
+	}
+	if code := <-first; code != http.StatusOK {
+		t.Errorf("the admitted request finished with %d, want 200", code)
+	}
+	// A batch can never exceed the document bound, whatever -max-batch-docs says.
+	code, _, body = d.post(t, "/v1/score/batch", "{\"text\":\"one\"}\n{\"text\":\"two\"}\n")
+	if code != http.StatusRequestEntityTooLarge || !strings.Contains(string(body), "queue depth 1 caps max batch docs 4096") {
+		t.Errorf("two-document batch at -queue-depth 1: status %d body %s", code, body)
+	}
+	if shed := d.metrics(t).CounterValue("serve_shed_total"); shed != 1 {
+		t.Errorf("serve_shed_total = %v, want 1", shed)
+	}
+
+	// SIGTERM while a request is being scored: the drain waits for it.
+	go func() {
+		code, _, _ := d.post(t, "/v1/score", `{"id":"draining","text":"in flight at SIGTERM"}`)
+		first <- code
+	}()
+	d.awaitInFlight(t, 1)
+	d.drain(t)
+	if code := <-first; code != http.StatusOK {
+		t.Errorf("the request in flight at SIGTERM finished with %d, want 200", code)
+	}
+}
+
+// A -chaos plan is executed by the live process exactly as planned: the
+// documents it poisons, or whose every attempt it panics, are
+// quarantined inside 200 responses — those and no others — nothing is
+// answered 5xx, and the process still drains cleanly. The plan is a pure
+// function of (seed, stage, arrival index, attempt), so an in-process
+// run of the same wrapped stages is the oracle.
+func TestChaosPlanQuarantinesExactlyThePlannedDocuments(t *testing.T) {
+	const spec, docs = "seed=11,poison=0.1,panic=0.45", 60
+	plan, err := chaos.ParsePlan(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stages []resilience.Stage[core.StreamDoc]
+	for _, name := range []string{"score-cth", "score-dox"} {
+		stages = append(stages, chaos.Wrap(resilience.Stage[core.StreamDoc]{
+			Name: name, Transient: true,
+			Fn: func(context.Context, int, *core.StreamDoc) error { return nil },
+		}, *plan))
+	}
+	oracle := resilience.NewRunner(resilience.Config[core.StreamDoc]{}, stages...)
+	var want []string
+	for i := 0; i < docs; i++ {
+		if res := oracle.RunItem(context.Background(), i, core.StreamDoc{}); res.Status == resilience.StatusQuarantined {
+			var pe *resilience.PanicError
+			if !errors.Is(res.Dead.Err, chaos.ErrInjected) && !errors.As(res.Dead.Err, &pe) {
+				t.Fatalf("oracle document %d failed outside the plan: %v", i, res.Dead.Err)
 			}
-			resp, err := http.Get(fmt.Sprintf("http://%s/readyz", addr))
-			if err != nil {
-				time.Sleep(time.Millisecond)
-				continue
+			want = append(want, fmt.Sprintf("doc-%d", i))
+		}
+	}
+	if len(want) < 5 || len(want) > docs/2 {
+		t.Fatalf("degenerate plan: %d of %d documents quarantined", len(want), docs)
+	}
+
+	d := startHarassd(t, buildHarassd(t), "-no-annotate", "-chaos", spec)
+	// One client, so arrival order is document order: singles, then a
+	// batch, then singles again.
+	var got []string
+	collect := func(res serve.ScoreResult) {
+		switch res.Status {
+		case "quarantined":
+			got = append(got, res.ID)
+		case "ok":
+		default:
+			t.Errorf("%s: status %q", res.ID, res.Status)
+		}
+	}
+	single := func(i int) {
+		code, _, body := d.post(t, "/v1/score", fmt.Sprintf(`{"id":"doc-%d","text":"planned document %d"}`, i, i))
+		var res serve.ScoreResult
+		if err := json.Unmarshal(body, &res); code != http.StatusOK || err != nil {
+			t.Fatalf("doc-%d: status %d (%v) body %s", i, code, err, body)
+		}
+		collect(res)
+	}
+	for i := 0; i < 20; i++ {
+		single(i)
+	}
+	var batch strings.Builder
+	for i := 20; i < 40; i++ {
+		fmt.Fprintf(&batch, "{\"id\":\"doc-%d\",\"text\":\"planned document %d\"}\n", i, i)
+	}
+	code, _, body := d.post(t, "/v1/score/batch", batch.String())
+	var br serve.BatchResponse
+	if err := json.Unmarshal(body, &br); code != http.StatusOK || err != nil || len(br.Results) != 20 {
+		t.Fatalf("batch: status %d (%v) body %s", code, err, body)
+	}
+	for _, res := range br.Results {
+		collect(res)
+	}
+	for i := 40; i < docs; i++ {
+		single(i)
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("quarantined %v\nthe plan says %v", got, want)
+	}
+
+	snap := d.metrics(t)
+	for _, m := range snap.Metrics {
+		if m.Name != "serve_requests_total" || m.Value == nil || *m.Value == 0 {
+			continue
+		}
+		for _, l := range m.Labels {
+			if l.Name == "code" && strings.HasPrefix(l.Value, "5") {
+				t.Errorf("serve_requests_total{code=%s} = %v, want no 5xx", l.Value, float64(*m.Value))
 			}
-			resp.Body.Close()
-			ready = resp.StatusCode == http.StatusOK
 		}
-		if !ready {
-			cmd.Process.Kill()
-			<-exited // stderr is complete once Wait has returned
-			t.Fatalf("harassd never became ready\n%s", stderr.String())
-		}
-		if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
-			t.Fatal(err)
-		}
-		select {
-		case err := <-exited:
-			if err != nil {
-				t.Fatalf("round %d: harassd did not exit 0 after SIGTERM: %v\n%s", round, err, stderr.String())
-			}
-		case <-time.After(time.Minute):
-			cmd.Process.Kill()
-			<-exited
-			t.Fatalf("round %d: harassd did not exit after SIGTERM\n%s", round, stderr.String())
-		}
-		if !strings.Contains(stderr.String(), "drained cleanly") {
-			t.Fatalf("round %d: no clean drain in stderr:\n%s", round, stderr.String())
-		}
+	}
+	if q := snap.CounterValue("serve_docs_total", obs.L("status", "quarantined")); int(q) != len(want) {
+		t.Errorf("serve_docs_total{quarantined} = %v, want %d", q, len(want))
+	}
+	d.drain(t)
+}
+
+// The shard fleet's flag is gone, not ignored.
+func TestShardsFlagIsNotDefined(t *testing.T) {
+	out, err := exec.Command(buildHarassd(t), "-shards", "4").CombinedOutput()
+	var ee *exec.ExitError
+	if !errors.As(err, &ee) || ee.ExitCode() != 2 {
+		t.Fatalf("harassd -shards 4: %v, want exit status 2\n%s", err, out)
+	}
+	if !strings.Contains(string(out), "flag provided but not defined: -shards") {
+		t.Errorf("harassd -shards 4 said:\n%s", out)
 	}
 }

@@ -6,13 +6,13 @@
 // requests (and, every -batch-every requests when set, a JSONL batch of
 // -batch-docs documents) drawn from a built-in rotation of harassing,
 // doxing and benign texts. 429 and 503 responses are counted as shed,
-// not errors — shedding under overload and refusing during a shard
-// incident are the service behaving as designed — and the client
-// honours their Retry-After hint, backing off (capped by -max-backoff)
-// before its next request. After the run the server's /metrics.json is
-// scraped (best-effort) so the summary reports how many documents the
-// self-healing layer re-homed or failed and how many shard generations
-// restarted during the run.
+// not errors — shedding under overload and refusing during a drain are
+// the service behaving as designed — and the client honours their
+// Retry-After hint, backing off (capped by -max-backoff) before its next
+// request. After the run the server's /metrics.json is scraped
+// (best-effort) so the summary reports the faults the server absorbed:
+// stage panics it captured, attempts it retried, documents it
+// quarantined and requests it answered 504.
 //
 // Every single-document 200 carries the X-Model-Generation header;
 // loadgen tracks the generations it was served by and counts
@@ -108,11 +108,12 @@ type report struct {
 	FeedbackAccepted      int      `json:"feedback_accepted"`
 	ModelGenerations      []uint64 `json:"model_generations,omitempty"`
 	GenerationTransitions int      `json:"generation_transitions"`
-	// Self-healing counters scraped from the server's /metrics.json
-	// after the run (zero when the server exposes no metrics).
-	Redispatched     int `json:"redispatched_docs"`
-	RedispatchFailed int `json:"redispatch_failed_docs"`
-	ShardRestarts    int `json:"shard_restarts"`
+	// Fault counters scraped from the server's /metrics.json after the
+	// run (zero when the server exposes no metrics).
+	StagePanics     int `json:"stage_panics"`
+	StageRetries    int `json:"stage_retries"`
+	QuarantinedDocs int `json:"quarantined_docs"`
+	Timeouts504     int `json:"timeouts_504"`
 }
 
 func main() {
@@ -232,7 +233,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "loadgen: served by model generations %v (%d transitions observed)\n",
 			rep.ModelGenerations, transitions)
 	}
-	scrapeHealing(httpc, base, &rep)
+	scrapeFaults(httpc, base, &rep)
 	data, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "loadgen: %v\n", err)
@@ -274,14 +275,18 @@ func backoffFor(header string, max time.Duration) time.Duration {
 // and one odd value must not abort the whole scrape.
 type metricsSnapshot struct {
 	Metrics []struct {
-		Name  string          `json:"name"`
+		Name   string `json:"name"`
+		Labels []struct {
+			Name  string `json:"name"`
+			Value string `json:"value"`
+		} `json:"labels"`
 		Value json.RawMessage `json:"value"`
 	} `json:"metrics"`
 }
 
-// scrapeHealing reads the server's self-healing counters after the run.
-// Best-effort: a server without -metrics (404) leaves the fields zero.
-func scrapeHealing(httpc *http.Client, base string, rep *report) {
+// scrapeFaults reads the server's fault counters after the run.
+// Best-effort: a failed scrape leaves the fields zero.
+func scrapeFaults(httpc *http.Client, base string, rep *report) {
 	resp, err := httpc.Get(base + "/metrics.json")
 	if err != nil {
 		return
@@ -299,13 +304,23 @@ func scrapeHealing(httpc *http.Client, base string, rep *report) {
 		if m.Value == nil || json.Unmarshal(m.Value, &v) != nil {
 			continue
 		}
-		switch m.Name {
-		case "serve_redispatch_total":
-			rep.Redispatched += int(v)
-		case "serve_redispatch_failed_total":
-			rep.RedispatchFailed += int(v)
-		case "serve_shard_restarts_total": // summed across shard labels
-			rep.ShardRestarts += int(v)
+		labelled := func(name, value string) bool {
+			for _, l := range m.Labels {
+				if l.Name == name && l.Value == value {
+					return true
+				}
+			}
+			return false
+		}
+		switch {
+		case m.Name == "pipeline_stage_panics_total": // summed across stages
+			rep.StagePanics += int(v)
+		case m.Name == "pipeline_stage_retries_total":
+			rep.StageRetries += int(v)
+		case m.Name == "serve_docs_total" && labelled("status", "quarantined"):
+			rep.QuarantinedDocs += int(v)
+		case m.Name == "serve_requests_total" && labelled("code", "504"): // summed across routes
+			rep.Timeouts504 += int(v)
 		}
 	}
 }

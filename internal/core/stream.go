@@ -40,7 +40,7 @@ type StreamDoc struct {
 	SeedQuery bool
 }
 
-// StreamOptions configures ScoreStream.
+// StreamOptions configures ScoreStream, ScoreBatch and Runner.
 type StreamOptions struct {
 	// Workers bounds the scoring pool. 0 means GOMAXPROCS.
 	Workers int
@@ -171,8 +171,15 @@ func (d *Detector) streamStages(opts StreamOptions) []resilience.Stage[StreamDoc
 	return stages
 }
 
-// streamRunner builds the resilience runner for the given options.
-func (d *Detector) streamRunner(opts StreamOptions) *resilience.Runner[StreamDoc] {
+// Runner builds the detector's stage runner for opts: the scoring stages
+// (plus the annotation stages with opts.Annotate) on the resilience
+// runtime. ScoreStream and ScoreBatch build one per call; a long-lived
+// caller (internal/serve) builds one per model and scores each document
+// on its own goroutine with the runner's RunItem, passing the
+// document's stream position as index, which yields the result
+// ScoreStream gives the document at that position. Workers and Ordered
+// shape only Process and RunSlice.
+func (d *Detector) Runner(opts StreamOptions) *resilience.Runner[StreamDoc] {
 	return resilience.NewRunner(resilience.Config[StreamDoc]{
 		Workers:  opts.Workers,
 		Seed:     opts.Seed,
@@ -189,11 +196,11 @@ func (d *Detector) streamRunner(opts StreamOptions) *resilience.Runner[StreamDoc
 // carries the scored document, its degradation marks, or its
 // dead-letter record. Cancel ctx to stop early.
 func (d *Detector) ScoreStream(ctx context.Context, in <-chan StreamDoc, opts StreamOptions) <-chan resilience.Result[StreamDoc] {
-	return d.streamRunner(opts).Process(ctx, in)
+	return d.Runner(opts).Process(ctx, in)
 }
 
 // ScoreBatch is the slice convenience over ScoreStream: results come
 // back in input order together with the run summary.
 func (d *Detector) ScoreBatch(ctx context.Context, docs []StreamDoc, opts StreamOptions) ([]resilience.Result[StreamDoc], resilience.Summary, error) {
-	return d.streamRunner(opts).RunSlice(ctx, docs)
+	return d.Runner(opts).RunSlice(ctx, docs)
 }

@@ -3,7 +3,7 @@
 // loop: operator feedback accumulates (POST /v1/feedback → AddFeedback),
 // a retrain produces a committed candidate generation, the candidate
 // shadow-scores a deterministic sample of live traffic, and promotion
-// swaps the fleet onto it only when the divergence gates pass — with
+// swaps the server onto it only when the divergence gates pass — with
 // rollback one POST away. The Manager is both the serve.FeedbackSink
 // and the /v1/admin handler harassd mounts.
 //
@@ -14,7 +14,7 @@
 //	                generation, start shadow-scoring it
 //	POST /promote   gate on shadow divergence (min docs, flip rate, mean
 //	                delta; ?force=1 overrides), activate in the registry
-//	                and hot-swap the fleet
+//	                and hot-swap the server
 //	POST /rollback  registry rollback to the previous generation and
 //	                hot-swap back
 //	POST /swap      {"generation":N} activate + hot-swap a specific
@@ -24,7 +24,6 @@
 package lifecycle
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -64,8 +63,6 @@ type Config struct {
 	// MaxMeanDelta is the promotion gate's maximum mean absolute score
 	// delta. Default 0.25.
 	MaxMeanDelta float64
-	// SwapTimeout bounds one fleet rotation. Default 30s.
-	SwapTimeout time.Duration
 	// ReplayStorePath, when set, names a segmented corpus store whose
 	// historical documents augment every retrain's training seed
 	// (registry.RetrainConfig.ReplayStore). The store is opened per
@@ -93,9 +90,6 @@ func (c *Config) fillDefaults() {
 	if c.MaxMeanDelta <= 0 {
 		c.MaxMeanDelta = 0.25
 	}
-	if c.SwapTimeout <= 0 {
-		c.SwapTimeout = 30 * time.Second
-	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
 	}
@@ -108,7 +102,7 @@ type Manager struct {
 	reg *registry.Registry
 	mux *http.ServeMux
 
-	srv *serve.Server // bound serving fleet (nil until Bind)
+	srv *serve.Server // bound server (nil until Bind)
 
 	mu         sync.Mutex
 	fb         []registry.Feedback
@@ -134,7 +128,7 @@ func New(cfg Config) (*Manager, error) {
 	return m, nil
 }
 
-// Bind attaches the serving fleet the Manager swaps and shadows.
+// Bind attaches the server the Manager swaps and shadows.
 func (m *Manager) Bind(srv *serve.Server) { m.srv = srv }
 
 // ServeHTTP is the admin surface (mount under /v1/admin with the
@@ -293,7 +287,7 @@ func (m *Manager) gate(st serve.ShadowStats, ok bool) error {
 	return nil
 }
 
-// promote activates gen in the registry and hot-swaps the fleet onto
+// promote activates gen in the registry and hot-swaps the server onto
 // it, returning the swap latency.
 func (m *Manager) promote(gen uint64) (time.Duration, error) {
 	mdl, err := m.model(gen)
@@ -306,10 +300,8 @@ func (m *Manager) promote(gen uint64) (time.Duration, error) {
 	if m.srv == nil {
 		return 0, nil
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), m.cfg.SwapTimeout)
-	defer cancel()
 	t0 := time.Now()
-	if err := m.srv.SwapModel(ctx, mdl); err != nil {
+	if err := m.srv.SwapModel(mdl); err != nil {
 		return 0, fmt.Errorf("lifecycle: swapping to generation %d: %w", gen, err)
 	}
 	return time.Since(t0), nil
@@ -410,10 +402,8 @@ func (m *Manager) handleRollback(w http.ResponseWriter, _ *http.Request) {
 	}
 	var d time.Duration
 	if m.srv != nil {
-		ctx, cancel := context.WithTimeout(context.Background(), m.cfg.SwapTimeout)
-		defer cancel()
 		t0 := time.Now()
-		if err := m.srv.SwapModel(ctx, mdl); err != nil {
+		if err := m.srv.SwapModel(mdl); err != nil {
 			writeErr(w, http.StatusInternalServerError, err)
 			return
 		}
@@ -446,7 +436,7 @@ func (m *Manager) handleSwap(w http.ResponseWriter, r *http.Request) {
 
 func (m *Manager) handleShadow(w http.ResponseWriter, r *http.Request) {
 	if m.srv == nil {
-		writeErr(w, http.StatusConflict, fmt.Errorf("no serving fleet bound"))
+		writeErr(w, http.StatusConflict, fmt.Errorf("no server bound"))
 		return
 	}
 	var req struct {

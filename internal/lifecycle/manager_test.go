@@ -154,8 +154,6 @@ func TestLifecycleRetrainPromoteRollback(t *testing.T) {
 	}
 	srv := serve.New(serve.Config{
 		Model:    mdl,
-		Shards:   2,
-		Workers:  2,
 		Feedback: mgr,
 		Admin:    mgr,
 	})
@@ -269,7 +267,7 @@ func TestLifecycleRetrainPromoteRollback(t *testing.T) {
 		t.Fatalf("models view = %+v", view)
 	}
 
-	// Promote: gates pass (wide open), registry activates, fleet swaps.
+	// Promote: gates pass (wide open), registry activates, server swaps.
 	code, body = adminPost(t, mgr, "/promote", "")
 	if code != http.StatusOK {
 		t.Fatalf("promote = %d %s", code, body)
@@ -284,7 +282,7 @@ func TestLifecycleRetrainPromoteRollback(t *testing.T) {
 		t.Error("shadow still running after promote")
 	}
 
-	// Rollback: registry and fleet return to generation 1.
+	// Rollback: registry and server return to generation 1.
 	code, body = adminPost(t, mgr, "/rollback", "")
 	if code != http.StatusOK {
 		t.Fatalf("rollback = %d %s", code, body)
@@ -330,7 +328,7 @@ func TestAutoRetrainTriggersInBackground(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// No serving fleet bound: the retrain still commits a candidate.
+	// No server bound: the retrain still commits a candidate.
 	var fb []serve.FeedbackItem
 	for i := 0; i < 12; i++ {
 		fb = append(fb, serve.FeedbackItem{

@@ -9,7 +9,8 @@
 // so a chaotic run is exactly reproducible: the chaos test suite in
 // internal/core relies on this to assert that a faulty run produces
 // scores identical to a fault-free run for every non-quarantined
-// document.
+// document, and `harassd -chaos` (ParsePlan) wraps the serving stages
+// with the same harness.
 package chaos
 
 import (
@@ -60,6 +61,12 @@ type Config struct {
 // attemptCounter tracks per-item attempt numbers for one wrapped
 // stage. Attempts for a single item run sequentially, but distinct
 // items hit the counter concurrently from different workers.
+//
+// An item's entry is dropped when its stage succeeds, and poison items
+// never get one, so a long-lived process (`harassd -chaos`) holds an
+// entry only for an item in flight or one whose stage failed for good:
+// the map grows with the quarantined and degraded documents of a run,
+// not with its traffic.
 type attemptCounter struct {
 	mu sync.Mutex
 	n  map[int]int
@@ -75,18 +82,27 @@ func (c *attemptCounter) next(index int) int {
 	return c.n[index]
 }
 
+func (c *attemptCounter) done(index int) {
+	c.mu.Lock()
+	delete(c.n, index)
+	c.mu.Unlock()
+}
+
 // Wrap returns a stage identical to st except that seeded faults are
 // injected ahead of its Fn. The wrapped stage keeps st's name, retry
 // and degradation semantics.
 func Wrap[T any](st resilience.Stage[T], cfg Config) resilience.Stage[T] {
+	return wrap(st, cfg, &attemptCounter{})
+}
+
+// wrap is Wrap with the attempt counter supplied, so a test can read it.
+func wrap[T any](st resilience.Stage[T], cfg Config, counter *attemptCounter) resilience.Stage[T] {
 	if cfg.Latency <= 0 {
 		cfg.Latency = 10 * time.Millisecond
 	}
-	counter := &attemptCounter{}
 	base := randx.New(cfg.Seed).Split("chaos").Split(st.Name)
 	inner := st.Fn
 	st.Fn = func(ctx context.Context, index int, item *T) error {
-		attempt := counter.next(index)
 		itemRng := base.SplitN("item", index)
 		// Poison documents fail on every attempt: the injected error
 		// is Transient-marked, so the runner burns its full retry
@@ -94,6 +110,7 @@ func Wrap[T any](st resilience.Stage[T], cfg Config) resilience.Stage[T] {
 		if cfg.PermanentRate > 0 && itemRng.Split("poison").Bool(cfg.PermanentRate) {
 			return resilience.Transient(fmt.Errorf("%w: poison item %d in stage %q", ErrInjected, index, st.Name))
 		}
+		attempt := counter.next(index)
 		rng := itemRng.SplitN("attempt", attempt)
 		if cfg.LatencyRate > 0 && rng.Split("latency").Bool(cfg.LatencyRate) {
 			t := time.NewTimer(cfg.Latency)
@@ -115,7 +132,11 @@ func Wrap[T any](st resilience.Stage[T], cfg Config) resilience.Stage[T] {
 			// truncation only corrupts this attempt's view.
 			cfg.Truncate(item)
 		}
-		return inner(ctx, index, item)
+		err := inner(ctx, index, item)
+		if err == nil {
+			counter.done(index)
+		}
+		return err
 	}
 	return st
 }

@@ -189,3 +189,32 @@ func TestTruncationCorruptsOnlyInjectedAttempts(t *testing.T) {
 		}
 	}
 }
+
+// The attempt map holds an entry only for an item whose stage has not
+// succeeded: it does not grow with the traffic of a long-lived process.
+func TestAttemptMapDoesNotGrowWithTraffic(t *testing.T) {
+	cfg := Config{Seed: 3, TransientRate: 0.3, PanicRate: 0.1, PermanentRate: 0.05}
+	counter := &attemptCounter{}
+	st := wrap(scoreStage(), cfg, counter)
+	r := resilience.NewRunner(resilience.Config[item]{Seed: 3, Retry: retry()}, st)
+	const n = 2000
+	quarantined := 0
+	for i := 0; i < n; i++ {
+		if res := r.RunItem(context.Background(), i, item{}); res.Dead != nil {
+			quarantined++
+		}
+	}
+	counter.mu.Lock()
+	held := len(counter.n)
+	counter.mu.Unlock()
+	poison := len(PoisonIndexes(cfg, st.Name, n))
+	if quarantined <= poison {
+		t.Fatalf("degenerate run: %d quarantined, %d of them poison", quarantined, poison)
+	}
+	// Poison items never enter the map; the others that were quarantined
+	// exhausted their retries and are all it still holds.
+	if held != quarantined-poison {
+		t.Errorf("attempt map holds %d entries after %d items, want %d (quarantined %d - poison %d)",
+			held, n, quarantined-poison, quarantined, poison)
+	}
+}

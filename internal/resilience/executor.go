@@ -70,8 +70,9 @@ type Config[T any] struct {
 }
 
 // Runner executes a fixed stage pipeline over a stream of items on a
-// bounded worker pool. A Runner is immutable and safe for concurrent
-// use; each Process call is an independent run.
+// bounded worker pool (Process, RunSlice) or one item at a time on the
+// caller's goroutine (RunItem). A Runner is immutable and safe for
+// concurrent use; each Process call is an independent run.
 type Runner[T any] struct {
 	cfg     Config[T]
 	stages  []Stage[T]
@@ -158,7 +159,7 @@ func (r *Runner[T]) Process(ctx context.Context, in <-chan T) <-chan Result[T] {
 				// Deliver unconditionally: results channels must be
 				// drained until closed, even after cancellation, so no
 				// completed item is lost.
-				res := r.runItem(ctx, wk.index, wk.item)
+				res := r.RunItem(ctx, wk.index, wk.item)
 				completed.Add(1)
 				raw <- res
 			}
@@ -246,9 +247,14 @@ func sortResults[T any](rs []Result[T]) {
 	}
 }
 
-// runItem applies every stage to one item, with retries, panic
-// recovery, degradation and quarantine.
-func (r *Runner[T]) runItem(ctx context.Context, index int, item T) Result[T] {
+// RunItem applies every stage to one item on the caller's goroutine,
+// with retries, panic recovery, degradation and quarantine: the path
+// Process runs on each worker, for callers that own their concurrency
+// (the scoring service runs it on the request's goroutine). index is the
+// item's identity for every seeded decision (retry jitter, the stages'
+// per-item randomness, trace sampling), so the result equals what
+// Process or RunSlice yields for the same item at that stream position.
+func (r *Runner[T]) RunItem(ctx context.Context, index int, item T) Result[T] {
 	res := Result[T]{Index: index, Status: StatusOK}
 	for si, st := range r.stages {
 		err, attempts := r.runStage(ctx, st, si, index, &item)

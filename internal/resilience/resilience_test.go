@@ -215,6 +215,66 @@ func TestErrorMarkersOverrideStagePolicy(t *testing.T) {
 	}
 }
 
+// RunItem on the caller's goroutine gives each item exactly what
+// RunSlice gives it at the same (seed, index): status, committed item
+// state, degradation marks, dead letter and attempt count, for ok,
+// degraded, quarantined, panicking and retried items alike.
+func TestRunItemMatchesRunSlice(t *testing.T) {
+	// Stages are pure functions of (index, attempt); the attempt number
+	// is kept per run, so the two runs see the same fault schedule.
+	newRunner := func() *Runner[doc] {
+		var attempts [40][2]atomic.Int64
+		return NewRunner(Config[doc]{Workers: 4, Seed: 11, Retry: fastRetry(), Describe: func(d *doc) string { return d.ID }},
+			Stage[doc]{Name: "score", Transient: true, Fn: func(_ context.Context, index int, d *doc) error {
+				attempt := attempts[index][0].Add(1)
+				d.Tags = append(d.Tags[:len(d.Tags):len(d.Tags)], fmt.Sprintf("score#%d", attempt))
+				switch {
+				case index%8 == 3: // quarantined: never succeeds
+					return errors.New("poison")
+				case index%8 == 5: // quarantined by a panic on every attempt
+					panic("boom")
+				case index%8 == 6 && attempt < 3: // retried, then ok
+					return Transient(errors.New("flaky"))
+				case index%8 == 7 && attempt == 1: // one panic, then ok
+					panic(Transient(errors.New("flaky panic")))
+				}
+				d.Score = randx.New(11).SplitN("score", index).Float64()
+				return nil
+			}},
+			Stage[doc]{Name: "annotate", Degradable: true, Fn: func(_ context.Context, index int, d *doc) error {
+				attempts[index][1].Add(1)
+				if index%4 == 1 { // degraded
+					return Permanent(errors.New("annotator down"))
+				}
+				d.Tags = append(d.Tags[:len(d.Tags):len(d.Tags)], "annotated")
+				return nil
+			}},
+		)
+	}
+	docs := makeDocs(40)
+	want, sum, err := newRunner().RunSlice(context.Background(), docs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum.Quarantined != 10 || sum.Degraded == 0 || sum.Succeeded != 30 {
+		t.Fatalf("degenerate reference run: %v", sum)
+	}
+	sync := newRunner()
+	for i := range docs {
+		got := sync.RunItem(context.Background(), i, docs[i])
+		w := want[i]
+		if got.Index != w.Index || got.Status != w.Status || fmt.Sprint(got.Degraded) != fmt.Sprint(w.Degraded) ||
+			got.Item.ID != w.Item.ID || got.Item.Score != w.Item.Score || fmt.Sprint(got.Item.Tags) != fmt.Sprint(w.Item.Tags) {
+			t.Errorf("item %d: RunItem = %+v, RunSlice = %+v", i, got, w)
+		}
+		if (got.Dead == nil) != (w.Dead == nil) {
+			t.Errorf("item %d: dead letter %v vs %v", i, got.Dead, w.Dead)
+		} else if got.Dead != nil && got.Dead.String() != w.Dead.String() {
+			t.Errorf("item %d: dead letter %q, RunSlice %q", i, got.Dead, w.Dead)
+		}
+	}
+}
+
 func TestDegradationEmitsInsteadOfDropping(t *testing.T) {
 	r := NewRunner(Config[doc]{Workers: 4, Seed: 7, Retry: fastRetry()},
 		Stage[doc]{Name: "score", Fn: func(_ context.Context, index int, d *doc) error {

@@ -16,28 +16,23 @@ package serve
 //                         FeedbackSink is configured)
 //   GET  /healthz         process liveness, always 200; reports the
 //                         active model generation and training seed
-//   GET  /readyz          200 while a quorum of shards is healthy, 503
-//                         once draining or when half or more of the
-//                         shard fleet is down/open (degraded); the
+//   GET  /readyz          200 while admitting, 503 once draining; the
 //                         ready body carries generation and seed too
 //
 // With Config.Admin set, the model-lifecycle control surface is
 // mounted under /v1/admin/ with the prefix stripped.
 //
 // Overload and drain semantics: 429 + Retry-After when the in-flight
-// bound is hit or every healthy shard's queue is full, 503 +
-// Retry-After once Shutdown has begun or when no shard is accepting
-// traffic (all down or breaker-open), 503 + Retry-After when a
-// document's shard died and its single redispatch could not re-home it
-// (single-doc route; batch responses carry the failure per document),
-// 413 for bodies or batches over their limits, 504 when the
-// per-request deadline expires before scoring completes.
+// request bound or the admitted-document bound is hit, 503 +
+// Retry-After once Shutdown has begun, 413 for bodies or batches over
+// their limits, 504 when the per-request deadline expires before
+// scoring completes. Both score routes stamp X-Model-Generation: every
+// document of a response was scored by that one generation.
 
 import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"io"
 	"net/http"
 	"strconv"
@@ -71,8 +66,9 @@ type ScoreResult struct {
 	SeedQuery bool     `json:"seed_query"`
 	Degraded  []string `json:"degraded,omitempty"`
 	Error     string   `json:"error,omitempty"`
-	// ModelGen is the model generation that scored this document (0
-	// when the document was never scored, e.g. a lost-shard failure).
+	// ModelGen is the model generation that scored (or, for a
+	// quarantined document, failed to score) this document: the one the
+	// response's X-Model-Generation header names.
 	ModelGen uint64 `json:"model_generation,omitempty"`
 }
 
@@ -178,38 +174,75 @@ func (s *Server) readBody(w http.ResponseWriter, r *http.Request) (body []byte, 
 	return body, true
 }
 
-// retryAfter stamps the Retry-After hint on a 429/503 response.
-func (s *Server) retryAfter(w http.ResponseWriter) {
-	retry := int(s.cfg.RetryAfter / time.Second)
-	if retry < 1 {
-		retry = 1
+// refuse writes a refusal: 429 and 503 carry the Retry-After hint.
+func (s *Server) refuse(w http.ResponseWriter, rf refusal) {
+	if rf.code == http.StatusTooManyRequests || rf.code == http.StatusServiceUnavailable {
+		retry := int(s.cfg.RetryAfter / time.Second)
+		if retry < 1 {
+			retry = 1
+		}
+		w.Header().Set("Retry-After", strconv.Itoa(retry))
 	}
-	w.Header().Set("Retry-After", strconv.Itoa(retry))
+	writeError(w, rf.code, rf.msg)
 }
 
-// reject answers an unadmitted request: 503 while draining, 429 on
-// overload, both with a Retry-After hint.
-func (s *Server) reject(w http.ResponseWriter, draining bool) {
-	s.retryAfter(w)
-	if draining {
-		writeError(w, http.StatusServiceUnavailable, "server is draining")
-		return
+// score is the whole scoring path of one request, run on the request's
+// own goroutine: admit, wait for a scoring slot, load the model once,
+// score each document in place, checking the deadline (and for a forced
+// shutdown) between documents. Everything the request held — its
+// request slot, its scoring slot, the document slots of anything left
+// unscored — has been returned by the time score returns, so the handler
+// writes its response, results or refusal, holding nothing.
+func (s *Server) score(r *http.Request, docs []core.StreamDoc) ([]ScoreResult, uint64, refusal) {
+	if rf := s.admit(len(docs)); rf.code != 0 {
+		return nil, 0, rf
 	}
-	s.m.shedRequest()
-	writeError(w, http.StatusTooManyRequests, "server overloaded: retry later")
+	held := len(docs)
+	defer func() { s.release(held) }()
+	ctx, cancel := s.requestCtx(r)
+	defer cancel()
+
+	select {
+	case s.slots <- struct{}{}:
+	case <-ctx.Done():
+		return nil, 0, s.expired(held, len(docs))
+	case <-s.rootCtx.Done():
+		return nil, 0, s.expired(held, len(docs))
+	}
+	defer func() { <-s.slots }()
+
+	mdl := s.model.Load()
+	shadow := s.shadow.Load()
+	first := int(s.seq.Add(uint64(len(docs)))) - len(docs)
+	out := make([]ScoreResult, len(docs))
+	for i := range docs {
+		if ctx.Err() != nil || s.rootCtx.Err() != nil {
+			return nil, 0, s.expired(held, len(docs))
+		}
+		res := mdl.runner.RunItem(ctx, first+i, docs[i])
+		if res.Dead != nil && ctx.Err() != nil {
+			// Cut short by the deadline, not failed by the document.
+			return nil, 0, s.expired(held, len(docs))
+		}
+		held--
+		s.docDone(res.Status)
+		out[i] = toScoreResult(res, mdl.Generation)
+		if shadow != nil && res.Status != resilience.StatusQuarantined {
+			shadow.offer(mdl.Model, res.Item)
+		}
+	}
+	return out, mdl.Generation, refusal{}
 }
 
-// rejectDispatch answers a request whose documents could not be routed:
-// 429 when healthy shards exist but their queues are full, 503 when no
-// shard is accepting traffic.
-func (s *Server) rejectDispatch(w http.ResponseWriter, st dispatchStatus) {
-	s.retryAfter(w)
-	if st == dispatchUnavailable {
-		writeError(w, http.StatusServiceUnavailable, "no scoring shard available: retry later")
-		return
+// expired is the refusal for a request stopped with unscored of its docs
+// documents left: 504 for its own deadline (or a vanished client), 503
+// when a drain that ran out of time abandoned it.
+func (s *Server) expired(unscored, docs int) refusal {
+	if s.rootCtx.Err() != nil {
+		return refusal{http.StatusServiceUnavailable, "server stopped before scoring completed"}
 	}
-	s.m.shedRequest()
-	writeError(w, http.StatusTooManyRequests, "server overloaded: retry later")
+	return refusal{http.StatusGatewayTimeout, "deadline exceeded with " +
+		strconv.Itoa(unscored) + " of " + strconv.Itoa(docs) + " documents unscored"}
 }
 
 // healthBody is the healthz/readyz 200 payload: liveness/readiness
@@ -221,12 +254,8 @@ type healthBody struct {
 }
 
 func (s *Server) health(status string) healthBody {
-	hb := healthBody{Status: status}
-	if mdl := s.model.Load(); mdl != nil {
-		hb.ModelGeneration = mdl.Generation
-		hb.TrainingSeed = mdl.Seed
-	}
-	return hb
+	mdl := s.ActiveModel()
+	return healthBody{Status: status, ModelGeneration: mdl.Generation, TrainingSeed: mdl.Seed}
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
@@ -236,12 +265,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	if s.Stats().Draining {
 		http.Error(w, "draining", http.StatusServiceUnavailable)
-		return
-	}
-	if !s.ready() {
-		st := s.Stats()
-		http.Error(w, "degraded: "+strconv.Itoa(st.HealthyShards)+"/"+
-			strconv.Itoa(len(st.Shards))+" shards healthy", http.StatusServiceUnavailable)
 		return
 	}
 	writeJSON(w, http.StatusOK, s.health("ready"))
@@ -292,36 +315,13 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "missing text")
 		return
 	}
-	if ok, draining := s.admitRequest(); !ok {
-		s.reject(w, draining)
+	results, gen, rf := s.score(r, []core.StreamDoc{{ID: req.ID, Platform: req.Platform, Text: req.Text}})
+	if rf.code != 0 {
+		s.refuse(w, rf)
 		return
 	}
-	defer s.releaseRequest()
-
-	reply := make(chan scored, 1)
-	if st := s.enqueue([]core.StreamDoc{{Platform: req.Platform, Text: req.Text}}, []string{req.ID}, reply); st != dispatchOK {
-		s.rejectDispatch(w, st)
-		return
-	}
-
-	ctx, cancel := s.requestCtx(r)
-	defer cancel()
-	select {
-	case sc := <-reply:
-		if sc.res.Dead != nil && errors.Is(sc.res.Dead.Err, errShardLost) {
-			// The shard died and the single redispatch could not
-			// re-home the document: terminal, but retryable upstream.
-			s.retryAfter(w)
-			writeError(w, http.StatusServiceUnavailable, "scoring shard lost: retry later")
-			return
-		}
-		if sc.gen != 0 {
-			w.Header().Set("X-Model-Generation", strconv.FormatUint(sc.gen, 10))
-		}
-		writeJSON(w, http.StatusOK, toScoreResult(sc))
-	case <-ctx.Done():
-		writeError(w, http.StatusGatewayTimeout, "deadline exceeded before scoring completed")
-	}
+	w.Header().Set("X-Model-Generation", strconv.FormatUint(gen, 10))
+	writeJSON(w, http.StatusOK, &results[0])
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
@@ -329,14 +329,18 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	docs, userIDs, quarantined, perr := s.parseBatch(body)
+	docs, quarantined, perr := s.parseBatch(body)
 	if perr != "" {
 		writeError(w, http.StatusBadRequest, perr)
 		return
 	}
-	if len(docs) > s.cfg.MaxBatchDocs {
-		writeError(w, http.StatusRequestEntityTooLarge,
-			"batch of "+strconv.Itoa(len(docs))+" documents exceeds limit "+strconv.Itoa(s.cfg.MaxBatchDocs))
+	if limit, capped := s.cfg.batchLimit(); len(docs) > limit {
+		why := "max batch docs " + strconv.Itoa(s.cfg.MaxBatchDocs)
+		if capped {
+			why = "queue depth " + strconv.Itoa(s.cfg.QueueDepth) + " caps " + why
+		}
+		writeError(w, http.StatusRequestEntityTooLarge, "batch of "+strconv.Itoa(len(docs))+
+			" documents exceeds limit "+strconv.Itoa(limit)+" ("+why+")")
 		return
 	}
 	if len(docs) == 0 && len(quarantined) == 0 {
@@ -354,32 +358,12 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, resp)
 		return
 	}
-	if ok, draining := s.admitRequest(); !ok {
-		s.reject(w, draining)
+	results, gen, rf := s.score(r, docs)
+	if rf.code != 0 {
+		s.refuse(w, rf)
 		return
 	}
-	defer s.releaseRequest()
 	s.m.observeBatch(len(docs))
-
-	reply := make(chan scored, len(docs))
-	if st := s.enqueue(docs, userIDs, reply); st != dispatchOK {
-		s.rejectDispatch(w, st)
-		return
-	}
-
-	ctx, cancel := s.requestCtx(r)
-	defer cancel()
-	results := make([]ScoreResult, len(docs))
-	for received := 0; received < len(docs); received++ {
-		select {
-		case sc := <-reply:
-			results[sc.res.Index] = toScoreResult(sc)
-		case <-ctx.Done():
-			writeError(w, http.StatusGatewayTimeout, "deadline exceeded with "+
-				strconv.Itoa(len(docs)-received)+" of "+strconv.Itoa(len(docs))+" documents unscored")
-			return
-		}
-	}
 	resp.Results = results
 	for i := range results {
 		switch results[i].Status {
@@ -391,7 +375,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			resp.Summary.Quarantined++
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	w.Header().Set("X-Model-Generation", strconv.FormatUint(gen, 10))
+	writeJSON(w, http.StatusOK, &resp)
 }
 
 // parseBatch decodes a batch body: a JSON array of score requests when
@@ -399,42 +384,40 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 // quarantine (one JSON document per line — the cmd/corpusgen
 // interchange format). perr non-empty means the whole body is
 // unusable.
-func (s *Server) parseBatch(body []byte) (docs []core.StreamDoc, userIDs []string, quarantined []BatchLineError, perr string) {
+func (s *Server) parseBatch(body []byte) (docs []core.StreamDoc, quarantined []BatchLineError, perr string) {
 	trimmed := bytes.TrimLeft(body, " \t\r\n")
 	if len(trimmed) > 0 && trimmed[0] == '[' {
 		var reqs []ScoreRequest
 		if err := json.Unmarshal(body, &reqs); err != nil {
-			return nil, nil, nil, "invalid JSON array: " + err.Error()
+			return nil, nil, "invalid JSON array: " + err.Error()
 		}
 		for i, req := range reqs {
 			if strings.TrimSpace(req.Text) == "" {
 				quarantined = append(quarantined, BatchLineError{Line: i + 1, Error: "missing text"})
 				continue
 			}
-			docs = append(docs, core.StreamDoc{Platform: req.Platform, Text: req.Text})
-			userIDs = append(userIDs, req.ID)
+			docs = append(docs, core.StreamDoc{ID: req.ID, Platform: req.Platform, Text: req.Text})
 		}
-		return docs, userIDs, quarantined, ""
+		return docs, quarantined, ""
 	}
 
 	parsed, bad, err := corpus.ReadJSONLOpts(bytes.NewReader(body),
 		corpus.JSONLOptions{Lenient: true, MaxLineBytes: s.cfg.MaxLineBytes})
 	if err != nil {
-		return nil, nil, nil, "reading JSONL body: " + err.Error()
+		return nil, nil, "reading JSONL body: " + err.Error()
 	}
 	for _, le := range bad {
 		quarantined = append(quarantined, BatchLineError{Line: le.Line, Error: le.Err.Error(), Preview: le.Preview})
 	}
 	for i := range parsed {
-		docs = append(docs, core.StreamDoc{Platform: string(parsed[i].Platform), Text: parsed[i].Text})
-		userIDs = append(userIDs, parsed[i].ID)
+		docs = append(docs, core.StreamDoc{ID: parsed[i].ID, Platform: string(parsed[i].Platform), Text: parsed[i].Text})
 	}
-	return docs, userIDs, quarantined, ""
+	return docs, quarantined, ""
 }
 
-// toScoreResult converts a stamped stream result to the wire form.
-func toScoreResult(sc scored) ScoreResult {
-	res := sc.res
+// toScoreResult converts a runner result to the wire form, stamped with
+// the generation that produced it.
+func toScoreResult(res resilience.Result[core.StreamDoc], gen uint64) ScoreResult {
 	out := ScoreResult{
 		ID:        res.Item.ID,
 		Status:    res.Status.String(),
@@ -444,12 +427,11 @@ func toScoreResult(sc scored) ScoreResult {
 		Attacks:   res.Item.Attacks,
 		SeedQuery: res.Item.SeedQuery,
 		Degraded:  res.Degraded,
-		ModelGen:  sc.gen,
+		ModelGen:  gen,
 	}
 	if res.Dead != nil {
 		out.Error = res.Dead.Err.Error()
 		out.CTH, out.Dox = 0, 0
-		out.ModelGen = 0
 	}
 	return out
 }

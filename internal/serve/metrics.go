@@ -14,29 +14,21 @@ package serve
 //	serve_shed_total                   counter   (429 responses)
 //	serve_docs_total{status}           counter   (scored documents)
 //	serve_batch_docs                   histogram (documents per batch)
-//	serve_queue_depth                  gauge     (admitted, unscored docs, all shards)
+//	serve_queue_depth                  gauge     (admitted, unscored docs)
 //	serve_inflight_requests            gauge
 //	serve_draining                     gauge     (0/1)
 //
-// Per-shard (label shard="0".."N-1"); the aggregate serve_queue_depth
-// is maintained from the same admissions that update the per-shard
-// gauges, so the two views cannot disagree with the 429 decisions:
-//
-//	serve_shard_queue_depth{shard}       gauge
-//	serve_shard_state{shard}             gauge   (0 starting, 1 running, 2 down)
-//	serve_shard_breaker_state{shard}     gauge   (0 closed, 1 half-open, 2 open)
-//	serve_shard_restarts_total{shard}    counter (failed generations)
-//	serve_shard_stalls_total{shard}      counter (watchdog kills)
-//	serve_shard_panics_total{shard}      counter (captured panics)
-//	serve_shard_redispatch_total{shard}  counter (docs moved off this shard)
-//	serve_redispatch_total               counter (docs successfully re-homed)
-//	serve_redispatch_failed_total        counter (docs answered 503 shard-lost)
+// Per-document faults are the runner's to count, on the same registry:
+// pipeline_stage_retries_total, pipeline_stage_panics_total and
+// pipeline_stage_failures_total by stage; a quarantined document is
+// serve_docs_total{status="quarantined"} and a deadline
+// serve_requests_total{code="504"}.
 //
 // Model lifecycle:
 //
 //	serve_model_generation               gauge     (active model generation)
 //	serve_model_swaps_total              counter   (completed hot-swaps)
-//	serve_swap_latency_ns                histogram (fleet rotation wall time)
+//	serve_swap_latency_ns                histogram (build the runner, publish the handle)
 //	serve_feedback_total                 counter   (accepted feedback items)
 //	serve_shadow_docs_total              counter   (docs shadow-scored by a candidate)
 //	serve_shadow_dropped_total           counter   (sampled docs dropped: shadow queue full)
@@ -44,7 +36,6 @@ package serve
 //	serve_shadow_score_delta_micros      histogram (|active - candidate| score delta, 1e-6 units)
 
 import (
-	"errors"
 	"strconv"
 	"time"
 
@@ -61,38 +52,23 @@ var (
 // is valid and turns every method into a no-op, so the server runs
 // identically without a registry.
 type serverMetrics struct {
-	reg          *obs.Registry
-	requests     map[string]map[int]*obs.Counter
-	latency      map[string]*obs.Histogram
-	shed         *obs.Counter
-	docs         map[resilience.Status]*obs.Counter
-	batch        *obs.Histogram
-	queue        *obs.Gauge
-	inflight     *obs.Gauge
-	draining     *obs.Gauge
-	redisp       *obs.Counter
-	redispFailed *obs.Counter
-	generation   *obs.Gauge
-	swaps        *obs.Counter
-	swapLatency  *obs.Histogram
-	feedbackC    *obs.Counter
-	shadowDocs   *obs.Counter
-	shadowDrops  *obs.Counter
-	shadowFlips  *obs.Counter
-	shadowDelta  *obs.Histogram
-	shards       []*shardMetrics
-}
-
-// shardMetrics is one shard's pre-registered handles; nil is a no-op
-// like its parent.
-type shardMetrics struct {
-	queue    *obs.Gauge
-	state    *obs.Gauge
-	breaker  *obs.Gauge
-	restarts *obs.Counter
-	stalls   *obs.Counter
-	panics   *obs.Counter
-	redisp   *obs.Counter
+	reg         *obs.Registry
+	requests    map[string]map[int]*obs.Counter
+	latency     map[string]*obs.Histogram
+	shed        *obs.Counter
+	docs        map[resilience.Status]*obs.Counter
+	batch       *obs.Histogram
+	queue       *obs.Gauge
+	inflight    *obs.Gauge
+	draining    *obs.Gauge
+	generation  *obs.Gauge
+	swaps       *obs.Counter
+	swapLatency *obs.Histogram
+	feedbackC   *obs.Counter
+	shadowDocs  *obs.Counter
+	shadowDrops *obs.Counter
+	shadowFlips *obs.Counter
+	shadowDelta *obs.Histogram
 }
 
 // batchBuckets is the batch-size bucket layout: 1 to 5000 documents in
@@ -115,42 +91,28 @@ func deltaBuckets() []int64 {
 	return append(out, 1000000)
 }
 
-func newServerMetrics(reg *obs.Registry, shards int) *serverMetrics {
+func newServerMetrics(reg *obs.Registry) *serverMetrics {
 	if reg == nil {
 		return nil
 	}
 	m := &serverMetrics{
-		reg:          reg,
-		requests:     make(map[string]map[int]*obs.Counter, len(metricRoutes)),
-		latency:      make(map[string]*obs.Histogram, len(metricRoutes)),
-		docs:         make(map[resilience.Status]*obs.Counter, 3),
-		shed:         reg.NewCounter("serve_shed_total", "Requests shed with 429 under overload"),
-		batch:        reg.NewHistogram("serve_batch_docs", "Documents per batch request", batchBuckets()),
-		queue:        reg.NewGauge("serve_queue_depth", "Admitted documents not yet scored, all shards"),
-		inflight:     reg.NewGauge("serve_inflight_requests", "Admitted score requests being served"),
-		draining:     reg.NewGauge("serve_draining", "1 while Shutdown is draining the server"),
-		redisp:       reg.NewCounter("serve_redispatch_total", "Documents re-homed off a dead shard generation"),
-		redispFailed: reg.NewCounter("serve_redispatch_failed_total", "Documents answered 503 after losing their shard"),
-		generation:   reg.NewGauge("serve_model_generation", "Active model generation new admissions score with"),
-		swaps:        reg.NewCounter("serve_model_swaps_total", "Completed model hot-swaps"),
-		swapLatency:  reg.NewHistogram("serve_swap_latency_ns", "Fleet rotation wall time per hot-swap", obs.DurationBuckets()),
-		feedbackC:    reg.NewCounter("serve_feedback_total", "Accepted operator feedback items"),
-		shadowDocs:   reg.NewCounter("serve_shadow_docs_total", "Documents shadow-scored by a candidate model"),
-		shadowDrops:  reg.NewCounter("serve_shadow_dropped_total", "Sampled documents dropped because the shadow queue was full"),
-		shadowFlips:  reg.NewCounter("serve_shadow_label_flips_total", "Active/candidate label disagreements during shadow scoring"),
-		shadowDelta:  reg.NewHistogram("serve_shadow_score_delta_micros", "Absolute active-candidate score delta in 1e-6 units", deltaBuckets()),
-	}
-	for i := 0; i < shards; i++ {
-		l := obs.L("shard", strconv.Itoa(i))
-		m.shards = append(m.shards, &shardMetrics{
-			queue:    reg.NewGauge("serve_shard_queue_depth", "Admitted documents not yet scored on this shard", l),
-			state:    reg.NewGauge("serve_shard_state", "Shard admission state: 0 starting, 1 running, 2 down", l),
-			breaker:  reg.NewGauge("serve_shard_breaker_state", "Shard circuit breaker: 0 closed, 1 half-open, 2 open", l),
-			restarts: reg.NewCounter("serve_shard_restarts_total", "Failed shard generations (each restarted)", l),
-			stalls:   reg.NewCounter("serve_shard_stalls_total", "Shard generations killed by the heartbeat watchdog", l),
-			panics:   reg.NewCounter("serve_shard_panics_total", "Shard generations killed by a captured panic", l),
-			redisp:   reg.NewCounter("serve_shard_redispatch_total", "Documents moved off this shard's dead generations", l),
-		})
+		reg:         reg,
+		requests:    make(map[string]map[int]*obs.Counter, len(metricRoutes)),
+		latency:     make(map[string]*obs.Histogram, len(metricRoutes)),
+		docs:        make(map[resilience.Status]*obs.Counter, 3),
+		shed:        reg.NewCounter("serve_shed_total", "Requests shed with 429 under overload"),
+		batch:       reg.NewHistogram("serve_batch_docs", "Documents per batch request", batchBuckets()),
+		queue:       reg.NewGauge("serve_queue_depth", "Admitted documents not yet scored"),
+		inflight:    reg.NewGauge("serve_inflight_requests", "Admitted score requests being served"),
+		draining:    reg.NewGauge("serve_draining", "1 while Shutdown is draining the server"),
+		generation:  reg.NewGauge("serve_model_generation", "Active model generation new requests score with"),
+		swaps:       reg.NewCounter("serve_model_swaps_total", "Completed model hot-swaps"),
+		swapLatency: reg.NewHistogram("serve_swap_latency_ns", "Hot-swap wall time: build the runner, publish the handle", obs.DurationBuckets()),
+		feedbackC:   reg.NewCounter("serve_feedback_total", "Accepted operator feedback items"),
+		shadowDocs:  reg.NewCounter("serve_shadow_docs_total", "Documents shadow-scored by a candidate model"),
+		shadowDrops: reg.NewCounter("serve_shadow_dropped_total", "Sampled documents dropped because the shadow queue was full"),
+		shadowFlips: reg.NewCounter("serve_shadow_label_flips_total", "Active/candidate label disagreements during shadow scoring"),
+		shadowDelta: reg.NewHistogram("serve_shadow_score_delta_micros", "Absolute active-candidate score delta in 1e-6 units", deltaBuckets()),
 	}
 	for _, route := range metricRoutes {
 		byCode := make(map[int]*obs.Counter, len(metricCodes))
@@ -231,27 +193,6 @@ func (m *serverMetrics) setDraining(on bool) {
 	}
 }
 
-// forShard returns shard id's handles; nil when no registry is wired
-// or id is out of range, which every shardMetrics method tolerates.
-func (m *serverMetrics) forShard(id int) *shardMetrics {
-	if m == nil || id < 0 || id >= len(m.shards) {
-		return nil
-	}
-	return m.shards[id]
-}
-
-func (m *serverMetrics) redispatches(n int) {
-	if m != nil {
-		m.redisp.Add(uint64(n))
-	}
-}
-
-func (m *serverMetrics) redispatchFailed() {
-	if m != nil {
-		m.redispFailed.Inc()
-	}
-}
-
 // setGeneration publishes the active model generation.
 func (m *serverMetrics) setGeneration(gen uint64) {
 	if m != nil {
@@ -259,7 +200,7 @@ func (m *serverMetrics) setGeneration(gen uint64) {
 	}
 }
 
-// swapDone accounts one completed fleet-wide hot-swap.
+// swapDone accounts one completed hot-swap.
 func (m *serverMetrics) swapDone(gen uint64, d time.Duration) {
 	if m == nil {
 		return
@@ -293,44 +234,5 @@ func (m *serverMetrics) shadowScored(deltaMicros int64, flipped bool) {
 func (m *serverMetrics) shadowDropped() {
 	if m != nil {
 		m.shadowDrops.Inc()
-	}
-}
-
-func (sm *shardMetrics) setQueue(n int) {
-	if sm != nil {
-		sm.queue.Set(float64(n))
-	}
-}
-
-func (sm *shardMetrics) setState(st shardState) {
-	if sm != nil {
-		sm.state.Set(float64(st))
-	}
-}
-
-func (sm *shardMetrics) setBreaker(st resilience.BreakerState) {
-	if sm != nil {
-		sm.breaker.Set(float64(st))
-	}
-}
-
-// generationFailed accounts one failed generation by cause.
-func (sm *shardMetrics) generationFailed(err error) {
-	if sm == nil {
-		return
-	}
-	sm.restarts.Inc()
-	if errors.Is(err, resilience.ErrStalled) {
-		sm.stalls.Inc()
-	}
-	var pe *resilience.PanicError
-	if errors.As(err, &pe) {
-		sm.panics.Inc()
-	}
-}
-
-func (sm *shardMetrics) redispatched(n int) {
-	if sm != nil {
-		sm.redisp.Add(uint64(n))
 	}
 }

@@ -1,104 +1,40 @@
 package serve
 
-// Atomic model hot-swap. The protocol keeps the no-loss and no-torn-
-// read invariants while the fleet changes models under traffic:
-//
-//  1. SwapModel publishes the new *Model handle. From this instant
-//     every shard session that (re)opens — including one restarted by
-//     the supervisor mid-swap — scores with the new model.
-//  2. Shards rotate one at a time: the session is asked to rotate, it
-//     stops admitting, waits for in-flight queue sends to land, closes
-//     its input so the old backend finishes everything it was handed,
-//     delivers those results (still stamped with the old generation),
-//     and reopens on the new model. N-1 shards keep serving while one
-//     rotates, so a swap is zero-downtime.
-//  3. Rotation requests are idempotent per session and re-signalled
-//     until the shard converges, so a session killed by chaos between
-//     the request and the handover still lands on the new model: its
-//     replacement reads the already-published handle.
-//
-// A document therefore finishes on the generation whose backend
-// admitted it — or, if that generation died unscored, is redispatched
-// and scored wholly by the receiving shard's generation. No response
-// ever mixes generations.
+// Atomic model hot-swap. SwapModel builds the new model's stage runner
+// and publishes the handle with one pointer store. A score request loads
+// the handle once, after it has its scoring slot, and scores every one
+// of its documents through it, so a response is wholly one generation
+// by construction and requests in flight finish on the generation they
+// loaded. A request admitted after SwapModel returns scores on the new
+// model.
 
 import (
-	"context"
 	"fmt"
 	"time"
 )
 
-// ActiveModel returns the handle new admissions score through.
+// ActiveModel returns the handle new requests score through.
 func (s *Server) ActiveModel() *Model {
-	return s.model.Load()
+	return s.model.Load().Model
 }
 
-// SwapModel atomically replaces the serving model and rotates every
-// shard onto it, returning once the whole fleet scores new admissions
-// with m (bounded by ctx). Swapping to the already-active generation
-// is a no-op. Concurrent swaps serialise; each applies exactly once.
-func (s *Server) SwapModel(ctx context.Context, m *Model) error {
+// SwapModel atomically replaces the serving model. Swapping to the
+// already-active generation is a no-op. Concurrent swaps serialise;
+// each applies exactly once.
+func (s *Server) SwapModel(m *Model) error {
 	if m == nil || m.Backend == nil {
 		return fmt.Errorf("serve: swap: nil model")
 	}
 	s.swapMu.Lock()
 	defer s.swapMu.Unlock()
-	if old := s.model.Load(); old != nil && old.Generation == m.Generation {
+	if s.ActiveModel().Generation == m.Generation {
 		return nil
 	}
-	if s.stopped() {
+	if s.rootCtx.Err() != nil {
 		return fmt.Errorf("serve: swap: server stopped")
 	}
 	start := time.Now()
-	s.model.Store(m)
-	for _, sh := range s.shards {
-		if err := sh.rotateTo(ctx, m.Generation); err != nil {
-			return err
-		}
-	}
+	s.model.Store(s.load(m))
 	s.m.swapDone(m.Generation, time.Since(start))
 	return nil
-}
-
-// rotateTo drives one shard onto the target generation: request the
-// current session to rotate and poll until a session running the
-// target model has opened. The request is re-issued every poll so a
-// session that died and restarted mid-rotation (chaos) is converged
-// too — its replacement already reads the new handle.
-func (sh *shard) rotateTo(ctx context.Context, target uint64) error {
-	for {
-		if sh.atGeneration(target) {
-			return nil
-		}
-		sh.requestRotate(target)
-		select {
-		case <-ctx.Done():
-			return fmt.Errorf("serve: swap: shard %d did not reach generation %d: %w", sh.id, target, ctx.Err())
-		case <-sh.srv.supDone:
-			return fmt.Errorf("serve: swap: server stopped before shard %d rotated", sh.id)
-		case <-time.After(time.Millisecond):
-		}
-	}
-}
-
-// atGeneration reports whether the shard's current session was opened
-// with the target model generation.
-func (sh *shard) atGeneration(target uint64) bool {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.modelGen == target
-}
-
-// requestRotate asks the current session to hand over, at most once
-// per session. A session already on the target, or a shard between
-// sessions (rotate == nil), needs nothing: its next session reads the
-// published handle.
-func (sh *shard) requestRotate(target uint64) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if sh.modelGen == target || sh.rotate == nil || sh.rotated {
-		return
-	}
-	sh.rotated = true
-	close(sh.rotate)
 }

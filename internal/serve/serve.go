@@ -3,40 +3,44 @@
 // scoring hot path. The paper's classifiers are exactly the kind of
 // moderation infrastructure platforms call as an online service (the
 // Perspective-API deployment model), and this package supplies the
-// serving discipline such a deployment needs:
+// serving discipline such a deployment needs.
 //
-//   - sharded scoring: requests are routed onto N independent,
-//     supervised scoring shards — each with its own backend stream
-//     over the detector's pooled scorers, its own bounded queue and
-//     its own pending table, no cross-shard locks on the scoring
-//     path — so one stalled or panicking shard is a 1/N failure
-//     domain, not a whole-service outage;
-//   - self-healing: a heartbeat watchdog kills a stalled shard, panics
-//     are captured, and the shard restarts under exponential backoff;
-//     a per-shard circuit breaker (closed → open → half-open probe)
-//     routes traffic around a shard that keeps dying;
-//   - no-loss handoff: documents in flight on a dying shard are
-//     re-dispatched exactly once to a healthy shard or answered with a
-//     terminal 503 + Retry-After — never dropped, never answered
-//     twice (see shard.go for the ownership invariants);
-//   - admission control: a bounded in-flight request count and a
-//     bounded per-shard scoring queue; overload is answered
-//     immediately with 429 + Retry-After instead of an unbounded
-//     goroutine pile-up;
-//   - per-request deadlines propagated via context, and graceful
-//     drain: Shutdown stops admitting, finishes every accepted
-//     request, stops the shard fleet, and drains the HTTP listener,
-//     all bounded by the caller's context.
+// A score request never leaves its own goroutine:
 //
-// The invariant that keeps the hot path simple survives sharding:
-// admission reserves one slot per document under the owning shard's
-// lock and cap(shard.in) == shard depth, so a post-admission send on a
-// shard queue can never block.
+//	decode → admit → take a scoring slot → load the model once →
+//	score each document in place → release → encode
+//
+// What that path guarantees:
+//
+//   - admission control: a bounded in-flight request count and one
+//     bounded count of admitted-but-unscored documents; overload is
+//     answered at the door with 429 + Retry-After instead of an
+//     unbounded goroutine pile-up, and a draining server answers 503;
+//   - scoring concurrency is held at GOMAXPROCS by a slot semaphore, so
+//     it is independent of the client count and the pooled scorer
+//     scratch stays bounded however many requests are admitted;
+//   - one model generation per response: the handler loads the model
+//     pointer once and stamps that generation on everything it returns,
+//     so a hot-swap is a pointer store and requests in flight finish on
+//     the generation they loaded;
+//   - per-document fault isolation comes from the resilience runner the
+//     offline path uses (retry with seeded jitter, panic capture on a
+//     private copy, degradation, quarantine): a poison document is
+//     quarantined inside its own 200 response and nothing else notices;
+//   - per-request deadlines propagated via context — scoring stops at
+//     the next document boundary and everything the request held is
+//     returned before the 504 is written — and graceful drain: Shutdown
+//     stops admitting and waits for every admitted request, bounded by
+//     the caller's context.
+//
+// No queue holds another request's documents, so there is no shared
+// failure to supervise: the scoring stages do no I/O and take no lock
+// across documents, and a fault (real or injected) is confined to the
+// request whose goroutine ran into it.
 package serve
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -51,13 +55,14 @@ import (
 	"harassrepro/internal/resilience"
 )
 
-// Backend scores a stream of documents. *core.Detector implements it
-// with the pooled zero-allocation scorers; tests substitute a fake with
-// controllable latency. Each shard calls ScoreStream once per
-// generation, so a Backend must support concurrent independent streams
-// (the detector's scorer pool does).
+// Backend is a model's scoring engine. *core.Detector implements it
+// with the pooled zero-allocation scorers; it is an interface only so
+// tests can substitute a fake with controllable latency. The server
+// calls Runner once per model and then scores every document with the
+// returned runner's RunItem on the request's own goroutine, so the
+// runner must be safe for concurrent use (resilience runners are).
 type Backend interface {
-	ScoreStream(ctx context.Context, in <-chan core.StreamDoc, opts core.StreamOptions) <-chan resilience.Result[core.StreamDoc]
+	Runner(opts core.StreamOptions) *resilience.Runner[core.StreamDoc]
 }
 
 // Thresholder exposes a model's per-platform decision thresholds, used
@@ -69,11 +74,10 @@ type Thresholder interface {
 }
 
 // Model is a versioned scoring artifact: the backend plus the registry
-// identity the serve layer reports with every response. Shards score
-// through an atomically swappable *Model handle, never a bare Backend,
-// so the model can change under traffic (SwapModel) while every
-// in-flight document still finishes on the generation that admitted
-// it.
+// identity the serve layer reports with every response. Requests score
+// through an atomically swappable handle, never a bare Backend, so the
+// model can change under traffic (SwapModel) while every request in
+// flight still finishes on the generation it loaded.
 type Model struct {
 	// Backend scores the documents. Required.
 	Backend Backend
@@ -109,10 +113,6 @@ type FeedbackSink interface {
 	AddFeedback(items []FeedbackItem) error
 }
 
-// drainFlushTimeout bounds how long a dead generation flushes
-// already-computed results before its survivors are redispatched.
-const drainFlushTimeout = 3 * time.Second
-
 // Config configures a Server. The zero value of every limit picks a
 // production-safe default.
 type Config struct {
@@ -128,14 +128,8 @@ type Config struct {
 	// Admin, if set, is mounted under /v1/admin/ (stripped prefix) —
 	// the model-lifecycle control surface (swap/promote/rollback).
 	Admin http.Handler
-	// Shards is the number of independent scoring shards. Default
-	// min(GOMAXPROCS, 8).
-	Shards int
-	// Workers bounds the total scoring pool, divided across shards
-	// (each shard gets at least one worker). 0 = GOMAXPROCS.
-	Workers int
 	// Seed drives the detector's deterministic span sampling and the
-	// shard supervisors' restart jitter.
+	// runner's retry jitter.
 	Seed uint64
 	// Annotate adds the PII and taxonomy/seed-query stages to every
 	// scored document.
@@ -143,14 +137,13 @@ type Config struct {
 	// MaxInFlight bounds concurrently admitted score requests; excess
 	// requests are shed with 429. Default 256.
 	MaxInFlight int
-	// QueueDepth bounds documents admitted but not yet scored, divided
-	// across shards (ceil(QueueDepth/Shards) each, min 1). A request
-	// whose documents fit no shard is shed with 429. Default 1024.
+	// QueueDepth bounds documents admitted but not yet scored, summed
+	// over every admitted request. A request whose documents do not fit
+	// is shed with 429. Default 1024.
 	QueueDepth int
 	// MaxBatchDocs bounds one batch request; larger batches get 413.
-	// Default 4096 (clamped to the per-shard queue depth, since a
-	// request's documents are routed to one shard and a larger batch
-	// could never be admitted).
+	// Default 4096, capped by QueueDepth (a larger batch could never be
+	// admitted).
 	MaxBatchDocs int
 	// MaxBodyBytes bounds a request body. Default 32 MiB.
 	MaxBodyBytes int64
@@ -163,37 +156,19 @@ type Config struct {
 	// RetryAfter is the hint returned with 429/503 responses.
 	// Default 1s.
 	RetryAfter time.Duration
-	// StallTimeout is how long a busy shard may go without delivering
-	// a result before its generation is killed as stalled. Default 2s.
-	StallTimeout time.Duration
-	// BreakerThreshold is the consecutive generation failures that
-	// open a shard's circuit breaker. Default 3.
-	BreakerThreshold int
-	// BreakerOpenTimeout is how long an open breaker refuses traffic
-	// before allowing a half-open probe. Default 5s.
-	BreakerOpenTimeout time.Duration
-	// RestartBackoff is the shard restart backoff policy. Zero values
-	// pick 10ms base / 1s cap.
-	RestartBackoff resilience.RetryPolicy
-	// Faults, if set, injects serve-layer faults into every shard's
-	// collect loop (see FaultInjector); wired to `harassd -chaos`.
-	Faults FaultInjector
+	// StageWrap, if set, wraps every scoring stage of every model the
+	// server loads (core.StreamOptions.StageWrap): the hook
+	// `harassd -chaos` injects seeded per-document faults through.
+	StageWrap func(resilience.Stage[core.StreamDoc]) resilience.Stage[core.StreamDoc]
 	// Metrics, if set, receives the serving instruments (request/
-	// latency/queue-depth/batch-size plus per-shard restart, breaker
-	// and redispatch counters) alongside the backend's scoring
-	// metrics, and mounts /metrics, /metrics.json and /debug/pprof/ on
-	// the server's own mux.
+	// latency/queue-depth/batch-size) alongside the backend's scoring
+	// and per-stage retry/panic metrics, and mounts /metrics,
+	// /metrics.json and /debug/pprof/ on the server's own mux.
 	Metrics *obs.Registry
 }
 
 // withDefaults fills zero-valued limits.
 func (c Config) withDefaults() Config {
-	if c.Shards <= 0 {
-		c.Shards = runtime.GOMAXPROCS(0)
-		if c.Shards > 8 {
-			c.Shards = 8
-		}
-	}
 	if c.MaxInFlight <= 0 {
 		c.MaxInFlight = 256
 	}
@@ -202,9 +177,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxBatchDocs <= 0 {
 		c.MaxBatchDocs = 4096
-	}
-	if perShard := (c.QueueDepth + c.Shards - 1) / c.Shards; c.MaxBatchDocs > perShard {
-		c.MaxBatchDocs = perShard
 	}
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 32 << 20
@@ -221,27 +193,33 @@ func (c Config) withDefaults() Config {
 	if c.RetryAfter <= 0 {
 		c.RetryAfter = time.Second
 	}
-	if c.StallTimeout <= 0 {
-		c.StallTimeout = 2 * time.Second
-	}
-	if c.BreakerThreshold <= 0 {
-		c.BreakerThreshold = 3
-	}
-	if c.BreakerOpenTimeout <= 0 {
-		c.BreakerOpenTimeout = 5 * time.Second
-	}
-	if c.RestartBackoff.BaseDelay <= 0 {
-		c.RestartBackoff.BaseDelay = 10 * time.Millisecond
-	}
-	if c.RestartBackoff.MaxDelay <= 0 {
-		c.RestartBackoff.MaxDelay = time.Second
-	}
 	return c
 }
 
-// errStopped is delivered to handlers whose documents were abandoned by
-// a deadline-expired shutdown.
-var errStopped = errors.New("serve: server stopped before the document was scored")
+// batchLimit is the effective per-request document bound: MaxBatchDocs,
+// capped by QueueDepth whatever the core count, because a batch larger
+// than the whole document bound could never be admitted. capped reports
+// which of the two settings produced the limit.
+func (c Config) batchLimit() (limit int, capped bool) {
+	if c.MaxBatchDocs > c.QueueDepth {
+		return c.QueueDepth, true
+	}
+	return c.MaxBatchDocs, false
+}
+
+// scoringSlots is how many requests score at once: one per processor,
+// so throughput does not depend on the client count, and never fewer
+// than two, so one wedged request cannot hold the only slot.
+func scoringSlots() int {
+	return max(2, runtime.GOMAXPROCS(0))
+}
+
+// loaded is a Model with its stage runner built: what a score request
+// loads, once, and scores all of its documents through.
+type loaded struct {
+	*Model
+	runner *resilience.Runner[core.StreamDoc]
+}
 
 // Server is the scoring service. Create with New, optionally bind with
 // Start, stop with Shutdown.
@@ -250,35 +228,43 @@ type Server struct {
 	mux *http.ServeMux
 	m   *serverMetrics
 
-	shards     []*shard
+	// rootCtx is cancelled when Shutdown stops waiting, cleanly or not: it
+	// ends the shadow worker, and score requests still in flight notice it
+	// at their next document boundary.
 	rootCtx    context.Context
 	rootCancel context.CancelFunc
-	supDone    chan struct{} // closed when every shard supervisor has exited
 
-	// model is the swappable handle every new shard session scores
-	// through; swapMu serialises SwapModel calls so concurrent swaps
-	// apply in a total order (each one exactly once).
-	model  atomic.Pointer[Model]
+	// model is the swappable handle; swapMu serialises SwapModel calls
+	// so concurrent swaps apply in a total order (each one exactly once).
+	model  atomic.Pointer[loaded]
 	swapMu sync.Mutex
 	// shadow is the optional candidate-model shadow scorer.
 	shadow atomic.Pointer[shadowState]
 
-	nextID      atomic.Uint64
-	queuedTotal atomic.Int64 // aggregate admitted-unscored documents
-	isStopped   atomic.Bool  // set when the fleet is being torn down
+	// seq numbers admitted documents in arrival order. It is the runner
+	// index of each document, so span sampling, phase-timing sampling and
+	// retry jitter are spread over the traffic as they are over a corpus
+	// stream (a per-request position would make every single-document
+	// request index 0).
+	seq atomic.Uint64
+	// slots is the scoring-concurrency semaphore (see scoringSlots).
+	slots chan struct{}
+	// queued counts admitted documents not yet scored. It only grows
+	// under mu (admission), so the QueueDepth check cannot over-admit;
+	// it shrinks lock-free as documents finish.
+	queued atomic.Int64
 
 	mu            sync.Mutex
 	inflight      int           // admitted score requests
 	draining      bool          // no new admissions
 	drained       chan struct{} // closed when draining && inflight == 0
-	abandonedReqs int           // requests force-failed at drain expiry
-	abandonedDocs int           // their documents
+	abandonedReqs int           // requests still in flight at drain expiry
+	abandonedDocs int           // their unscored documents
 
 	web *obshttp.Server // set by Start
 }
 
-// New builds the server and starts its shard fleet; it returns once
-// every shard's first generation is accepting documents.
+// New builds the server. It is ready to score when New returns.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	rootCtx, rootCancel := context.WithCancel(context.Background())
@@ -286,47 +272,28 @@ func New(cfg Config) *Server {
 		cfg:        cfg,
 		rootCtx:    rootCtx,
 		rootCancel: rootCancel,
-		m:          newServerMetrics(cfg.Metrics, cfg.Shards),
-		supDone:    make(chan struct{}),
+		m:          newServerMetrics(cfg.Metrics),
+		slots:      make(chan struct{}, scoringSlots()),
 	}
 	mdl := cfg.Model
 	if mdl == nil {
 		mdl = &Model{Backend: cfg.Backend, Generation: 1, Seed: cfg.Seed}
 	}
-	s.model.Store(mdl)
+	s.model.Store(s.load(mdl))
 	s.m.setGeneration(mdl.Generation)
-	totalWorkers := cfg.Workers
-	if totalWorkers <= 0 {
-		totalWorkers = runtime.GOMAXPROCS(0)
-	}
-	perWorkers := totalWorkers / cfg.Shards
-	if perWorkers < 1 {
-		perWorkers = 1
-	}
-	perDepth := (cfg.QueueDepth + cfg.Shards - 1) / cfg.Shards
-	if perDepth < 1 {
-		perDepth = 1
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < cfg.Shards; i++ {
-		sh := newShard(s, i, perDepth, perWorkers)
-		s.shards = append(s.shards, sh)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sh.supervise(rootCtx)
-		}()
-	}
-	go func() {
-		wg.Wait()
-		close(s.supDone)
-	}()
-	for _, sh := range s.shards {
-		<-sh.ready
-	}
 	s.mux = http.NewServeMux()
 	s.routes()
 	return s
+}
+
+// load builds m's stage runner with the server's scoring options.
+func (s *Server) load(m *Model) *loaded {
+	return &loaded{Model: m, runner: m.Backend.Runner(core.StreamOptions{
+		Seed:      s.cfg.Seed,
+		Annotate:  s.cfg.Annotate,
+		StageWrap: s.cfg.StageWrap,
+		Metrics:   s.cfg.Metrics,
+	})}
 }
 
 // Handler returns the server's mux: the scoring endpoints plus (with
@@ -352,202 +319,123 @@ func (s *Server) Addr() net.Addr {
 	return s.web.Addr()
 }
 
-// ShardStats is one shard's point-in-time state.
-type ShardStats struct {
-	ID      int
-	State   string // starting | running | down
-	Breaker string // closed | half-open | open
-	Gen     int    // current generation number
-	Queued  int    // admitted, unscored documents on this shard
-	Depth   int    // the shard's queue bound
-	// Lifetime counters.
-	Restarts     uint64 // failed generations (each one restarted)
-	Stalls       uint64 // generations killed by the heartbeat watchdog
-	Panics       uint64 // generations killed by a captured panic
-	Redispatched uint64 // documents moved off this shard's dead generations
-}
-
-// Stats is a point-in-time view of the admission state. Queued is
-// always the sum of the per-shard queues, so the aggregate and
-// per-shard views cannot disagree with the admission decisions taken
-// under the shard locks.
+// Stats is a point-in-time view of the admission state.
 type Stats struct {
 	// InFlight is the number of admitted score requests being served.
 	InFlight int
-	// Queued is the number of admitted documents not yet scored,
-	// summed across shards.
+	// Queued is the number of admitted documents not yet scored.
 	Queued int
-	// QueueCapacity is the total document capacity (sum of shard depths).
+	// QueueCapacity is the document bound (Config.QueueDepth).
 	QueueCapacity int
-	// HealthyShards counts shards that are accepting and whose breaker
-	// is not open.
-	HealthyShards int
 	// Draining reports whether Shutdown has begun.
 	Draining bool
-	// Shards holds the per-shard detail.
-	Shards []ShardStats
 }
 
 // Stats returns the current admission state.
 func (s *Server) Stats() Stats {
 	s.mu.Lock()
-	st := Stats{InFlight: s.inflight, Draining: s.draining}
-	s.mu.Unlock()
-	for _, sh := range s.shards {
-		ss := sh.stats()
-		st.Shards = append(st.Shards, ss)
-		st.Queued += ss.Queued
-		st.QueueCapacity += ss.Depth
-		if ss.State == shardRunning.String() && ss.Breaker != resilience.BreakerOpen.String() {
-			st.HealthyShards++
-		}
+	defer s.mu.Unlock()
+	return Stats{
+		InFlight:      s.inflight,
+		Queued:        int(s.queued.Load()),
+		QueueCapacity: s.cfg.QueueDepth,
+		Draining:      s.draining,
 	}
-	return st
 }
 
-// Abandoned reports the requests (and their documents) force-failed
-// because Shutdown's context expired before the drain completed. Both
-// are zero after a clean drain.
+// Abandoned reports the requests (and their unscored documents) still
+// in flight when Shutdown's context expired before the drain completed.
+// Both are zero after a clean drain.
 func (s *Server) Abandoned() (requests, docs int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.abandonedReqs, s.abandonedDocs
 }
 
-// ready reports whether a quorum of shards can take traffic: strictly
-// more than half the fleet is accepting with a non-open breaker.
-func (s *Server) ready() bool {
-	healthy := 0
-	for _, sh := range s.shards {
-		if sh.healthy() {
-			healthy++
-		}
-	}
-	return 2*healthy > len(s.shards)
+// refusal is a score request answered without results: 429 (overload),
+// 503 (draining or stopped) or 504 (deadline). The zero value means the
+// request was not refused.
+type refusal struct {
+	code int
+	msg  string
 }
 
-// stopped reports whether the fleet is being torn down (redispatch
-// must answer errStopped instead of re-homing documents).
-func (s *Server) stopped() bool { return s.isStopped.Load() }
-
-// noteQueue tracks the aggregate queued-document gauge.
-func (s *Server) noteQueue(delta int) {
-	s.m.setQueue(int(s.queuedTotal.Add(int64(delta))))
-}
-
-// admitRequest reserves one request slot. draining=true means the
-// server is shutting down (503); ok=false with draining=false means
-// the in-flight bound is hit (429).
-func (s *Server) admitRequest() (ok, draining bool) {
+// admit reserves one request slot and docs document slots, or says why
+// not: 503 once Shutdown has begun, 429 when either bound is hit.
+func (s *Server) admit(docs int) refusal {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.draining {
-		return false, true
+		return refusal{http.StatusServiceUnavailable, "server is draining"}
 	}
-	if s.inflight >= s.cfg.MaxInFlight {
-		return false, false
+	if s.inflight >= s.cfg.MaxInFlight || int(s.queued.Load())+docs > s.cfg.QueueDepth {
+		s.m.shedRequest()
+		return refusal{http.StatusTooManyRequests, "server overloaded: retry later"}
 	}
 	s.inflight++
 	s.m.setInFlight(s.inflight)
-	return true, false
+	s.m.setQueue(int(s.queued.Add(int64(docs))))
+	return refusal{}
 }
 
-// releaseRequest returns an admitted request's slot and wakes a
-// drain-waiter once the last one finishes. Document slots are released
-// by the shard collectors as results arrive, not here: an abandoned
-// document still occupies its queue until the shard has answered it.
-func (s *Server) releaseRequest() {
+// docDone returns one scored document's slot.
+func (s *Server) docDone(st resilience.Status) {
+	s.m.setQueue(int(s.queued.Add(-1)))
+	s.m.docScored(st)
+}
+
+// release returns an admitted request's slot together with the docs
+// document slots it still holds (non-zero when it stopped early), and
+// wakes a drain-waiter once the last request finishes.
+func (s *Server) release(docs int) {
+	if docs > 0 {
+		s.m.setQueue(int(s.queued.Add(int64(-docs))))
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.inflight--
 	s.m.setInFlight(s.inflight)
-	if s.draining && s.inflight == 0 && s.drained != nil {
+	if s.inflight == 0 && s.drained != nil {
 		close(s.drained)
 		s.drained = nil
 	}
 }
 
-// enqueue routes one request's documents to a shard. entries are
-// built here from the parallel docs/userIDs slices.
-func (s *Server) enqueue(docs []core.StreamDoc, userIDs []string, reply chan scored) dispatchStatus {
-	entries := make([]pendingDoc, len(docs))
-	for i := range docs {
-		entries[i] = pendingDoc{doc: docs[i], userID: userIDs[i], pos: i, reply: reply}
-	}
-	return s.dispatch(docs, entries)
-}
-
-// failAllPending force-fails every document still pending on any
-// shard with errStopped, so no handler waits past a forced shutdown.
-// Returns the number of documents failed.
-func (s *Server) failAllPending() int {
-	total := 0
-	for _, sh := range s.shards {
-		lost := sh.sweepPending()
-		for _, p := range lost {
-			s.answerLost(p, errStopped)
-		}
-		total += len(lost)
-	}
-	return total
-}
-
 // Shutdown drains the server: stop admitting (readyz flips to 503 and
-// new score requests are refused), finish every accepted request —
-// including re-homing documents off any shard that dies mid-drain —
-// then stop the shard fleet and drain the HTTP listener, all bounded
-// by ctx. On ctx expiry remaining waiters receive synthetic
-// quarantine results and are counted in Abandoned. Safe to call more
-// than once; returns nil when every accepted request completed.
+// new score requests are refused), wait for every admitted request to
+// finish, then stop the shadow worker and drain the HTTP listener, all
+// bounded by ctx. On ctx expiry the requests still in flight are
+// counted in Abandoned and told to stop through the root context: each
+// answers 503 at its next document boundary. Safe to call more than
+// once; returns nil when every admitted request completed.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
-	var drained chan struct{}
-	switch {
-	case !s.draining:
+	if !s.draining {
 		s.draining = true
 		s.m.setDraining(true)
-		drained = make(chan struct{})
-		if s.inflight == 0 {
-			close(drained)
-		} else {
-			s.drained = drained
+	}
+	var drained chan struct{}
+	if s.inflight > 0 {
+		if s.drained == nil {
+			s.drained = make(chan struct{})
 		}
-	case s.drained != nil:
 		drained = s.drained
-	default:
-		drained = make(chan struct{})
-		close(drained)
 	}
 	s.mu.Unlock()
 
 	var err error
-	select {
-	case <-drained:
-	default:
+	if drained != nil {
 		select {
 		case <-drained:
 		case <-ctx.Done():
 			err = fmt.Errorf("serve: drain: %w", ctx.Err())
-			// Forced: answer every still-pending document so no
-			// handler blocks, and account the abandonment.
-			s.isStopped.Store(true)
-			docs := s.failAllPending()
 			s.mu.Lock()
-			if docs > 0 || s.inflight > 0 {
-				s.abandonedReqs = s.inflight
-				s.abandonedDocs = docs
-			}
+			s.abandonedReqs, s.abandonedDocs = s.inflight, int(s.queued.Load())
 			s.mu.Unlock()
 		}
 	}
-
-	// Stop the fleet. On the clean path every pending table is empty,
-	// so the generation teardowns find nothing to redispatch. Shard
-	// tasks honour cancellation, so the supervisors exit within the
-	// bounded teardown flush.
-	s.isStopped.Store(true)
 	s.rootCancel()
-	<-s.supDone
+	s.ClearShadow()
 	if s.web != nil {
 		if werr := s.web.Close(ctx); werr != nil && err == nil {
 			err = fmt.Errorf("serve: http drain: %w", werr)

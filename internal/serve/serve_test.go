@@ -1,16 +1,18 @@
 package serve
 
 // httptest-driven tests over a fake backend with controllable latency:
-// the fake runs on the real resilience.Runner, so admission, drain and
-// result routing are exercised against the same machinery production
-// uses, without paying for classifier training. The overload test
-// asserts no goroutine leak; the drain test (run under -race by
-// check.sh) asserts every accepted request completes during Shutdown.
+// the fake is one stage on the real resilience.Runner, so admission,
+// deadlines and drain are exercised against the same per-document
+// machinery production uses, without paying for classifier training.
+// The overload test asserts no goroutine leak; the drain test (run
+// under -race by check.sh) asserts every accepted request completes
+// during Shutdown.
 
 import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -18,6 +20,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -26,22 +29,46 @@ import (
 	"harassrepro/internal/resilience"
 )
 
-// fakeBackend scores every document with a fixed latency on a real
-// resilience runner.
-type fakeBackend struct {
-	delay time.Duration
+// stageRunner builds a one-stage runner the way a detector builds its
+// own: the server's seed, metrics and stage wrap applied.
+func stageRunner(opts core.StreamOptions, stage resilience.Stage[core.StreamDoc]) *resilience.Runner[core.StreamDoc] {
+	if opts.StageWrap != nil {
+		stage = opts.StageWrap(stage)
+	}
+	return resilience.NewRunner(resilience.Config[core.StreamDoc]{
+		Seed:     opts.Seed,
+		Describe: func(sd *core.StreamDoc) string { return sd.ID },
+		Metrics:  opts.Metrics,
+	}, stage)
 }
 
-func (f *fakeBackend) ScoreStream(ctx context.Context, in <-chan core.StreamDoc, opts core.StreamOptions) <-chan resilience.Result[core.StreamDoc] {
-	stage := resilience.Stage[core.StreamDoc]{
+// pause sleeps d unless ctx ends first.
+func pause(ctx context.Context, d time.Duration) error {
+	if d <= 0 {
+		return nil
+	}
+	select {
+	case <-time.After(d):
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
+// fakeBackend scores every document with a fixed latency and counts the
+// documents it was asked to score.
+type fakeBackend struct {
+	delay time.Duration
+	calls atomic.Int64
+}
+
+func (f *fakeBackend) Runner(opts core.StreamOptions) *resilience.Runner[core.StreamDoc] {
+	return stageRunner(opts, resilience.Stage[core.StreamDoc]{
 		Name: "fake-score",
 		Fn: func(ctx context.Context, _ int, sd *core.StreamDoc) error {
-			if f.delay > 0 {
-				select {
-				case <-time.After(f.delay):
-				case <-ctx.Done():
-					return ctx.Err()
-				}
+			f.calls.Add(1)
+			if err := pause(ctx, f.delay); err != nil {
+				return err
 			}
 			if strings.Contains(sd.Text, "poison") {
 				return fmt.Errorf("poison document")
@@ -49,12 +76,7 @@ func (f *fakeBackend) ScoreStream(ctx context.Context, in <-chan core.StreamDoc,
 			sd.CTH, sd.Dox = 0.75, 0.25
 			return nil
 		},
-	}
-	return resilience.NewRunner(resilience.Config[core.StreamDoc]{
-		Workers: opts.Workers,
-		Seed:    opts.Seed,
-		Metrics: opts.Metrics,
-	}, stage).Process(ctx, in)
+	})
 }
 
 // newTestServer builds a server over a fake backend and an httptest
@@ -90,7 +112,7 @@ func postJSON(t *testing.T, client *http.Client, url, body string) (int, string,
 }
 
 func TestScoreSingleDocument(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 2, Seed: 1})
+	_, ts := newTestServer(t, Config{Seed: 1})
 	code, body, _ := postJSON(t, ts.Client(), ts.URL+"/v1/score", `{"id":"doc-1","text":"hello world"}`)
 	if code != http.StatusOK {
 		t.Fatalf("status = %d, body %s", code, body)
@@ -127,7 +149,6 @@ func TestOverloadShedsWith429AndNoGoroutineLeak(t *testing.T) {
 	reg := obs.NewRegistry()
 	s := New(Config{
 		Backend:        &fakeBackend{delay: 30 * time.Millisecond},
-		Workers:        2,
 		MaxInFlight:    4,
 		QueueDepth:     4,
 		RequestTimeout: 10 * time.Second,
@@ -189,29 +210,12 @@ func TestOverloadShedsWith429AndNoGoroutineLeak(t *testing.T) {
 	}
 	ts.Close()
 
-	// Every server goroutine (workers, feeder, collector, HTTP conns)
-	// must be gone: allow brief settling plus a small slack for runtime
-	// background goroutines.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		runtime.GC()
-		now := runtime.NumGoroutine()
-		if now <= before+3 {
-			break
-		}
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<20)
-			n := runtime.Stack(buf, true)
-			t.Fatalf("goroutines: before=%d after=%d\n%s", before, now, buf[:n])
-		}
-		time.Sleep(25 * time.Millisecond)
-	}
+	waitForGoroutines(t, before)
 }
 
 func TestGracefulDrainCompletesAcceptedRequests(t *testing.T) {
 	s, ts := newTestServer(t, Config{
 		Backend:        &fakeBackend{delay: 80 * time.Millisecond},
-		Workers:        2,
 		MaxInFlight:    16,
 		QueueDepth:     16,
 		RequestTimeout: 10 * time.Second,
@@ -273,8 +277,53 @@ func TestGracefulDrainCompletesAcceptedRequests(t *testing.T) {
 	}
 }
 
+// A drain that runs out of time counts what it abandons and tells it to
+// stop: each abandoned request answers 503 at its next document
+// boundary instead of scoring on for nobody.
+func TestDrainExpiryCountsAndStopsAbandonedRequests(t *testing.T) {
+	fake := &fakeBackend{delay: 60 * time.Millisecond}
+	s := New(Config{Backend: fake, RequestTimeout: 10 * time.Second})
+	ts := newHTTPFront(t, s)
+	defer ts.Close()
+
+	type answer struct {
+		code int
+		hdr  http.Header
+	}
+	answers := make(chan answer, 2)
+	for i := 0; i < 2; i++ {
+		go func() {
+			code, _, hdr := postJSON(t, ts.Client(), ts.URL+"/v1/score/batch", batchBody(20, "abandoned doc"))
+			answers <- answer{code, hdr}
+		}()
+	}
+	waitFor(t, 2*time.Second, func() bool { return fake.calls.Load() >= 2 })
+
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	if err := s.Shutdown(ctx); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Shutdown = %v, want the drain deadline", err)
+	}
+	reqs, docs := s.Abandoned()
+	if reqs != 2 || docs < 30 || docs > 40 {
+		t.Errorf("Abandoned() = %d requests, %d documents; want 2 requests and most of their 40 documents", reqs, docs)
+	}
+	for i := 0; i < 2; i++ {
+		a := <-answers
+		if a.code != http.StatusServiceUnavailable || a.hdr.Get("Retry-After") == "" {
+			t.Errorf("abandoned request answered %d (Retry-After %q), want 503 with a hint", a.code, a.hdr.Get("Retry-After"))
+		}
+	}
+	if calls := fake.calls.Load(); calls > 8 {
+		t.Errorf("abandoned requests scored %d documents after being told to stop", calls)
+	}
+	if st := s.Stats(); st.InFlight != 0 || st.Queued != 0 {
+		t.Errorf("stats after the abandoned requests returned = %+v", st)
+	}
+}
+
 func TestBatchLenientJSONLReportsQuarantinedLines(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 4})
+	_, ts := newTestServer(t, Config{})
 	body := strings.Join([]string{
 		`{"id":"a","text":"first good line"}`,
 		`{broken json`,
@@ -321,7 +370,7 @@ func TestBatchLenientJSONLReportsQuarantinedLines(t *testing.T) {
 }
 
 func TestBatchJSONArray(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 4})
+	_, ts := newTestServer(t, Config{})
 	body := `[{"id":"x","text":"one"},{"id":"empty"},{"id":"y","text":"two"}]`
 	code, out, _ := postJSON(t, ts.Client(), ts.URL+"/v1/score/batch", body)
 	if code != http.StatusOK {
@@ -340,7 +389,7 @@ func TestBatchJSONArray(t *testing.T) {
 }
 
 func TestBatchLimits(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 2, MaxBatchDocs: 2})
+	_, ts := newTestServer(t, Config{MaxBatchDocs: 2})
 	var sb bytes.Buffer
 	for i := 0; i < 3; i++ {
 		fmt.Fprintf(&sb, "{\"text\":\"doc %d\"}\n", i)
@@ -361,7 +410,7 @@ func TestBatchLimits(t *testing.T) {
 }
 
 func TestHealthzReadyzAndDrainTransition(t *testing.T) {
-	s, ts := newTestServer(t, Config{Workers: 2})
+	s, ts := newTestServer(t, Config{})
 	for _, path := range []string{"/healthz", "/readyz"} {
 		resp, err := ts.Client().Get(ts.URL + path)
 		if err != nil {
@@ -400,21 +449,99 @@ func TestHealthzReadyzAndDrainTransition(t *testing.T) {
 	}
 }
 
-func TestRequestDeadlineReturns504(t *testing.T) {
-	_, ts := newTestServer(t, Config{
-		Backend:        &fakeBackend{delay: 300 * time.Millisecond},
-		Workers:        1,
-		RequestTimeout: 30 * time.Millisecond,
-	})
-	code, body, _ := postJSON(t, ts.Client(), ts.URL+"/v1/score", `{"text":"slow"}`)
+// A request that hits its deadline stops scoring at the next document
+// boundary and has given back every slot it held by the time its 504 is
+// written: nothing is scored for nobody.
+func TestRequestDeadlineReturns504AndHoldsNothing(t *testing.T) {
+	fake := &fakeBackend{delay: 40 * time.Millisecond}
+	s, ts := newTestServer(t, Config{Backend: fake, RequestTimeout: 100 * time.Millisecond})
+
+	code, body, _ := postJSON(t, ts.Client(), ts.URL+"/v1/score/batch", batchBody(10, "slow doc"))
 	if code != http.StatusGatewayTimeout {
-		t.Fatalf("status = %d, body %s", code, body)
+		t.Fatalf("batch: status = %d, body %s", code, body)
+	}
+	if !strings.Contains(body, "of 10 documents unscored") {
+		t.Errorf("504 body = %s, want the unscored count", body)
+	}
+	// postJSON returned, so the 504 has been written.
+	if st := s.Stats(); st.Queued != 0 || st.InFlight != 0 {
+		t.Errorf("stats after the 504 = %+v, want nothing held", st)
+	}
+	if got := len(s.slots); got != 0 {
+		t.Errorf("%d scoring slots still held after the 504", got)
+	}
+	calls := fake.calls.Load()
+	if calls == 0 || calls >= 10 {
+		t.Errorf("fake scored %d of 10 documents, want some but not all", calls)
+	}
+	time.Sleep(3 * fake.delay)
+	if again := fake.calls.Load(); again != calls {
+		t.Errorf("fake kept scoring after the 504: %d -> %d calls", calls, again)
+	}
+
+	_, slow := newTestServer(t, Config{Backend: &fakeBackend{delay: 300 * time.Millisecond}, RequestTimeout: 30 * time.Millisecond})
+	code, body, _ = postJSON(t, slow.Client(), slow.URL+"/v1/score", `{"text":"slower than the deadline"}`)
+	if code != http.StatusGatewayTimeout {
+		t.Fatalf("single: status = %d, body %s", code, body)
+	}
+}
+
+// batchBody builds a JSONL body of n documents.
+func batchBody(n int, text string) string {
+	var sb strings.Builder
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&sb, "{\"id\":\"d%d\",\"text\":\"%s %d\"}\n", i, text, i)
+	}
+	return sb.String()
+}
+
+// The batch limit is min(MaxBatchDocs, QueueDepth) whatever the core
+// count, a batch of exactly the limit is admitted on an idle server,
+// and the 413 names the limit and the setting that produced it.
+func TestBatchLimitFollowsQueueDepth(t *testing.T) {
+	for _, tc := range []struct {
+		queueDepth, maxBatchDocs int
+		limit                    int
+		why                      string
+	}{
+		{0, 0, 1024, "queue depth 1024 caps max batch docs 4096"}, // the shipped defaults
+		{8, 4, 4, "max batch docs 4"},
+		{8, 8, 8, "max batch docs 8"},
+		{8, 4096, 8, "queue depth 8 caps max batch docs 4096"},
+		{1, 0, 1, "queue depth 1 caps max batch docs 4096"},
+		{2048, 16, 16, "max batch docs 16"},
+	} {
+		t.Run(fmt.Sprintf("depth=%d,batch=%d", tc.queueDepth, tc.maxBatchDocs), func(t *testing.T) {
+			s, ts := newTestServer(t, Config{QueueDepth: tc.queueDepth, MaxBatchDocs: tc.maxBatchDocs})
+			code, body, _ := postJSON(t, ts.Client(), ts.URL+"/v1/score/batch", batchBody(tc.limit, "fits"))
+			if code != http.StatusOK {
+				t.Fatalf("batch of exactly %d: status = %d, body %.200s", tc.limit, code, body)
+			}
+			var br BatchResponse
+			if err := json.Unmarshal([]byte(body), &br); err != nil {
+				t.Fatal(err)
+			}
+			if br.Summary.OK != tc.limit {
+				t.Errorf("batch of exactly %d: summary = %+v", tc.limit, br.Summary)
+			}
+			code, body, _ = postJSON(t, ts.Client(), ts.URL+"/v1/score/batch", batchBody(tc.limit+1, "over"))
+			if code != http.StatusRequestEntityTooLarge {
+				t.Fatalf("batch of %d: status = %d, body %.200s", tc.limit+1, code, body)
+			}
+			want := fmt.Sprintf("exceeds limit %d (%s)", tc.limit, tc.why)
+			if !strings.Contains(body, want) {
+				t.Errorf("413 body = %s, want it to say %q", body, want)
+			}
+			if st := s.Stats(); st.Queued != 0 || st.InFlight != 0 {
+				t.Errorf("stats = %+v, want idle", st)
+			}
+		})
 	}
 }
 
 func TestMetricsServedOnSameMux(t *testing.T) {
 	reg := obs.NewRegistry()
-	_, ts := newTestServer(t, Config{Workers: 2, Metrics: reg})
+	_, ts := newTestServer(t, Config{Metrics: reg})
 	postJSON(t, ts.Client(), ts.URL+"/v1/score", `{"text":"observable"}`)
 	resp, err := ts.Client().Get(ts.URL + "/metrics")
 	if err != nil {

@@ -1,19 +1,18 @@
 package serve
 
 // Shadow scoring: a candidate model scores a deterministic sample of
-// live traffic in parallel with the active model, without touching the
-// serving path. Shards offer successfully scored documents (off their
-// locks) to a bounded queue; a background worker re-scores them on the
-// candidate's own backend stream and accounts the divergence — score
-// deltas and label flips — that the promotion gates read. Sampling is
-// a hash of the document text, so the same traffic always shadows the
-// same documents regardless of shard routing or timing, and overflow
-// is dropped (and counted), never blocking a shard collector.
+// live traffic beside the active model, without touching the serving
+// path. Request handlers offer successfully scored documents to a
+// bounded queue; one worker goroutine re-scores them with the
+// candidate's own runner and accounts the divergence — score deltas and
+// label flips — that the promotion gates read. Sampling is a hash of
+// the document text, so the same traffic always shadows the same
+// documents regardless of timing, and overflow is dropped (and
+// counted), never blocking a request.
 
 import (
 	"context"
 	"fmt"
-	"strconv"
 	"sync"
 
 	"harassrepro/internal/core"
@@ -42,18 +41,18 @@ type ShadowStats struct {
 	MaxDelta  float64 `json:"max_delta"`
 }
 
-// shadowDoc pairs one primary-scored document with the scores and
-// generation the active model produced for it.
+// shadowDoc is one document as the active model scored it, with the
+// model that did (its thresholds decide the active label).
 type shadowDoc struct {
-	doc      core.StreamDoc
-	cth, dox float64
-	gen      uint64
+	item   core.StreamDoc
+	active *Model
 }
 
 // shadowState is one running shadow comparison.
 type shadowState struct {
 	srv      *Server
 	model    *Model
+	runner   *resilience.Runner[core.StreamDoc]
 	permille uint64 // sample when hash(text) % 1000 < permille
 	ch       chan shadowDoc
 	cancel   context.CancelFunc
@@ -82,6 +81,7 @@ func (s *Server) SetShadow(m *Model, rate float64) error {
 	st := &shadowState{
 		srv:      s,
 		model:    m,
+		runner:   m.Backend.Runner(core.StreamOptions{Seed: m.Seed}),
 		permille: uint64(rate * 1000),
 		ch:       make(chan shadowDoc, shadowQueueDepth),
 		cancel:   cancel,
@@ -127,15 +127,15 @@ func (st *shadowState) snapshot() ShadowStats {
 	return out
 }
 
-// offer samples one successfully scored document into the shadow
-// queue. Called by shard collectors off their locks; never blocks —
-// a full queue drops the document and counts it.
-func (st *shadowState) offer(doc core.StreamDoc, item core.StreamDoc, gen uint64) {
+// offer samples one document the active model scored into the shadow
+// queue. Called on request goroutines; never blocks — a full queue
+// drops the document and counts it.
+func (st *shadowState) offer(active *Model, item core.StreamDoc) {
 	if st.permille == 0 || textHash(item.Text)%1000 >= st.permille {
 		return
 	}
 	select {
-	case st.ch <- shadowDoc{doc: doc, cth: item.CTH, dox: item.Dox, gen: gen}:
+	case st.ch <- shadowDoc{item: item, active: active}:
 	default:
 		st.mu.Lock()
 		st.stats.Dropped++
@@ -145,7 +145,7 @@ func (st *shadowState) offer(doc core.StreamDoc, item core.StreamDoc, gen uint64
 }
 
 // textHash is FNV-1a over the document text: cheap, deterministic, and
-// independent of shard routing.
+// independent of arrival order.
 func textHash(s string) uint64 {
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(s); i++ {
@@ -155,65 +155,32 @@ func textHash(s string) uint64 {
 	return h
 }
 
-// run owns the candidate's scoring stream: a feeder moves sampled
-// documents onto the stream under synthetic IDs, and this loop pairs
-// every candidate result with the primary scores recorded at offer
-// time, accounting the divergence.
+// run is the shadow worker: it re-scores each sampled document with the
+// candidate's runner and accounts the divergence from the scores the
+// active model gave it.
 func (st *shadowState) run(ctx context.Context) {
 	defer close(st.done)
-	in := make(chan core.StreamDoc, shadowQueueDepth)
-	out := st.model.Backend.ScoreStream(ctx, in, core.StreamOptions{
-		Workers: 1,
-		Seed:    st.model.Seed,
-	})
-
-	pending := make(map[string]shadowDoc, shadowQueueDepth)
-	var pmu sync.Mutex
-	go func() {
-		defer close(in)
-		n := 0
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case sd := <-st.ch:
-				n++
-				id := "shadow-" + strconv.Itoa(n)
-				d := sd.doc
-				d.ID = id
-				pmu.Lock()
-				pending[id] = sd
-				pmu.Unlock()
-				select {
-				case in <- d:
-				case <-ctx.Done():
-					return
-				}
+	for n := 0; ; n++ {
+		select {
+		case <-ctx.Done():
+			return
+		case sd := <-st.ch:
+			res := st.runner.RunItem(ctx, n, core.StreamDoc{Platform: sd.item.Platform, Text: sd.item.Text})
+			if res.Status != resilience.StatusQuarantined {
+				st.record(sd, res.Item)
 			}
 		}
-	}()
-
-	active := st.srv.model.Load()
-	for res := range out {
-		pmu.Lock()
-		sd, ok := pending[res.Item.ID]
-		delete(pending, res.Item.ID)
-		pmu.Unlock()
-		if !ok || res.Status == resilience.StatusQuarantined {
-			continue
-		}
-		st.record(active, sd, res.Item)
 	}
 }
 
 // record accounts one active/candidate comparison.
-func (st *shadowState) record(active *Model, sd shadowDoc, cand core.StreamDoc) {
-	delta := absf(sd.cth - cand.CTH)
-	if d := absf(sd.dox - cand.Dox); d > delta {
+func (st *shadowState) record(sd shadowDoc, cand core.StreamDoc) {
+	delta := absf(sd.item.CTH - cand.CTH)
+	if d := absf(sd.item.Dox - cand.Dox); d > delta {
 		delta = d
 	}
-	flipped := decide(active, sd.doc.Platform, sd.cth, sd.dox) !=
-		decide(st.model, sd.doc.Platform, cand.CTH, cand.Dox)
+	flipped := decide(sd.active, sd.item.Platform, sd.item.CTH, sd.item.Dox) !=
+		decide(st.model, sd.item.Platform, cand.CTH, cand.Dox)
 
 	st.mu.Lock()
 	st.stats.Docs++

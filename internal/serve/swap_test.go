@@ -1,12 +1,12 @@
 package serve
 
 // Hot-swap certification, run under -race by check.sh: a seeded swap
-// storm between two model generations under concurrent load and shard
-// panics loses zero requests, and every 200 response is scored wholly
-// by a single generation — its (CTH, Dox) pair equals that
-// generation's pure golden function and the stamped model_generation
-// names it. A response mixing generations would match neither golden
-// pair.
+// storm between two model generations under concurrent load and stage
+// panics loses zero requests, and every response, single or batch, is
+// scored wholly by a single generation — every (CTH, Dox) pair equals
+// that generation's pure golden function, and the X-Model-Generation
+// header and every model_generation field name it. A response mixing
+// generations would match neither golden pair.
 
 import (
 	"context"
@@ -39,59 +39,38 @@ func genScore(gen uint64, text string) (cth, dox float64) {
 	return float64(h%1000) / 1000, float64(h%97) / 97
 }
 
-// genBackend scores every document with genScore(gen, text) on a real
-// resilience runner, one fake versioned model artifact per generation.
+// genBackend scores every document with genScore(gen, text): one fake
+// versioned model artifact per generation.
 type genBackend struct {
 	gen   uint64
 	delay time.Duration
 }
 
-func (g *genBackend) ScoreStream(ctx context.Context, in <-chan core.StreamDoc, opts core.StreamOptions) <-chan resilience.Result[core.StreamDoc] {
-	stage := resilience.Stage[core.StreamDoc]{
+func (g *genBackend) Runner(opts core.StreamOptions) *resilience.Runner[core.StreamDoc] {
+	return stageRunner(opts, resilience.Stage[core.StreamDoc]{
 		Name: "gen-score",
 		Fn: func(ctx context.Context, _ int, sd *core.StreamDoc) error {
-			if g.delay > 0 {
-				select {
-				case <-time.After(g.delay):
-				case <-ctx.Done():
-					return ctx.Err()
-				}
+			if err := pause(ctx, g.delay); err != nil {
+				return err
 			}
 			sd.CTH, sd.Dox = genScore(g.gen, sd.Text)
 			return nil
 		},
-	}
-	return resilience.NewRunner(resilience.Config[core.StreamDoc]{
-		Workers: opts.Workers,
-		Seed:    opts.Seed,
-		Metrics: opts.Metrics,
-	}, stage).Process(ctx, in)
+	})
 }
 
 func TestHotSwapStormNoLossNoTornReads(t *testing.T) {
 	before := runtime.NumGoroutine()
 
 	reg := obs.NewRegistry()
-	plan := &chaos.ServePlan{
-		Seed:      13,
-		PanicRate: 0.2,
-		Targets:   map[int]bool{0: true},
-		MaxFaults: 25,
-	}
 	m1 := &Model{Backend: &genBackend{gen: 1}, Generation: 1, Seed: 101}
 	m2 := &Model{Backend: &genBackend{gen: 2}, Generation: 2, Seed: 202}
 	s := New(Config{
-		Model:              m1,
-		Shards:             3,
-		Workers:            3,
-		QueueDepth:         96,
-		BreakerThreshold:   2,
-		BreakerOpenTimeout: 50 * time.Millisecond,
-		StallTimeout:       500 * time.Millisecond,
-		RestartBackoff:     resilience.RetryPolicy{BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond},
-		RequestTimeout:     10 * time.Second,
-		Faults:             plan,
-		Metrics:            reg,
+		Model:          m1,
+		QueueDepth:     96,
+		RequestTimeout: 10 * time.Second,
+		StageWrap:      wrapWith(chaos.Config{Seed: 13, PanicRate: 0.2}),
+		Metrics:        reg,
 	})
 	ts := newHTTPFront(t, s)
 
@@ -107,82 +86,58 @@ func TestHotSwapStormNoLossNoTornReads(t *testing.T) {
 				return
 			default:
 			}
-			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-			if err := s.SwapModel(ctx, models[i%2]); err != nil {
+			if err := s.SwapModel(models[i%2]); err != nil {
 				t.Errorf("swap %d: %v", i, err)
 			}
-			cancel()
-			time.Sleep(5 * time.Millisecond)
+			time.Sleep(time.Millisecond)
 		}
 	}()
 
-	const clients, perClient = 8, 40
+	const clients, perClient, batchEvery, batchDocs = 8, 40, 4, 6
 	var (
-		sent      atomic.Int64
-		okCount   atomic.Int64
-		lostCount atomic.Int64
-		genSeen   [3]atomic.Int64
-		mu        sync.Mutex
-		bad       []string
+		sent    atomic.Int64
+		okCount atomic.Int64
+		genSeen [3]atomic.Int64
+		mu      sync.Mutex
+		bad     []string
 	)
+	fail := func(format string, args ...any) {
+		mu.Lock()
+		bad = append(bad, fmt.Sprintf(format, args...))
+		mu.Unlock()
+	}
 	post := func(client, n int) {
-		text := fmt.Sprintf("swap-storm doc %d-%d", client, n)
+		texts := stormTexts("swap-storm", client, n, batchEvery, batchDocs)
 		sent.Add(1)
-		resp, err := ts.Client().Post(ts.URL+"/v1/score", "application/json",
-			strings.NewReader(fmt.Sprintf(`{"id":"c%d-%d","text":%q}`, client, n, text)))
+		results, hdr, err := scoreOver(ts, fmt.Sprintf("c%d-%d", client, n), texts)
 		if err != nil {
-			mu.Lock()
-			bad = append(bad, fmt.Sprintf("req %d-%d: transport error %v", client, n, err))
-			mu.Unlock()
+			fail("req %d-%d: %v", client, n, err)
 			return
 		}
-		var res ScoreResult
-		derr := json.NewDecoder(resp.Body).Decode(&res)
-		resp.Body.Close()
-		switch resp.StatusCode {
-		case http.StatusOK:
-			if derr != nil {
-				t.Errorf("req %d-%d: bad body: %v", client, n, derr)
-				return
-			}
-			// Torn-read check: the response must equal exactly the
-			// stamped generation's golden pair — a document half-scored
-			// by each model could match neither.
-			if res.ModelGen != 1 && res.ModelGen != 2 {
-				mu.Lock()
-				bad = append(bad, fmt.Sprintf("req %d-%d: model_generation = %d", client, n, res.ModelGen))
-				mu.Unlock()
-				return
-			}
-			wantCTH, wantDox := genScore(res.ModelGen, text)
-			if res.CTH != wantCTH || res.Dox != wantDox {
-				mu.Lock()
-				bad = append(bad, fmt.Sprintf("req %d-%d: scores (%v,%v) != generation %d golden (%v,%v)",
-					client, n, res.CTH, res.Dox, res.ModelGen, wantCTH, wantDox))
-				mu.Unlock()
-				return
-			}
-			if hdr := resp.Header.Get("X-Model-Generation"); hdr != strconv.FormatUint(res.ModelGen, 10) {
-				mu.Lock()
-				bad = append(bad, fmt.Sprintf("req %d-%d: header generation %q != body %d", client, n, hdr, res.ModelGen))
-				mu.Unlock()
-				return
-			}
-			genSeen[res.ModelGen].Add(1)
-			okCount.Add(1)
-		case http.StatusServiceUnavailable:
-			if resp.Header.Get("Retry-After") == "" {
-				mu.Lock()
-				bad = append(bad, fmt.Sprintf("req %d-%d: 503 without Retry-After", client, n))
-				mu.Unlock()
-				return
-			}
-			lostCount.Add(1)
-		default:
-			mu.Lock()
-			bad = append(bad, fmt.Sprintf("req %d-%d: unexpected status %d", client, n, resp.StatusCode))
-			mu.Unlock()
+		// One generation per response: the header names it, every
+		// document carries it, and every score pair is that generation's
+		// golden pair — a document half-scored by each model, or a batch
+		// that straddled a swap, could not pass.
+		gen, err := strconv.ParseUint(hdr.Get("X-Model-Generation"), 10, 64)
+		if err != nil || (gen != 1 && gen != 2) {
+			fail("req %d-%d: X-Model-Generation %q", client, n, hdr.Get("X-Model-Generation"))
+			return
 		}
+		for i, res := range results {
+			if res.ModelGen != gen {
+				fail("req %d-%d doc %d: model_generation %d under header %d", client, n, i, res.ModelGen, gen)
+				return
+			}
+			if res.Status == "quarantined" && strings.Contains(res.Error, chaos.ErrInjected.Error()) {
+				continue // every attempt panicked: the plan's doing
+			}
+			if c, d := genScore(gen, texts[i]); res.Status != "ok" || res.CTH != c || res.Dox != d {
+				fail("req %d-%d doc %d: %s (%v,%v) != generation %d golden (%v,%v)", client, n, i, res.Status, res.CTH, res.Dox, gen, c, d)
+				return
+			}
+		}
+		genSeen[gen].Add(1)
+		okCount.Add(1)
 	}
 
 	var wg sync.WaitGroup
@@ -202,40 +157,39 @@ func TestHotSwapStormNoLossNoTornReads(t *testing.T) {
 		t.Error(b)
 	}
 
-	// Zero lost requests: exactly one terminal answer each.
-	if got := okCount.Load() + lostCount.Load(); got != sent.Load() {
-		t.Errorf("answers = %d (ok %d + lost %d), want %d", got, okCount.Load(), lostCount.Load(), sent.Load())
+	// Zero lost requests: exactly one good answer each.
+	if okCount.Load() != sent.Load() {
+		t.Errorf("good answers = %d, want %d", okCount.Load(), sent.Load())
 	}
 	// The storm actually interleaved: both generations served traffic
 	// and the chaos plan fired.
 	if genSeen[1].Load() == 0 || genSeen[2].Load() == 0 {
 		t.Errorf("generation mix = gen1:%d gen2:%d, want both > 0", genSeen[1].Load(), genSeen[2].Load())
 	}
-	if plan.Disrupted() == 0 {
+	if panics := counterSum(reg.Snapshot(), "pipeline_stage_panics_total"); panics == 0 {
 		t.Error("chaos plan never fired during the storm")
 	}
 
-	// Converge the fleet on generation 2 and prove new admissions use
-	// it: SwapModel returns only after every shard rotated.
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	if err := s.SwapModel(ctx, m2); err != nil {
+	// A request admitted after SwapModel returns scores on the new model.
+	if err := s.SwapModel(m2); err != nil {
 		t.Fatalf("final swap: %v", err)
 	}
-	cancel()
 	if got := s.ActiveModel().Generation; got != 2 {
 		t.Fatalf("ActiveModel().Generation = %d, want 2", got)
 	}
-	text := "post-storm convergence probe"
-	code, body, _ := postJSON(t, ts.Client(), ts.URL+"/v1/score", fmt.Sprintf(`{"text":%q}`, text))
-	if code != http.StatusOK {
-		t.Fatalf("post-storm score = %d body %s", code, body)
-	}
-	var res ScoreResult
-	if err := json.Unmarshal([]byte(body), &res); err != nil {
-		t.Fatal(err)
-	}
-	if c2, d2 := genScore(2, text); res.ModelGen != 2 || res.CTH != c2 || res.Dox != d2 {
-		t.Errorf("post-storm response = gen %d (%v,%v), want gen 2 (%v,%v)", res.ModelGen, res.CTH, res.Dox, c2, d2)
+	for i := 0; i < 10; i++ {
+		text := fmt.Sprintf("post-storm convergence probe %d", i)
+		code, body, _ := postJSON(t, ts.Client(), ts.URL+"/v1/score", fmt.Sprintf(`{"text":%q}`, text))
+		if code != http.StatusOK {
+			t.Fatalf("post-storm score = %d body %s", code, body)
+		}
+		var res ScoreResult
+		if err := json.Unmarshal([]byte(body), &res); err != nil {
+			t.Fatal(err)
+		}
+		if c2, d2 := genScore(2, text); res.ModelGen != 2 || (res.Status == "ok" && (res.CTH != c2 || res.Dox != d2)) {
+			t.Errorf("post-storm response = gen %d %s (%v,%v), want gen 2 (%v,%v)", res.ModelGen, res.Status, res.CTH, res.Dox, c2, d2)
+		}
 	}
 
 	// Swap accounting: the gauge names the active generation and every
@@ -249,17 +203,11 @@ func TestHotSwapStormNoLossNoTornReads(t *testing.T) {
 	}
 
 	// Queue accounting converged.
-	st := s.Stats()
-	if st.Queued != 0 || st.InFlight != 0 {
+	if st := s.Stats(); st.Queued != 0 || st.InFlight != 0 {
 		t.Errorf("post-storm stats = %+v, want drained", st)
 	}
 
-	sctx, scancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer scancel()
-	if err := s.Shutdown(sctx); err != nil {
-		t.Fatalf("Shutdown = %v", err)
-	}
-	ts.Close()
+	shutdownServer(t, s, ts)
 	waitForGoroutines(t, before)
 }
 
@@ -267,7 +215,7 @@ func TestSwapModelIdempotentUnderConcurrency(t *testing.T) {
 	reg := obs.NewRegistry()
 	m1 := &Model{Backend: &genBackend{gen: 1}, Generation: 1}
 	m2 := &Model{Backend: &genBackend{gen: 2}, Generation: 2}
-	s := New(Config{Model: m1, Shards: 2, Workers: 2, Metrics: reg})
+	s := New(Config{Model: m1, Metrics: reg})
 	defer func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
@@ -279,9 +227,7 @@ func TestSwapModelIdempotentUnderConcurrency(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-			defer cancel()
-			if err := s.SwapModel(ctx, m2); err != nil {
+			if err := s.SwapModel(m2); err != nil {
 				t.Errorf("SwapModel: %v", err)
 			}
 		}()
@@ -294,7 +240,7 @@ func TestSwapModelIdempotentUnderConcurrency(t *testing.T) {
 	if swaps := reg.Snapshot().CounterValue("serve_model_swaps_total"); swaps != 1 {
 		t.Errorf("serve_model_swaps_total = %v, want 1", swaps)
 	}
-	if err := s.SwapModel(context.Background(), nil); err == nil {
+	if err := s.SwapModel(nil); err == nil {
 		t.Error("SwapModel(nil) accepted")
 	}
 }
@@ -309,7 +255,7 @@ func TestShadowScoringDivergenceAccounting(t *testing.T) {
 	reg := obs.NewRegistry()
 	m1 := &Model{Backend: &genBackend{gen: 1}, Generation: 1, Thresholds: fixedThresholds{0.5, 0.5}}
 	m2 := &Model{Backend: &genBackend{gen: 2}, Generation: 2, Thresholds: fixedThresholds{0.5, 0.5}}
-	s := New(Config{Model: m1, Shards: 2, Workers: 2, Metrics: reg})
+	s := New(Config{Model: m1, Metrics: reg})
 	ts := newHTTPFront(t, s)
 	defer shutdownServer(t, s, ts)
 
@@ -393,7 +339,7 @@ func (c *captureSink) AddFeedback(items []FeedbackItem) error {
 func TestFeedbackEndpoint(t *testing.T) {
 	sink := &captureSink{}
 	reg := obs.NewRegistry()
-	s := New(Config{Backend: &genBackend{gen: 1}, Shards: 1, Workers: 1, Feedback: sink, Metrics: reg})
+	s := New(Config{Backend: &genBackend{gen: 1}, Feedback: sink, Metrics: reg})
 	ts := newHTTPFront(t, s)
 	defer shutdownServer(t, s, ts)
 
@@ -431,7 +377,7 @@ func TestFeedbackEndpoint(t *testing.T) {
 
 func TestHealthzReportsModelIdentity(t *testing.T) {
 	m := &Model{Backend: &genBackend{gen: 3}, Generation: 3, Seed: 77}
-	s := New(Config{Model: m, Shards: 1, Workers: 1})
+	s := New(Config{Model: m})
 	ts := newHTTPFront(t, s)
 	defer shutdownServer(t, s, ts)
 

@@ -4,25 +4,26 @@
 # at startup), drives it with concurrent clients, curl-smokes every
 # endpoint, then SIGTERMs mid-idle and asserts a clean drain (exit 0).
 #
-# Four load phases land in BENCH_serve.json at the repo root:
+# Three load phases land in BENCH_serve.json at the repo root:
 #
-#   healthy — the full shard fleet serving normally;
-#   faulted — the same fleet with 1 of 4 shards continuously failing
-#             under a seeded chaos plan, measuring the throughput and
-#             p99 cost of riding through a persistent shard incident;
-#   swap    — a -registry fleet hot-swapped to a retrained generation
+#   healthy — the server scoring normally;
+#   swap    — a -registry server hot-swapped to a retrained generation
 #             mid-run, with the swap latency (swap_latency_ns) reported
 #             from the admin response;
-#   shadow  — the same fleet shadow-scoring a candidate generation on a
+#   shadow  — the same server shadow-scoring a candidate generation on a
 #             shadow_rate sample of live traffic, measuring the rps
 #             cost of divergence measurement (gated ≤ 10% in check.sh).
+#
+# (There used to be a "faulted" phase with 1 of 4 shards continuously
+# failing. No shard exists to fail: a fault is confined to one document,
+# and scripts/chaos_serve.sh certifies that.)
 #
 # With -gate (how check.sh runs it) two regression gates must hold:
 #
 #   * healthy throughput ≥ 95% of the committed pre-lifecycle baseline
 #     (the Backend→Model handle refactor may not cost steady-state
 #     throughput);
-#   * shadow throughput ≥ 90% of the swap phase's (the same fleet and
+#   * shadow throughput ≥ 90% of the swap phase's (the same server and
 #     traffic shape with shadowing off) — shadow scoring may cost at
 #     most 10% rps.
 #
@@ -48,8 +49,6 @@ while [[ $# -gt 0 ]]; do
   esac
 done
 
-faultplan='seed=3,panic=0.03,shards=0'
-
 workdir=$(mktemp -d)
 log="$workdir/harassd.log"
 cleanup() {
@@ -66,7 +65,7 @@ go build -o "$workdir/loadgen" ./cmd/loadgen
 # readiness, and sets $pid and $addr.
 start_harassd() {
   local logfile=$1; shift
-  "$workdir/harassd" -addr 127.0.0.1:0 -scale quick -shards 4 "$@" 2>"$logfile" &
+  "$workdir/harassd" -addr 127.0.0.1:0 -scale quick "$@" 2>"$logfile" &
   pid=$!
   addr=""
   for _ in $(seq 1 150); do
@@ -116,7 +115,7 @@ body=$(curl -sf "http://$addr/healthz")
 grep -q ok <<<"$body"
 body=$(curl -sf "http://$addr/metrics")
 grep -q serve_requests_total <<<"$body"
-grep -q serve_shard_queue_depth <<<"$body"
+grep -q serve_queue_depth <<<"$body"
 
 echo "== healthy load ($clients clients, $duration)"
 "$workdir/loadgen" -addr "$addr" -clients "$clients" -duration "$duration" \
@@ -124,18 +123,6 @@ echo "== healthy load ($clients clients, $duration)"
 
 echo "== graceful shutdown (SIGTERM)"
 stop_harassd "$log"
-
-echo "== start harassd with 1/4 shards continuously failing ($faultplan)"
-faultlog="$workdir/harassd_faulted.log"
-start_harassd "$faultlog" -chaos "$faultplan"
-echo "   harassd at $addr (pid $pid)"
-
-echo "== faulted load ($clients clients, $duration)"
-"$workdir/loadgen" -addr "$addr" -clients "$clients" -duration "$duration" \
-  -batch-every 10 -batch-docs 16 -out "$workdir/faulted.json"
-
-echo "== graceful shutdown under chaos (SIGTERM)"
-stop_harassd "$faultlog"
 
 shadow_rate=0.25
 
@@ -165,7 +152,7 @@ swapbody=$(curl -sf -X POST "http://$addr/v1/admin/swap" -d '{"generation":2}')
 swap_ns=$(sed -n 's/.*"swap_ns": *\([0-9][0-9]*\).*/\1/p' <<<"$swapbody")
 wait "$lgpid"
 [[ -n "$swap_ns" ]] || { echo "no swap_ns in admin response: $swapbody" >&2; exit 1; }
-echo "   fleet rotated onto generation 2 in ${swap_ns}ns"
+echo "   swapped onto generation 2 in ${swap_ns}ns"
 
 echo "== shadow load ($clients clients, $duration; generation 1 shadowing at rate $shadow_rate)"
 curl -sf -X POST "http://$addr/v1/admin/shadow" \
@@ -173,15 +160,13 @@ curl -sf -X POST "http://$addr/v1/admin/shadow" \
 "$workdir/loadgen" -addr "$addr" -clients "$clients" -duration "$duration" \
   -fail-on-errors -out "$workdir/shadow.json"
 
-echo "== graceful shutdown of the lifecycle fleet (SIGTERM)"
+echo "== graceful shutdown of the lifecycle server (SIGTERM)"
 stop_harassd "$lclog"
 
 # Compose the phases into one JSON document.
 {
   printf '{\n"healthy": '
   cat "$workdir/healthy.json"
-  printf ',\n"faulted": '
-  cat "$workdir/faulted.json"
   printf ',\n"swap": '
   cat "$workdir/swap.json"
   printf ',\n"shadow": '
@@ -205,4 +190,4 @@ if [[ $gate -eq 1 ]]; then
   }
 fi
 
-echo "OK — BENCH_serve.json written (healthy + faulted + swap + shadow)"
+echo "OK — BENCH_serve.json written (healthy + swap + shadow)"

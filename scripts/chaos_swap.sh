@@ -3,14 +3,15 @@
 #
 #   1. In-process, under the race detector: the serve package's swap
 #      storm (seeded chaos plan, alternating SwapModel calls during
-#      320 concurrent requests) asserts zero lost requests and zero
-#      torn reads — every response's scores equal the golden function
-#      of the generation stamped on it, for both generations — plus
+#      320 concurrent single and batch requests) asserts zero lost
+#      requests and zero torn reads — every response is wholly one
+#      generation: header, every model_generation field and every
+#      score pair agree with that generation's golden function — plus
 #      exactly-once swap accounting under racing swap calls.
 #
 #   2. End to end, against a live harassd -registry: boot trains and
 #      commits generation 1, feedback + /v1/admin/retrain commits
-#      generation 2, and a swap storm alternates the fleet between the
+#      generation 2, and a swap storm alternates the server between the
 #      two generations over /v1/admin/swap while loadgen drives a
 #      fixed 320-request budget with -fail-on-errors. The run must
 #      lose zero requests, be served by both generations, observe at
@@ -50,7 +51,7 @@ go build -o "$workdir/harassd" ./cmd/harassd
 go build -o "$workdir/loadgen" ./cmd/loadgen
 
 echo "== start harassd -registry (trains + commits generation 1)"
-"$workdir/harassd" -addr 127.0.0.1:0 -scale quick -shards 4 \
+"$workdir/harassd" -addr 127.0.0.1:0 -scale quick \
   -registry "$workdir/registry" 2>"$log" &
 pid=$!
 

@@ -23,10 +23,11 @@ fi
 
 # The concurrent runtime (worker pool, chaos harness, streaming
 # scoring), the metrics core shared across its workers, the HTTP
-# serving layer coalescing requests onto that runtime, the corpus
-# store (concurrent segment reads under Scan/Lookup, crash-recovery
-# reopen), and the model lifecycle (registry commits racing opens,
-# hot-swaps racing traffic) must be race-clean, not just correct.
+# serving layer scoring each request on its own goroutine through that
+# runtime's per-document path, the corpus store (concurrent segment
+# reads under Scan/Lookup, crash-recovery reopen), and the model
+# lifecycle (registry commits racing opens, hot-swaps racing traffic)
+# must be race-clean, not just correct.
 echo "== go test -race ./internal/resilience/... ./internal/core/... ./internal/obs/... ./internal/serve/... ./internal/corpus/... ./internal/registry/... ./internal/lifecycle/..."
 go test -race ./internal/resilience/... ./internal/core/... ./internal/obs/... ./internal/serve/... ./internal/corpus/... ./internal/registry/... ./internal/lifecycle/...
 
@@ -97,26 +98,27 @@ if [[ $fast -eq 0 ]]; then
   scripts/bench_pipeline.sh
 
   # Serving smoke + benchmark: harassd on an ephemeral port, endpoint
-  # curls, concurrent load in healthy / faulted (1 of 4 shards
-  # continuously failing) / hot-swap / shadow-scoring phases, and
-  # SIGTERMs that must drain to exit 0; all four phases' throughput and
-  # latency percentiles land in BENCH_serve.json, and -gate enforces
+  # curls, concurrent load in healthy / hot-swap / shadow-scoring
+  # phases, and SIGTERMs that must drain to exit 0; all three phases'
+  # throughput and latency percentiles land in BENCH_serve.json, and
+  # -gate enforces
   # the lifecycle costs: healthy steady-state within 5% of the
   # pre-lifecycle baseline, shadow-scoring overhead at most 10% rps.
   echo "== serving benchmark + lifecycle gates (BENCH_serve.json)"
   scripts/bench_serve.sh -gate
 
-  # Chaos certification against a live harassd: a deterministic seeded
-  # fault plan (shard panics, stalls, latency spikes) must lose zero
-  # admitted requests, restart the faulted shard, and still drain
-  # cleanly on SIGTERM.
+  # Chaos certification against a live harassd: under a deterministic
+  # seeded per-document fault plan (stage panics, transient errors,
+  # poison documents, latency) every request is answered, the server's
+  # own counters show the faults were injected and absorbed, and
+  # SIGTERM still drains cleanly.
   echo "== chaos-serve certification"
   scripts/chaos_serve.sh
 
   # Hot-swap chaos certification: the in-process swap storm under
-  # -race (zero lost requests, every response scored wholly by one
-  # model generation — golden equality against both pure-generation
-  # runs), then a live harassd -registry swap storm under a fixed
+  # -race (zero lost requests, every single and batch response scored
+  # wholly by one model generation — golden equality against both
+  # pure-generation runs), then a live harassd -registry swap storm under a fixed
   # 320-request load that must lose nothing, be served by both
   # generations, and drain cleanly.
   echo "== hot-swap chaos certification"
