@@ -22,30 +22,17 @@
 package main
 
 import (
-	"bufio"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 
 	"harassrepro/internal/corpus"
 	"harassrepro/internal/corpus/store"
 )
 
-type jsonDoc struct {
-	ID          string `json:"id"`
-	Dataset     string `json:"dataset"`
-	Platform    string `json:"platform"`
-	Domain      string `json:"domain"`
-	ThreadID    string `json:"thread_id,omitempty"`
-	PosInThread int    `json:"pos_in_thread,omitempty"`
-	ThreadSize  int    `json:"thread_size,omitempty"`
-	Author      string `json:"author"`
-	Date        string `json:"date"`
-	Text        string `json:"text"`
-	IsCTH       *bool  `json:"is_cth,omitempty"`
-	IsDox       *bool  `json:"is_dox,omitempty"`
-}
+// datasets is the emit order, and the valid -dataset values besides "all".
+var datasets = []corpus.Dataset{corpus.Boards, corpus.Blogs, corpus.Chat, corpus.Gab, corpus.Pastes}
 
 func main() {
 	var (
@@ -62,6 +49,10 @@ func main() {
 	)
 	flag.Parse()
 
+	if *dataset != "all" && !slices.Contains(datasets, corpus.Dataset(*dataset)) {
+		fmt.Fprintf(os.Stderr, "corpusgen: unknown dataset %q (want boards|blogs|chat|gab|pastes|all)\n", *dataset)
+		os.Exit(2)
+	}
 	if *storeDir == "" && (*appendDay || *ingest != "" || *segDocs != 0) {
 		fmt.Fprintln(os.Stderr, "corpusgen: -append/-ingest/-seg-docs require -store")
 		os.Exit(2)
@@ -86,40 +77,11 @@ func main() {
 	corpora := gen.Generate()
 	corpora[corpus.Blogs] = gen.GenerateBlogs(corpus.DefaultBlogSpecs(*blogScale))
 
-	w := bufio.NewWriter(os.Stdout)
-	defer w.Flush()
-	enc := json.NewEncoder(w)
-
-	emit := func(c *corpus.Corpus) error {
-		for i := range c.Docs {
-			d := &c.Docs[i]
-			jd := jsonDoc{
-				ID: d.ID, Dataset: string(d.Dataset), Platform: string(d.Platform),
-				Domain: d.Domain, ThreadID: d.ThreadID, PosInThread: d.PosInThread,
-				ThreadSize: d.ThreadSize, Author: d.Author, Date: d.Date, Text: d.Text,
-			}
-			if *truth {
-				jd.IsCTH = &d.Truth.IsCTH
-				jd.IsDox = &d.Truth.IsDox
-			}
-			if err := enc.Encode(jd); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	order := []corpus.Dataset{corpus.Boards, corpus.Blogs, corpus.Chat, corpus.Gab, corpus.Pastes}
-	for _, ds := range order {
+	for _, ds := range datasets {
 		if *dataset != "all" && *dataset != string(ds) {
 			continue
 		}
-		c, ok := corpora[ds]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "corpusgen: unknown dataset %q\n", *dataset)
-			os.Exit(2)
-		}
-		if err := emit(c); err != nil {
+		if err := corpus.WriteJSONL(os.Stdout, corpora[ds].Docs, *truth); err != nil {
 			fmt.Fprintf(os.Stderr, "corpusgen: %v\n", err)
 			os.Exit(1)
 		}

@@ -35,9 +35,6 @@ type Options struct {
 	// Metrics, if set, receives per-stage graph counters/latency
 	// histograms plus the scheduling runner's own metrics.
 	Metrics *obs.Registry
-	// NoMemo recomputes derived artifacts on every use (the pre-graph
-	// monolith's behavior), for before/after benchmarking.
-	NoMemo bool
 	// StorePath, if set, streams the corpora and blogs from the
 	// segmented corpus store at that directory (built by corpusgen
 	// -store) instead of generating them from the seed. The store's
@@ -85,7 +82,6 @@ func (p *Pipeline) initGraph(opts Options, storeGen uint64) {
 		Fingerprint: fp,
 		Metrics:     opts.Metrics,
 		Workers:     opts.Workers,
-		NoMemo:      opts.NoMemo,
 	})
 	g := p.g
 
@@ -153,21 +149,20 @@ func (p *Pipeline) initGraph(opts Options, storeGen uint64) {
 		return run, nil
 	})
 
-	// Derived artifacts shared by several experiments. The monolith
-	// recomputed these in every caller; here each is computed once.
-	g.RegisterDerived(ArtifactCodedCTH, []string{StageTaskCTH}, func() (any, error) {
+	// Derived artifacts shared by several experiments, each computed once.
+	g.Register(ArtifactCodedCTH, []string{StageTaskCTH}, func() (any, error) {
 		return p.computeCodedCTH(), nil
 	})
-	g.RegisterDerived(ArtifactDoxPII, []string{StageTaskDox}, func() (any, error) {
+	g.Register(ArtifactDoxPII, []string{StageTaskDox}, func() (any, error) {
 		return p.computeDoxPIIByColumn(), nil
 	})
-	g.RegisterDerived(ArtifactBoardPosts, []string{StageTaskDox, StageTaskCTH}, func() (any, error) {
+	g.Register(ArtifactBoardPosts, []string{StageTaskDox, StageTaskCTH}, func() (any, error) {
 		return p.computeBoardPosts(), nil
 	})
-	g.RegisterDerived(ArtifactAboveBoardPosts, []string{StageTaskDox, StageTaskCTH}, func() (any, error) {
+	g.Register(ArtifactAboveBoardPosts, []string{StageTaskDox, StageTaskCTH}, func() (any, error) {
 		return p.computeAboveThresholdBoardPosts(), nil
 	})
-	g.RegisterDerived(ArtifactRepeatDox, []string{StageTaskDox}, func() (any, error) {
+	g.Register(ArtifactRepeatDox, []string{StageTaskDox}, func() (any, error) {
 		return p.computeRepeatedDoxStats(), nil
 	})
 }

@@ -7,7 +7,8 @@ package core
 // a pure function of (seed, doc index) — the same documents are timed
 // on every run and at every worker count — and only sampled documents
 // pay the extra clock reads, which keeps the steady-state overhead of
-// an instrumented run within the ≤2% budget BENCH_scoring.json records.
+// an instrumented run within the ≤2% budget that BenchmarkScoreBatch's
+// plain and metrics arms measure.
 //
 // Instrumentation never touches the span-sampling randomness: the
 // phase-sample stream is split under its own "phase-sample" label, so

@@ -13,19 +13,58 @@ import (
 	"harassrepro/internal/corpus"
 )
 
+// openNoMmap opens dir as a platform without mmap would: the map
+// attempt reports errNoMmap, so every segment gets the ReadAt fallback.
+func openNoMmap(dir string) (*Store, error) {
+	return open(dir, func(string, int64) (segReader, error) { return nil, errNoMmap })
+}
+
 // openArms runs f once per reader implementation: the default (mmap
-// where the platform has one) and the forced ReadAt fallback. Every
-// read-path property must hold identically on both.
-func openArms(t *testing.T, f func(t *testing.T, opt OpenOptions)) {
+// where the platform has one) and the ReadAt fallback. Every read-path
+// property must hold identically on both.
+func openArms(t *testing.T, f func(t *testing.T, openStore func(dir string) (*Store, error))) {
 	t.Helper()
 	for _, arm := range []struct {
 		name string
-		opt  OpenOptions
+		open func(dir string) (*Store, error)
 	}{
-		{"default", OpenOptions{}},
-		{"nommap", OpenOptions{NoMmap: true}},
+		{"default", Open},
+		{"nommap", openNoMmap},
 	} {
-		t.Run(arm.name, func(t *testing.T) { f(t, arm.opt) })
+		t.Run(arm.name, func(t *testing.T) { f(t, arm.open) })
+	}
+}
+
+// TestNoMmapFallsBackToFileReader pins what the "nommap" arm runs on:
+// when mapping is unavailable the segment reader is the fileReader,
+// and Close releases it.
+func TestNoMmapFallsBackToFileReader(t *testing.T) {
+	before := openReaderCount.Load()
+	dir := t.TempDir()
+	s0, err := Create(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s0.AppendAll(testDocs(3, "fb-"), 3); err != nil {
+		t.Fatal(err)
+	}
+	s0.Close()
+
+	s, err := openNoMmap(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Doc(DocRef{Segment: 0, Ordinal: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s.readers[0].rd.(*fileReader); !ok {
+		t.Fatalf("segment reader is %T, want *fileReader", s.readers[0].rd)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := openReaderCount.Load(); got != before {
+		t.Fatalf("open reader count = %d, want %d (leak)", got, before)
 	}
 }
 
@@ -61,8 +100,8 @@ func TestScanParallelMatchesScan(t *testing.T) {
 		return out
 	}
 
-	openArms(t, func(t *testing.T, opt OpenOptions) {
-		r, err := OpenWith(dir, opt)
+	openArms(t, func(t *testing.T, openStore func(string) (*Store, error)) {
+		r, err := openStore(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -176,7 +215,7 @@ func TestScanParallelFnErrorStopsEarly(t *testing.T) {
 // never a decode input and never a spurious "trailing bytes" corrupt
 // error.
 func TestScanIgnoresUncommittedTail(t *testing.T) {
-	openArms(t, func(t *testing.T, opt OpenOptions) {
+	openArms(t, func(t *testing.T, openStore func(string) (*Store, error)) {
 		dir := t.TempDir()
 		docs := testDocs(9, "tail-")
 		s0, err := Create(dir)
@@ -188,7 +227,7 @@ func TestScanIgnoresUncommittedTail(t *testing.T) {
 		}
 		s0.Close()
 
-		s, err := OpenWith(dir, opt)
+		s, err := openStore(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -312,8 +351,8 @@ func TestDocConcurrentWithClose(t *testing.T) {
 	}
 	s0.Close()
 
-	openArms(t, func(t *testing.T, opt OpenOptions) {
-		s, err := OpenWith(dir, opt)
+	openArms(t, func(t *testing.T, openStore func(string) (*Store, error)) {
+		s, err := openStore(dir)
 		if err != nil {
 			t.Fatal(err)
 		}

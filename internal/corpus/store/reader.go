@@ -14,10 +14,8 @@ import (
 //
 // Two implementations sit behind segReader: a read-only mmap of the
 // committed extent (mmap_unix.go; slice is zero-copy into the mapping)
-// and a portable ReadAt fallback (platforms without mmap, files mmap
-// refuses, and the OpenOptions.NoMmap escape hatch tests and the
-// mmap-vs-buffered benchmark use). Store code never knows which one it
-// got.
+// and a portable ReadAt fallback (platforms without mmap and files mmap
+// refuses). Store code never knows which one it got.
 
 // ErrClosed is returned by reads and appends after Store.Close.
 var ErrClosed = errors.New("store: closed")
@@ -37,19 +35,17 @@ type segReader interface {
 	close() error
 }
 
-// openSegReader opens the committed extent of a segment file: an mmap
-// when the platform provides one (and noMmap is unset), the buffered
-// ReadAt fallback otherwise.
-func openSegReader(path string, committed int64, noMmap bool) (segReader, error) {
-	if !noMmap {
-		if r, err := openMmapReader(path, committed); err == nil {
-			openReaderCount.Add(1)
-			return r, nil
-		} else if !errors.Is(err, errNoMmap) {
-			// A real I/O error (missing file, short file) is the same
-			// failure the fallback would hit; surface it now.
-			return nil, err
-		}
+// openSegReader opens the committed extent of a segment file: the
+// mapping when mapSegment provides one, the buffered ReadAt fallback
+// when it reports errNoMmap.
+func openSegReader(path string, committed int64, mapSegment func(string, int64) (segReader, error)) (segReader, error) {
+	if r, err := mapSegment(path, committed); err == nil {
+		openReaderCount.Add(1)
+		return r, nil
+	} else if !errors.Is(err, errNoMmap) {
+		// A real I/O error (missing file, short file) is the same
+		// failure the fallback would hit; surface it now.
+		return nil, err
 	}
 	r, err := openFileReader(path, committed)
 	if err != nil {

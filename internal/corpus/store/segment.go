@@ -274,6 +274,11 @@ func decodeDoc(payload []byte) (corpus.Document, error) {
 	d.Text = dd.str()
 
 	flags := dd.byte()
+	if flags&^(tfCTH|tfDox|tfHardNegative) != 0 && dd.err == nil {
+		// The encoder only ever sets the three known bits; accepting
+		// others would break decode∘encode identity.
+		dd.err = fmt.Errorf("store: unknown truth flag bits %#x at offset %d", flags, dd.pos)
+	}
 	d.Truth.IsCTH = flags&tfCTH != 0
 	d.Truth.IsDox = flags&tfDox != 0
 	d.Truth.HardNegative = flags&tfHardNegative != 0

@@ -129,7 +129,9 @@ type DocRef struct {
 type Store struct {
 	dir      string
 	recovery RecoveryReport
-	noMmap   bool
+	// mapSegment is openMmapReader; tests substitute one that reports
+	// errNoMmap to run every read path on the portable fallback.
+	mapSegment func(path string, committed int64) (segReader, error)
 
 	// mu guards the committed view (man, indexes), the reader cache,
 	// and the closed flag. Readers snapshot the slices under mu and
@@ -143,14 +145,6 @@ type Store struct {
 	closed  bool
 }
 
-// OpenOptions tunes how a store is opened.
-type OpenOptions struct {
-	// NoMmap forces the portable ReadAt segment readers even where
-	// mmap is available — the escape hatch for odd filesystems and the
-	// control arm of the mmap-vs-buffered benchmarks.
-	NoMmap bool
-}
-
 // Create initializes an empty store in dir (created if missing). It
 // fails if dir already holds a store.
 func Create(dir string) (*Store, error) {
@@ -160,7 +154,7 @@ func Create(dir string) (*Store, error) {
 	if _, err := os.Stat(filepath.Join(dir, manifestName)); err == nil {
 		return nil, fmt.Errorf("store: %s already holds a store", dir)
 	}
-	s := &Store{dir: dir, man: manifest{Version: version}}
+	s := &Store{dir: dir, mapSegment: openMmapReader, man: manifest{Version: version}}
 	if err := s.commitManifest(s.man); err != nil {
 		return nil, err
 	}
@@ -170,16 +164,15 @@ func Create(dir string) (*Store, error) {
 // Open loads the store in dir, verifying committed segments and
 // quarantining any torn uncommitted ones (see RecoveryReport).
 func Open(dir string) (*Store, error) {
-	return OpenWith(dir, OpenOptions{})
+	return open(dir, openMmapReader)
 }
 
-// OpenWith is Open with options.
-func OpenWith(dir string, opt OpenOptions) (*Store, error) {
+func open(dir string, mapSegment func(string, int64) (segReader, error)) (*Store, error) {
 	data, err := os.ReadFile(filepath.Join(dir, manifestName))
 	if err != nil {
 		return nil, fmt.Errorf("store: open %s: %w", dir, err)
 	}
-	s := &Store{dir: dir, noMmap: opt.NoMmap}
+	s := &Store{dir: dir, mapSegment: mapSegment}
 	if err := json.Unmarshal(data, &s.man); err != nil {
 		return nil, fmt.Errorf("store: %s: manifest: %w", dir, err)
 	}
@@ -404,7 +397,7 @@ func (s *Store) acquireReader(segIdx int, si SegmentInfo) (*segHandle, error) {
 	if h := s.readers[segIdx]; h != nil && h.acquire() {
 		return h, nil
 	}
-	rd, err := openSegReader(filepath.Join(s.dir, si.Name+segSuffix), si.SegBytes, s.noMmap)
+	rd, err := openSegReader(filepath.Join(s.dir, si.Name+segSuffix), si.SegBytes, s.mapSegment)
 	if err != nil {
 		return nil, &CorruptError{Segment: si.Name, Err: err}
 	}

@@ -49,17 +49,10 @@ var (
 	bigramSeed  = fnvAddByte(fnvAddByte(fnvOffset64, 'b'), 0)
 )
 
-// bucketSign maps a finished FNV-1a sum to (bucket, sign), identically
-// to the legacy bucketAndSign.
-func (h *Hasher) bucketSign(sum uint64) (uint32, float64) {
-	// FNV-1a's high bits are biased for short inputs, so take the sign
-	// from the lowest bit and the bucket from the remaining bits.
-	bucket := uint32((sum >> 1) % uint64(h.cfg.Buckets))
-	sign := 1.0
-	if h.cfg.SignedHashing && sum&1 != 0 {
-		sign = -1
-	}
-	return bucket, sign
+// bucket maps a finished FNV-1a sum to its feature bucket. The lowest
+// bit is dropped first: saved models were trained on that assignment.
+func (h *Hasher) bucket(sum uint64) uint32 {
+	return uint32((sum >> 1) % uint64(h.cfg.Buckets))
 }
 
 // accumEmpty marks a free accumulator slot. Buckets is at most
@@ -140,11 +133,11 @@ func (f *Featurizer) insert(bucket uint32, delta float64) {
 
 // add accumulates one n-gram occurrence, growing the table when the
 // load factor would exceed 1/2.
-func (f *Featurizer) add(bucket uint32, sign float64) {
+func (f *Featurizer) add(bucket uint32) {
 	if 2*(len(f.touched)+1) > len(f.keys) {
 		f.rehash()
 	}
-	f.insert(bucket, sign)
+	f.insert(bucket, 1)
 }
 
 // count returns the accumulated count for a bucket known to be present.
@@ -156,8 +149,7 @@ func (f *Featurizer) count(bucket uint32) float64 {
 	return f.vals[slot]
 }
 
-// Vectorize maps tokens to a sparse vector of hashed feature counts —
-// identical values to Hasher.Vectorize, minus the allocations.
+// Vectorize maps tokens to a sparse vector of hashed feature counts.
 func (f *Featurizer) Vectorize(tokens []string) Vector {
 	for _, slot := range f.touched {
 		f.keys[slot] = accumEmpty
@@ -166,24 +158,20 @@ func (f *Featurizer) Vectorize(tokens []string) Vector {
 
 	h := f.h
 	for _, t := range tokens {
-		bucket, sign := h.bucketSign(fnvAddString(unigramSeed, t))
-		f.add(bucket, sign)
+		f.add(h.bucket(fnvAddString(unigramSeed, t)))
 	}
 	if h.cfg.Bigrams {
 		for i := 0; i+1 < len(tokens); i++ {
 			sum := fnvAddString(bigramSeed, tokens[i])
 			sum = fnvAddByte(sum, 0)
 			sum = fnvAddString(sum, tokens[i+1])
-			bucket, sign := h.bucketSign(sum)
-			f.add(bucket, sign)
+			f.add(h.bucket(sum))
 		}
 	}
 
 	f.idx = f.idx[:0]
 	for _, slot := range f.touched {
-		if f.vals[slot] != 0 { // signed hashing can cancel to zero
-			f.idx = append(f.idx, f.keys[slot])
-		}
+		f.idx = append(f.idx, f.keys[slot])
 	}
 	slices.Sort(f.idx)
 	f.out = f.out[:0]

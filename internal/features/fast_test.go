@@ -10,6 +10,7 @@ import (
 	"hash/fnv"
 	"reflect"
 	"sort"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -23,12 +24,7 @@ func referenceVectorize(h *Hasher, tokens []string) Vector {
 		hash := fnv.New64a()
 		hash.Write([]byte(feature))
 		sum := hash.Sum64()
-		bucket := uint32((sum >> 1) % uint64(h.cfg.Buckets))
-		sign := 1.0
-		if h.cfg.SignedHashing && sum&1 != 0 {
-			sign = -1
-		}
-		return bucket, sign
+		return uint32((sum >> 1) % uint64(h.cfg.Buckets)), 1
 	}
 	counts := map[uint32]float64{}
 	add := func(feature string) {
@@ -74,7 +70,6 @@ func hasherVariants() []*Hasher {
 		NewHasher(HasherConfig{Buckets: 1 << 16}),
 		NewHasher(HasherConfig{Buckets: 1 << 16, Bigrams: true}),
 		NewHasher(HasherConfig{Buckets: 64, Bigrams: true}),
-		NewHasher(HasherConfig{Buckets: 1 << 10, Bigrams: true, SignedHashing: true}),
 	}
 }
 
@@ -95,7 +90,7 @@ func TestVectorizeMatchesReference(t *testing.T) {
 }
 
 func TestFeaturizerMatchesReferenceQuick(t *testing.T) {
-	h := NewHasher(HasherConfig{Buckets: 128, Bigrams: true, SignedHashing: true})
+	h := NewHasher(HasherConfig{Buckets: 128, Bigrams: true})
 	f := h.NewFeaturizer()
 	err := quick.Check(func(tokens []string) bool {
 		return equalVec(f.Vectorize(tokens), referenceVectorize(h, tokens))
@@ -137,6 +132,44 @@ func TestFeaturizerZeroAllocs(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("Featurizer.Vectorize allocates %v per op, want 0", n)
 	}
+}
+
+// TestHasherVectorizeAllocs pins the wrapper's cost: the two owned
+// output slices, never a fresh accumulator table per call.
+func TestHasherVectorizeAllocs(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	h := NewHasher(HasherConfig{Bigrams: true})
+	tokens := []string{"we", "need", "to", "mass", "-", "report", "his", "twitter"}
+	h.Vectorize(tokens) // warm the pool
+	if n := testing.AllocsPerRun(100, func() {
+		h.Vectorize(tokens)
+	}); n > 2 {
+		t.Errorf("Hasher.Vectorize allocates %v per op, want at most 2", n)
+	}
+}
+
+// TestHasherVectorizeConcurrent: the pooled wrapper is shared by
+// ablation and explain callers, so concurrent calls must each get
+// their own scratch and an owned result.
+func TestHasherVectorizeConcurrent(t *testing.T) {
+	h := NewHasher(HasherConfig{Buckets: 1 << 10, Bigrams: true})
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				toks := goldenTokenSets[(g+i)%len(goldenTokenSets)]
+				if got, want := h.Vectorize(toks), referenceVectorize(h, toks); !equalVec(got, want) {
+					t.Errorf("Vectorize(%q) = %+v, want %+v", toks, got, want)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 func equalVec(a, b Vector) bool {

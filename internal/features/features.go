@@ -1,16 +1,13 @@
 // Package features converts token sequences into sparse feature vectors
-// for the filtering classifiers: hashed unigram/bigram counts with
-// optional TF-IDF weighting. Feature hashing keeps the model memory
-// footprint fixed regardless of vocabulary size, which is what lets the
-// classifiers score hundreds of thousands of documents per pipeline run —
-// the same "small memory footprint that can process large amounts of
-// data" constraint the paper faced (§5.2).
+// for the filtering classifiers: hashed unigram/bigram counts. Feature
+// hashing keeps the model memory footprint fixed regardless of
+// vocabulary size, which is what lets the classifiers score hundreds of
+// thousands of documents per pipeline run — the same "small memory
+// footprint that can process large amounts of data" constraint the
+// paper faced (§5.2).
 package features
 
-import (
-	"math"
-	"slices"
-)
+import "sync"
 
 // Vector is a sparse feature vector: parallel index/value slices sorted by
 // index with no duplicate indices.
@@ -32,23 +29,6 @@ func (v Vector) Dot(weights []float64) float64 {
 	return sum
 }
 
-// L2Norm returns the Euclidean norm of the vector.
-func (v Vector) L2Norm() float64 {
-	sum := 0.0
-	for _, x := range v.Values {
-		sum += x * x
-	}
-	return math.Sqrt(sum)
-}
-
-// Scale multiplies all values in place by alpha and returns the vector.
-func (v Vector) Scale(alpha float64) Vector {
-	for i := range v.Values {
-		v.Values[i] *= alpha
-	}
-	return v
-}
-
 // NNZ returns the number of non-zero entries.
 func (v Vector) NNZ() int { return len(v.Indices) }
 
@@ -58,11 +38,6 @@ type HasherConfig struct {
 	Buckets uint32
 	// Bigrams includes token bigrams in addition to unigrams.
 	Bigrams bool
-	// SignedHashing flips the sign of half the collisions, making hash
-	// collisions cancel in expectation (Weinberger et al.). Off by
-	// default because logistic regression handles unsigned counts fine
-	// at our scales.
-	SignedHashing bool
 }
 
 func (c *HasherConfig) fillDefaults() {
@@ -74,6 +49,8 @@ func (c *HasherConfig) fillDefaults() {
 // Hasher maps token sequences to sparse hashed count vectors.
 type Hasher struct {
 	cfg HasherConfig
+	// featurizers pools scratch for Vectorize; safe for concurrent use.
+	featurizers sync.Pool
 }
 
 // NewHasher returns a Hasher with the given configuration.
@@ -86,111 +63,18 @@ func NewHasher(cfg HasherConfig) *Hasher {
 func (h *Hasher) Buckets() uint32 { return h.cfg.Buckets }
 
 // Vectorize maps tokens to a sparse vector of hashed feature counts.
-// Unlike Featurizer.Vectorize, the returned vector owns fresh storage;
-// prefer a pooled Featurizer on scoring hot paths.
+// It is the owning convenience wrapper over a pooled Featurizer: the
+// returned vector has fresh storage and the call is safe for
+// concurrent use. Scoring hot paths hold their own Featurizer.
 func (h *Hasher) Vectorize(tokens []string) Vector {
-	counts := map[uint32]float64{}
-	for _, t := range tokens {
-		bucket, sign := h.bucketSign(fnvAddString(unigramSeed, t))
-		counts[bucket] += sign
+	f, _ := h.featurizers.Get().(*Featurizer)
+	if f == nil {
+		f = h.NewFeaturizer()
 	}
-	if h.cfg.Bigrams {
-		for i := 0; i+1 < len(tokens); i++ {
-			sum := fnvAddString(bigramSeed, tokens[i])
-			sum = fnvAddByte(sum, 0)
-			sum = fnvAddString(sum, tokens[i+1])
-			bucket, sign := h.bucketSign(sum)
-			counts[bucket] += sign
-		}
-	}
-	return fromMap(counts)
-}
-
-func fromMap(counts map[uint32]float64) Vector {
-	idx := make([]uint32, 0, len(counts))
-	for i, v := range counts {
-		if v != 0 {
-			idx = append(idx, i)
-		}
-	}
-	slices.Sort(idx)
-	vals := make([]float64, len(idx))
-	for i, ix := range idx {
-		vals[i] = counts[ix]
-	}
-	return Vector{Indices: idx, Values: vals}
-}
-
-// TFIDF reweights hashed count vectors by inverse document frequency
-// learned from a fitting corpus.
-type TFIDF struct {
-	idf  map[uint32]float64
-	docs int
-	// defaultIDF is applied to buckets never seen during fitting.
-	defaultIDF float64
-}
-
-// FitTFIDF learns IDF weights from the given vectorized corpus.
-func FitTFIDF(corpus []Vector) *TFIDF {
-	df := map[uint32]int{}
-	for _, v := range corpus {
-		for _, idx := range v.Indices {
-			df[idx]++
-		}
-	}
-	n := len(corpus)
-	idf := make(map[uint32]float64, len(df))
-	for idx, d := range df {
-		idf[idx] = math.Log(float64(1+n)/float64(1+d)) + 1
-	}
-	return &TFIDF{
-		idf:        idf,
-		docs:       n,
-		defaultIDF: math.Log(float64(1+n)) + 1,
-	}
-}
-
-// Transform returns a new vector with sub-linear TF scaling
-// (1 + log count) multiplied by the learned IDF, L2-normalised.
-func (t *TFIDF) Transform(v Vector) Vector {
-	out := Vector{
-		Indices: append([]uint32(nil), v.Indices...),
-		Values:  make([]float64, len(v.Values)),
-	}
-	for i, c := range v.Values {
-		tf := c
-		if tf > 0 {
-			tf = 1 + math.Log(tf)
-		} else if tf < 0 {
-			tf = -(1 + math.Log(-tf))
-		}
-		idf, ok := t.idf[v.Indices[i]]
-		if !ok {
-			idf = t.defaultIDF
-		}
-		out.Values[i] = tf * idf
-	}
-	if norm := out.L2Norm(); norm > 0 {
-		out.Scale(1 / norm)
-	}
+	v := f.Vectorize(tokens)
+	out := Vector{Indices: make([]uint32, len(v.Indices)), Values: make([]float64, len(v.Values))}
+	copy(out.Indices, v.Indices)
+	copy(out.Values, v.Values)
+	h.featurizers.Put(f)
 	return out
-}
-
-// Docs returns the number of documents the TF-IDF model was fit on.
-func (t *TFIDF) Docs() int { return t.docs }
-
-// Pipeline bundles hashing plus optional TF-IDF into one text-to-vector
-// transform shared by training and inference.
-type Pipeline struct {
-	Hasher *Hasher
-	TFIDF  *TFIDF // nil disables IDF weighting
-}
-
-// Vectorize converts tokens into the final model input vector.
-func (p *Pipeline) Vectorize(tokens []string) Vector {
-	v := p.Hasher.Vectorize(tokens)
-	if p.TFIDF != nil {
-		v = p.TFIDF.Transform(v)
-	}
-	return v
 }

@@ -1,7 +1,6 @@
 package features
 
 import (
-	"math"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -33,9 +32,6 @@ func TestVectorizeEmpty(t *testing.T) {
 	v := h.Vectorize(nil)
 	if v.NNZ() != 0 {
 		t.Fatalf("empty input NNZ = %d", v.NNZ())
-	}
-	if v.L2Norm() != 0 {
-		t.Fatalf("empty norm = %v", v.L2Norm())
 	}
 }
 
@@ -91,121 +87,6 @@ func TestDot(t *testing.T) {
 	v2 := Vector{Indices: []uint32{1, 100}, Values: []float64{1, 5}}
 	if got := v2.Dot(w); got != 20 {
 		t.Fatalf("Dot with OOR index = %v", got)
-	}
-}
-
-func TestScaleAndNorm(t *testing.T) {
-	v := Vector{Indices: []uint32{0, 1}, Values: []float64{3, 4}}
-	if got := v.L2Norm(); got != 5 {
-		t.Fatalf("L2Norm = %v", got)
-	}
-	v.Scale(2)
-	if v.Values[0] != 6 || v.Values[1] != 8 {
-		t.Fatalf("Scale: %v", v.Values)
-	}
-}
-
-func TestSignedHashing(t *testing.T) {
-	h := NewHasher(HasherConfig{Buckets: 1 << 10, SignedHashing: true})
-	// With signed hashing some features should get negative values; scan
-	// a decent number of tokens to find one of each sign.
-	sawNeg, sawPos := false, false
-	for i := 0; i < 200 && !(sawNeg && sawPos); i++ {
-		v := h.Vectorize([]string{string(rune('a'+i%26)) + string(rune('a'+(i/26)%26))})
-		for _, x := range v.Values {
-			if x < 0 {
-				sawNeg = true
-			}
-			if x > 0 {
-				sawPos = true
-			}
-		}
-	}
-	if !sawNeg || !sawPos {
-		t.Errorf("signed hashing signs: neg=%v pos=%v", sawNeg, sawPos)
-	}
-}
-
-func TestTFIDFDownWeightsCommonTerms(t *testing.T) {
-	h := NewHasher(HasherConfig{Buckets: 1 << 16})
-	// "the" appears in every doc; "dox" in one.
-	corpus := []Vector{
-		h.Vectorize([]string{"the", "cat"}),
-		h.Vectorize([]string{"the", "dog"}),
-		h.Vectorize([]string{"the", "dox"}),
-	}
-	tfidf := FitTFIDF(corpus)
-	if tfidf.Docs() != 3 {
-		t.Fatalf("Docs = %d", tfidf.Docs())
-	}
-	v := tfidf.Transform(h.Vectorize([]string{"the", "dox"}))
-	// Find values: the rarer term must out-weigh the common one.
-	theBucket := h.Vectorize([]string{"the"}).Indices[0]
-	doxBucket := h.Vectorize([]string{"dox"}).Indices[0]
-	var theW, doxW float64
-	for i, idx := range v.Indices {
-		switch idx {
-		case theBucket:
-			theW = v.Values[i]
-		case doxBucket:
-			doxW = v.Values[i]
-		}
-	}
-	if doxW <= theW {
-		t.Fatalf("rare term weight %v <= common term weight %v", doxW, theW)
-	}
-	// Transformed vectors are unit-norm.
-	if math.Abs(v.L2Norm()-1) > 1e-12 {
-		t.Fatalf("norm = %v", v.L2Norm())
-	}
-}
-
-func TestTFIDFUnseenBucket(t *testing.T) {
-	h := NewHasher(HasherConfig{Buckets: 1 << 16})
-	tfidf := FitTFIDF([]Vector{h.Vectorize([]string{"seen"})})
-	v := tfidf.Transform(h.Vectorize([]string{"never-seen-token"}))
-	if v.NNZ() != 1 || v.Values[0] <= 0 {
-		t.Fatalf("unseen bucket transform = %+v", v)
-	}
-}
-
-func TestTFIDFDoesNotMutateInput(t *testing.T) {
-	h := NewHasher(HasherConfig{Buckets: 1 << 16})
-	orig := h.Vectorize([]string{"a", "a", "b"})
-	origCopy := Vector{
-		Indices: append([]uint32(nil), orig.Indices...),
-		Values:  append([]float64(nil), orig.Values...),
-	}
-	tfidf := FitTFIDF([]Vector{orig})
-	tfidf.Transform(orig)
-	if !reflect.DeepEqual(orig, origCopy) {
-		t.Fatal("Transform mutated its input")
-	}
-}
-
-func TestPipeline(t *testing.T) {
-	h := NewHasher(HasherConfig{Buckets: 1 << 16, Bigrams: true})
-	corpusTokens := [][]string{{"we", "report"}, {"we", "dox"}}
-	var corpus []Vector
-	for _, toks := range corpusTokens {
-		corpus = append(corpus, h.Vectorize(toks))
-	}
-	p := &Pipeline{Hasher: h, TFIDF: FitTFIDF(corpus)}
-	v := p.Vectorize([]string{"we", "report"})
-	if v.NNZ() == 0 {
-		t.Fatal("pipeline produced empty vector")
-	}
-	if math.Abs(v.L2Norm()-1) > 1e-12 {
-		t.Fatalf("pipeline norm = %v", v.L2Norm())
-	}
-	// Without TFIDF, raw counts.
-	p2 := &Pipeline{Hasher: h}
-	v2 := p2.Vectorize([]string{"we", "report"})
-	if v2.L2Norm() == 1 {
-		t.Log("raw count vector coincidentally unit norm; acceptable")
-	}
-	if v2.NNZ() != 3 { // 2 unigrams + 1 bigram
-		t.Fatalf("raw NNZ = %d", v2.NNZ())
 	}
 }
 

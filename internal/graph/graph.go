@@ -44,13 +44,6 @@ type Config struct {
 	Metrics *obs.Registry
 	// Workers bounds Prefetch's worker pool. 0 means GOMAXPROCS.
 	Workers int
-	// NoMemo disables memoization for nodes registered with
-	// RegisterDerived: every Get recomputes them, reproducing the
-	// pre-graph monolith's recompute-per-caller behavior for
-	// benchmarking. Nodes registered with Register stay memoized (the
-	// monolith computed those exactly once per run too). Concurrent use
-	// is not supported in this mode.
-	NoMemo bool
 }
 
 // Fingerprint returns a short stable hash of the value's %+v rendering,
@@ -75,10 +68,9 @@ const (
 
 // node is one registered stage.
 type node struct {
-	name    string
-	deps    []string
-	fn      func() (any, error)
-	derived bool
+	name string
+	deps []string
+	fn   func() (any, error)
 
 	mu    sync.Mutex
 	state nodeState
@@ -115,20 +107,6 @@ func New(cfg Config) *Graph {
 // must be unique; violations panic, since registration happens in
 // static pipeline-definition code.
 func (g *Graph) Register(name string, deps []string, fn func() (any, error)) {
-	g.register(name, deps, fn, false)
-}
-
-// RegisterDerived registers a node like Register, but marks it as a
-// derived artifact — one the monolithic pipeline recomputed in every
-// caller. Config.NoMemo disables memoization for derived nodes only,
-// restoring that behavior for before/after benchmarking; a NoMemo Get
-// of a derived node also skips declared-dependency resolution (its
-// dependencies are pipeline stages the run already materialized).
-func (g *Graph) RegisterDerived(name string, deps []string, fn func() (any, error)) {
-	g.register(name, deps, fn, true)
-}
-
-func (g *Graph) register(name string, deps []string, fn func() (any, error), derived bool) {
 	if _, ok := g.nodes[name]; ok {
 		panic(fmt.Sprintf("graph: duplicate node %q", name))
 	}
@@ -137,7 +115,7 @@ func (g *Graph) register(name string, deps []string, fn func() (any, error), der
 			panic(fmt.Sprintf("graph: node %q depends on unregistered %q", name, d))
 		}
 	}
-	n := &node{name: name, deps: append([]string(nil), deps...), fn: fn, derived: derived, latch: make(chan struct{})}
+	n := &node{name: name, deps: append([]string(nil), deps...), fn: fn, latch: make(chan struct{})}
 	if r := g.cfg.Metrics; r != nil {
 		lbl := obs.L("stage", name)
 		n.mComputes = r.NewCounter("graph_stage_computes_total", "artifact computations (cache misses) per stage", lbl)
@@ -170,12 +148,6 @@ func (g *Graph) Get(name string) (any, error) {
 	n := g.nodes[name]
 	if n == nil {
 		return nil, fmt.Errorf("graph: unknown node %q", name)
-	}
-	if g.cfg.NoMemo && n.derived {
-		n.mu.Lock()
-		n.computes++
-		n.mu.Unlock()
-		return g.computeNode(n)
 	}
 	n.mu.Lock()
 	switch n.state {
@@ -214,15 +186,11 @@ func (g *Graph) Get(name string) (any, error) {
 // never calls Get itself), then invokes the compute function with
 // panic capture and latency metrics.
 func (g *Graph) runNode(n *node) (val any, err error) {
-	if err := g.resolveDeps(n); err != nil {
-		return nil, err
+	for _, d := range n.deps {
+		if _, err := g.Get(d); err != nil {
+			return nil, fmt.Errorf("graph: %s: dependency %s: %w", n.name, d, err)
+		}
 	}
-	return g.computeNode(n)
-}
-
-// computeNode invokes fn without dependency resolution (the NoMemo
-// derived path, where dependencies are already materialized).
-func (g *Graph) computeNode(n *node) (val any, err error) {
 	start := time.Now()
 	defer func() {
 		if n.mLatency != nil {
@@ -270,17 +238,6 @@ func (g *Graph) Stats() []StageStat {
 		n.mu.Unlock()
 	}
 	return out
-}
-
-// resolveDeps materializes the node's declared dependencies (each a
-// memoized Get), failing on the first dependency error.
-func (g *Graph) resolveDeps(n *node) error {
-	for _, d := range n.deps {
-		if _, err := g.Get(d); err != nil {
-			return fmt.Errorf("graph: %s: dependency %s: %w", n.name, d, err)
-		}
-	}
-	return nil
 }
 
 // Prefetch computes the named nodes (all registered nodes when none

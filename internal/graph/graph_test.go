@@ -162,27 +162,6 @@ func TestRegisterValidation(t *testing.T) {
 	}
 }
 
-func TestNoMemoRecomputesDerivedOnly(t *testing.T) {
-	g := New(Config{NoMemo: true})
-	var stageCalls, derivedCalls atomic.Int64
-	g.Register("stage", nil, func() (any, error) { stageCalls.Add(1); return 1, nil })
-	g.RegisterDerived("derived", []string{"stage"}, func() (any, error) { derivedCalls.Add(1); return 2, nil })
-	for i := 0; i < 3; i++ {
-		if _, err := g.Get("stage"); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := g.Get("derived"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if stageCalls.Load() != 1 {
-		t.Errorf("NoMemo recomputed a regular stage %d times, want 1", stageCalls.Load())
-	}
-	if derivedCalls.Load() != 3 {
-		t.Errorf("NoMemo computed derived node %d times, want 3", derivedCalls.Load())
-	}
-}
-
 func TestPrefetchParallelAndMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
 	g := New(Config{Seed: 7, Fingerprint: "test", Metrics: reg, Workers: 4})

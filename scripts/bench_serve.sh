@@ -4,7 +4,8 @@
 # at startup), drives it with concurrent clients, curl-smokes every
 # endpoint, then SIGTERMs mid-idle and asserts a clean drain (exit 0).
 #
-# Three load phases land in BENCH_serve.json at the repo root:
+# Three load phases land in BENCH_serve.json at the repo root (a -gate
+# run checks them but leaves the committed file alone):
 #
 #   healthy — the server scoring normally;
 #   swap    — a -registry server hot-swapped to a retrained generation
@@ -18,24 +19,15 @@
 # failing. No shard exists to fail: a fault is confined to one document,
 # and scripts/chaos_serve.sh certifies that.)
 #
-# With -gate (how check.sh runs it) two regression gates must hold:
-#
-#   * healthy throughput ≥ 95% of the committed pre-lifecycle baseline
-#     (the Backend→Model handle refactor may not cost steady-state
-#     throughput);
-#   * shadow throughput ≥ 90% of the swap phase's (the same server and
-#     traffic shape with shadowing off) — shadow scoring may cost at
-#     most 10% rps.
+# With -gate (how check.sh runs it) one same-run regression gate must
+# hold: shadow throughput ≥ 90% of the swap phase's (the same server and
+# traffic shape with shadowing off) — shadow scoring may cost at most
+# 10% rps. Healthy-path throughput is bounded by the online-singles and
+# online-batch workloads of bench/, not here.
 #
 # Usage: scripts/bench_serve.sh [-clients N] [-duration D] [-gate]
 set -euo pipefail
 cd "$(dirname "$0")/.."
-
-# The healthy-phase throughput of the pre-lifecycle serving layer
-# (fixed Backend, no swap indirection) re-measured on the CI machine
-# when the model-lifecycle gate was introduced. Same clients, same
-# duration, same traffic mix as the healthy phase below.
-baseline_rps=1624.6
 
 clients=64
 duration=5s
@@ -163,7 +155,11 @@ curl -sf -X POST "http://$addr/v1/admin/shadow" \
 echo "== graceful shutdown of the lifecycle server (SIGTERM)"
 stop_harassd "$lclog"
 
-# Compose the phases into one JSON document.
+# Compose the phases into one JSON document. Only a plain run refreshes
+# the committed file; a -gate run keeps its numbers in the work
+# directory so that check.sh leaves the tree as it found it.
+report=BENCH_serve.json
+[[ $gate -eq 1 ]] && report="$workdir/BENCH_serve.json"
 {
   printf '{\n"healthy": '
   cat "$workdir/healthy.json"
@@ -172,22 +168,18 @@ stop_harassd "$lclog"
   printf ',\n"shadow": '
   cat "$workdir/shadow.json"
   printf ',\n"swap_latency_ns": %s,\n"shadow_rate": %s\n}\n' "$swap_ns" "$shadow_rate"
-} > BENCH_serve.json
+} > "$report"
 
 if [[ $gate -eq 1 ]]; then
   rps() { sed -n 's/.*"throughput_rps": \([0-9.]*\).*/\1/p' "$1"; }
-  healthy_rps=$(rps "$workdir/healthy.json")
   swap_rps=$(rps "$workdir/swap.json")
   shadow_rps=$(rps "$workdir/shadow.json")
-  echo "== lifecycle gates (healthy $healthy_rps vs baseline $baseline_rps; shadow $shadow_rps vs swap $swap_rps)"
-  awk -v h="$healthy_rps" -v b="$baseline_rps" 'BEGIN { exit !(h >= 0.95 * b) }' || {
-    echo "GATE FAILED: healthy throughput $healthy_rps rps < 95% of pre-lifecycle baseline $baseline_rps rps" >&2
-    exit 1
-  }
+  echo "== lifecycle gate (shadow $shadow_rps vs swap $swap_rps)"
   awk -v s="$shadow_rps" -v w="$swap_rps" 'BEGIN { exit !(s >= 0.90 * w) }' || {
     echo "GATE FAILED: shadow throughput $shadow_rps rps < 90% of no-shadow $swap_rps rps (overhead > 10%)" >&2
     exit 1
   }
+  echo "OK — gate held (healthy + swap + shadow ran; BENCH_serve.json left as committed)"
+else
+  echo "OK — BENCH_serve.json written (healthy + swap + shadow)"
 fi
-
-echo "OK — BENCH_serve.json written (healthy + swap + shadow)"
