@@ -8,9 +8,11 @@
 // dead-letter record and reported in the final
 // processed/succeeded/quarantined summary instead of killing the run.
 //
-// The classifiers are trained at startup by running the quick-scale
-// pipeline over generated corpora (tens of seconds); the taxonomy and
-// seed-query columns need no training.
+// The classifiers are loaded with -models or trained at startup by
+// running the quick-scale pipeline over generated corpora (about a
+// second); the taxonomy and seed-query columns need no training. A
+// score depends only on the document's text, so the output is the same
+// at any -workers.
 //
 // With -metrics, a JSON metrics snapshot (per-stage attempt/retry
 // counters, latency histograms, scratch-pool and PII-prefilter
@@ -37,24 +39,21 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
-	"time"
 
 	"harassrepro"
-	"harassrepro/internal/corpus"
-	"harassrepro/internal/corpus/store"
-	"harassrepro/internal/obs"
-	"harassrepro/internal/obs/obshttp"
+	"harassrepro/internal/core"
 	"harassrepro/internal/pii"
 	"harassrepro/internal/resilience"
+	"harassrepro/internal/streamcli"
 )
 
-// row is one stdin line flowing through the streaming runtime.
+// row is one document flowing through the streaming runtime.
 type row struct {
 	Text      string
 	HasScores bool
@@ -64,103 +63,41 @@ type row struct {
 	PII       []string
 }
 
-// metricsSrv is the -metrics-addr endpoint; exit drains it on every
-// exit path (fail included) so an in-flight scrape is never hard-reset.
-var metricsSrv *obshttp.Server
-
-// exit drains the metrics server, then terminates with code.
-func exit(code int) {
-	if metricsSrv != nil {
-		metricsSrv.CloseTimeout(2 * time.Second) //nolint:errcheck // best-effort drain on exit
-	}
-	os.Exit(code)
-}
-
-// fail prints a one-line diagnostic and exits non-zero.
-func fail(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "cthdetect: "+format+"\n", args...)
-	exit(1)
-}
-
 func main() {
-	// A stray panic must surface as a one-line diagnostic, not a
-	// stack trace.
-	defer func() {
-		if r := recover(); r != nil {
-			fail("internal error: %v", r)
-		}
-	}()
-
+	tool := streamcli.New("cthdetect", flag.CommandLine)
+	defer tool.Recover()
 	var (
 		seed        = flag.Uint64("seed", 1, "training seed")
 		rulesOnly   = flag.Bool("rules-only", false, "skip classifier training; taxonomy and query only")
 		models      = flag.String("models", "", "load pretrained classifiers from this directory (see harassrepro -save-models) instead of training")
-		explain     = flag.Int("explain", 0, "with -models: print the top-N n-grams driving each CTH score")
-		workers     = flag.Int("workers", 0, "streaming worker pool size (0 = GOMAXPROCS)")
-		metrics     = flag.Bool("metrics", false, "print a JSON metrics snapshot to stderr after the run")
-		metricsAddr = flag.String("metrics-addr", "", "serve /metrics and /debug/pprof on this address during the run")
+		explain     = flag.Int("explain", 0, "print the top-N n-grams driving each CTH score")
 		maxDocBytes = flag.Int("max-doc-bytes", 0, "dead-letter lines longer than this many bytes (0 = no limit)")
-		storeDir    = flag.String("store", "", "stream documents from the segmented corpus store at this directory instead of stdin")
-		storeToken  = flag.String("token", "", "with -store: score only inverted-index matches; clauses AND on commas, OR on |, -term excludes")
-		scanWorkers = flag.Int("scan-workers", 0, "with -store: segment decode parallelism for full scans (0 = GOMAXPROCS, 1 = sequential)")
 	)
 	flag.Parse()
-	if *storeToken != "" && *storeDir == "" {
-		fail("-token requires -store")
-	}
-	if *scanWorkers != 0 && *storeDir == "" {
-		fail("-scan-workers requires -store")
-	}
+	reg := tool.Start()
 
-	var reg *obs.Registry
-	if *metrics || *metricsAddr != "" {
-		reg = obs.NewRegistry()
-	}
-	if *metricsAddr != "" {
-		srv, err := obshttp.Serve(*metricsAddr, reg)
-		if err != nil {
-			fail("metrics server: %v", err)
-		}
-		metricsSrv = srv
-		fmt.Fprintf(os.Stderr, "serving metrics on http://%s/metrics\n", srv.Addr())
-	}
-
-	type scorer interface {
-		ScoreCTH(string) float64
-		ScoreDox(string) float64
-	}
-	var sc scorer
-	var det *harassrepro.Detector
+	var det *core.Detector
 	switch {
 	case *rulesOnly:
 	case *models != "":
-		d, err := harassrepro.LoadDetector(*models)
+		d, err := core.LoadDetector(*models)
 		if err != nil {
-			fail("%v", err)
+			tool.Fail("%v", err)
 		}
 		det = d
-		sc = d
 		fmt.Fprintf(os.Stderr, "loaded classifiers from %s\n", *models)
 	default:
 		fmt.Fprintln(os.Stderr, "training filtering classifiers (quick scale)...")
-		study, err := harassrepro.Run(harassrepro.QuickConfig(*seed))
+		p, err := core.Run(core.QuickConfig(*seed))
 		if err != nil {
-			fail("%v", err)
+			tool.Fail("%v", err)
 		}
-		sc = study
+		det = p.Detector()
 		fmt.Fprintln(os.Stderr, "ready")
 	}
 
 	// Stage pipeline: classifier scoring is required (quarantine on
 	// permanent failure); the rule-based annotations degrade instead.
-	// The public Detector's sequential scoring advances a shared
-	// span-sampling stream, so the scoring stage is serialised for it;
-	// short CLI lines never consume that stream, keeping output
-	// deterministic either way.
-	var scoreMu chMutex
-	if det != nil {
-		scoreMu = make(chMutex, 1)
-	}
 	ext := pii.NewExtractor()
 	if reg != nil {
 		ext.SetMetrics(reg)
@@ -178,7 +115,7 @@ func main() {
 			},
 		})
 	}
-	if sc != nil {
+	if det != nil {
 		stages = append(stages, resilience.Stage[row]{
 			Name:      "score",
 			Transient: true,
@@ -186,10 +123,8 @@ func main() {
 				if strings.TrimSpace(r.Text) == "" {
 					return resilience.Permanent(fmt.Errorf("blank document"))
 				}
-				scoreMu.lock()
-				defer scoreMu.unlock()
-				r.CTH = sc.ScoreCTH(r.Text)
-				r.Dox = sc.ScoreDox(r.Text)
+				r.CTH = det.ScoreCTH(r.Text)
+				r.Dox = det.ScoreDox(r.Text)
 				r.HasScores = true
 				return nil
 			},
@@ -210,128 +145,33 @@ func main() {
 			return nil
 		},
 	})
-	runner := resilience.NewRunner(resilience.Config[row]{
-		Workers: *workers,
-		Seed:    *seed,
-		Ordered: true,
-		Describe: func(r *row) string {
-			if len(r.Text) > 40 {
-				return r.Text[:40] + "..."
+
+	tool.Finish(streamcli.Run(tool, streamcli.Pipeline[row]{
+		Seed:   *seed,
+		New:    func(text string) row { return row{Text: text} },
+		Text:   func(r *row) string { return r.Text },
+		Stages: stages,
+		Print: func(w io.Writer, res resilience.Result[row]) {
+			r := res.Item
+			if r.HasScores {
+				fmt.Fprintf(w, "cth=%.3f dox=%.3f ", r.CTH, r.Dox)
 			}
-			return r.Text
+			fmt.Fprintf(w, "seed-query=%v", r.SeedQuery)
+			if len(r.Attacks) > 0 {
+				fmt.Fprintf(w, " attacks=%v", r.Attacks)
+			}
+			if len(r.PII) > 0 {
+				fmt.Fprintf(w, " pii=%v", r.PII)
+			}
+			if len(res.Degraded) > 0 {
+				fmt.Fprintf(w, " degraded=%v", res.Degraded)
+			}
+			fmt.Fprintln(w)
+			if det != nil && *explain > 0 {
+				for _, nw := range det.ExplainCTH(r.Text, *explain) {
+					fmt.Fprintf(w, "    %+.3f  %s\n", nw.Weight, nw.NGram)
+				}
+			}
 		},
-		Metrics: reg,
-	}, stages...)
-
-	in := make(chan row)
-	scanErr := make(chan error, 1)
-	go func() {
-		defer close(in)
-		if *storeDir != "" {
-			scanErr <- feedFromStore(*storeDir, *storeToken, *scanWorkers, in)
-			return
-		}
-		scan := bufio.NewScanner(os.Stdin)
-		scan.Buffer(make([]byte, 1<<20), 1<<20)
-		for scan.Scan() {
-			if line := scan.Text(); strings.TrimSpace(line) != "" {
-				in <- row{Text: line}
-			}
-		}
-		scanErr <- scan.Err()
-	}()
-
-	var results []resilience.Result[row]
-	for res := range runner.Process(context.Background(), in) {
-		results = append(results, res)
-		r := res.Item
-		if res.Status == resilience.StatusQuarantined {
-			fmt.Printf("QUARANTINED (%s after %d attempts): %v\n",
-				res.Dead.Stage, res.Dead.Attempts, res.Dead.Err)
-			continue
-		}
-		if r.HasScores {
-			fmt.Printf("cth=%.3f dox=%.3f ", r.CTH, r.Dox)
-		}
-		fmt.Printf("seed-query=%v", r.SeedQuery)
-		if len(r.Attacks) > 0 {
-			fmt.Printf(" attacks=%v", r.Attacks)
-		}
-		if len(r.PII) > 0 {
-			fmt.Printf(" pii=%v", r.PII)
-		}
-		if len(res.Degraded) > 0 {
-			fmt.Printf(" degraded=%v", res.Degraded)
-		}
-		fmt.Println()
-		if det != nil && *explain > 0 {
-			for _, w := range det.ExplainCTH(r.Text, *explain) {
-				fmt.Printf("    %+.3f  %s\n", w.Weight, w.NGram)
-			}
-		}
-	}
-
-	sum := resilience.Summarize(results)
-	fmt.Fprintln(os.Stderr, sum)
-	for _, dl := range sum.DeadLetters {
-		fmt.Fprintf(os.Stderr, "  dead-letter %s\n", dl)
-	}
-	if *metrics {
-		fmt.Fprintln(os.Stderr, "metrics snapshot:")
-		if err := reg.WriteJSON(os.Stderr); err != nil {
-			fail("writing metrics: %v", err)
-		}
-	}
-	if err := <-scanErr; err != nil {
-		fail("reading input: %v", err)
-	}
-	exit(0)
-}
-
-// feedFromStore streams document texts out of a segmented corpus store
-// — the whole store in commit order (segments decoded in parallel when
-// scanWorkers allows; delivery order is store order regardless), or
-// just the documents matching the boolean token query (posting bitmaps
-// combined per segment, see store.ParseQuery). Documents are decoded
-// one segment at a time, so memory stays bounded regardless of store
-// size.
-func feedFromStore(dir, token string, scanWorkers int, in chan<- row) error {
-	s, err := store.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer s.Close()
-	for _, torn := range s.Recovery().Torn {
-		fmt.Fprintf(os.Stderr, "cthdetect: store recovered torn segment %s (%d docs salvaged)\n",
-			torn.Name, torn.SalvagedDocs)
-	}
-	emit := func(d *corpus.Document, _ store.DocRef) error {
-		if strings.TrimSpace(d.Text) != "" {
-			in <- row{Text: d.Text}
-		}
-		return nil
-	}
-	if strings.TrimSpace(token) != "" {
-		q, err := store.ParseQuery(token)
-		if err != nil {
-			return err
-		}
-		return s.LookupQueryDocs(q, emit)
-	}
-	return s.ScanParallel(scanWorkers, emit)
-}
-
-// chMutex is a channel-based optional mutex: the zero value (nil) is a
-// no-op, a 1-buffered channel is a lock.
-type chMutex chan struct{}
-
-func (m chMutex) lock() {
-	if m != nil {
-		m <- struct{}{}
-	}
-}
-func (m chMutex) unlock() {
-	if m != nil {
-		<-m
-	}
+	}))
 }

@@ -1,9 +1,6 @@
 package main
 
-// End-to-end acceptance test: build the real binary, stream lines
-// through it with -metrics, and reconcile the JSON metrics snapshot on
-// stderr against the run summary — processed must equal ok + degraded +
-// dead-lettered, and the per-stage counters must match the input.
+// End-to-end tests on the built binary.
 
 import (
 	"bytes"
@@ -11,12 +8,15 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 
+	"harassrepro/internal/core"
 	"harassrepro/internal/corpus/store"
 	"harassrepro/internal/obs"
+	"harassrepro/internal/randx"
 )
 
 var summaryRe = regexp.MustCompile(`processed=(\d+) succeeded=(\d+) degraded=(\d+) quarantined=(\d+)`)
@@ -44,15 +44,25 @@ func TestTokenQuerySyntax(t *testing.T) {
 	}
 }
 
+// buildCthdetect builds the command into a temporary directory.
+func buildCthdetect(t *testing.T) string {
+	t.Helper()
+	bin := filepath.Join(t.TempDir(), "cthdetect")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("building cthdetect: %v\n%s", err, out)
+	}
+	return bin
+}
+
+// TestMetricsSnapshotReconcilesWithSummary streams lines through the
+// binary with -metrics and reconciles the JSON metrics snapshot on
+// stderr against the run summary: processed must equal ok + degraded +
+// dead-lettered, and the per-stage counters must match the input.
 func TestMetricsSnapshotReconcilesWithSummary(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and execs the binary")
 	}
-	bin := filepath.Join(t.TempDir(), "cthdetect")
-	build := exec.Command("go", "build", "-o", bin, ".")
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("building cthdetect: %v\n%s", err, out)
-	}
+	bin := buildCthdetect(t)
 
 	// 6 well-formed lines plus one oversized line that -max-doc-bytes
 	// must dead-letter in the validate stage.
@@ -100,7 +110,12 @@ func TestMetricsSnapshotReconcilesWithSummary(t *testing.T) {
 	}
 
 	cv := func(name string, labels ...obs.Label) int {
-		return int(snap.CounterValue(name, labels...))
+		for _, m := range snap.Metrics {
+			if m.Name == name && slices.Equal(m.Labels, labels) && m.Value != nil {
+				return int(*m.Value)
+			}
+		}
+		return 0
 	}
 	// The acceptance identity: processed = ok + degraded + dead-lettered.
 	ok_, deg, quar := cv("pipeline_items_total", obs.L("status", "ok")),
@@ -140,5 +155,62 @@ func TestMetricsSnapshotReconcilesWithSummary(t *testing.T) {
 	// Stdout reports the quarantined line.
 	if !strings.Contains(stdout.String(), "QUARANTINED (validate") {
 		t.Errorf("stdout lacks the quarantine report:\n%s", stdout.String())
+	}
+}
+
+// TestModelScoresIndependentOfWorkers scores long documents, whose
+// scores depend on the spans sampled from them, with saved models: three
+// runs at -workers 8 must print exactly what one run at -workers 1
+// prints.
+func TestModelScoresIndependentOfWorkers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains at quick scale, builds and execs the binary")
+	}
+	p, err := core.Run(core.QuickConfig(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	models := t.TempDir()
+	if err := p.SaveModels(models); err != nil {
+		t.Fatal(err)
+	}
+	bin := buildCthdetect(t)
+
+	// Chat filler with one word in nine drawn from harassment and dox
+	// cues: scores that flip with the spans a document's score samples.
+	filler := strings.Fields("anyone up for ranked tonight patch notes are out the new map is fun and we should play more lol this server is dead")
+	cues := strings.Fields("mass report his channel post her address 99 cedar lane phone email")
+	rng := randx.New(5)
+	var lines []string
+	for i := 0; i < 60; i++ {
+		words := make([]string, 300+rng.Intn(600))
+		for j := range words {
+			if rng.Bool(0.11) {
+				words[j] = randx.Pick(rng, cues)
+			} else {
+				words[j] = randx.Pick(rng, filler)
+			}
+		}
+		lines = append(lines, strings.Join(words, " "))
+	}
+	input := strings.Join(lines, "\n") + "\n"
+	run := func(workers string) string {
+		cmd := exec.Command(bin, "-models", models, "-workers", workers)
+		cmd.Stdin = strings.NewReader(input)
+		var stdout, stderr bytes.Buffer
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		if err := cmd.Run(); err != nil {
+			t.Fatalf("cthdetect -workers %s: %v\n%s", workers, err, stderr.String())
+		}
+		return stdout.String()
+	}
+	want := run("1")
+	if n := strings.Count(want, "cth="); n != len(lines) {
+		t.Fatalf("-workers 1 scored %d of %d lines:\n%s", n, len(lines), want)
+	}
+	for i := 0; i < 3; i++ {
+		if got := run("8"); got != want {
+			t.Fatalf("run %d at -workers 8 differs from -workers 1\n--- workers 1 ---\n%s--- workers 8 ---\n%s", i+1, want, got)
+		}
 	}
 }

@@ -144,7 +144,7 @@ func (d *daemon) metrics(t *testing.T) obs.Snapshot {
 func (d *daemon) awaitInFlight(t *testing.T, n float64) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
-	for d.metrics(t).CounterValue("serve_inflight_requests") != n {
+	for counterValue(d.metrics(t), "serve_inflight_requests") != n {
 		if time.Now().After(deadline) {
 			t.Fatalf("never saw %v requests in flight", n)
 		}
@@ -190,7 +190,7 @@ func TestAdmissionFlagsShedSecondConcurrentRequest(t *testing.T) {
 	if code != http.StatusRequestEntityTooLarge || !strings.Contains(string(body), "queue depth 1 caps max batch docs 4096") {
 		t.Errorf("two-document batch at -queue-depth 1: status %d body %s", code, body)
 	}
-	if shed := d.metrics(t).CounterValue("serve_shed_total"); shed != 1 {
+	if shed := counterValue(d.metrics(t), "serve_shed_total"); shed != 1 {
 		t.Errorf("serve_shed_total = %v, want 1", shed)
 	}
 
@@ -294,7 +294,7 @@ func TestChaosPlanQuarantinesExactlyThePlannedDocuments(t *testing.T) {
 			}
 		}
 	}
-	if q := snap.CounterValue("serve_docs_total", obs.L("status", "quarantined")); int(q) != len(want) {
+	if q := counterValue(snap, "serve_docs_total", obs.L("status", "quarantined")); int(q) != len(want) {
 		t.Errorf("serve_docs_total{quarantined} = %v, want %d", q, len(want))
 	}
 	d.drain(t)
@@ -310,4 +310,15 @@ func TestShardsFlagIsNotDefined(t *testing.T) {
 	if !strings.Contains(string(out), "flag provided but not defined: -shards") {
 		t.Errorf("harassd -shards 4 said:\n%s", out)
 	}
+}
+
+// counterValue returns a counter's (or gauge's) value in snap, or 0
+// when it is absent.
+func counterValue(snap obs.Snapshot, name string, labels ...obs.Label) float64 {
+	for _, m := range snap.Metrics {
+		if m.Name == name && slices.Equal(m.Labels, labels) && m.Value != nil {
+			return float64(*m.Value)
+		}
+	}
+	return 0
 }

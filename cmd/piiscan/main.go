@@ -32,114 +32,79 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"strings"
-	"time"
 
 	"harassrepro"
-	"harassrepro/internal/corpus"
-	"harassrepro/internal/corpus/store"
 	"harassrepro/internal/gender"
 	"harassrepro/internal/harm"
-	"harassrepro/internal/obs"
-	"harassrepro/internal/obs/obshttp"
 	"harassrepro/internal/pii"
 	"harassrepro/internal/resilience"
+	"harassrepro/internal/streamcli"
 )
 
-// metricsSrv is the -metrics-addr endpoint; exit drains it on every
-// exit path (fail included) so an in-flight scrape is never hard-reset.
-var metricsSrv *obshttp.Server
-
-// exit drains the metrics server, then terminates with code.
-func exit(code int) {
-	if metricsSrv != nil {
-		metricsSrv.CloseTimeout(2 * time.Second) //nolint:errcheck // best-effort drain on exit
-	}
-	os.Exit(code)
-}
-
-// fail prints a one-line diagnostic and exits non-zero.
-func fail(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "piiscan: "+format+"\n", args...)
-	exit(1)
-}
-
 func main() {
-	// A stray panic must surface as a one-line diagnostic, not a
-	// stack trace.
-	defer func() {
-		if r := recover(); r != nil {
-			fail("internal error: %v", r)
-		}
-	}()
-
+	tool := streamcli.New("piiscan", flag.CommandLine)
+	defer tool.Recover()
 	var (
-		jsonOut     = flag.Bool("json", false, "emit JSON instead of text")
-		stream      = flag.Bool("stream", false, "treat each stdin line as one document (fault-tolerant streaming)")
-		workers     = flag.Int("workers", 0, "with -stream: worker pool size (0 = GOMAXPROCS)")
-		metrics     = flag.Bool("metrics", false, "print a JSON metrics snapshot to stderr after the run")
-		metricsAddr = flag.String("metrics-addr", "", "serve /metrics and /debug/pprof on this address during the run")
-		storeDir    = flag.String("store", "", "stream documents from the segmented corpus store at this directory instead of stdin (implies -stream)")
-		storeToken  = flag.String("token", "", "with -store: scan only inverted-index matches; clauses AND on commas, OR on |, -term excludes")
-		scanWorkers = flag.Int("scan-workers", 0, "with -store: segment decode parallelism for full scans (0 = GOMAXPROCS, 1 = sequential)")
+		jsonOut = flag.Bool("json", false, "emit JSON instead of text")
+		stream  = flag.Bool("stream", false, "treat each stdin line as one document (fault-tolerant streaming)")
 	)
 	flag.Parse()
-	if *storeToken != "" && *storeDir == "" {
-		fail("-token requires -store")
-	}
-	if *scanWorkers != 0 && *storeDir == "" {
-		fail("-scan-workers requires -store")
-	}
-	if *storeDir != "" {
-		*stream = true
-	}
-
-	var reg *obs.Registry
-	if *metrics || *metricsAddr != "" {
-		reg = obs.NewRegistry()
+	if reg := tool.Start(); reg != nil {
 		extractor.SetMetrics(reg)
 	}
-	if *metricsAddr != "" {
-		srv, err := obshttp.Serve(*metricsAddr, reg)
-		if err != nil {
-			fail("metrics server: %v", err)
-		}
-		metricsSrv = srv
-		fmt.Fprintf(os.Stderr, "serving metrics on http://%s/metrics\n", srv.Addr())
-	}
 
-	if *stream {
-		runStream(*jsonOut, *workers, reg, *storeDir, *storeToken, *scanWorkers)
-		dumpMetrics(*metrics, reg)
-		exit(0)
+	if *stream || tool.FromStore() {
+		tool.Finish(streamcli.Run(tool, streamcli.Pipeline[scan]{
+			New:  func(text string) scan { return scan{Text: text} },
+			Text: func(s *scan) string { return s.Text },
+			Stages: []resilience.Stage[scan]{{
+				Name:      "extract",
+				Transient: true,
+				Fn: func(_ context.Context, _ int, s *scan) error {
+					analyze(s)
+					return nil
+				},
+			}},
+			Print: func(w io.Writer, res resilience.Result[scan]) {
+				if *jsonOut {
+					if err := json.NewEncoder(w).Encode(res.Item); err != nil {
+						tool.Fail("%v", err)
+					}
+					return
+				}
+				s := res.Item
+				var types []string
+				for _, m := range s.PII {
+					types = append(types, m.Type)
+				}
+				fmt.Fprintf(w, "pii=%v risks=%v gender=%s\n", types, s.Risks, s.Gender)
+			},
+		}))
+		return
 	}
 
 	data, err := io.ReadAll(os.Stdin)
 	if err != nil {
-		fail("reading stdin: %v", err)
+		tool.Fail("reading stdin: %v", err)
 	}
-	report(string(data), *jsonOut)
-	dumpMetrics(*metrics, reg)
-	exit(0)
-}
-
-// dumpMetrics prints the final snapshot to stderr behind the marker the
-// tests parse for.
-func dumpMetrics(enabled bool, reg *obs.Registry) {
-	if !enabled {
-		return
+	s := scan{Text: string(data)}
+	analyze(&s)
+	if *jsonOut {
+		enc := json.NewEncoder(os.Stdout)
+		enc.SetIndent("", "  ")
+		if err := enc.Encode(s); err != nil {
+			tool.Fail("%v", err)
+		}
+	} else {
+		printScan(&s)
 	}
-	fmt.Fprintln(os.Stderr, "metrics snapshot:")
-	if err := reg.WriteJSON(os.Stderr); err != nil {
-		fail("writing metrics: %v", err)
-	}
+	tool.Finish(nil)
 }
 
 // scan is one document's extracted profile.
@@ -156,16 +121,14 @@ var extractor = pii.NewExtractor()
 
 func analyze(s *scan) {
 	matches := extractor.Extract(s.Text)
-	var types []pii.Type
 	seen := map[pii.Type]bool{}
 	for _, m := range matches {
 		s.PII = append(s.PII, harassrepro.PIIMatch{Type: string(m.Type), Value: m.Value})
-		if !seen[m.Type] {
-			seen[m.Type] = true
-		}
+		seen[m.Type] = true
 	}
 	// Table 6 order, one scan: derive the type set from the matches
 	// instead of a second Extract pass.
+	var types []pii.Type
 	for _, t := range pii.AllTypes() {
 		if seen[t] {
 			types = append(types, t)
@@ -175,21 +138,6 @@ func analyze(s *scan) {
 		s.Risks = append(s.Risks, string(r))
 	}
 	s.Gender = string(gender.Infer(s.Text))
-}
-
-// report handles the single-document mode.
-func report(text string, jsonOut bool) {
-	s := scan{Text: text}
-	analyze(&s)
-	if jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(s); err != nil {
-			fail("%v", err)
-		}
-		return
-	}
-	printScan(&s)
 }
 
 func printScan(s *scan) {
@@ -205,109 +153,4 @@ func printScan(s *scan) {
 		fmt.Printf("harm risks: %v\n", s.Risks)
 	}
 	fmt.Printf("likely target gender: %s\n", s.Gender)
-}
-
-// runStream processes one document per line (or per store record) on
-// the resilience runtime.
-func runStream(jsonOut bool, workers int, reg *obs.Registry, storeDir, storeToken string, scanWorkers int) {
-	runner := resilience.NewRunner(resilience.Config[scan]{
-		Workers: workers,
-		Ordered: true,
-		Describe: func(s *scan) string {
-			if len(s.Text) > 40 {
-				return s.Text[:40] + "..."
-			}
-			return s.Text
-		},
-		Metrics: reg,
-	}, resilience.Stage[scan]{
-		Name:      "extract",
-		Transient: true,
-		Fn: func(_ context.Context, _ int, s *scan) error {
-			analyze(s)
-			return nil
-		},
-	})
-
-	in := make(chan scan)
-	scanErr := make(chan error, 1)
-	go func() {
-		defer close(in)
-		if storeDir != "" {
-			scanErr <- feedFromStore(storeDir, storeToken, scanWorkers, in)
-			return
-		}
-		sc := bufio.NewScanner(os.Stdin)
-		sc.Buffer(make([]byte, 1<<20), 1<<20)
-		for sc.Scan() {
-			if line := sc.Text(); strings.TrimSpace(line) != "" {
-				in <- scan{Text: line}
-			}
-		}
-		scanErr <- sc.Err()
-	}()
-
-	enc := json.NewEncoder(os.Stdout)
-	var results []resilience.Result[scan]
-	for res := range runner.Process(context.Background(), in) {
-		results = append(results, res)
-		if res.Status == resilience.StatusQuarantined {
-			fmt.Printf("QUARANTINED (%s after %d attempts): %v\n",
-				res.Dead.Stage, res.Dead.Attempts, res.Dead.Err)
-			continue
-		}
-		if jsonOut {
-			if err := enc.Encode(res.Item); err != nil {
-				fail("%v", err)
-			}
-			continue
-		}
-		s := res.Item
-		var types []string
-		for _, m := range s.PII {
-			types = append(types, m.Type)
-		}
-		fmt.Printf("pii=%v risks=%v gender=%s\n", types, s.Risks, s.Gender)
-	}
-
-	sum := resilience.Summarize(results)
-	fmt.Fprintln(os.Stderr, sum)
-	for _, dl := range sum.DeadLetters {
-		fmt.Fprintf(os.Stderr, "  dead-letter %s\n", dl)
-	}
-	if err := <-scanErr; err != nil {
-		fail("reading input: %v", err)
-	}
-}
-
-// feedFromStore streams document texts out of a segmented corpus
-// store, whole (segments decoded in parallel when scanWorkers allows;
-// delivery order is store order regardless) or restricted to the
-// boolean token query's matches (posting bitmaps combined per segment,
-// see store.ParseQuery), decoding one segment at a time so memory
-// stays bounded.
-func feedFromStore(dir, token string, scanWorkers int, in chan<- scan) error {
-	s, err := store.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer s.Close()
-	for _, torn := range s.Recovery().Torn {
-		fmt.Fprintf(os.Stderr, "piiscan: store recovered torn segment %s (%d docs salvaged)\n",
-			torn.Name, torn.SalvagedDocs)
-	}
-	emit := func(d *corpus.Document, _ store.DocRef) error {
-		if strings.TrimSpace(d.Text) != "" {
-			in <- scan{Text: d.Text}
-		}
-		return nil
-	}
-	if strings.TrimSpace(token) != "" {
-		q, err := store.ParseQuery(token)
-		if err != nil {
-			return err
-		}
-		return s.LookupQueryDocs(q, emit)
-	}
-	return s.ScanParallel(scanWorkers, emit)
 }

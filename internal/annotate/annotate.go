@@ -134,8 +134,6 @@ type Pool struct {
 	cfg        PoolConfig
 	annotators []*Annotator
 	rng        *randx.Source
-	// rejectedAtEntry counts candidates who failed the entry test.
-	rejectedAtEntry int
 }
 
 // NewPool creates a pool, running each candidate annotator through the
@@ -156,8 +154,6 @@ func NewPool(cfg PoolConfig, rng *randx.Source) *Pool {
 		}
 		if p.entryTest(a) {
 			p.annotators = append(p.annotators, a)
-		} else {
-			p.rejectedAtEntry++
 		}
 	}
 	return p
@@ -185,9 +181,6 @@ func (p *Pool) entryTest(a *Annotator) bool {
 	}
 	return float64(correct)/10 >= p.cfg.EntryPassScore
 }
-
-// RejectedAtEntry returns the number of candidates who failed onboarding.
-func (p *Pool) RejectedAtEntry() int { return p.rejectedAtEntry }
 
 // Active returns the annotators not removed by gating.
 func (p *Pool) Active() []*Annotator {

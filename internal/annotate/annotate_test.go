@@ -35,7 +35,9 @@ func TestEntryTestRejectsBadAnnotators(t *testing.T) {
 	rng := randx.New(2)
 	// A pool of coin-flippers: nearly all should fail the 90% entry bar.
 	p := NewPool(PoolConfig{Size: 5, TPR: 0.5, TNR: 0.5}, rng)
-	if p.RejectedAtEntry() == 0 {
+	// Candidates are numbered in order, so a full pool whose last member
+	// is candidate 5 turned nobody away.
+	if active := p.Active(); len(active) == 5 && active[4].ID == "annotator-005" {
 		t.Error("no candidates rejected at entry despite coin-flip accuracy")
 	}
 }

@@ -61,7 +61,7 @@ func TestArtifactGraphParallelAll(t *testing.T) {
 
 	snap := reg.Snapshot()
 	for _, stage := range allStageNames() {
-		if v := snap.CounterValue("graph_stage_computes_total", obs.L("stage", stage)); v != 1 {
+		if v := counterValue(snap, "graph_stage_computes_total", obs.L("stage", stage)); v != 1 {
 			t.Errorf("stage %s computed %v times, want exactly 1", stage, v)
 		}
 	}
@@ -72,7 +72,7 @@ func TestArtifactGraphParallelAll(t *testing.T) {
 		ArtifactCodedCTH, ArtifactDoxPII, ArtifactBoardPosts,
 		ArtifactAboveBoardPosts, ArtifactRepeatDox,
 	} {
-		if v := snap.CounterValue("graph_stage_hits_total", obs.L("stage", stage)); v < 1 {
+		if v := counterValue(snap, "graph_stage_hits_total", obs.L("stage", stage)); v < 1 {
 			t.Errorf("artifact %s: %v cache hits, want >= 1 (shared by several consumers)", stage, v)
 		}
 	}
@@ -120,7 +120,7 @@ func TestSweepParallelMatchesSequential(t *testing.T) {
 	}
 	base := QuickConfig(0)
 	seeds := []uint64{1, 2}
-	seq, err := RunSweep(base, seeds)
+	seq, err := RunSweepParallel(context.Background(), base, seeds, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

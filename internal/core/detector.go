@@ -64,42 +64,10 @@ func (m *detectorMeta) validate() error {
 }
 
 // SaveModels writes the trained filtering classifiers and their
-// configuration into dir (created if needed).
+// configuration into dir (created if needed): the Detector's Save
+// layout.
 func (p *Pipeline) SaveModels(dir string) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("core: save models: %w", err)
-	}
-	if err := p.Tokenizer.Vocab().SaveFile(filepath.Join(dir, vocabFile)); err != nil {
-		return err
-	}
-	if err := p.Dox.Model.SaveFile(filepath.Join(dir, doxFile)); err != nil {
-		return err
-	}
-	if err := p.CTH.Model.SaveFile(filepath.Join(dir, cthFile)); err != nil {
-		return err
-	}
-	meta := detectorMeta{
-		Version:       1,
-		Buckets:       p.Config.Buckets,
-		DoxTextLen:    p.Dox.TextLen,
-		CTHTextLen:    p.CTH.TextLen,
-		DoxThresholds: map[string]float64{},
-		CTHThresholds: map[string]float64{},
-	}
-	for plat, r := range p.Dox.Results {
-		meta.DoxThresholds[string(plat)] = r.Threshold
-	}
-	for plat, r := range p.CTH.Results {
-		meta.CTHThresholds[string(plat)] = r.Threshold
-	}
-	data, err := json.MarshalIndent(meta, "", "  ")
-	if err != nil {
-		return fmt.Errorf("core: save models: %w", err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, metaFile), data, 0o644); err != nil {
-		return fmt.Errorf("core: save models: %w", err)
-	}
-	return nil
+	return p.Detector().Save(dir)
 }
 
 // Detector builds the deployable detector directly from the trained
@@ -122,16 +90,7 @@ func (p *Pipeline) Detector() *Detector {
 	for plat, r := range p.CTH.Results {
 		meta.CTHThresholds[string(plat)] = r.Threshold
 	}
-	d := &Detector{
-		tok:    p.Tokenizer,
-		hasher: features.NewHasher(features.HasherConfig{Buckets: p.Config.Buckets, Bigrams: true}),
-		dox:    p.Dox.Model,
-		cth:    p.CTH.Model,
-		meta:   meta,
-		rng:    randx.New(1).Split("detector"),
-	}
-	d.initScorerPool()
-	return d
+	return newDetector(p.Tokenizer, newHasher(meta.Buckets), p.Dox.Model, p.CTH.Model, meta)
 }
 
 // Detector scores text with previously saved classifiers, without the
@@ -142,10 +101,27 @@ type Detector struct {
 	dox    *model.LogReg
 	cth    *model.LogReg
 	meta   detectorMeta
-	rng    *randx.Source
+	// rng is the span-sampling stream ScoreCTH/ScoreDox start every
+	// call from; they draw from a copy, never advance it.
+	rng randx.Source
 	// scorers pools the per-goroutine scoring scratch (WordPiece
 	// session + featurizer) so steady-state scoring is allocation-free.
 	scorers sync.Pool
+}
+
+// newDetector assembles a detector over its parts and builds its scorer
+// pool.
+func newDetector(tok *tokenize.Tokenizer, hasher *features.Hasher, dox, cth *model.LogReg, meta detectorMeta) *Detector {
+	d := &Detector{tok: tok, hasher: hasher, dox: dox, cth: cth, meta: meta, rng: *randx.New(1).Split("detector")}
+	d.scorers.New = func() any {
+		return &scorer{sess: tok.NewSession(), feat: hasher.NewFeaturizer(), fresh: true}
+	}
+	return d
+}
+
+// newHasher is the feature space every detector scores in.
+func newHasher(buckets uint32) *features.Hasher {
+	return features.NewHasher(features.HasherConfig{Buckets: buckets, Bigrams: true})
 }
 
 // ModelFiles lists the files a complete SaveModels directory holds.
@@ -216,29 +192,23 @@ func LoadDetector(dir string) (*Detector, error) {
 	if dox.Buckets() != meta.Buckets || cth.Buckets() != meta.Buckets {
 		return nil, fmt.Errorf("core: load detector: model buckets do not match metadata (%d)", meta.Buckets)
 	}
-	d := &Detector{
-		tok:    tokenize.NewTokenizer(vocab),
-		hasher: features.NewHasher(features.HasherConfig{Buckets: meta.Buckets, Bigrams: true}),
-		dox:    dox,
-		cth:    cth,
-		meta:   meta,
-		rng:    randx.New(1).Split("detector"),
-	}
-	d.initScorerPool()
-	return d, nil
+	return newDetector(tokenize.NewTokenizer(vocab), newHasher(meta.Buckets), dox, cth, meta), nil
 }
 
-// ScoreDox returns the doxing classifier's positive probability.
-// Not safe for concurrent use (it advances the detector's internal
-// span-sampling stream); use ScoreStream for concurrent scoring.
+// ScoreDox returns the doxing classifier's positive probability. The
+// score is a function of the text alone and the method is safe for
+// concurrent use: a document longer than the span length samples its
+// spans from a copy of the detector's fixed stream.
 func (d *Detector) ScoreDox(text string) float64 {
-	return d.scoreWith(d.dox, text, d.meta.DoxTextLen, d.rng)
+	rng := d.rng
+	return d.scoreWith(d.dox, text, d.meta.DoxTextLen, &rng)
 }
 
 // ScoreCTH returns the call-to-harassment classifier's positive
-// probability. Not safe for concurrent use; see ScoreDox.
+// probability; see ScoreDox.
 func (d *Detector) ScoreCTH(text string) float64 {
-	return d.scoreWith(d.cth, text, d.meta.CTHTextLen, d.rng)
+	rng := d.rng
+	return d.scoreWith(d.cth, text, d.meta.CTHTextLen, &rng)
 }
 
 // scoreDoxWith scores with an explicit span-sampling source.
@@ -330,20 +300,9 @@ func (d *Detector) Retrained(task annotate.Task, m *model.LogReg, thresholds map
 	meta := d.meta
 	meta.DoxThresholds = copyThresholds(d.meta.DoxThresholds)
 	meta.CTHThresholds = copyThresholds(d.meta.CTHThresholds)
-	nd := &Detector{
-		tok:    d.tok,
-		hasher: d.hasher,
-		dox:    d.dox,
-		cth:    d.cth,
-		meta:   meta,
-		rng:    randx.New(1).Split("detector"),
-	}
-	target := nd.meta.DoxThresholds
+	dox, cth, target := m, d.cth, meta.DoxThresholds
 	if task == annotate.TaskCTH {
-		nd.cth = m
-		target = nd.meta.CTHThresholds
-	} else {
-		nd.dox = m
+		dox, cth, target = d.dox, m, meta.CTHThresholds
 	}
 	for plat, th := range thresholds {
 		if th <= 0 || th > 1 {
@@ -351,8 +310,7 @@ func (d *Detector) Retrained(task annotate.Task, m *model.LogReg, thresholds map
 		}
 		target[plat] = th
 	}
-	nd.initScorerPool()
-	return nd, nil
+	return newDetector(d.tok, d.hasher, dox, cth, meta), nil
 }
 
 func copyThresholds(in map[string]float64) map[string]float64 {
@@ -391,14 +349,6 @@ func (d *Detector) TaskThresholds(task annotate.Task) map[string]float64 {
 		return copyThresholds(d.meta.CTHThresholds)
 	}
 	return copyThresholds(d.meta.DoxThresholds)
-}
-
-// TaskModel returns the task's classifier (shared, read-only).
-func (d *Detector) TaskModel(task annotate.Task) *model.LogReg {
-	if task == annotate.TaskCTH {
-		return d.cth
-	}
-	return d.dox
 }
 
 // Platforms lists the platforms with saved thresholds.

@@ -4,7 +4,11 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
+	"sync"
 	"testing"
+
+	"harassrepro/internal/randx"
 )
 
 func TestSaveModelsLoadDetector(t *testing.T) {
@@ -97,6 +101,56 @@ func TestPipelineDetectorMatchesSaveLoadRoundTrip(t *testing.T) {
 			t.Errorf("thresholds diverge for %s", plat)
 		}
 	}
+}
+
+// longDoc returns a document of n words, longer than both span
+// lengths: chat filler with one word in ten drawn from harassment and
+// dox cues, so that the spans a score samples decide it.
+func longDoc(seed uint64, n int) string {
+	filler := strings.Fields("anyone up for ranked tonight patch notes are out the new map is fun and we should play more lol this server is dead")
+	cues := strings.Fields("mass report his channel post her address 99 cedar lane phone email")
+	rng := randx.New(seed)
+	out := make([]string, n)
+	for i := range out {
+		if rng.Bool(0.1) {
+			out[i] = randx.Pick(rng, cues)
+		} else {
+			out[i] = randx.Pick(rng, filler)
+		}
+	}
+	return strings.Join(out, " ")
+}
+
+// TestDetectorScoresArePureFunctionsOfText: ScoreCTH and ScoreDox give
+// a long document the same score however often, in whatever order and
+// from however many goroutines it is scored.
+func TestDetectorScoresArePureFunctionsOfText(t *testing.T) {
+	det := testDetector(t)
+	docs := []string{longDoc(1, 900), longDoc(2, 1400), "we should mass report his channel", longDoc(3, 700)}
+	type pair struct{ cth, dox float64 }
+	first := make([]pair, len(docs))
+	for i, text := range docs {
+		first[i] = pair{det.ScoreCTH(text), det.ScoreDox(text)}
+	}
+	for i := len(docs) - 1; i >= 0; i-- {
+		if got := (pair{det.ScoreCTH(docs[i]), det.ScoreDox(docs[i])}); got != first[i] {
+			t.Errorf("doc %d rescored in reverse order: %+v, first %+v", i, got, first[i])
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for k := range docs {
+				i := (k + w) % len(docs)
+				if got := (pair{det.ScoreCTH(docs[i]), det.ScoreDox(docs[i])}); got != first[i] {
+					t.Errorf("goroutine %d doc %d: %+v, sequential %+v", w, i, got, first[i])
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }
 
 func TestLoadDetectorErrors(t *testing.T) {

@@ -27,14 +27,6 @@ type scorer struct {
 	fresh bool
 }
 
-// initScorerPool builds the detector's scorer pool; called once by
-// LoadDetector after tok and hasher are set.
-func (d *Detector) initScorerPool() {
-	d.scorers.New = func() any {
-		return &scorer{sess: d.tok.NewSession(), feat: d.hasher.NewFeaturizer(), fresh: true}
-	}
-}
-
 // vectorizeWith mirrors the legacy text-to-vector transform on the
 // scorer's scratch: tokenize, then featurize.
 //

@@ -155,6 +155,12 @@ func TestScoreStreamSteadyStateAllocs(t *testing.T) {
 	}); n > 0 {
 		t.Errorf("scoreCTHWith allocates %v per op, want 0", n)
 	}
+	if n := testing.AllocsPerRun(200, func() {
+		det.ScoreCTH(text)
+		det.ScoreDox(text)
+	}); n > 0 {
+		t.Errorf("ScoreCTH+ScoreDox allocate %v per op, want 0", n)
+	}
 }
 
 // TestAnnotateStagesCueFreeAllocs pins the annotation stages' common

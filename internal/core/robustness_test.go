@@ -42,7 +42,8 @@ func TestTinyScalePipeline(t *testing.T) {
 func TestMismatchedScales(t *testing.T) {
 	g := corpus.NewGenerator(corpus.Config{Seed: 7, VolumeScale: 1_000_000, PositiveScale: 5})
 	boards := g.Generate()[corpus.Boards]
-	cth, dox := boards.CountTrue()
+	cth := len(boards.Filter(func(d *corpus.Document) bool { return d.Truth.IsCTH }))
+	dox := len(boards.Filter(func(d *corpus.Document) bool { return d.Truth.IsDox }))
 	// Quotas must be met (the generator grows the budget).
 	if cth < 3500 || dox < 1800 {
 		t.Errorf("quotas unmet at mismatched scales: cth=%d dox=%d", cth, dox)

@@ -64,9 +64,6 @@ type StreamOptions struct {
 	// traffic, sampled phase timings, PII prefilter counters). Scores
 	// are bit-identical with or without it.
 	Metrics *obs.Registry
-	// Trace, if set, records per-stage timings for a seeded-deterministic
-	// sample of documents.
-	Trace *obs.Tracer
 }
 
 var (
@@ -187,7 +184,6 @@ func (d *Detector) Runner(opts StreamOptions) *resilience.Runner[StreamDoc] {
 		Ordered:  opts.Ordered,
 		Describe: func(sd *StreamDoc) string { return sd.ID },
 		Metrics:  opts.Metrics,
-		Tracer:   opts.Trace,
 	}, d.streamStages(opts)...)
 }
 

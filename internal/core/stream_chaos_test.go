@@ -99,7 +99,7 @@ func TestScoreStreamChaos(t *testing.T) {
 	// taxonomy) must degrade, not quarantine.
 	poison := map[int]bool{}
 	for _, stage := range []string{"score-cth", "score-dox"} {
-		for _, i := range chaos.PoisonIndexes(chaosCfg, stage, len(docs)) {
+		for _, i := range poisonIndexes(chaosCfg, stage, len(docs)) {
 			poison[i] = true
 		}
 	}
@@ -116,7 +116,7 @@ func TestScoreStreamChaos(t *testing.T) {
 
 	degradedPoison := map[int]bool{}
 	for _, stage := range []string{"pii", "taxonomy"} {
-		for _, i := range chaos.PoisonIndexes(chaosCfg, stage, len(docs)) {
+		for _, i := range poisonIndexes(chaosCfg, stage, len(docs)) {
 			degradedPoison[i] = true
 		}
 	}
@@ -160,18 +160,18 @@ func TestScoreStreamChaos(t *testing.T) {
 	// which the errors == retries + failures identity still pins down.
 	s := chaosOpts.Metrics.Snapshot()
 	cv := func(name, stage string) int {
-		return int(s.CounterValue(name, obs.L("stage", stage)))
+		return int(counterValue(s, name, obs.L("stage", stage)))
 	}
-	poisonCTH := chaos.PoisonIndexes(chaosCfg, "score-cth", len(docs))
+	poisonCTH := poisonIndexes(chaosCfg, "score-cth", len(docs))
 	poisonDoxOnly := 0
-	for _, i := range chaos.PoisonIndexes(chaosCfg, "score-dox", len(docs)) {
+	for _, i := range poisonIndexes(chaosCfg, "score-dox", len(docs)) {
 		if !contains(poisonCTH, i) {
 			poisonDoxOnly++
 		}
 	}
 	annotFailures := map[string]int{}
 	for _, stage := range []string{"pii", "taxonomy"} {
-		for _, i := range chaos.PoisonIndexes(chaosCfg, stage, len(docs)) {
+		for _, i := range poisonIndexes(chaosCfg, stage, len(docs)) {
 			if !poison[i] { // quarantined docs never reach the annotation stages
 				annotFailures[stage]++
 			}
@@ -213,7 +213,7 @@ func TestScoreStreamChaos(t *testing.T) {
 			t.Errorf("stage %s: panics %d > errors %d", stage, panics, errs)
 		}
 		// Every poison doc burns the full retry budget at its fatal stage.
-		if m, ok := s.Find("pipeline_stage_latency_ns", obs.L("stage", stage)); !ok || int(m.Count) != attempts {
+		if m, ok := findMetric(s, "pipeline_stage_latency_ns", obs.L("stage", stage)); !ok || int(m.Count) != attempts {
 			t.Errorf("stage %s: latency histogram count %d != attempts %d", stage, m.Count, attempts)
 		}
 	}
@@ -225,7 +225,7 @@ func TestScoreStreamChaos(t *testing.T) {
 	}
 	// Item-status totals reconcile with the run summary.
 	iv := func(status string) int {
-		return int(s.CounterValue("pipeline_items_total", obs.L("status", status)))
+		return int(counterValue(s, "pipeline_items_total", obs.L("status", status)))
 	}
 	// Summary.Succeeded includes degraded docs; items_total{ok} does not.
 	if iv("ok") != faultySum.Succeeded-faultySum.Degraded || iv("degraded") != faultySum.Degraded || iv("quarantined") != faultySum.Quarantined {
@@ -372,4 +372,20 @@ func TestScoreStreamLatencyDeadline(t *testing.T) {
 			t.Fatalf("doc %d score changed under latency injection", i)
 		}
 	}
+}
+
+// poisonIndexes returns the document indexes in [0, n) that cfg's plan
+// poisons in the named stage: the ones a no-op stage wrapped in the
+// plan's poison decisions alone quarantines on a single attempt.
+func poisonIndexes(cfg chaos.Config, stage string, n int) []int {
+	noop := resilience.Stage[StreamDoc]{Name: stage, Fn: func(context.Context, int, *StreamDoc) error { return nil }}
+	oracle := resilience.NewRunner(resilience.Config[StreamDoc]{Retry: resilience.RetryPolicy{MaxAttempts: 1}},
+		chaos.Wrap(noop, chaos.Config{Seed: cfg.Seed, PermanentRate: cfg.PermanentRate}))
+	var out []int
+	for i := 0; i < n; i++ {
+		if oracle.RunItem(context.Background(), i, StreamDoc{}).Status == resilience.StatusQuarantined {
+			out = append(out, i)
+		}
+	}
+	return out
 }

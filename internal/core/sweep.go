@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 
 	"harassrepro/internal/report"
@@ -88,14 +87,6 @@ func (p *Pipeline) CollectMetrics() SweepMetrics {
 		}
 	}
 	return m
-}
-
-// RunSweep executes the pipeline once per seed (all other configuration
-// shared) and returns the per-seed metrics in seed order. It is the
-// sequential (workers=1) form of RunSweepParallel; per-seed outputs are
-// identical at any worker count.
-func RunSweep(base Config, seeds []uint64) ([]SweepMetrics, error) {
-	return RunSweepParallel(context.Background(), base, seeds, 1)
 }
 
 // RenderSweep formats per-seed metrics with mean and standard deviation

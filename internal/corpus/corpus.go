@@ -131,19 +131,6 @@ func (c *Corpus) Filter(pred func(*Document) bool) []*Document {
 	return out
 }
 
-// CountTrue returns the number of planted true CTH and dox documents.
-func (c *Corpus) CountTrue() (cth, dox int) {
-	for i := range c.Docs {
-		if c.Docs[i].Truth.IsCTH {
-			cth++
-		}
-		if c.Docs[i].Truth.IsDox {
-			dox++
-		}
-	}
-	return cth, dox
-}
-
 // DatasetDates holds the Table 1 collection date ranges.
 var DatasetDates = map[Dataset][2]string{
 	Boards: {"2001-06-14", "2020-08-01"},
@@ -180,28 +167,6 @@ func dateFor(ds Dataset, f float64) string {
 
 // docID builds a stable document identifier.
 func docID(p Platform, n int) string { return fmt.Sprintf("%s-%08d", p, n) }
-
-// TruePositiveTargets holds the Table 4 true-positive counts per task and
-// platform at the paper's full scale. The generators plant
-// TruePositives/PositiveScale positives per platform.
-var TruePositiveTargets = struct {
-	Dox map[Platform]int
-	CTH map[Platform]int
-}{
-	Dox: map[Platform]int{
-		PlatformBoards:   2549,
-		PlatformDiscord:  153,
-		PlatformGab:      1657,
-		PlatformPastes:   3118,
-		PlatformTelegram: 948,
-	},
-	CTH: map[Platform]int{
-		PlatformBoards:   2045,
-		PlatformGab:      1335,
-		PlatformDiscord:  510,
-		PlatformTelegram: 2364,
-	},
-}
 
 // sub11 holds the Table 11 per-data-set subcategory prevalence (percent).
 // Columns: boards, chat, gab. Used as the planted attack-type mixture.

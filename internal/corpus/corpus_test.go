@@ -58,7 +58,7 @@ func TestPlantedPositiveCounts(t *testing.T) {
 	_, corpora := generateAll(t)
 	// Planted positives must track the scaled Table 4 true-positive
 	// volumes (PositiveScale 10 here).
-	cthBoards, doxBoards := corpora[Boards].CountTrue()
+	cthBoards, doxBoards := countTrue(corpora[Boards])
 	wantCTH := int(fullScaleTruePositives.CTH[PlatformBoards] / 10)
 	wantDox := int(fullScaleTruePositives.Dox[PlatformBoards] / 10)
 	if math.Abs(float64(cthBoards-wantCTH)) > float64(wantCTH)*0.1+10 {
@@ -68,7 +68,7 @@ func TestPlantedPositiveCounts(t *testing.T) {
 		t.Errorf("boards dox = %d, want ~%d", doxBoards, wantDox)
 	}
 	// Pastes has no CTH (Table 2: the CTH task does not apply).
-	cthPastes, doxPastes := corpora[Pastes].CountTrue()
+	cthPastes, doxPastes := countTrue(corpora[Pastes])
 	if cthPastes != 0 {
 		t.Errorf("pastes contains %d CTH, want 0", cthPastes)
 	}
@@ -437,14 +437,27 @@ func TestPlatformDatasetMapping(t *testing.T) {
 func TestFilterAndCountTrue(t *testing.T) {
 	_, corpora := generateAll(t)
 	gab := corpora[Gab]
-	cth, dox := gab.CountTrue()
+	cth, dox := countTrue(gab)
 	got := len(gab.Filter(func(d *Document) bool { return d.Truth.IsCTH }))
 	if got != cth {
-		t.Errorf("Filter CTH = %d, CountTrue = %d", got, cth)
+		t.Errorf("Filter CTH = %d, counted = %d", got, cth)
 	}
 	if cth == 0 || dox == 0 {
 		t.Error("gab should contain both positives")
 	}
+}
+
+// countTrue returns the number of planted true CTH and dox documents.
+func countTrue(c *Corpus) (cth, dox int) {
+	for i := range c.Docs {
+		if c.Docs[i].Truth.IsCTH {
+			cth++
+		}
+		if c.Docs[i].Truth.IsDox {
+			dox++
+		}
+	}
+	return cth, dox
 }
 
 func BenchmarkGenerateBoards(b *testing.B) {

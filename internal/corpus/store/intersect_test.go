@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"harassrepro/internal/corpus"
@@ -117,9 +118,9 @@ func TestBitmapAndDenseResultStaysDense(t *testing.T) {
 }
 
 // TestLookupAllMatchesNaiveScan differentially tests multi-token AND
-// lookup: for token pairs and triples drawn from the corpus, LookupAll
-// must return exactly the refs a full scan + retokenize finds in every
-// posting list.
+// lookup: for token pairs and triples drawn from the corpus, an all-AND
+// query must return exactly the refs a full scan + retokenize finds in
+// every posting list.
 func TestLookupAllMatchesNaiveScan(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Create(dir)
@@ -170,8 +171,12 @@ func TestLookupAllMatchesNaiveScan(t *testing.T) {
 		return refs
 	}
 	lookupAll := func(tokens ...string) []DocRef {
+		q, err := ParseQuery(strings.Join(tokens, ","))
+		if err != nil {
+			t.Fatal(err)
+		}
 		var refs []DocRef
-		s.LookupAll(tokens, func(ref DocRef) bool {
+		s.LookupQuery(q, func(ref DocRef) bool {
 			refs = append(refs, ref)
 			return true
 		})
@@ -184,14 +189,14 @@ func TestLookupAllMatchesNaiveScan(t *testing.T) {
 		{"flagging", "brigade", "tonight"}, // only doc 2
 		{"TONIGHT", "Flagging"},            // case folding
 		{"dataset:boards", "brigade"},      // field term AND text term
-		{"channel"},                        // single token degrades to Lookup
+		{"channel"},                        // single token
 		{"channel", "no-such-token-q9z"},   // absent token kills everything
 		{"pastoral", "interlude"},
 	}
 	for _, q := range queries {
 		want, got := oracle(q...), lookupAll(q...)
 		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("LookupAll(%v) = %v, want %v", q, got, want)
+			t.Fatalf("AND lookup %v = %v, want %v", q, got, want)
 		}
 	}
 	// Sanity: the interesting queries actually match something.
@@ -202,34 +207,38 @@ func TestLookupAllMatchesNaiveScan(t *testing.T) {
 		t.Fatal("flagging AND tonight should span segments")
 	}
 
-	// Zero tokens match nothing.
-	s.LookupAll(nil, func(DocRef) bool {
-		t.Fatal("LookupAll(nil) produced a ref")
-		return false
-	})
 	// Early stop.
+	channel, err := ParseQuery("channel")
+	if err != nil {
+		t.Fatal(err)
+	}
 	n := 0
-	s.LookupAll([]string{"channel"}, func(DocRef) bool { n++; return false })
+	s.LookupQuery(channel, func(DocRef) bool { n++; return false })
 	if n != 1 {
 		t.Fatalf("early stop visited %d refs, want 1", n)
 	}
 
-	// LookupAllDocs fetches the matching documents in store order.
+	// The same AND as a query fetches the matching documents in store
+	// order.
+	and, err := ParseQuery("flagging,tonight")
+	if err != nil {
+		t.Fatal(err)
+	}
 	var ids []string
-	if err := s.LookupAllDocs([]string{"flagging", "tonight"}, func(d *corpus.Document, _ DocRef) error {
+	if err := s.LookupQueryDocs(and, func(d *corpus.Document, _ DocRef) error {
 		ids = append(ids, d.ID)
 		return nil
 	}); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(ids, []string{docs[2].ID, docs[8].ID}) {
-		t.Fatalf("LookupAllDocs ids = %v", ids)
+		t.Fatalf("LookupQueryDocs ids = %v", ids)
 	}
 	// Callback errors propagate.
 	boom := fmt.Errorf("boom")
-	if err := s.LookupAllDocs([]string{"channel"}, func(*corpus.Document, DocRef) error {
+	if err := s.LookupQueryDocs(channel, func(*corpus.Document, DocRef) error {
 		return boom
 	}); err != boom {
-		t.Fatalf("LookupAllDocs error = %v, want boom", err)
+		t.Fatalf("LookupQueryDocs error = %v, want boom", err)
 	}
 }

@@ -518,7 +518,6 @@ func TestLookupDocsCorruptionKeepsChain(t *testing.T) {
 	}
 	noop := func(*corpus.Document, DocRef) error { return nil }
 	checkCorrupt("LookupDocs", s.LookupDocs("report", noop))
-	checkCorrupt("LookupAllDocs", s.LookupAllDocs([]string{"report", "channel"}, noop))
 	q, err := ParseQuery("report|channel,-no-such-token")
 	if err != nil {
 		t.Fatal(err)

@@ -80,9 +80,9 @@ func (q *Query) String() string {
 
 // eval resolves the query against one segment's index, returning the
 // matching ordinals (nil when nothing matches). Clause unions build
-// with Bitmap.Or, the cross-clause intersection runs rarest-first like
-// LookupAll, and negations subtract last with Bitmap.AndNot — all
-// pure bitmap algebra, no documents decoded.
+// with Bitmap.Or, the cross-clause intersection runs rarest-first so
+// the working set only ever shrinks, and negations subtract last with
+// Bitmap.AndNot — all pure bitmap algebra, no documents decoded.
 func (q *Query) eval(ix *segIndex) *Bitmap {
 	clauseBMs := make([]*Bitmap, len(q.clauses))
 	for i, clause := range q.clauses {

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"harassrepro/internal/corpus"
+	"harassrepro/internal/durable"
 )
 
 // The crash model: Append writes seg-N.seg, then seg-N.idx, then
@@ -35,7 +36,7 @@ func listStoreFiles(t *testing.T, dir string) []string {
 		}
 		rel, _ := filepath.Rel(dir, path)
 		if d.IsDir() {
-			if rel == quarantineDir {
+			if rel == durable.QuarantineDir {
 				return filepath.SkipDir
 			}
 			return nil
@@ -286,7 +287,7 @@ func TestRecoveryCrashBetweenIdxAndManifest(t *testing.T) {
 		t.Fatalf("quarantined files = %v, want %v", rec.Torn[0].Files, wantFiles)
 	}
 	// The salvage dump holds the full batch, with truth.
-	f, err := os.Open(filepath.Join(dir, quarantineDir, "seg-00000002.salvaged.jsonl"))
+	f, err := os.Open(filepath.Join(dir, durable.QuarantineDir, "seg-00000002.salvaged.jsonl"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,6 +308,72 @@ func TestRecoveryCrashBetweenIdxAndManifest(t *testing.T) {
 	}
 	s.Close()
 	compareStoreDirs(t, fullDir, dir)
+}
+
+// TestRecoveryRepeatCrashKeepsEarlierEvidence: segment names repeat
+// after a recovery (seg-N is the committed count + 1), so two crashes
+// mid-append tear the same name. The second recovery must quarantine
+// beside the first, leaving both salvage dumps and every document they
+// hold.
+func TestRecoveryRepeatCrashKeepsEarlierEvidence(t *testing.T) {
+	batchA := testDocs(4, "a-")
+	first, second := testDocs(3, "b-"), testDocs(2, "c-")
+	dir := t.TempDir()
+	crashState(t, dir, batchA, first, true, func(b []byte) []byte { return b })
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+
+	// The second crash tears the same segment name with another batch.
+	tmp := t.TempDir()
+	buildStore(t, tmp, batchA, second).Close()
+	segBytes, err := os.ReadFile(filepath.Join(tmp, "seg-00000002"+segSuffix))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "seg-00000002"+segSuffix), segBytes, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err = Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	rec := s.Recovery()
+	wantFiles := []string{"seg-00000002.salvaged.jsonl.1", "seg-00000002.seg.1"}
+	if len(rec.Torn) != 1 || rec.Torn[0].SalvagedDocs != len(second) || strings.Join(rec.Torn[0].Files, " ") != strings.Join(wantFiles, " ") {
+		t.Fatalf("second recovery = %+v, want files %v", rec, wantFiles)
+	}
+
+	var got []string
+	for _, name := range []string{"seg-00000002.salvaged.jsonl", "seg-00000002.salvaged.jsonl.1"} {
+		f, err := os.Open(filepath.Join(dir, durable.QuarantineDir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		docs, err := corpus.ReadJSONL(f)
+		f.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range docs {
+			got = append(got, d.ID)
+		}
+	}
+	var want []string
+	for _, d := range append(append([]corpus.Document(nil), first...), second...) {
+		want = append(want, d.ID)
+	}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Errorf("salvaged ids %v, want %v", got, want)
+	}
+	for _, name := range []string{"seg-00000002.seg", "seg-00000002.idx", "seg-00000002.seg.1"} {
+		if _, err := os.Stat(filepath.Join(dir, durable.QuarantineDir, name)); err != nil {
+			t.Errorf("quarantined %s: %v", name, err)
+		}
+	}
 }
 
 // TestCommittedCorruptionIsAnError distinguishes the torn-tail path

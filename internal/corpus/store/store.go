@@ -16,7 +16,9 @@
 // manifest never committed. Open detects them (and any truncated or
 // bit-flipped tail inside them, via the per-record checksums), salvages
 // the intact record prefix into quarantine/<segment>.salvaged.jsonl,
-// moves the torn files aside, and reports it all in the RecoveryReport
+// moves the torn files aside (a repeat crash at the same segment name
+// lands beside the first, suffixed .1, .2, ...; see internal/durable),
+// and reports it all in the RecoveryReport
 // — after which re-appending the same batch produces a store
 // byte-identical to one that never crashed (the codec is
 // deterministic). Committed segments are size-verified on Open and
@@ -39,6 +41,7 @@
 package store
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -50,13 +53,13 @@ import (
 	"sync"
 
 	"harassrepro/internal/corpus"
+	"harassrepro/internal/durable"
 )
 
 const (
-	manifestName  = "MANIFEST.json"
-	quarantineDir = "quarantine"
-	segSuffix     = ".seg"
-	idxSuffix     = ".idx"
+	manifestName = "MANIFEST.json"
+	segSuffix    = ".seg"
+	idxSuffix    = ".idx"
 
 	// DefaultSegmentDocs is AppendAll's per-segment chunk size: large
 	// enough that per-segment overhead vanishes, small enough that a
@@ -87,7 +90,8 @@ type TornSegment struct {
 	// Name is the segment's base name (seg-NNNNNNNN).
 	Name string
 	// SalvagedDocs is how many intact records preceded the tear; their
-	// decoded documents are written to quarantine/<Name>.salvaged.jsonl.
+	// decoded documents are written to quarantine/<Name>.salvaged.jsonl
+	// (suffixed when an earlier crash left one).
 	SalvagedDocs int
 	// Cause is the decode failure at the tear point (empty when the
 	// file ended cleanly but was never committed).
@@ -179,11 +183,8 @@ func open(dir string, mapSegment func(string, int64) (segReader, error)) (*Store
 	if s.man.Version != version {
 		return nil, fmt.Errorf("store: %s: manifest version %d, want %d", dir, s.man.Version, version)
 	}
-	// A stale MANIFEST.json.tmp is the residue of a commit whose rename
-	// never happened; the real manifest just loaded is the truth, so
-	// drop the leftover rather than letting it linger as a pseudo-file.
-	if err := os.Remove(filepath.Join(dir, manifestName+".tmp")); err != nil && !errors.Is(err, fs.ErrNotExist) {
-		return nil, fmt.Errorf("store: %s: removing stale manifest tmp: %w", dir, err)
+	if err := durable.RemoveStaleTmp(dir, manifestName); err != nil {
+		return nil, fmt.Errorf("store: %s: %w", dir, err)
 	}
 	committed := map[string]bool{}
 	for _, si := range s.man.Segments {
@@ -267,13 +268,6 @@ func (s *Store) quarantineOrphans(committed map[string]bool) error {
 		}
 		orphans[base] = append(orphans[base], name)
 	}
-	if len(orphans) == 0 {
-		return nil
-	}
-	qdir := filepath.Join(s.dir, quarantineDir)
-	if err := os.MkdirAll(qdir, 0o755); err != nil {
-		return fmt.Errorf("store: quarantine: %w", err)
-	}
 	bases := make([]string, 0, len(orphans))
 	for b := range orphans {
 		bases = append(bases, b)
@@ -289,26 +283,24 @@ func (s *Store) quarantineOrphans(committed map[string]bool) error {
 				torn.Cause = cause.Error()
 			}
 			if len(docs) > 0 {
-				f, err := os.Create(filepath.Join(qdir, base+".salvaged.jsonl"))
+				var buf bytes.Buffer
+				if err := corpus.WriteJSONL(&buf, docs, true); err != nil {
+					return fmt.Errorf("store: quarantine: %w", err)
+				}
+				name, err := durable.QuarantineFile(s.dir, base+".salvaged.jsonl", buf.Bytes())
 				if err != nil {
 					return fmt.Errorf("store: quarantine: %w", err)
 				}
-				werr := corpus.WriteJSONL(f, docs, true)
-				if cerr := f.Close(); werr == nil {
-					werr = cerr
-				}
-				if werr != nil {
-					return fmt.Errorf("store: quarantine: %w", werr)
-				}
-				torn.Files = append(torn.Files, base+".salvaged.jsonl")
+				torn.Files = append(torn.Files, name)
 			}
 		}
 		sort.Strings(orphans[base])
 		for _, name := range orphans[base] {
-			if err := os.Rename(filepath.Join(s.dir, name), filepath.Join(qdir, name)); err != nil {
+			dst, err := durable.Quarantine(s.dir, name)
+			if err != nil {
 				return fmt.Errorf("store: quarantine: %w", err)
 			}
-			torn.Files = append(torn.Files, name)
+			torn.Files = append(torn.Files, dst)
 		}
 		s.recovery.Torn = append(s.recovery.Torn, torn)
 	}
@@ -464,10 +456,10 @@ func (s *Store) Append(docs []corpus.Document) (SegmentInfo, error) {
 	}
 	idx := ib.encode()
 
-	if err := writeFileSync(filepath.Join(s.dir, name+segSuffix), seg); err != nil {
+	if err := durable.WriteFile(filepath.Join(s.dir, name+segSuffix), seg); err != nil {
 		return SegmentInfo{}, fmt.Errorf("store: append: %w", err)
 	}
-	if err := writeFileSync(filepath.Join(s.dir, name+idxSuffix), idx); err != nil {
+	if err := durable.WriteFile(filepath.Join(s.dir, name+idxSuffix), idx); err != nil {
 		return SegmentInfo{}, fmt.Errorf("store: append: %w", err)
 	}
 
@@ -527,49 +519,16 @@ func WriteCorpora(s *Store, corpora map[corpus.Dataset]*corpus.Corpus, blogs *co
 	return nil
 }
 
-// commitManifest atomically replaces the manifest with man. A failed
-// rename removes the temp file so no half-commit residue survives.
+// commitManifest atomically replaces the manifest with man.
 func (s *Store) commitManifest(man manifest) error {
 	data, err := json.MarshalIndent(man, "", "  ")
 	if err != nil {
 		return fmt.Errorf("store: manifest: %w", err)
 	}
-	data = append(data, '\n')
-	tmp := filepath.Join(s.dir, manifestName+".tmp")
-	if err := writeFileSync(tmp, data); err != nil {
+	if err := durable.Commit(s.dir, manifestName, append(data, '\n')); err != nil {
 		return fmt.Errorf("store: manifest: %w", err)
 	}
-	if err := os.Rename(tmp, filepath.Join(s.dir, manifestName)); err != nil {
-		os.Remove(tmp) //nolint:errcheck // best-effort; Open also sweeps stale tmps
-		return fmt.Errorf("store: manifest: %w", err)
-	}
-	syncDir(s.dir)
 	return nil
-}
-
-// writeFileSync writes data and fsyncs before closing.
-func writeFileSync(path string, data []byte) error {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// syncDir best-effort fsyncs a directory so renames are durable.
-func syncDir(dir string) {
-	if d, err := os.Open(dir); err == nil {
-		d.Sync() //nolint:errcheck // advisory on platforms without dir fsync
-		d.Close()
-	}
 }
 
 // scanSegment decodes committed segment segIdx in record order,
@@ -668,82 +627,6 @@ func (s *Store) LookupDocs(token string, fn func(d *corpus.Document, ref DocRef)
 		d, err := s.Doc(ref)
 		if err != nil {
 			ferr = fmt.Errorf("store: lookup %q: fetching segment %d record %d: %w", token, ref.Segment, ref.Ordinal, err)
-			return false
-		}
-		if err := fn(&d, ref); err != nil {
-			ferr = err
-			return false
-		}
-		return true
-	})
-	return ferr
-}
-
-// LookupAll iterates the refs of every document whose index terms
-// include every token in tokens (AND semantics), in store order. The
-// intersection runs per segment over the posting bitmaps — rarest
-// posting first so the working set only ever shrinks — and never
-// decodes a document. Zero tokens match nothing; one token degrades to
-// Lookup. fn returns false to stop.
-func (s *Store) LookupAll(tokens []string, fn func(ref DocRef) bool) {
-	if len(tokens) == 0 {
-		return
-	}
-	norm := make([]string, len(tokens))
-	for i, tok := range tokens {
-		norm[i] = NormalizeToken(tok)
-	}
-	_, indexes, err := s.snapshot()
-	if err != nil {
-		return
-	}
-	for segIdx, ix := range indexes {
-		postings := make([]*Bitmap, len(norm))
-		missing := false
-		for i, tok := range norm {
-			if postings[i] = ix.lookup(tok); postings[i] == nil {
-				missing = true
-				break
-			}
-		}
-		if missing {
-			continue
-		}
-		sort.Slice(postings, func(i, j int) bool {
-			return postings[i].Cardinality() < postings[j].Cardinality()
-		})
-		bm := postings[0]
-		for _, p := range postings[1:] {
-			bm = bm.And(p)
-			if len(bm.containers) == 0 {
-				break
-			}
-		}
-		stop := false
-		bm.Iterate(func(ord uint32) bool {
-			if !fn(DocRef{Segment: segIdx, Ordinal: ord}) {
-				stop = true
-				return false
-			}
-			return true
-		})
-		if stop {
-			return
-		}
-	}
-}
-
-// LookupAllDocs is LookupAll plus document fetch: fn receives each
-// document matching every token, in store order. Fetch failures are
-// wrapped like LookupDocs (errors.As still finds the *CorruptError);
-// fn errors come back unchanged.
-func (s *Store) LookupAllDocs(tokens []string, fn func(d *corpus.Document, ref DocRef) error) error {
-	var ferr error
-	s.LookupAll(tokens, func(ref DocRef) bool {
-		d, err := s.Doc(ref)
-		if err != nil {
-			ferr = fmt.Errorf("store: lookup %q: fetching segment %d record %d: %w",
-				strings.Join(tokens, ","), ref.Segment, ref.Ordinal, err)
 			return false
 		}
 		if err := fn(&d, ref); err != nil {

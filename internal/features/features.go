@@ -29,9 +29,6 @@ func (v Vector) Dot(weights []float64) float64 {
 	return sum
 }
 
-// NNZ returns the number of non-zero entries.
-func (v Vector) NNZ() int { return len(v.Indices) }
-
 // HasherConfig configures a feature Hasher.
 type HasherConfig struct {
 	// Buckets is the hashed feature space size. Defaults to 1<<18.

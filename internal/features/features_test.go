@@ -15,8 +15,8 @@ func TestVectorizeCountsAndDeterminism(t *testing.T) {
 	}
 	// Two distinct tokens, one repeated: expect 2 buckets (absent an
 	// unlucky collision in 65536 buckets) with counts {2, 1}.
-	if v1.NNZ() != 2 {
-		t.Fatalf("NNZ = %d, want 2", v1.NNZ())
+	if len(v1.Indices) != 2 {
+		t.Fatalf("NNZ = %d, want 2", len(v1.Indices))
 	}
 	total := 0.0
 	for _, x := range v1.Values {
@@ -30,8 +30,8 @@ func TestVectorizeCountsAndDeterminism(t *testing.T) {
 func TestVectorizeEmpty(t *testing.T) {
 	h := NewHasher(HasherConfig{})
 	v := h.Vectorize(nil)
-	if v.NNZ() != 0 {
-		t.Fatalf("empty input NNZ = %d", v.NNZ())
+	if len(v.Indices) != 0 {
+		t.Fatalf("empty input NNZ = %d", len(v.Indices))
 	}
 }
 

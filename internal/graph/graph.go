@@ -133,11 +133,6 @@ func (g *Graph) Key(name string) string {
 	return fmt.Sprintf("%s@%d+%s", name, g.cfg.Seed, g.cfg.Fingerprint)
 }
 
-// Nodes returns all node names in registration (topological) order.
-func (g *Graph) Nodes() []string {
-	return append([]string(nil), g.order...)
-}
-
 // Get returns the node's artifact, computing it on first use. If
 // another goroutine is already computing the node, Get blocks until
 // that computation finishes and returns its memoized result — waiting

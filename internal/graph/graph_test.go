@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -182,14 +183,14 @@ func TestPrefetchParallelAndMetrics(t *testing.T) {
 		t.Errorf("computed %d times, want 7 (each node exactly once)", calls.Load())
 	}
 	snap := reg.Snapshot()
-	if v := snap.CounterValue("graph_stage_computes_total", obs.L("stage", "root")); v != 1 {
+	if v := counterValue(snap, "graph_stage_computes_total", obs.L("stage", "root")); v != 1 {
 		t.Errorf("root computes = %v, want 1", v)
 	}
 	// Six leaves each read root after (or while) something computed it.
-	if v := snap.CounterValue("graph_stage_hits_total", obs.L("stage", "root")); v < 6 {
+	if v := counterValue(snap, "graph_stage_hits_total", obs.L("stage", "root")); v < 6 {
 		t.Errorf("root hits = %v, want >= 6", v)
 	}
-	if m, ok := snap.Find("graph_stage_compute_ns", obs.L("stage", "root")); !ok || m.Count != 1 {
+	if m, ok := findMetric(snap, "graph_stage_compute_ns", obs.L("stage", "root")); !ok || m.Count != 1 {
 		t.Errorf("root latency histogram: %+v, %v", m, ok)
 	}
 }
@@ -241,4 +242,23 @@ func TestGetAsTypeMismatch(t *testing.T) {
 	if _, err := GetAs[int](g, "s"); err == nil || !strings.Contains(err.Error(), "holds") {
 		t.Fatalf("type mismatch not reported: %v", err)
 	}
+}
+
+// findMetric returns the snapshot entry for (name, labels), if present.
+func findMetric(s obs.Snapshot, name string, labels ...obs.Label) (obs.Metric, bool) {
+	for _, m := range s.Metrics {
+		if m.Name == name && slices.Equal(m.Labels, labels) {
+			return m, true
+		}
+	}
+	return obs.Metric{}, false
+}
+
+// counterValue returns a counter's (or gauge's) value in s, or 0 when
+// it is absent.
+func counterValue(s obs.Snapshot, name string, labels ...obs.Label) float64 {
+	if m, ok := findMetric(s, name, labels...); ok && m.Value != nil {
+		return float64(*m.Value)
+	}
+	return 0
 }

@@ -148,14 +148,3 @@ func ComputeOverlap(perDox [][]Risk) Overlap {
 	})
 	return ov
 }
-
-// AllRisksCount returns the number of doxes carrying every risk category
-// (the paper: 970, 11.5% of doxes, ~73% of them from pastes).
-func (ov Overlap) AllRisksCount() int {
-	for _, c := range ov.Combinations {
-		if len(c.Risks) == len(Risks()) {
-			return c.Count
-		}
-	}
-	return 0
-}

@@ -172,13 +172,6 @@ func (m *Manager) AddFeedback(items []serve.FeedbackItem) error {
 	return nil
 }
 
-// FeedbackBuffered reports the number of items awaiting a retrain.
-func (m *Manager) FeedbackBuffered() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.fb)
-}
-
 // toFeedback converts the wire item to the retrain pipeline's form.
 func toFeedback(it serve.FeedbackItem) registry.Feedback {
 	task := annotate.TaskCTH

@@ -89,6 +89,18 @@ func adminPost(t *testing.T, m *Manager, path, body string) (int, string) {
 	return rec.Code, rec.Body.String()
 }
 
+// feedbackBuffered reads the feedback_buffered count GET /models reports.
+func feedbackBuffered(t *testing.T, m *Manager) int {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	m.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/models", nil))
+	var view modelsView
+	if err := json.Unmarshal(rec.Body.Bytes(), &view); err != nil {
+		t.Fatal(err)
+	}
+	return view.Buffered
+}
+
 func TestBootModelTrainsOnceThenLoads(t *testing.T) {
 	dir := t.TempDir()
 	reg, err := registry.Create(dir)
@@ -203,7 +215,7 @@ func TestLifecycleRetrainPromoteRollback(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("feedback = %d", resp.StatusCode)
 	}
-	if got := mgr.FeedbackBuffered(); got != 24 {
+	if got := feedbackBuffered(t, mgr); got != 24 {
 		t.Fatalf("buffered = %d, want 24", got)
 	}
 
@@ -225,8 +237,8 @@ func TestLifecycleRetrainPromoteRollback(t *testing.T) {
 	if reg.Active() != 1 {
 		t.Fatalf("retrain must not activate: active = %d", reg.Active())
 	}
-	if mgr.FeedbackBuffered() != 0 {
-		t.Errorf("feedback buffer not drained: %d", mgr.FeedbackBuffered())
+	if feedbackBuffered(t, mgr) != 0 {
+		t.Errorf("feedback buffer not drained: %d", feedbackBuffered(t, mgr))
 	}
 
 	// Premature promote: shadow sample too small.

@@ -125,25 +125,6 @@ func (m *LogReg) Predict(x features.Vector) bool {
 	return m.Score(x) > 0.5
 }
 
-// Loss returns the mean regularised log-loss over the examples, used by
-// training diagnostics and the hyperparameter sweep.
-func (m *LogReg) Loss(examples []Example) float64 {
-	if len(examples) == 0 {
-		return math.NaN()
-	}
-	const eps = 1e-12
-	sum := 0.0
-	for _, ex := range examples {
-		p := m.Score(ex.X)
-		if ex.Y {
-			sum += -math.Log(math.Max(p, eps))
-		} else {
-			sum += -math.Log(math.Max(1-p, eps))
-		}
-	}
-	return sum / float64(len(examples))
-}
-
 func sigmoid(z float64) float64 {
 	if z >= 0 {
 		return 1 / (1 + math.Exp(-z))
@@ -185,9 +166,6 @@ func TrainNaiveBayes(examples []Example, buckets uint32) (*NaiveBayes, error) {
 		classDocs[c]++
 		for j, idx := range ex.X.Indices {
 			v := ex.X.Values[j]
-			if v < 0 {
-				v = -v // signed hashing: use magnitude as occurrence mass
-			}
 			counts[c][idx] += v
 			nb.totalMass[c] += v
 		}
@@ -216,9 +194,6 @@ func (nb *NaiveBayes) Score(x features.Vector) float64 {
 		lp := nb.logPrior[c]
 		for j, idx := range x.Indices {
 			v := x.Values[j]
-			if v < 0 {
-				v = -v
-			}
 			ll, ok := nb.logLik[c][idx]
 			if !ok {
 				ll = nb.logLikMiss[c]

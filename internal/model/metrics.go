@@ -171,56 +171,3 @@ func AUCROC(scores []float64, labels []bool) float64 {
 	u := rankSum - nPos*(nPos+1)/2
 	return u / (nPos * nNeg)
 }
-
-// PrecisionAtThreshold returns the precision of scorer s on examples at
-// threshold t, plus the number of predicted positives. This is the inner
-// measurement of the paper's threshold-selection loop (§5.5).
-func PrecisionAtThreshold(s Scorer, examples []Example, t float64) (precision float64, predictedPositive int) {
-	var conf Confusion
-	for _, ex := range examples {
-		conf.Add(s.Score(ex.X) > t, ex.Y)
-	}
-	return conf.Precision(), conf.TP + conf.FP
-}
-
-// KFold yields k (train, test) index splits of n examples, shuffled with
-// the given seed. Each index appears in exactly one test fold.
-func KFold(n, k int, seed uint64) [][2][]int {
-	if k < 2 {
-		k = 2
-	}
-	if k > n {
-		k = n
-	}
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	shuffleInts(idx, seed)
-	folds := make([][2][]int, 0, k)
-	for f := 0; f < k; f++ {
-		lo := f * n / k
-		hi := (f + 1) * n / k
-		test := append([]int(nil), idx[lo:hi]...)
-		train := make([]int, 0, n-len(test))
-		train = append(train, idx[:lo]...)
-		train = append(train, idx[hi:]...)
-		folds = append(folds, [2][]int{train, test})
-	}
-	return folds
-}
-
-func shuffleInts(xs []int, seed uint64) {
-	state := seed
-	next := func() uint64 {
-		state += 0x9e3779b97f4a7c15
-		z := state
-		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-		return z ^ (z >> 31)
-	}
-	for i := len(xs) - 1; i > 0; i-- {
-		j := int(next() % uint64(i+1))
-		xs[i], xs[j] = xs[j], xs[i]
-	}
-}

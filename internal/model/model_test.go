@@ -121,12 +121,24 @@ func TestLogRegLossDecreases(t *testing.T) {
 	train := synthExamples(300, 10, h)
 	short, _ := TrainLogReg(train, LogRegConfig{Buckets: 1 << 14, Epochs: 1, Seed: 11})
 	long, _ := TrainLogReg(train, LogRegConfig{Buckets: 1 << 14, Epochs: 10, Seed: 11})
-	if long.Loss(train) > short.Loss(train) {
-		t.Fatalf("more epochs increased loss: %v -> %v", short.Loss(train), long.Loss(train))
+	if logLoss(long, train) > logLoss(short, train) {
+		t.Fatalf("more epochs increased loss: %v -> %v", logLoss(short, train), logLoss(long, train))
 	}
-	if !math.IsNaN(long.Loss(nil)) {
-		t.Fatal("Loss of empty set should be NaN")
+}
+
+// logLoss returns the mean log-loss of m over the examples.
+func logLoss(m *LogReg, examples []Example) float64 {
+	const eps = 1e-12
+	sum := 0.0
+	for _, ex := range examples {
+		p := m.Score(ex.X)
+		if ex.Y {
+			sum += -math.Log(math.Max(p, eps))
+		} else {
+			sum += -math.Log(math.Max(1-p, eps))
+		}
 	}
+	return sum / float64(len(examples))
 }
 
 func TestNaiveBayesLearnsSeparableProblem(t *testing.T) {
@@ -254,56 +266,13 @@ func TestPrecisionAtThreshold(t *testing.T) {
 	h := features.NewHasher(features.HasherConfig{Buckets: 1 << 14})
 	train := synthExamples(400, 16, h)
 	m, _ := TrainLogReg(train, LogRegConfig{Buckets: 1 << 14, Seed: 17})
-	p50, n50 := PrecisionAtThreshold(m, train, 0.5)
-	p90, n90 := PrecisionAtThreshold(m, train, 0.9)
-	if n90 > n50 {
-		t.Errorf("higher threshold selected more: %d > %d", n90, n50)
+	at50 := Evaluate(m, train, 0.5, "pos", "neg").Positive
+	at90 := Evaluate(m, train, 0.9, "pos", "neg").Positive
+	if at90.Recall > at50.Recall {
+		t.Errorf("higher threshold selected more: recall %v > %v", at90.Recall, at50.Recall)
 	}
-	if p90 < p50-1e-9 {
-		t.Errorf("higher threshold reduced precision: %v -> %v", p50, p90)
-	}
-}
-
-func TestKFold(t *testing.T) {
-	folds := KFold(103, 5, 42)
-	if len(folds) != 5 {
-		t.Fatalf("folds = %d", len(folds))
-	}
-	seen := map[int]int{}
-	for _, f := range folds {
-		train, test := f[0], f[1]
-		if len(train)+len(test) != 103 {
-			t.Fatalf("fold sizes %d + %d != 103", len(train), len(test))
-		}
-		inTest := map[int]bool{}
-		for _, i := range test {
-			seen[i]++
-			inTest[i] = true
-		}
-		for _, i := range train {
-			if inTest[i] {
-				t.Fatal("index in both train and test")
-			}
-		}
-	}
-	if len(seen) != 103 {
-		t.Fatalf("test folds cover %d of 103 indices", len(seen))
-	}
-	for i, c := range seen {
-		if c != 1 {
-			t.Fatalf("index %d appears in %d test folds", i, c)
-		}
-	}
-}
-
-func TestKFoldDegenerate(t *testing.T) {
-	folds := KFold(3, 10, 1)
-	if len(folds) != 3 {
-		t.Fatalf("k clamped to n: %d", len(folds))
-	}
-	folds = KFold(10, 1, 1)
-	if len(folds) != 2 {
-		t.Fatalf("k floor of 2: %d", len(folds))
+	if at90.Precision < at50.Precision-1e-9 {
+		t.Errorf("higher threshold reduced precision: %v -> %v", at50.Precision, at90.Precision)
 	}
 }
 

@@ -74,8 +74,7 @@ func FuzzHistogramBucketIndex(f *testing.F) {
 		if got := hist.Count(); got != 1 {
 			t.Fatalf("count after one observation = %d", got)
 		}
-		s := r.Snapshot()
-		m, ok := s.Find("fuzz_ns")
+		m, ok := findMetric(r.Snapshot(), "fuzz_ns")
 		if !ok {
 			t.Fatal("histogram missing from snapshot")
 		}

@@ -1,7 +1,7 @@
 // Package obs is the observability core for the streaming measurement
 // pipeline: allocation-free counters, gauges and fixed-bucket
-// histograms behind a snapshot-on-read registry, plus a deterministic
-// stage tracer (trace.go) and Prometheus/JSON encoders (encode.go).
+// histograms behind a snapshot-on-read registry, plus Prometheus/JSON
+// encoders (encode.go).
 //
 // The paper's measurement system is judged by what it can account
 // for — per-platform volumes, filter hit rates, queue health — and a
@@ -15,9 +15,8 @@
 // stopping writers; totals read after all writers have finished are
 // exact (the race tests pin this).
 //
-// The package depends only on the standard library and randx (for the
-// tracer's seeded sampling); it must never grow a dependency on the
-// pipeline packages it observes.
+// The package depends only on the standard library; it must never grow
+// a dependency on the pipeline packages it observes.
 package obs
 
 import (
@@ -131,16 +130,6 @@ func DurationBuckets() []int64 {
 		out = append(out, scale, 2*scale, 5*scale)
 	}
 	return append(out, 1e10)
-}
-
-// SizeBuckets is the default size bucket layout: 64 bytes to 16MB in
-// powers of four.
-func SizeBuckets() []int64 {
-	var out []int64
-	for b := int64(64); b <= 16<<20; b *= 4 {
-		out = append(out, b)
-	}
-	return out
 }
 
 // metric is one registered instrument.
@@ -333,37 +322,4 @@ func labelString(labels []Label) string {
 		sb.WriteByte(',')
 	}
 	return sb.String()
-}
-
-func matchLabels(have []Label, want []Label) bool {
-	if len(have) != len(want) {
-		return false
-	}
-	for i := range have {
-		if have[i] != want[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// Find returns the snapshot entry for (name, labels), if present.
-func (s Snapshot) Find(name string, labels ...Label) (Metric, bool) {
-	for _, m := range s.Metrics {
-		if m.Name == name && matchLabels(m.Labels, labels) {
-			return m, true
-		}
-	}
-	return Metric{}, false
-}
-
-// CounterValue returns the value of a counter (or gauge) in the
-// snapshot, or 0 when absent — convenient for reconciliation checks
-// where an unregistered counter means zero events.
-func (s Snapshot) CounterValue(name string, labels ...Label) float64 {
-	m, ok := s.Find(name, labels...)
-	if !ok || m.Value == nil {
-		return 0
-	}
-	return float64(*m.Value)
 }

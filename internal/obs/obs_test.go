@@ -2,6 +2,7 @@ package obs
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"harassrepro/internal/testutil"
@@ -77,14 +78,13 @@ func TestHistogramObserve(t *testing.T) {
 }
 
 func TestDefaultBucketLayouts(t *testing.T) {
-	for name, bounds := range map[string][]int64{"duration": DurationBuckets(), "size": SizeBuckets()} {
-		if len(bounds) == 0 {
-			t.Fatalf("%s buckets empty", name)
-		}
-		for i := 1; i < len(bounds); i++ {
-			if bounds[i] <= bounds[i-1] {
-				t.Fatalf("%s buckets not strictly increasing at %d: %v", name, i, bounds)
-			}
+	bounds := DurationBuckets()
+	if len(bounds) == 0 {
+		t.Fatal("duration buckets empty")
+	}
+	for i := 1; i < len(bounds); i++ {
+		if bounds[i] <= bounds[i-1] {
+			t.Fatalf("duration buckets not strictly increasing at %d: %v", i, bounds)
 		}
 	}
 }
@@ -93,74 +93,39 @@ func TestSnapshotFind(t *testing.T) {
 	r := NewRegistry()
 	r.NewCounter("b_total", "b").Add(2)
 	r.NewCounter("a_total", "a", L("stage", "x")).Add(7)
+	r.NewCounter("a_total", "a", L("stage", "w"))
 	s := r.Snapshot()
-	if len(s.Metrics) != 2 || s.Metrics[0].Name != "a_total" {
+	if len(s.Metrics) != 3 || s.Metrics[0].Name != "a_total" || s.Metrics[2].Name != "b_total" {
 		t.Fatalf("snapshot not sorted by name: %+v", s.Metrics)
 	}
-	if got := s.CounterValue("a_total", L("stage", "x")); got != 7 {
-		t.Fatalf("CounterValue = %v, want 7", got)
+	if got := counterValue(s, "a_total", L("stage", "x")); got != 7 {
+		t.Fatalf("a_total{stage=x} = %v, want 7", got)
 	}
-	if got := s.CounterValue("missing_total"); got != 0 {
-		t.Fatalf("missing counter = %v, want 0", got)
+	if got := s.Metrics[0].Labels; len(got) != 1 || got[0] != L("stage", "w") {
+		t.Fatalf("series not sorted by labels within a name: %+v", s.Metrics)
 	}
-	if _, ok := s.Find("a_total", L("stage", "y")); ok {
-		t.Fatal("Find must not match different label values")
+	if _, ok := findMetric(s, "a_total", L("stage", "y")); ok {
+		t.Fatal("different label values must not match")
 	}
 }
 
-func TestTracerDeterministicSampling(t *testing.T) {
-	a := NewTracer(42, 0.25, 16)
-	b := NewTracer(42, 0.25, 16)
-	sampled := 0
-	for i := 0; i < 1000; i++ {
-		if a.Sampled(i) != b.Sampled(i) {
-			t.Fatalf("sampling diverged at %d for equal seeds", i)
-		}
-		if a.Sampled(i) {
-			sampled++
+// findMetric returns the snapshot entry for (name, labels), if present.
+func findMetric(s Snapshot, name string, labels ...Label) (Metric, bool) {
+	for _, m := range s.Metrics {
+		if m.Name == name && slices.Equal(m.Labels, labels) {
+			return m, true
 		}
 	}
-	if sampled < 150 || sampled > 350 {
-		t.Fatalf("sampled %d of 1000 at rate 0.25", sampled)
-	}
-	c := NewTracer(43, 0.25, 16)
-	diff := 0
-	for i := 0; i < 1000; i++ {
-		if a.Sampled(i) != c.Sampled(i) {
-			diff++
-		}
-	}
-	if diff == 0 {
-		t.Fatal("different seeds produced identical sample sets")
-	}
-	var nilTracer *Tracer
-	if nilTracer.Sampled(0) {
-		t.Fatal("nil tracer must sample nothing")
-	}
-	nilTracer.Record(0, "x", 1) // must not panic
+	return Metric{}, false
 }
 
-func TestTracerRingEviction(t *testing.T) {
-	tr := NewTracer(1, 1, 4)
-	for i := 0; i < 10; i++ {
-		tr.Record(i, "stage", int64(i))
+// counterValue returns a counter's (or gauge's) value in s, or 0 when
+// it is absent.
+func counterValue(s Snapshot, name string, labels ...Label) float64 {
+	if m, ok := findMetric(s, name, labels...); ok && m.Value != nil {
+		return float64(*m.Value)
 	}
-	if got := tr.Total(); got != 10 {
-		t.Fatalf("total = %d, want 10", got)
-	}
-	got := tr.Timings()
-	if len(got) != 4 {
-		t.Fatalf("retained %d, want 4", len(got))
-	}
-	for i, st := range got {
-		if st.Doc != 6+i {
-			t.Fatalf("ring order wrong: %+v", got)
-		}
-	}
-	slow := tr.Slowest(2)
-	if len(slow) != 2 || slow[0].Nanos != 9 || slow[1].Nanos != 8 {
-		t.Fatalf("slowest = %+v", slow)
-	}
+	return 0
 }
 
 // TestMetricAllocs gates the hot-path mutations at zero allocations:
@@ -174,16 +139,11 @@ func TestMetricAllocs(t *testing.T) {
 	c := r.NewCounter("c_total", "c")
 	g := r.NewGauge("g", "g")
 	h := r.NewHistogram("h_ns", "h", DurationBuckets())
-	tr := NewTracer(7, 0.5, 64)
-	tr.Record(0, "warm", 1)
 	if n := testing.AllocsPerRun(200, func() {
 		c.Inc()
 		g.Set(3.5)
 		g.Add(1)
 		h.Observe(12345)
-		if tr.Sampled(3) {
-			tr.Record(3, "stage", 777)
-		}
 	}); n > 0 {
 		t.Errorf("hot-path mutations allocate %v per op, want 0", n)
 	}

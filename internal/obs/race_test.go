@@ -116,28 +116,3 @@ func TestRegistryConcurrentRegistration(t *testing.T) {
 		t.Errorf("snapshot has %d metrics, want %d", len(s.Metrics), writers+1)
 	}
 }
-
-func TestTracerConcurrentRecord(t *testing.T) {
-	tr := NewTracer(11, 1, 128)
-	const writers = 8
-	var wg sync.WaitGroup
-	wg.Add(writers)
-	for w := 0; w < writers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 1000; i++ {
-				if tr.Sampled(i) {
-					tr.Record(i, "stage", int64(i))
-				}
-				_ = tr.Timings()
-			}
-		}(w)
-	}
-	wg.Wait()
-	if got := tr.Total(); got != writers*1000 {
-		t.Errorf("tracer total = %d, want %d", got, writers*1000)
-	}
-	if got := len(tr.Timings()); got != 128 {
-		t.Errorf("retained %d timings, want full ring of 128", got)
-	}
-}

@@ -176,16 +176,6 @@ func (e *Engine) NewSession() *Session {
 	}
 }
 
-// Facts exposes the most recent scan's facts (for gate-equivalence
-// tests and wrappers).
-func (s *Session) Facts() *Facts { return &s.facts }
-
-// ScanFacts runs only the prefilter scan into f — the facts half of
-// Extract, for callers that need gate decisions without extraction.
-func (e *Engine) ScanFacts(text string, f *Facts) {
-	e.teddy.Scan(text, f)
-}
-
 // Extract scans text and returns all verified spans, sorted by
 // (type, value) and de-duplicated. The returned slice and the Values
 // it holds are valid until the next call on this session.

@@ -25,13 +25,6 @@ package pii
 // Extract is always a superset-safe rewrite of running the regexes
 // directly. FuzzExtractPrefilterEquivalence holds the two paths equal.
 
-import (
-	"strings"
-	"sync"
-
-	"harassrepro/internal/pii/engine"
-)
-
 // Literal registration: lit interns a literal and returns its bitmask;
 // masks combine into anyOf-groups below.
 var (
@@ -60,23 +53,18 @@ func anyOf(ss ...string) uint64 {
 	return m
 }
 
-// plan is one compiled extraction step: the literal gate plus the
-// extractor to run when the gate admits the document. groups is a
-// conjunction of anyOf-masks — every group must have at least one
-// literal present — and minDigits bounds the document's ASCII digit
-// count from below.
+// plan is one PII family's literal gate. groups is a conjunction of
+// anyOf-masks — every group must have at least one literal present —
+// and minDigits bounds the document's ASCII digit count from below.
 type plan struct {
 	name      string
 	groups    []uint64
 	minDigits int
-	extract   func(string) []Match
 }
 
-// plans holds the extraction plans in the fixed legacy Extract order
+// plans holds the families' gates in the fixed legacy Extract order
 // (address, cards, email, facebook, instagram, phone, ssn, twitter,
-// youtube) so gating never reorders matches fed into dedupe. The
-// extract closures are the legacy regex path, kept as the
-// differential-fuzz oracle (extractDirect).
+// youtube), which is also the engine's type-index order (spec.go).
 var plans []plan
 
 func init() {
@@ -90,90 +78,16 @@ func init() {
 	// literal contains the bare site name, the disjunction
 	// (url-match OR mention-match) relaxes to the two groups below.
 	plans = []plan{
-		{
-			name: "address", groups: []uint64{streetSuffix}, minDigits: 1,
-			extract: func(t string) []Match { return extractSimple(Address, reAddress, t, normaliseSpace) },
-		},
-		{
-			// Shortest card format is Amex's 15 digits.
-			name: "cards", minDigits: 15,
-			extract: extractCards,
-		},
-		{
-			name: "email", groups: []uint64{lit("@"), lit(".")},
-			extract: func(t string) []Match { return extractSimple(Email, reEmail, t, strings.ToLower) },
-		},
-		{
-			name:   "facebook",
-			groups: []uint64{anyOf("facebook", "fb"), anyOf("facebook.com", ":")},
-			extract: func(t string) []Match {
-				return extractHandles(Facebook, reFacebookURL, reFacebookMention, t)
-			},
-		},
-		{
-			name:   "instagram",
-			groups: []uint64{anyOf("instagram", "ig", "insta"), anyOf("instagram.com", ":")},
-			extract: func(t string) []Match {
-				return extractHandles(Instagram, reInstagramURL, reInstagramMention, t)
-			},
-		},
-		{
-			name: "phone", minDigits: 10,
-			extract: extractPhones,
-		},
-		{
-			name: "ssn", groups: []uint64{lit("-")}, minDigits: 9,
-			extract: extractSSNs,
-		},
-		{
-			name:   "twitter",
-			groups: []uint64{anyOf("twitter", "twtr"), anyOf("twitter.com", ":")},
-			extract: func(t string) []Match {
-				return extractHandles(Twitter, reTwitterURL, reTwitterMention, t)
-			},
-		},
-		{
-			name:   "youtube",
-			groups: []uint64{anyOf("youtube", "yt"), anyOf("youtube.com", ":")},
-			extract: func(t string) []Match {
-				return extractHandles(YouTube, reYouTubeURL, reYouTubeMention, t)
-			},
-		},
+		{name: "address", groups: []uint64{streetSuffix}, minDigits: 1},
+		// Shortest card format is Amex's 15 digits.
+		{name: "cards", minDigits: 15},
+		{name: "email", groups: []uint64{lit("@"), lit(".")}},
+		{name: "facebook", groups: []uint64{anyOf("facebook", "fb"), anyOf("facebook.com", ":")}},
+		{name: "instagram", groups: []uint64{anyOf("instagram", "ig", "insta"), anyOf("instagram.com", ":")}},
+		{name: "phone", minDigits: 10},
+		{name: "ssn", groups: []uint64{lit("-")}, minDigits: 9},
+		{name: "twitter", groups: []uint64{anyOf("twitter", "twtr"), anyOf("twitter.com", ":")}},
+		{name: "youtube", groups: []uint64{anyOf("youtube", "yt"), anyOf("youtube.com", ":")}},
 	}
 	eng = buildEngine()
-}
-
-// scanFacts is what one pass over a document establishes: the set of
-// gate literals present (as a bitmask over acLiterals) and the ASCII
-// digit count.
-type scanFacts struct {
-	lits   uint64
-	digits int
-}
-
-// admits reports whether the facts satisfy a plan's gate.
-func (f scanFacts) admits(p plan) bool {
-	if f.digits < p.minDigits {
-		return false
-	}
-	for _, g := range p.groups {
-		if f.lits&g == 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// factsPool recycles engine fact buffers for the package-level scan
-// helper (Extract itself scans inside its pooled engine session).
-var factsPool = sync.Pool{New: func() any { return &engine.Facts{} }}
-
-// scan runs the engine's Teddy prefilter over text and reduces the
-// result to the gate facts. Allocation-free in steady state.
-func scan(text string) scanFacts {
-	f := factsPool.Get().(*engine.Facts)
-	eng.ScanFacts(text, f)
-	sf := scanFacts{lits: f.LitMask, digits: f.Digits}
-	factsPool.Put(f)
-	return sf
 }

@@ -72,6 +72,20 @@ var typeOfIndex = [...]Type{
 // the package init in prefilter.go, after the plans (and with them
 // the gate-literal bit assignments) exist.
 func buildEngine() *engine.Engine {
+	types := make([]engine.TypeSpec, len(plans))
+	for i, p := range plans {
+		types[i] = engine.TypeSpec{Name: p.name, Groups: p.groups, MinDigits: p.minDigits}
+	}
+	return engine.New(engine.Spec{
+		Literals: gateLiterals(),
+		Types:    types,
+		Patterns: buildPatterns(),
+	})
+}
+
+// gateLiterals is the prefilter's literal set: every registered gate
+// literal on its bit, tracked where a pattern anchors on it.
+func gateLiterals() []engine.TeddyLiteral {
 	lits := make([]engine.TeddyLiteral, len(acLiterals))
 	for i, l := range acLiterals {
 		tid := -1
@@ -80,15 +94,7 @@ func buildEngine() *engine.Engine {
 		}
 		lits[i] = engine.TeddyLiteral{Text: l, GateBit: i, TrackID: tid}
 	}
-	types := make([]engine.TypeSpec, len(plans))
-	for i, p := range plans {
-		types[i] = engine.TypeSpec{Name: p.name, Groups: p.groups, MinDigits: p.minDigits}
-	}
-	return engine.New(engine.Spec{
-		Literals: lits,
-		Types:    types,
-		Patterns: buildPatterns(),
-	})
+	return lits
 }
 
 func buildPatterns() []engine.PatternSpec {

@@ -132,63 +132,10 @@ func (s *Source) LogNormal(mu, sigma float64) float64 {
 	return math.Exp(mu + sigma*s.NormFloat64())
 }
 
-// Poisson returns a Poisson-distributed int with the given mean, using
-// Knuth's algorithm for small means and a normal approximation above 64.
-func (s *Source) Poisson(mean float64) int {
-	if mean <= 0 {
-		return 0
-	}
-	if mean > 64 {
-		n := int(math.Round(mean + math.Sqrt(mean)*s.NormFloat64()))
-		if n < 0 {
-			n = 0
-		}
-		return n
-	}
-	l := math.Exp(-mean)
-	k := 0
-	p := 1.0
-	for {
-		p *= s.Float64()
-		if p <= l {
-			return k
-		}
-		k++
-	}
-}
-
-// Geometric returns a geometrically distributed int >= 0 with success
-// probability p (number of failures before the first success).
-func (s *Source) Geometric(p float64) int {
-	if p <= 0 || p >= 1 {
-		if p >= 1 {
-			return 0
-		}
-		panic("randx: Geometric called with p <= 0")
-	}
-	u := s.Float64()
-	if u == 0 {
-		u = math.SmallestNonzeroFloat64
-	}
-	return int(math.Floor(math.Log(u) / math.Log(1-p)))
-}
-
 // Pick returns a uniformly chosen element of items. It panics if items is
 // empty.
 func Pick[T any](s *Source, items []T) T {
 	return items[s.Intn(len(items))]
-}
-
-// PickN returns n distinct uniformly chosen elements of items, in random
-// order. If n >= len(items) a shuffled copy of all items is returned.
-func PickN[T any](s *Source, items []T, n int) []T {
-	cp := make([]T, len(items))
-	copy(cp, items)
-	Shuffle(s, cp)
-	if n > len(cp) {
-		n = len(cp)
-	}
-	return cp[:n]
 }
 
 // Shuffle permutes items in place using the Fisher–Yates algorithm.
@@ -230,9 +177,4 @@ func (w *Weighted) Sample(s *Source) int {
 	total := w.cum[len(w.cum)-1]
 	x := s.Float64() * total
 	return sort.SearchFloat64s(w.cum, x+math.SmallestNonzeroFloat64)
-}
-
-// SampleWeighted is a convenience one-shot weighted sample.
-func SampleWeighted(s *Source, weights []float64) int {
-	return NewWeighted(weights).Sample(s)
 }

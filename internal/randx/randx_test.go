@@ -153,45 +153,6 @@ func TestNormFloat64Moments(t *testing.T) {
 	}
 }
 
-func TestPoissonMean(t *testing.T) {
-	s := New(23)
-	for _, mean := range []float64{0.5, 3, 20, 100} {
-		const n = 20000
-		sum := 0
-		for i := 0; i < n; i++ {
-			sum += s.Poisson(mean)
-		}
-		got := float64(sum) / n
-		if math.Abs(got-mean) > mean*0.05+0.05 {
-			t.Fatalf("Poisson(%v) sample mean = %v", mean, got)
-		}
-	}
-	if got := s.Poisson(0); got != 0 {
-		t.Fatalf("Poisson(0) = %d, want 0", got)
-	}
-	if got := s.Poisson(-1); got != 0 {
-		t.Fatalf("Poisson(-1) = %d, want 0", got)
-	}
-}
-
-func TestGeometricMean(t *testing.T) {
-	s := New(29)
-	p := 0.25
-	const n = 50000
-	sum := 0
-	for i := 0; i < n; i++ {
-		sum += s.Geometric(p)
-	}
-	got := float64(sum) / n
-	want := (1 - p) / p // mean number of failures before first success
-	if math.Abs(got-want) > 0.1 {
-		t.Fatalf("Geometric(%v) mean = %v, want %v", p, got, want)
-	}
-	if got := s.Geometric(1); got != 0 {
-		t.Fatalf("Geometric(1) = %d, want 0", got)
-	}
-}
-
 func TestLogNormalPositive(t *testing.T) {
 	s := New(31)
 	for i := 0; i < 1000; i++ {
@@ -212,25 +173,6 @@ func TestPick(t *testing.T) {
 		if counts[it] < 800 {
 			t.Fatalf("Pick heavily skewed: %v", counts)
 		}
-	}
-}
-
-func TestPickNDistinct(t *testing.T) {
-	s := New(41)
-	items := []int{1, 2, 3, 4, 5}
-	got := PickN(s, items, 3)
-	if len(got) != 3 {
-		t.Fatalf("PickN returned %d items", len(got))
-	}
-	seen := map[int]bool{}
-	for _, v := range got {
-		if seen[v] {
-			t.Fatalf("PickN returned duplicate %d", v)
-		}
-		seen[v] = true
-	}
-	if got := PickN(s, items, 99); len(got) != len(items) {
-		t.Fatalf("PickN over-request returned %d items", len(got))
 	}
 }
 
@@ -297,8 +239,8 @@ func TestWeightedPanics(t *testing.T) {
 func TestSampleWeightedOneShot(t *testing.T) {
 	s := New(47)
 	for i := 0; i < 100; i++ {
-		if got := SampleWeighted(s, []float64{0, 1, 0}); got != 1 {
-			t.Fatalf("SampleWeighted picked zero-weight index %d", got)
+		if got := NewWeighted([]float64{0, 1, 0}).Sample(s); got != 1 {
+			t.Fatalf("one-shot Sample picked zero-weight index %d", got)
 		}
 	}
 }

@@ -2,11 +2,11 @@
 // trained or retrained detector is committed as an immutable
 // generation directory (the SaveModels layout) and a single MANIFEST
 // names the committed generations, the active one serving traffic and
-// the previous one kept warm for rollback. It reuses the corpus
-// store's proven commit idiom — write and fsync the generation's
-// files, then tmp+rename+fsync the manifest — so a crash at any byte
-// boundary leaves either the old registry state or the new one, never
-// a torn mix. Open validates every committed generation and
+// the previous one kept warm for rollback. It commits the way the
+// corpus store does, through internal/durable — write and fsync the
+// generation's files, then tmp+rename+fsync the manifest — so a crash
+// at any byte boundary leaves either the old registry state or the new
+// one, never a torn mix. Open validates every committed generation and
 // quarantines damage instead of serving it.
 package registry
 
@@ -21,7 +21,6 @@ const (
 	manifestName  = "MANIFEST.json"
 	manifestVer   = 1
 	genDirPattern = "gen-%08d"
-	quarantineDir = "quarantine"
 )
 
 // Entry describes one committed model generation.

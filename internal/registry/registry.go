@@ -9,6 +9,7 @@ import (
 	"sync"
 
 	"harassrepro/internal/core"
+	"harassrepro/internal/durable"
 )
 
 // Registry is an on-disk versioned model store. All methods are safe
@@ -68,6 +69,9 @@ func Open(dir string) (*Registry, error) {
 	}
 	man, err := decodeManifest(data)
 	if err != nil {
+		return nil, fmt.Errorf("registry: open: %w", err)
+	}
+	if err := durable.RemoveStaleTmp(dir, manifestName); err != nil {
 		return nil, fmt.Errorf("registry: open: %w", err)
 	}
 	r := &Registry{dir: dir, man: man}
@@ -158,21 +162,9 @@ func (r *Registry) recover() error {
 // quarantine moves dir/name into dir/quarantine/, renaming on
 // collision so repeated crashes never clobber evidence.
 func (r *Registry) quarantine(name string) error {
-	qdir := filepath.Join(r.dir, quarantineDir)
-	if err := os.MkdirAll(qdir, 0o755); err != nil {
+	if _, err := durable.Quarantine(r.dir, name); err != nil {
 		return fmt.Errorf("registry: quarantine: %w", err)
 	}
-	dst := filepath.Join(qdir, name)
-	for i := 1; ; i++ {
-		if _, err := os.Stat(dst); os.IsNotExist(err) {
-			break
-		}
-		dst = filepath.Join(qdir, fmt.Sprintf("%s.%d", name, i))
-	}
-	if err := os.Rename(filepath.Join(r.dir, name), dst); err != nil {
-		return fmt.Errorf("registry: quarantine: %w", err)
-	}
-	syncDir(r.dir)
 	return nil
 }
 
@@ -202,13 +194,13 @@ func (r *Registry) Commit(info Entry, save func(dir string) error) (uint64, erro
 	if err := save(gdir); err != nil {
 		return fail(fmt.Errorf("registry: commit generation %d: %w", gen, err))
 	}
-	if err := fsyncTree(gdir); err != nil {
+	if err := durable.SyncTree(gdir); err != nil {
 		return fail(fmt.Errorf("registry: commit generation %d: %w", gen, err))
 	}
 	if _, err := core.LoadDetector(gdir); err != nil {
 		return fail(fmt.Errorf("registry: commit generation %d: saved model does not validate: %w", gen, err))
 	}
-	syncDir(r.dir)
+	durable.SyncDir(r.dir)
 
 	info.Generation = gen
 	r.man.Counter = gen
@@ -311,11 +303,6 @@ func (r *Registry) Entries() []Entry {
 	return append([]Entry(nil), r.man.Entries...)
 }
 
-// GenDir returns the on-disk directory of a generation.
-func (r *Registry) GenDir(gen uint64) string {
-	return filepath.Join(r.dir, genDirName(gen))
-}
-
 // Dir returns the registry root.
 func (r *Registry) Dir() string { return r.dir }
 
@@ -333,63 +320,8 @@ func (r *Registry) commitManifest() error {
 	if err != nil {
 		return err
 	}
-	tmp := filepath.Join(r.dir, manifestName+".tmp")
-	if err := writeFileSync(tmp, data); err != nil {
+	if err := durable.Commit(r.dir, manifestName, data); err != nil {
 		return fmt.Errorf("registry: manifest: %w", err)
 	}
-	if err := os.Rename(tmp, filepath.Join(r.dir, manifestName)); err != nil {
-		return fmt.Errorf("registry: manifest: %w", err)
-	}
-	syncDir(r.dir)
-	return nil
-}
-
-// writeFileSync writes data and fsyncs before closing.
-func writeFileSync(path string, data []byte) error {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// syncDir best-effort fsyncs a directory so renames are durable.
-func syncDir(dir string) {
-	if d, err := os.Open(dir); err == nil {
-		d.Sync() //nolint:errcheck // advisory on platforms without dir fsync
-		d.Close()
-	}
-}
-
-// fsyncTree fsyncs every regular file under dir plus dir itself, so a
-// generation's contents are durable before the manifest names them.
-func fsyncTree(dir string) error {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return err
-	}
-	for _, de := range ents {
-		if de.IsDir() {
-			continue
-		}
-		f, err := os.Open(filepath.Join(dir, de.Name()))
-		if err != nil {
-			return err
-		}
-		serr := f.Sync()
-		f.Close()
-		if serr != nil {
-			return serr
-		}
-	}
-	syncDir(dir)
 	return nil
 }

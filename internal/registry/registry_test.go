@@ -9,6 +9,7 @@ import (
 
 	"harassrepro/internal/active"
 	"harassrepro/internal/annotate"
+	"harassrepro/internal/durable"
 	"harassrepro/internal/features"
 	"harassrepro/internal/model"
 	"harassrepro/internal/tokenize"
@@ -209,7 +210,7 @@ func TestRegistryCrashMidPromoteRecovers(t *testing.T) {
 	if len(rep.Orphans) != 1 || rep.Orphans[0] != genDirName(2) {
 		t.Fatalf("orphans = %v, want [%s]", rep.Orphans, genDirName(2))
 	}
-	if _, err := os.Stat(filepath.Join(dir, quarantineDir, genDirName(2))); err != nil {
+	if _, err := os.Stat(filepath.Join(dir, durable.QuarantineDir, genDirName(2))); err != nil {
 		t.Fatalf("orphan not quarantined: %v", err)
 	}
 	if _, err := os.Stat(orphan); !os.IsNotExist(err) {
@@ -227,6 +228,35 @@ func TestRegistryCrashMidPromoteRecovers(t *testing.T) {
 	}
 	if _, err := r2.Load(g2); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRegistryOpenRemovesStaleManifestTmp: a crash between writing
+// MANIFEST.json.tmp and renaming it leaves the tmp behind; the next Open
+// trusts the committed manifest and removes the leftover.
+func TestRegistryOpenRemovesStaleManifestTmp(t *testing.T) {
+	dir := t.TempDir()
+	r, err := Create(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g1 := mustCommit(t, r, 1)
+	if err := r.Activate(g1); err != nil {
+		t.Fatal(err)
+	}
+	tmp := filepath.Join(dir, manifestName+".tmp")
+	if err := os.WriteFile(tmp, []byte(`{"version":1,"counter":`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	r2, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r2.Active() != g1 {
+		t.Fatalf("active = %d, want %d", r2.Active(), g1)
+	}
+	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
+		t.Fatalf("stale %s survived Open: %v", filepath.Base(tmp), err)
 	}
 }
 
@@ -269,7 +299,7 @@ func TestRegistryQuarantinesCorruptCommittedGeneration(t *testing.T) {
 	if _, ok := r2.Entry(g2); ok {
 		t.Fatal("corrupt generation still committed")
 	}
-	if _, err := os.Stat(filepath.Join(dir, quarantineDir, genDirName(g2))); err != nil {
+	if _, err := os.Stat(filepath.Join(dir, durable.QuarantineDir, genDirName(g2))); err != nil {
 		t.Fatalf("corrupt generation not quarantined: %v", err)
 	}
 	// Repair is durable: a second open is clean.

@@ -68,28 +68,6 @@ func (t *Table) String() string {
 	return b.String()
 }
 
-// CSV renders the table as comma-separated values with quoted cells.
-func (t *Table) CSV() string {
-	var b strings.Builder
-	writeRow := func(cells []string) {
-		for i, c := range cells {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			if strings.ContainsAny(c, ",\"\n") {
-				c = "\"" + strings.ReplaceAll(c, "\"", "\"\"") + "\""
-			}
-			b.WriteString(c)
-		}
-		b.WriteByte('\n')
-	}
-	writeRow(t.Headers)
-	for _, row := range t.Rows {
-		writeRow(row)
-	}
-	return b.String()
-}
-
 // Pct renders a count as the paper's "12.34% (123)" cell format.
 func Pct(count, total int) string {
 	if total == 0 {
@@ -240,35 +218,6 @@ func RenderVenn(title string, combos []string, counts []int, rows []VennRow) str
 	b.WriteString("\n")
 	for i, c := range combos {
 		fmt.Fprintf(&b, "  %2d: %s\n", i+1, c)
-	}
-	return b.String()
-}
-
-// Markdown renders the table as GitHub-flavored Markdown.
-func (t *Table) Markdown() string {
-	var b strings.Builder
-	if t.Title != "" {
-		fmt.Fprintf(&b, "**%s**\n\n", t.Title)
-	}
-	writeRow := func(cells []string) {
-		b.WriteString("|")
-		for i := range t.Headers {
-			c := ""
-			if i < len(cells) {
-				c = cells[i]
-			}
-			b.WriteString(" " + strings.ReplaceAll(c, "|", "\\|") + " |")
-		}
-		b.WriteString("\n")
-	}
-	writeRow(t.Headers)
-	sep := make([]string, len(t.Headers))
-	for i := range sep {
-		sep[i] = "---"
-	}
-	writeRow(sep)
-	for _, row := range t.Rows {
-		writeRow(row)
 	}
 	return b.String()
 }

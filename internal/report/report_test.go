@@ -24,17 +24,6 @@ func TestTableRendering(t *testing.T) {
 	}
 }
 
-func TestTableCSV(t *testing.T) {
-	tb := NewTable("", "name", "value")
-	tb.AddRow("plain", "1")
-	tb.AddRow("with,comma", `with"quote`)
-	csv := tb.CSV()
-	want := "name,value\nplain,1\n\"with,comma\",\"with\"\"quote\"\n"
-	if csv != want {
-		t.Errorf("CSV = %q, want %q", csv, want)
-	}
-}
-
 func TestPct(t *testing.T) {
 	if got := Pct(1, 4); got != "25.00% (1)" {
 		t.Errorf("Pct = %q", got)
@@ -96,29 +85,5 @@ func TestRenderVenn(t *testing.T) {
 		})
 	if !strings.Contains(out, "Figure 2") || !strings.Contains(out, "#") || !strings.Contains(out, "| 150") {
 		t.Errorf("venn output:\n%s", out)
-	}
-}
-
-func TestTableMarkdown(t *testing.T) {
-	tb := NewTable("A Title", "name", "value")
-	tb.AddRow("pipe|cell", "1")
-	tb.AddRow("short") // padded
-	md := tb.Markdown()
-	if !strings.Contains(md, "**A Title**") {
-		t.Error("title missing")
-	}
-	if !strings.Contains(md, "| name | value |") {
-		t.Errorf("header row malformed:\n%s", md)
-	}
-	if !strings.Contains(md, "| --- | --- |") {
-		t.Error("separator row missing")
-	}
-	if !strings.Contains(md, `pipe\|cell`) {
-		t.Error("pipe not escaped")
-	}
-	lines := strings.Split(strings.TrimRight(md, "\n"), "\n")
-	last := lines[len(lines)-1]
-	if strings.Count(last, "|") != 3 {
-		t.Errorf("short row not padded: %q", last)
 	}
 }

@@ -140,17 +140,3 @@ func wrap[T any](st resilience.Stage[T], cfg Config, counter *attemptCounter) re
 	}
 	return st
 }
-
-// PoisonIndexes returns the item indexes in [0, n) that cfg marks as
-// permanently failing for the given stage name — the exact quarantine
-// set a chaotic run must produce.
-func PoisonIndexes(cfg Config, stageName string, n int) []int {
-	base := randx.New(cfg.Seed).Split("chaos").Split(stageName)
-	var out []int
-	for i := 0; i < n; i++ {
-		if cfg.PermanentRate > 0 && base.SplitN("item", i).Split("poison").Bool(cfg.PermanentRate) {
-			out = append(out, i)
-		}
-	}
-	return out
-}

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"harassrepro/internal/randx"
 	"harassrepro/internal/resilience"
 )
 
@@ -67,11 +68,11 @@ func TestInjectionDeterministic(t *testing.T) {
 }
 
 // TestPoisonItemsQuarantinedExactly: the quarantine set is exactly
-// PoisonIndexes, and every poison item exhausts the retry budget.
+// poisonIndexes, and every poison item exhausts the retry budget.
 func TestPoisonItemsQuarantinedExactly(t *testing.T) {
 	cfg := Config{Seed: 5, TransientRate: 0.05, PanicRate: 0.01, PermanentRate: 0.1}
 	n := 200
-	want := PoisonIndexes(cfg, "score", n)
+	want := poisonIndexes(cfg, "score", n)
 	if len(want) == 0 || len(want) == n {
 		t.Fatalf("degenerate poison set: %d of %d", len(want), n)
 	}
@@ -207,7 +208,7 @@ func TestAttemptMapDoesNotGrowWithTraffic(t *testing.T) {
 	counter.mu.Lock()
 	held := len(counter.n)
 	counter.mu.Unlock()
-	poison := len(PoisonIndexes(cfg, st.Name, n))
+	poison := len(poisonIndexes(cfg, st.Name, n))
 	if quarantined <= poison {
 		t.Fatalf("degenerate run: %d quarantined, %d of them poison", quarantined, poison)
 	}
@@ -217,4 +218,18 @@ func TestAttemptMapDoesNotGrowWithTraffic(t *testing.T) {
 		t.Errorf("attempt map holds %d entries after %d items, want %d (quarantined %d - poison %d)",
 			held, n, quarantined-poison, quarantined, poison)
 	}
+}
+
+// poisonIndexes returns the item indexes in [0, n) that cfg marks as
+// permanently failing for the given stage name — the exact quarantine
+// set a chaotic run must produce.
+func poisonIndexes(cfg Config, stageName string, n int) []int {
+	base := randx.New(cfg.Seed).Split("chaos").Split(stageName)
+	var out []int
+	for i := 0; i < n; i++ {
+		if cfg.PermanentRate > 0 && base.SplitN("item", i).Split("poison").Bool(cfg.PermanentRate) {
+			out = append(out, i)
+		}
+	}
+	return out
 }

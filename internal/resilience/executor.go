@@ -62,11 +62,6 @@ type Config[T any] struct {
 	// counters (see obs.go for the catalog and its reconciliation
 	// identities). The hot path stays allocation-free either way.
 	Metrics *obs.Registry
-	// Tracer, if set, records per-stage timings for the documents its
-	// seeded sampling selects; sampling is a pure function of (tracer
-	// seed, item index), so traces are reproducible across runs and
-	// worker counts.
-	Tracer *obs.Tracer
 }
 
 // Runner executes a fixed stage pipeline over a stream of items on a
@@ -252,7 +247,7 @@ func sortResults[T any](rs []Result[T]) {
 // Process runs on each worker, for callers that own their concurrency
 // (the scoring service runs it on the request's goroutine). index is the
 // item's identity for every seeded decision (retry jitter, the stages'
-// per-item randomness, trace sampling), so the result equals what
+// per-item randomness), so the result equals what
 // Process or RunSlice yields for the same item at that stream position.
 func (r *Runner[T]) RunItem(ctx context.Context, index int, item T) Result[T] {
 	res := Result[T]{Index: index, Status: StatusOK}
@@ -289,8 +284,6 @@ func (r *Runner[T]) runStage(ctx context.Context, st Stage[T], si, index int, it
 	if r.metrics != nil {
 		sm = &r.metrics.stages[si]
 	}
-	traced := r.cfg.Tracer.Sampled(index)
-	timed := sm != nil || traced
 	var jitter *randx.Source
 	for attempt := 1; ; attempt++ {
 		if sm != nil {
@@ -300,12 +293,12 @@ func (r *Runner[T]) runStage(ctx context.Context, st Stage[T], si, index int, it
 			}
 		}
 		var t0 time.Time
-		if timed {
+		if sm != nil {
 			t0 = time.Now()
 		}
 		err := r.attempt(ctx, st, index, item)
-		if timed {
-			r.observeAttempt(si, index, time.Since(t0), traced)
+		if sm != nil {
+			sm.latency.Observe(time.Since(t0).Nanoseconds())
 		}
 		if err == nil {
 			return nil, attempt

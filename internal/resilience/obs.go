@@ -19,11 +19,7 @@ package resilience
 // so attempts - retries == items that entered the stage, and
 // sum over status of items_total == Summary.Processed.
 
-import (
-	"time"
-
-	"harassrepro/internal/obs"
-)
+import "harassrepro/internal/obs"
 
 // runnerMetrics holds the pre-resolved instrument handles for one
 // Runner.
@@ -75,16 +71,4 @@ func newRunnerMetrics(reg *obs.Registry, stages []string) *runnerMetrics {
 		})
 	}
 	return rm
-}
-
-// observeAttempt records one attempt's latency and, on a sampled item,
-// its trace timing. Called with the duration already measured so the
-// clock reads stay in runStage next to the attempt itself.
-func (r *Runner[T]) observeAttempt(si, index int, d time.Duration, traced bool) {
-	if r.metrics != nil {
-		r.metrics.stages[si].latency.Observe(d.Nanoseconds())
-	}
-	if traced {
-		r.cfg.Tracer.Record(index, r.stages[si].Name, d.Nanoseconds())
-	}
 }

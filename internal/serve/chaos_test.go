@@ -14,6 +14,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -74,6 +75,17 @@ func counterSum(snap obs.Snapshot, name string) float64 {
 		}
 	}
 	return sum
+}
+
+// counterValue returns a counter's (or gauge's) value in snap, or 0
+// when it is absent.
+func counterValue(snap obs.Snapshot, name string, labels ...obs.Label) float64 {
+	for _, m := range snap.Metrics {
+		if m.Name == name && slices.Equal(m.Labels, labels) && m.Value != nil {
+			return float64(*m.Value)
+		}
+	}
+	return 0
 }
 
 // scoreOver posts texts as one request — /v1/score for a single document,
@@ -212,7 +224,7 @@ func TestChaosCertificationNoLossNoDoubleScore(t *testing.T) {
 	if got := counterSum(snap, "serve_docs_total"); int64(got) != sentDocs.Load() {
 		t.Errorf("serve_docs_total = %v, want %d", got, sentDocs.Load())
 	}
-	if got := snap.CounterValue("serve_docs_total", obs.L("status", "quarantined")); int64(got) != quarantined.Load() {
+	if got := counterValue(snap, "serve_docs_total", obs.L("status", "quarantined")); int64(got) != quarantined.Load() {
 		t.Errorf("serve_docs_total{quarantined} = %v, clients saw %d", got, quarantined.Load())
 	}
 
@@ -232,7 +244,7 @@ func TestChaosCertificationNoLossNoDoubleScore(t *testing.T) {
 	if st := s.Stats(); st.Queued != 0 || st.InFlight != 0 {
 		t.Errorf("post-load stats = %+v, want drained", st)
 	}
-	if agg := snap.CounterValue("serve_queue_depth"); agg != 0 {
+	if agg := counterValue(snap, "serve_queue_depth"); agg != 0 {
 		t.Errorf("serve_queue_depth at quiescence = %v, want 0", agg)
 	}
 
@@ -351,7 +363,7 @@ func TestStatsQueueAccountingMatchesAdmission(t *testing.T) {
 	if st := s.Stats(); st.InFlight != 6 || st.Queued > st.QueueCapacity {
 		t.Errorf("stats under load = %+v", st)
 	}
-	if agg := reg.Snapshot().CounterValue("serve_queue_depth"); agg < 1 || agg > 6 {
+	if agg := counterValue(reg.Snapshot(), "serve_queue_depth"); agg < 1 || agg > 6 {
 		t.Errorf("serve_queue_depth under load = %v, want within 1..6", agg)
 	}
 	// A batch that does not fit beside them is shed; one that fits is not.
@@ -365,7 +377,7 @@ func TestStatsQueueAccountingMatchesAdmission(t *testing.T) {
 		}
 	}
 	waitFor(t, 2*time.Second, func() bool { return s.Stats().Queued == 0 })
-	if agg := reg.Snapshot().CounterValue("serve_queue_depth"); agg != 0 {
+	if agg := counterValue(reg.Snapshot(), "serve_queue_depth"); agg != 0 {
 		t.Errorf("serve_queue_depth at quiescence = %v", agg)
 	}
 }

@@ -198,7 +198,7 @@ func TestOverloadShedsWith429AndNoGoroutineLeak(t *testing.T) {
 		t.Errorf("%d of the 429 responses lacked Retry-After", noRetry)
 	}
 
-	shed := reg.Snapshot().CounterValue("serve_shed_total")
+	shed := counterValue(reg.Snapshot(), "serve_shed_total")
 	if int(shed) != byCode[http.StatusTooManyRequests] {
 		t.Errorf("serve_shed_total = %v, want %d", shed, byCode[http.StatusTooManyRequests])
 	}

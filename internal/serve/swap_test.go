@@ -195,10 +195,10 @@ func TestHotSwapStormNoLossNoTornReads(t *testing.T) {
 	// Swap accounting: the gauge names the active generation and every
 	// completed storm swap was counted exactly once.
 	snap := reg.Snapshot()
-	if gen := snap.CounterValue("serve_model_generation"); gen != 2 {
+	if gen := counterValue(snap, "serve_model_generation"); gen != 2 {
 		t.Errorf("serve_model_generation = %v, want 2", gen)
 	}
-	if swaps := snap.CounterValue("serve_model_swaps_total"); swaps < 3 {
+	if swaps := counterValue(snap, "serve_model_swaps_total"); swaps < 3 {
 		t.Errorf("serve_model_swaps_total = %v, want a storm (>= 3)", swaps)
 	}
 
@@ -237,7 +237,7 @@ func TestSwapModelIdempotentUnderConcurrency(t *testing.T) {
 		t.Fatalf("generation = %d, want 2", got)
 	}
 	// Four racing swaps to the same generation apply exactly once.
-	if swaps := reg.Snapshot().CounterValue("serve_model_swaps_total"); swaps != 1 {
+	if swaps := counterValue(reg.Snapshot(), "serve_model_swaps_total"); swaps != 1 {
 		t.Errorf("serve_model_swaps_total = %v, want 1", swaps)
 	}
 	if err := s.SwapModel(nil); err == nil {
@@ -313,7 +313,7 @@ func TestShadowScoringDivergenceAccounting(t *testing.T) {
 		t.Errorf("label flips = %d, offline bound %d", st.LabelFlips, flips)
 	}
 	snap := reg.Snapshot()
-	if got := snap.CounterValue("serve_shadow_docs_total"); got != float64(st.Docs) {
+	if got := counterValue(snap, "serve_shadow_docs_total"); got != float64(st.Docs) {
 		t.Errorf("serve_shadow_docs_total = %v, stats %d", got, st.Docs)
 	}
 
@@ -363,7 +363,7 @@ func TestFeedbackEndpoint(t *testing.T) {
 	if n != 2 || first.Platform != "boards" || !first.Label || first.Generation != 1 {
 		t.Errorf("sink got %d items, first %+v", n, first)
 	}
-	if got := reg.Snapshot().CounterValue("serve_feedback_total"); got != 2 {
+	if got := counterValue(reg.Snapshot(), "serve_feedback_total"); got != 2 {
 		t.Errorf("serve_feedback_total = %v, want 2", got)
 	}
 

@@ -136,15 +136,6 @@ func NewECDF(xs []float64) *ECDF {
 	return &ECDF{sorted: cp}
 }
 
-// At returns the empirical CDF value P(X <= x).
-func (e *ECDF) At(x float64) float64 {
-	if len(e.sorted) == 0 {
-		return math.NaN()
-	}
-	idx := sort.SearchFloat64s(e.sorted, math.Nextafter(x, math.Inf(1)))
-	return float64(idx) / float64(len(e.sorted))
-}
-
 // Quantile returns the q-quantile of the underlying sample.
 func (e *ECDF) Quantile(q float64) float64 {
 	return Quantile(e.sorted, q)

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -78,29 +79,19 @@ func TestLogClampsNonPositive(t *testing.T) {
 }
 
 func TestECDF(t *testing.T) {
-	e := NewECDF([]float64{1, 2, 2, 3})
-	cases := []struct{ x, want float64 }{
-		{0.5, 0}, {1, 0.25}, {2, 0.75}, {2.5, 0.75}, {3, 1}, {10, 1},
-	}
-	for _, c := range cases {
-		if got := e.At(c.x); !almostEqual(got, c.want, 1e-12) {
-			t.Errorf("ECDF.At(%v) = %v, want %v", c.x, got, c.want)
-		}
-	}
+	e := NewECDF([]float64{2, 1, 3, 2})
 	if e.N() != 4 {
 		t.Errorf("N = %d", e.N())
 	}
+	// P(X <= x) at each distinct sample value, ties counted once.
 	xs, ps := e.Points()
-	if len(xs) != 3 || xs[1] != 2 || ps[1] != 0.75 || ps[2] != 1 {
+	if !slices.Equal(xs, []float64{1, 2, 3}) || !slices.Equal(ps, []float64{0.25, 0.75, 1}) {
 		t.Errorf("Points = %v %v", xs, ps)
 	}
 }
 
 func TestECDFEmpty(t *testing.T) {
 	e := NewECDF(nil)
-	if !math.IsNaN(e.At(1)) {
-		t.Error("empty ECDF At should be NaN")
-	}
 	xs, ps := e.Points()
 	if xs != nil || ps != nil {
 		t.Error("empty ECDF Points should be nil")
@@ -118,26 +109,16 @@ func TestECDFProperties(t *testing.T) {
 		if len(clean) == 0 {
 			return true
 		}
-		e := NewECDF(clean)
-		// CDF is monotone and bounded in [0, 1].
-		prev := 0.0
-		for _, x := range clean {
-			p := e.At(x)
-			if p < 0 || p > 1 {
+		// The CDF steps up at every distinct value, stays in (0, 1] and
+		// reaches 1 at the maximum.
+		xs, ps := NewECDF(clean).Points()
+		for i := 1; i < len(xs); i++ {
+			if xs[i] <= xs[i-1] || ps[i] <= ps[i-1] {
 				return false
 			}
-			_ = prev
 		}
 		min, max := MinMax(clean)
-		if e.At(max) != 1 {
-			return false
-		}
-		// Only check the below-minimum case when min-1 is representably
-		// below min (fails for magnitudes near MaxFloat64).
-		if below := min - 1; below < min && e.At(below) != 0 {
-			return false
-		}
-		return true
+		return xs[0] == min && xs[len(xs)-1] == max && ps[0] > 0 && ps[len(ps)-1] == 1
 	}, &quick.Config{MaxCount: 200})
 	if err != nil {
 		t.Fatal(err)

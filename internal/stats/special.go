@@ -1,7 +1,8 @@
 // Package stats implements the statistical machinery the paper's analyses
-// rely on: descriptive statistics, one-way chi-square tests, two-sample
-// t-tests (used on log thread sizes), the Benjamini–Hochberg procedure,
-// Cohen's kappa inter-annotator agreement, and empirical CDFs.
+// rely on: descriptive statistics, chi-square tests of independence,
+// two-sample t-tests (used on log thread sizes), the Benjamini–Hochberg
+// procedure, Cohen's kappa inter-annotator agreement, and empirical
+// CDFs.
 //
 // The special functions (regularised incomplete gamma and beta) are
 // implemented from the standard series/continued-fraction expansions so the
@@ -22,23 +23,8 @@ const (
 	epsilon       = 3e-14
 )
 
-// GammaIncP returns the regularised lower incomplete gamma function
-// P(a, x) = γ(a, x) / Γ(a), for a > 0, x >= 0.
-func GammaIncP(a, x float64) float64 {
-	if a <= 0 || x < 0 || math.IsNaN(a) || math.IsNaN(x) {
-		return math.NaN()
-	}
-	if x == 0 {
-		return 0
-	}
-	if x < a+1 {
-		return gammaSeries(a, x)
-	}
-	return 1 - gammaContinuedFraction(a, x)
-}
-
 // GammaIncQ returns the regularised upper incomplete gamma function
-// Q(a, x) = 1 - P(a, x).
+// Q(a, x) = Γ(a, x) / Γ(a), for a > 0, x >= 0.
 func GammaIncQ(a, x float64) float64 {
 	if a <= 0 || x < 0 || math.IsNaN(a) || math.IsNaN(x) {
 		return math.NaN()
@@ -169,15 +155,6 @@ func betaContinuedFraction(a, b, x float64) float64 {
 	return h
 }
 
-// ChiSquareCDF returns P(X <= x) for a chi-square distribution with k
-// degrees of freedom.
-func ChiSquareCDF(x float64, k float64) float64 {
-	if x < 0 {
-		return 0
-	}
-	return GammaIncP(k/2, x/2)
-}
-
 // ChiSquareSurvival returns P(X > x) for a chi-square distribution with k
 // degrees of freedom, i.e. the upper-tail p-value for statistic x.
 func ChiSquareSurvival(x float64, k float64) float64 {
@@ -187,20 +164,6 @@ func ChiSquareSurvival(x float64, k float64) float64 {
 	return GammaIncQ(k/2, x/2)
 }
 
-// StudentTCDF returns P(T <= t) for Student's t distribution with nu
-// degrees of freedom.
-func StudentTCDF(t, nu float64) float64 {
-	if nu <= 0 {
-		return math.NaN()
-	}
-	x := nu / (nu + t*t)
-	p := 0.5 * BetaInc(nu/2, 0.5, x)
-	if t > 0 {
-		return 1 - p
-	}
-	return p
-}
-
 // StudentTSurvivalTwoSided returns the two-sided p-value for |T| >= |t|
 // under Student's t with nu degrees of freedom.
 func StudentTSurvivalTwoSided(t, nu float64) float64 {
@@ -208,9 +171,4 @@ func StudentTSurvivalTwoSided(t, nu float64) float64 {
 		return math.NaN()
 	}
 	return BetaInc(nu/2, 0.5, nu/(nu+t*t))
-}
-
-// NormalCDF returns the standard normal CDF Φ(x).
-func NormalCDF(x float64) float64 {
-	return 0.5 * math.Erfc(-x/math.Sqrt2)
 }

@@ -59,41 +59,6 @@ type ChiSquareResult struct {
 	P         float64
 }
 
-// ChiSquareGOF performs a one-way chi-square goodness-of-fit test of the
-// observed counts against the expected counts (the paper's "one-way
-// chi-square tests" over reporting subcategories and gender breakdowns).
-// If expected is nil, a uniform expectation over the categories is used.
-// Categories with zero expected count are invalid.
-func ChiSquareGOF(observed []float64, expected []float64) (ChiSquareResult, error) {
-	if len(observed) < 2 {
-		return ChiSquareResult{}, ErrInsufficientData
-	}
-	if expected == nil {
-		total := 0.0
-		for _, o := range observed {
-			total += o
-		}
-		expected = make([]float64, len(observed))
-		for i := range expected {
-			expected[i] = total / float64(len(observed))
-		}
-	}
-	if len(expected) != len(observed) {
-		return ChiSquareResult{}, ErrInsufficientData
-	}
-	stat := 0.0
-	for i, o := range observed {
-		e := expected[i]
-		if e <= 0 {
-			return ChiSquareResult{}, ErrInsufficientData
-		}
-		d := o - e
-		stat += d * d / e
-	}
-	df := float64(len(observed) - 1)
-	return ChiSquareResult{Statistic: stat, DF: df, P: ChiSquareSurvival(stat, df)}, nil
-}
-
 // ChiSquareIndependence performs a chi-square test of independence over an
 // r x c contingency table (used when comparing attack-subcategory
 // distributions across data sets).
@@ -244,42 +209,4 @@ func KappaInterpretation(kappa float64) string {
 	default:
 		return "strong"
 	}
-}
-
-// Proportion returns part/total as a float64, or 0 when total is zero.
-// It is the building block for every percentage cell in the paper's tables.
-func Proportion(part, total int) float64 {
-	if total == 0 {
-		return 0
-	}
-	return float64(part) / float64(total)
-}
-
-// WilsonInterval returns the Wilson score confidence interval for a
-// binomial proportion with successes out of n trials at confidence level
-// z standard deviations (1.96 for 95%). It behaves well for the small
-// counts and extreme proportions that fill the paper's tables, unlike the
-// normal approximation.
-func WilsonInterval(successes, n int, z float64) (lo, hi float64) {
-	if n <= 0 {
-		return 0, 1
-	}
-	if z <= 0 {
-		z = 1.959963984540054
-	}
-	p := float64(successes) / float64(n)
-	nf := float64(n)
-	z2 := z * z
-	denom := 1 + z2/nf
-	center := (p + z2/(2*nf)) / denom
-	half := z * math.Sqrt(p*(1-p)/nf+z2/(4*nf*nf)) / denom
-	lo = center - half
-	hi = center + half
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > 1 {
-		hi = 1
-	}
-	return lo, hi
 }

@@ -36,14 +36,6 @@ func (d Distribution) ParentShare(p Parent) float64 {
 	return float64(d.ParentHits[p]) / float64(d.Total)
 }
 
-// SubShare returns the fraction of labels that include subcategory s.
-func (d Distribution) SubShare(s Sub) float64 {
-	if d.Total == 0 {
-		return 0
-	}
-	return float64(d.SubHits[s]) / float64(d.Total)
-}
-
 // CoOccurrence summarises multi-attack-type trends (§6.2).
 type CoOccurrence struct {
 	Total int

@@ -291,7 +291,7 @@ func TestSharedIsOneInstance(t *testing.T) {
 
 func TestLabelIgnoresUnknownSubs(t *testing.T) {
 	l := NewLabel(Sub("bogus"), SubDoxing)
-	if l.Size() != 1 || !l.Has(SubDoxing) || l.Has(Sub("bogus")) || l.HasParent(Parent("bogus")) {
+	if l.Size() != 1 || !has(l, SubDoxing) || has(l, Sub("bogus")) || l.HasParent(Parent("bogus")) {
 		t.Errorf("label = %v", l.Subs())
 	}
 }

@@ -1,6 +1,9 @@
 package taxonomy
 
-import "math/bits"
+import (
+	"math/bits"
+	"slices"
+)
 
 // oracleCategorize is Categorize as it was before the gate: every cue
 // regexp in rule order over the whole text, then the fallback
@@ -32,7 +35,7 @@ func oracleCategorize(c *Categorizer, text string) Label {
 		if !matched[misc] {
 			continue
 		}
-		for _, s := range SubsOf(parent) {
+		for _, s := range subsOf(parent) {
 			if s != misc && matched[s] {
 				delete(matched, misc)
 				break
@@ -62,3 +65,17 @@ func GatedRules(c *Categorizer, text string) int {
 	hit := c.gate.scan(text)
 	return bits.OnesCount64(hit[0]) + bits.OnesCount64(hit[1])
 }
+
+// subsOf returns the subcategories of a parent, in Table 11 order.
+func subsOf(p Parent) []Sub {
+	var out []Sub
+	for _, s := range subTable {
+		if s.Parent() == p {
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
+// has reports whether the label includes the subcategory.
+func has(l Label, s Sub) bool { return slices.Contains(l.Subs(), s) }

@@ -201,17 +201,6 @@ var subDescriptions = map[Sub]string{
 // Describe returns a one-line summary of the subcategory, or "".
 func (s Sub) Describe() string { return subDescriptions[s] }
 
-// SubsOf returns the subcategories of a parent, in Table 11 order.
-func SubsOf(p Parent) []Sub {
-	var out []Sub
-	for _, s := range subTable {
-		if s.Parent() == p {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
 // Label is the multi-label coding of one call to harassment: the set of
 // subcategory attack types it incites. The paper codes each call to
 // harassment with one or more categories. It is a bitset over subTable,
@@ -255,9 +244,6 @@ func NewLabel(subs ...Sub) Label {
 	}
 	return l
 }
-
-// Has reports whether the label includes the subcategory.
-func (l Label) Has(s Sub) bool { return l.bits&subBits[s] != 0 }
 
 // HasParent reports whether the label includes any subcategory of p.
 func (l Label) HasParent(p Parent) bool { return l.bits&parentBits[p] != 0 }

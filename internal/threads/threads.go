@@ -65,21 +65,6 @@ func Positions(posts []Post, sel func(*Post) bool) PositionSummary {
 	return ps
 }
 
-// ResponseSizes returns, for the posts selected by sel, the number of
-// messages in the thread after each selected post (the paper defines
-// "responses to calls to harassment as all messages in a thread after
-// the call to harassment").
-func ResponseSizes(posts []Post, sel func(*Post) bool) []float64 {
-	var out []float64
-	for i := range posts {
-		p := &posts[i]
-		if sel(p) {
-			out = append(out, float64(p.ThreadSize-p.Pos-1))
-		}
-	}
-	return out
-}
-
 // ThreadSizes returns the distinct thread sizes of the posts selected by
 // sel (one entry per selected post, matching the paper's per-post CDF of
 // Figure 5).

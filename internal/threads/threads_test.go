@@ -55,16 +55,6 @@ func TestPositionsEmpty(t *testing.T) {
 	}
 }
 
-func TestResponseSizes(t *testing.T) {
-	var posts []Post
-	label := taxonomy.NewLabel(taxonomy.SubRaiding)
-	posts = buildThread(posts, "t1", 10, map[int]taxonomy.Label{3: label}, nil)
-	sizes := ResponseSizes(posts, func(p *Post) bool { return p.IsCTH })
-	if len(sizes) != 1 || sizes[0] != 6 {
-		t.Errorf("response sizes = %v, want [6]", sizes)
-	}
-}
-
 func TestThreadSizes(t *testing.T) {
 	var posts []Post
 	label := taxonomy.NewLabel(taxonomy.SubRaiding)

@@ -199,14 +199,3 @@ func Select(docs []ScoredDoc, experts Annotator, cfg Config) (Selection, error) 
 		Trail:          trail,
 	}, nil
 }
-
-// CountAbove returns how many documents score above t.
-func CountAbove(docs []ScoredDoc, t float64) int {
-	n := 0
-	for _, d := range docs {
-		if d.Score > t {
-			n++
-		}
-	}
-	return n
-}

@@ -199,16 +199,24 @@ func TestSelectPinnedToOneGenerationMidRescore(t *testing.T) {
 	}
 }
 
+// TestCountAbove: a threshold's above-threshold count is strictly
+// above, and a threshold nothing passes has no candidates.
 func TestCountAbove(t *testing.T) {
-	docs := []ScoredDoc{{Score: 0.1}, {Score: 0.5}, {Score: 0.9}}
-	if got := CountAbove(docs, 0.5); got != 1 {
-		t.Errorf("CountAbove(0.5) = %d (strictly above)", got)
+	docs := []ScoredDoc{{ID: "a", Score: 0.1}, {ID: "b", Score: 0.5, Truth: true}, {ID: "c", Score: 0.9, Truth: true}}
+	for _, c := range []struct {
+		t    float64
+		want int
+	}{{0.5, 1}, {0.05, 3}} {
+		sel, err := Select(docs, expertPool(18), Config{Start: c.t, Ladder: []float64{c.t}, Seed: 19})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sel.AboveThreshold != c.want {
+			t.Errorf("above %v = %d, want %d (strictly above)", c.t, sel.AboveThreshold, c.want)
+		}
 	}
-	if got := CountAbove(docs, 0.05); got != 3 {
-		t.Errorf("CountAbove(0.05) = %d", got)
-	}
-	if got := CountAbove(nil, 0.5); got != 0 {
-		t.Errorf("CountAbove(nil) = %d", got)
+	if _, err := Select(nil, expertPool(18), Config{Seed: 19}); err != ErrNoCandidates {
+		t.Errorf("nil docs: err = %v, want ErrNoCandidates", err)
 	}
 }
 
