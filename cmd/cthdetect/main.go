@@ -123,8 +123,7 @@ func main() {
 				if strings.TrimSpace(r.Text) == "" {
 					return resilience.Permanent(fmt.Errorf("blank document"))
 				}
-				r.CTH = det.ScoreCTH(r.Text)
-				r.Dox = det.ScoreDox(r.Text)
+				r.CTH, r.Dox = det.Scores(r.Text)
 				r.HasScores = true
 				return nil
 			},

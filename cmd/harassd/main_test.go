@@ -218,14 +218,10 @@ func TestChaosPlanQuarantinesExactlyThePlannedDocuments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var stages []resilience.Stage[core.StreamDoc]
-	for _, name := range []string{"score-cth", "score-dox"} {
-		stages = append(stages, chaos.Wrap(resilience.Stage[core.StreamDoc]{
-			Name: name, Transient: true,
-			Fn: func(context.Context, int, *core.StreamDoc) error { return nil },
-		}, *plan))
-	}
-	oracle := resilience.NewRunner(resilience.Config[core.StreamDoc]{}, stages...)
+	oracle := resilience.NewRunner(resilience.Config[core.StreamDoc]{}, chaos.Wrap(resilience.Stage[core.StreamDoc]{
+		Name: "score", Transient: true,
+		Fn: func(context.Context, int, *core.StreamDoc) error { return nil },
+	}, *plan))
 	var want []string
 	for i := 0; i < docs; i++ {
 		if res := oracle.RunItem(context.Background(), i, core.StreamDoc{}); res.Status == resilience.StatusQuarantined {

@@ -211,22 +211,11 @@ func (d *Detector) ScoreCTH(text string) float64 {
 	return d.scoreWith(d.cth, text, d.meta.CTHTextLen, &rng)
 }
 
-// scoreDoxWith scores with an explicit span-sampling source.
-func (d *Detector) scoreDoxWith(text string, rng *randx.Source) float64 {
-	return d.scoreWith(d.dox, text, d.meta.DoxTextLen, rng)
-}
-
-// scoreCTHWith scores with an explicit span-sampling source.
-func (d *Detector) scoreCTHWith(text string, rng *randx.Source) float64 {
-	return d.scoreWith(d.cth, text, d.meta.CTHTextLen, rng)
-}
-
-// Score scores text for the given task.
-func (d *Detector) Score(task annotate.Task, text string) float64 {
-	if task == annotate.TaskCTH {
-		return d.ScoreCTH(text)
-	}
-	return d.ScoreDox(text)
+// Scores returns both classifiers' positive probabilities, (CTH, dox),
+// tokenizing text once. Each equals what ScoreCTH and ScoreDox return.
+func (d *Detector) Scores(text string) (cth, dox float64) {
+	cthRng, doxRng := d.rng, d.rng
+	return d.scoreBoth(text, &cthRng, &doxRng)
 }
 
 // DoxThreshold returns the saved Table 4 threshold for a platform, or

@@ -21,7 +21,8 @@ import (
 type scorer struct {
 	sess   *tokenize.Session
 	feat   *features.Featurizer
-	merged []string // span-merge scratch for long documents
+	spans  [][]string // span-sampling scratch for long documents
+	merged []string   // span-merge scratch for long documents
 	// fresh marks a scorer straight out of the pool's New — the
 	// instrumented path counts it as a pool miss, then clears it.
 	fresh bool
@@ -33,30 +34,27 @@ type scorer struct {
 // The returned vector aliases the scorer's scratch: consume it before
 // releasing the scorer.
 func (d *Detector) vectorizeWith(sc *scorer, text string, maxLen int, rng *randx.Source) features.Vector {
-	return d.featurizeToks(sc, sc.sess.Tokenize(text), maxLen, rng)
+	return sc.featurize(sc.sess.Tokenize(text), maxLen, rng)
 }
 
-// featurizeToks turns an already-tokenized document into a feature
-// vector. Documents at or under the span length skip the Spans
-// machinery entirely (Spans would return the token slice unchanged
-// without consuming rng); longer documents keep the exact legacy
-// chunk-shuffle-merge sequence so span sampling stays bit-reproducible.
-func (d *Detector) featurizeToks(sc *scorer, toks []string, maxLen int, rng *randx.Source) features.Vector {
-	return sc.featurize(toks, maxLen, rng)
-}
-
-// featurize is featurizeToks on the scorer's own scratch, shared by the
-// detector's streaming path and the pipeline's pooled vectorize.
+// featurize turns an already-tokenized document into a feature vector on
+// the scorer's scratch; the detector's scoring paths and the pipeline's
+// pooled vectorize share it. Documents at or under the span length skip
+// span sampling entirely (tokenize.Spans would return the token slice
+// unchanged without consuming rng); longer documents keep the exact
+// legacy chunk-shuffle-merge sequence, on the scorer's span buffer, so
+// span sampling stays bit-reproducible. Sampling never reorders toks, so
+// one token slice can be featurized for several span lengths in turn.
 func (sc *scorer) featurize(toks []string, maxLen int, rng *randx.Source) features.Vector {
 	if len(toks) <= maxLen {
 		return sc.feat.Vectorize(toks)
 	}
-	spans := tokenize.Spans(toks, maxLen, 2, tokenize.SpanRandomNoOverlap, rng)
-	if len(spans) == 1 {
-		return sc.feat.Vectorize(spans[0])
+	sc.spans = tokenize.AppendRandomSpans(sc.spans[:0], toks, maxLen, 2, rng)
+	if len(sc.spans) == 1 {
+		return sc.feat.Vectorize(sc.spans[0])
 	}
 	sc.merged = sc.merged[:0]
-	for _, s := range spans {
+	for _, s := range sc.spans {
 		sc.merged = append(sc.merged, s...)
 	}
 	return sc.feat.Vectorize(sc.merged)
@@ -68,4 +66,35 @@ func (d *Detector) scoreWith(m *model.LogReg, text string, maxLen int, rng *rand
 	score := m.Score(d.vectorizeWith(sc, text, maxLen, rng))
 	d.scorers.Put(sc)
 	return score
+}
+
+// scoreBoth runs both classifiers over text on one pooled scorer,
+// tokenizing once; cthRng and doxRng are the tasks' span-sampling
+// streams. Both scores are bit-identical to scoring each task alone
+// with scoreWith.
+func (d *Detector) scoreBoth(text string, cthRng, doxRng *randx.Source) (cth, dox float64) {
+	sc := d.scorers.Get().(*scorer)
+	cth, dox = d.scoreToks(sc, sc.sess.Tokenize(text), cthRng, doxRng)
+	d.scorers.Put(sc)
+	return cth, dox
+}
+
+// sharesVector reports whether a document of n tokens fits both span
+// lengths, so one vector serves both classifiers.
+func (d *Detector) sharesVector(n int) bool {
+	return n <= min(d.meta.CTHTextLen, d.meta.DoxTextLen)
+}
+
+// scoreToks scores already-tokenized text with both classifiers. A
+// document that fits both span lengths is vectorized once; a longer one
+// is featurized per task from the shared tokens, each task drawing its
+// spans from its own stream. The vector aliases the scorer's scratch, so
+// CTH is scored before dox's featurize overwrites it.
+func (d *Detector) scoreToks(sc *scorer, toks []string, cthRng, doxRng *randx.Source) (cth, dox float64) {
+	if d.sharesVector(len(toks)) {
+		v := sc.feat.Vectorize(toks)
+		return d.cth.Score(v), d.dox.Score(v)
+	}
+	cth = d.cth.Score(sc.featurize(toks, d.meta.CTHTextLen, cthRng))
+	return cth, d.dox.Score(sc.featurize(toks, d.meta.DoxTextLen, doxRng))
 }

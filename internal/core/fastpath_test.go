@@ -13,8 +13,8 @@ import (
 	"testing"
 
 	"harassrepro/internal/features"
+	"harassrepro/internal/obs"
 	"harassrepro/internal/randx"
-	"harassrepro/internal/resilience"
 	"harassrepro/internal/testutil"
 	"harassrepro/internal/tokenize"
 )
@@ -48,8 +48,32 @@ func testDetector(t testing.TB) *Detector {
 	return det
 }
 
+// tokenLenDocs are golden documents of an exact token count, one on each
+// side of both span lengths (CTH 128, dox 512) and one between them —
+// the three regimes of the fused scorer: one shared vector, CTH spans
+// with a whole-document dox vector, and spans for both — plus one long
+// enough that dox keeps two of three spans, so its span choice depends
+// on its own stream. TestGoldenStreamDocTokenCounts pins the counts.
+var tokenLenDocs = []struct {
+	id     string
+	tokens int
+}{{"toks-128", 128}, {"toks-129", 129}, {"toks-300", 300}, {"toks-512", 512}, {"toks-513", 513}, {"toks-1100", 1100}}
+
+// tokenLenText is n single-letter words, each one token, in a
+// pseudo-random order, so every span of it has its own features.
+func tokenLenText(n int) string {
+	out := make([]string, n)
+	x := uint32(1)
+	for i := range out {
+		x = x*1103515245 + 12345
+		out[i] = string(rune('a' + (x>>16)%26))
+	}
+	return strings.Join(out, " ")
+}
+
 // goldenStreamDocs mixes short chat messages, PII-bearing text, long
-// pastes (forcing the span-sampling branch), unicode and junk.
+// pastes (forcing the span-sampling branch), documents at the span-length
+// boundaries, unicode and junk.
 func goldenStreamDocs() []StreamDoc {
 	docs := []StreamDoc{
 		{ID: "chat-1", Platform: "discord", Text: "we need to mass-report his twitter and youtube, spread the word"},
@@ -58,6 +82,9 @@ func goldenStreamDocs() []StreamDoc {
 		{ID: "uni-1", Platform: "gab", Text: "İstanbul STRASSE ﬂuent ſtreet Kelvin K"},
 		{ID: "junk-1", Platform: "boards", Text: "a\xffb\xfe invalid \xc3( bytes"},
 		{ID: "long-1", Platform: "pastes", Text: strings.Repeat("target lives at 12 oak street and posts on twitter dot com every night ", 40)},
+	}
+	for _, tl := range tokenLenDocs {
+		docs = append(docs, StreamDoc{ID: tl.id, Platform: "boards", Text: tokenLenText(tl.tokens)})
 	}
 	for i := 0; i < 40; i++ {
 		docs = append(docs, StreamDoc{
@@ -91,48 +118,78 @@ func TestScoreWithMatchesLegacyComposition(t *testing.T) {
 	}
 }
 
+// TestGoldenStreamDocTokenCounts pins the boundary documents to their
+// token counts at the detector's span lengths, so each length regime of
+// the fused scorer is really exercised.
+func TestGoldenStreamDocTokenCounts(t *testing.T) {
+	det := testDetector(t)
+	if det.meta.CTHTextLen != 128 || det.meta.DoxTextLen != 512 {
+		t.Fatalf("span lengths cth %d, dox %d; the boundary documents assume 128 and 512",
+			det.meta.CTHTextLen, det.meta.DoxTextLen)
+	}
+	for _, tl := range tokenLenDocs {
+		if got := len(det.tok.Tokenize(tokenLenText(tl.tokens))); got != tl.tokens {
+			t.Errorf("%s: %d tokens, want %d", tl.id, got, tl.tokens)
+		}
+	}
+}
+
+// TestScoreBothMatchesLegacyComposition pins the fused scorer to the
+// legacy per-task composition in every length regime: one tokenize for
+// both classifiers, from the same per-task rng states, gives the same
+// score bits as tokenizing and featurizing once per task. Scores, the
+// public form, must equal ScoreCTH and ScoreDox.
+func TestScoreBothMatchesLegacyComposition(t *testing.T) {
+	det := testDetector(t)
+	for _, doc := range goldenStreamDocs() {
+		cthRng, doxRng := randx.New(7).Split(doc.ID+"/cth"), randx.New(7).Split(doc.ID+"/dox")
+		wantCTH := det.cth.Score(referenceVectorize(det, doc.Text, det.meta.CTHTextLen, cthRng))
+		wantDox := det.dox.Score(referenceVectorize(det, doc.Text, det.meta.DoxTextLen, doxRng))
+		cth, dox := det.scoreBoth(doc.Text, randx.New(7).Split(doc.ID+"/cth"), randx.New(7).Split(doc.ID+"/dox"))
+		if cth != wantCTH || dox != wantDox {
+			t.Errorf("%s: scoreBoth (%v, %v), legacy (%v, %v)", doc.ID, cth, dox, wantCTH, wantDox)
+		}
+		cth, dox = det.Scores(doc.Text)
+		if wantCTH, wantDox := det.ScoreCTH(doc.Text), det.ScoreDox(doc.Text); cth != wantCTH || dox != wantDox {
+			t.Errorf("%s: Scores (%v, %v), ScoreCTH/ScoreDox (%v, %v)", doc.ID, cth, dox, wantCTH, wantDox)
+		}
+	}
+}
+
 // TestScoreBatchWorkerCountInvariance runs the same batch at several
-// worker counts and requires bit-identical scores everywhere — the
-// determinism contract the pooled scratch must not break.
+// worker counts, with and without metrics, and requires bit-identical
+// scores everywhere — the determinism contract the pooled scratch must
+// not break — and equal to the legacy two-pass composition (tokenize and
+// featurize once per classifier) with the stream's own rng derivation.
 func TestScoreBatchWorkerCountInvariance(t *testing.T) {
 	det := testDetector(t)
 	docs := goldenStreamDocs()
-	var baseline []resilience.Result[StreamDoc]
-	for _, workers := range []int{1, 2, 8} {
-		results, _, err := det.ScoreBatch(context.Background(), docs, StreamOptions{
-			Workers: workers, Seed: 42, Ordered: true, Annotate: true,
-		})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if len(results) != len(docs) {
-			t.Fatalf("workers=%d: %d results for %d docs", workers, len(results), len(docs))
-		}
-		if workers == 1 {
-			baseline = results
-			continue
-		}
-		for i, r := range results {
-			b := baseline[i]
-			if r.Item.CTH != b.Item.CTH || r.Item.Dox != b.Item.Dox {
-				t.Errorf("workers=%d doc %s: scores (%v, %v) != 1-worker (%v, %v)",
-					workers, r.Item.ID, r.Item.CTH, r.Item.Dox, b.Item.CTH, b.Item.Dox)
-			}
-		}
-	}
-	// And the streamed scores match the legacy composition with the
-	// stream's own rng derivation.
 	base := randx.New(42)
 	cthBase := base.Split("score-cth")
 	doxBase := base.Split("score-dox")
-	for i, r := range baseline {
-		cthRng := cthBase.SplitNVal("doc", i)
-		doxRng := doxBase.SplitNVal("doc", i)
-		wantCTH := det.cth.Score(referenceVectorize(det, docs[i].Text, det.meta.CTHTextLen, &cthRng))
-		wantDox := det.dox.Score(referenceVectorize(det, docs[i].Text, det.meta.DoxTextLen, &doxRng))
-		if r.Item.CTH != wantCTH || r.Item.Dox != wantDox {
-			t.Errorf("doc %s: streamed (%v, %v) != legacy (%v, %v)",
-				r.Item.ID, r.Item.CTH, r.Item.Dox, wantCTH, wantDox)
+	for _, instrumented := range []bool{false, true} {
+		for _, workers := range []int{1, 2, 8} {
+			opts := StreamOptions{Workers: workers, Seed: 42, Ordered: true, Annotate: true}
+			if instrumented {
+				opts.Metrics = obs.NewRegistry()
+			}
+			results, _, err := det.ScoreBatch(context.Background(), docs, opts)
+			if err != nil {
+				t.Fatalf("workers=%d metrics=%v: %v", workers, instrumented, err)
+			}
+			if len(results) != len(docs) {
+				t.Fatalf("workers=%d metrics=%v: %d results for %d docs", workers, instrumented, len(results), len(docs))
+			}
+			for i, r := range results {
+				cthRng := cthBase.SplitNVal("doc", i)
+				doxRng := doxBase.SplitNVal("doc", i)
+				wantCTH := det.cth.Score(referenceVectorize(det, docs[i].Text, det.meta.CTHTextLen, &cthRng))
+				wantDox := det.dox.Score(referenceVectorize(det, docs[i].Text, det.meta.DoxTextLen, &doxRng))
+				if r.Item.CTH != wantCTH || r.Item.Dox != wantDox {
+					t.Errorf("workers=%d metrics=%v doc %s: streamed (%v, %v) != legacy (%v, %v)",
+						workers, instrumented, r.Item.ID, r.Item.CTH, r.Item.Dox, wantCTH, wantDox)
+				}
+			}
 		}
 	}
 }
@@ -148,18 +205,15 @@ func TestScoreStreamSteadyStateAllocs(t *testing.T) {
 	}
 	det := testDetector(t)
 	text := "we need to mass-report his twitter and youtube, spread the word"
-	rng := randx.New(3)
-	det.scoreCTHWith(text, rng) // warm pooled scratch
-	if n := testing.AllocsPerRun(200, func() {
-		det.scoreCTHWith(text, rng)
-	}); n > 0 {
-		t.Errorf("scoreCTHWith allocates %v per op, want 0", n)
-	}
+	det.Scores(text) // warm pooled scratch
 	if n := testing.AllocsPerRun(200, func() {
 		det.ScoreCTH(text)
 		det.ScoreDox(text)
 	}); n > 0 {
 		t.Errorf("ScoreCTH+ScoreDox allocate %v per op, want 0", n)
+	}
+	if n := testing.AllocsPerRun(200, func() { det.Scores(text) }); n > 0 {
+		t.Errorf("Scores allocates %v per op, want 0", n)
 	}
 }
 

@@ -1,8 +1,8 @@
 package core
 
 // Scoring instrumentation. When StreamOptions.Metrics is set, the
-// stream stages report scratch-pool traffic (always-on: one atomic per
-// score) and a tokenize/featurize/model phase breakdown on a
+// score stage reports scratch-pool traffic (always-on: one atomic per
+// document) and a tokenize/featurize/model phase breakdown on a
 // deterministically sampled subset of documents. The sample decision is
 // a pure function of (seed, doc index) — the same documents are timed
 // on every run and at every worker count — and only sampled documents
@@ -17,7 +17,7 @@ package core
 import (
 	"time"
 
-	"harassrepro/internal/model"
+	"harassrepro/internal/features"
 	"harassrepro/internal/obs"
 	"harassrepro/internal/randx"
 )
@@ -33,14 +33,13 @@ const (
 )
 
 const (
-	phaseTokenize = iota
-	phaseFeaturize
+	phaseFeaturize = iota
 	phaseModel
 )
 
 var (
 	taskNames  = [...]string{taskCTH: "cth", taskDox: "dox"}
-	phaseNames = [...]string{phaseTokenize: "tokenize", phaseFeaturize: "featurize", phaseModel: "model"}
+	phaseNames = [...]string{phaseFeaturize: "featurize", phaseModel: "model"}
 )
 
 // scoreMetrics holds the pre-resolved scoring instruments for one
@@ -49,8 +48,11 @@ type scoreMetrics struct {
 	poolGets    *obs.Counter
 	poolMisses  *obs.Counter
 	sampledDocs *obs.Counter
-	phase       [2][3]*obs.Histogram // [task][phase]
-	sampleBase  *randx.Source
+	// tokenize times the one tokenize both classifiers share
+	// (task="both"); phase holds the per-task featurize and model series.
+	tokenize   *obs.Histogram
+	phase      [2][2]*obs.Histogram // [task][phase]
+	sampleBase *randx.Source
 }
 
 // newScoreMetrics registers (or re-resolves) the scoring instruments on
@@ -62,7 +64,10 @@ func newScoreMetrics(reg *obs.Registry, seed uint64) *scoreMetrics {
 		poolMisses: reg.NewCounter("score_pool_misses_total",
 			"scorer scratch constructed because the pool was empty"),
 		sampledDocs: reg.NewCounter("score_phase_sampled_total",
-			"score calls with per-phase timings recorded"),
+			"scored documents with per-phase timings recorded"),
+		tokenize: reg.NewHistogram("score_phase_ns",
+			"sampled per-phase scoring latency", obs.DurationBuckets(),
+			obs.L("task", "both"), obs.L("phase", "tokenize")),
 		sampleBase: randx.New(seed).Split("phase-sample"),
 	}
 	for t, task := range taskNames {
@@ -82,11 +87,15 @@ func (sm *scoreMetrics) sampled(index int) bool {
 	return rng.Float64() < phaseSampleRate
 }
 
-// scoreObs is scoreWith plus instrumentation: pool-traffic counters on
-// every call, and a tokenize/featurize/model timing breakdown when the
-// document is sampled. The rng consumption is identical to scoreWith,
-// so the score is bit-identical to the uninstrumented path.
-func (d *Detector) scoreObs(m *model.LogReg, task int, text string, maxLen int, rng *randx.Source, sm *scoreMetrics, index int) float64 {
+// scoreBothObs is scoreBoth plus instrumentation: pool-traffic counters
+// on every document, and a phase breakdown when the document is
+// sampled — the shared tokenize once, then featurize and model per
+// task. A document that fits both span lengths is vectorized once; that
+// time is CTH's featurize, and dox's featurize records the near-zero
+// cost of reusing the vector, so the series add up to what the path
+// spent. The rng consumption is identical to scoreBoth, so the scores
+// are bit-identical to the uninstrumented path.
+func (d *Detector) scoreBothObs(text string, cthRng, doxRng *randx.Source, sm *scoreMetrics, index int) (cth, dox float64) {
 	sc := d.scorers.Get().(*scorer)
 	sm.poolGets.Inc()
 	if sc.fresh {
@@ -94,21 +103,39 @@ func (d *Detector) scoreObs(m *model.LogReg, task int, text string, maxLen int, 
 		sm.poolMisses.Inc()
 	}
 	if !sm.sampled(index) {
-		score := m.Score(d.vectorizeWith(sc, text, maxLen, rng))
+		cth, dox = d.scoreToks(sc, sc.sess.Tokenize(text), cthRng, doxRng)
 		d.scorers.Put(sc)
-		return score
+		return cth, dox
 	}
 	sm.sampledDocs.Inc()
 	t0 := time.Now()
 	toks := sc.sess.Tokenize(text)
 	t1 := time.Now()
-	vec := d.featurizeToks(sc, toks, maxLen, rng)
+	shared := d.sharesVector(len(toks))
+	var vec features.Vector
+	if shared {
+		vec = sc.feat.Vectorize(toks)
+	} else {
+		vec = sc.featurize(toks, d.meta.CTHTextLen, cthRng)
+	}
 	t2 := time.Now()
-	score := m.Score(vec)
+	cth = d.cth.Score(vec)
 	t3 := time.Now()
-	sm.phase[task][phaseTokenize].Observe(t1.Sub(t0).Nanoseconds())
-	sm.phase[task][phaseFeaturize].Observe(t2.Sub(t1).Nanoseconds())
-	sm.phase[task][phaseModel].Observe(t3.Sub(t2).Nanoseconds())
+	if !shared {
+		vec = sc.featurize(toks, d.meta.DoxTextLen, doxRng)
+	}
+	t4 := time.Now()
+	dox = d.dox.Score(vec)
+	t5 := time.Now()
+	sm.tokenize.Observe(t1.Sub(t0).Nanoseconds())
+	sm.observe(taskCTH, t2.Sub(t1), t3.Sub(t2))
+	sm.observe(taskDox, t4.Sub(t3), t5.Sub(t4))
 	d.scorers.Put(sc)
-	return score
+	return cth, dox
+}
+
+// observe records one task's featurize and model intervals.
+func (sm *scoreMetrics) observe(task int, featurize, model time.Duration) {
+	sm.phase[task][phaseFeaturize].Observe(featurize.Nanoseconds())
+	sm.phase[task][phaseModel].Observe(model.Nanoseconds())
 }

@@ -73,16 +73,18 @@ var (
 
 // streamStages builds the stage pipeline for streaming scoring.
 func (d *Detector) streamStages(opts StreamOptions) []resilience.Stage[StreamDoc] {
-	// Per-document scoring randomness is derived from (seed, stage,
+	// Per-document scoring randomness is derived from (seed, task,
 	// index), never from the detector's shared stream: retries and
-	// scheduling cannot perturb it. The per-stage splits are hoisted out
-	// of the per-document closures and the per-document child stream is
-	// derived by value (SplitNVal), keeping the hot path allocation-free
-	// while producing the same child states as Split().SplitN().
+	// scheduling cannot perturb it. The per-task splits keep the labels of
+	// the per-task stages they came from, so spans are sampled as before.
+	// They are hoisted out of the per-document closure and the
+	// per-document child streams are derived by value (SplitNVal), keeping
+	// the hot path allocation-free while producing the same child states
+	// as Split().SplitN().
 	base := randx.New(opts.Seed)
 	cthBase := base.Split("score-cth")
 	doxBase := base.Split("score-dox")
-	// With a registry the stages route through the instrumented paths;
+	// With a registry the stage routes through the instrumented path;
 	// both consume randomness identically, so scores do not change.
 	var sm *scoreMetrics
 	ext := streamExtractor
@@ -91,37 +93,25 @@ func (d *Detector) streamStages(opts StreamOptions) []resilience.Stage[StreamDoc
 		ext = pii.NewExtractor()
 		ext.SetMetrics(opts.Metrics)
 	}
-	stages := []resilience.Stage[StreamDoc]{
-		{
-			Name:      "score-cth",
-			Transient: true,
-			Fn: func(_ context.Context, index int, sd *StreamDoc) error {
-				if sd.Text == "" {
-					return resilience.Permanent(fmt.Errorf("empty document text"))
-				}
-				rng := cthBase.SplitNVal("doc", index)
-				if sm != nil {
-					sd.CTH = d.scoreObs(d.cth, taskCTH, sd.Text, d.meta.CTHTextLen, &rng, sm, index)
-				} else {
-					sd.CTH = d.scoreCTHWith(sd.Text, &rng)
-				}
-				return nil
-			},
+	// One stage runs both classifiers so each document is tokenized once
+	// (and vectorized once when it fits both span lengths).
+	stages := []resilience.Stage[StreamDoc]{{
+		Name:      "score",
+		Transient: true,
+		Fn: func(_ context.Context, index int, sd *StreamDoc) error {
+			if sd.Text == "" {
+				return resilience.Permanent(fmt.Errorf("empty document text"))
+			}
+			cthRng := cthBase.SplitNVal("doc", index)
+			doxRng := doxBase.SplitNVal("doc", index)
+			if sm != nil {
+				sd.CTH, sd.Dox = d.scoreBothObs(sd.Text, &cthRng, &doxRng, sm, index)
+			} else {
+				sd.CTH, sd.Dox = d.scoreBoth(sd.Text, &cthRng, &doxRng)
+			}
+			return nil
 		},
-		{
-			Name:      "score-dox",
-			Transient: true,
-			Fn: func(_ context.Context, index int, sd *StreamDoc) error {
-				rng := doxBase.SplitNVal("doc", index)
-				if sm != nil {
-					sd.Dox = d.scoreObs(d.dox, taskDox, sd.Text, d.meta.DoxTextLen, &rng, sm, index)
-				} else {
-					sd.Dox = d.scoreDoxWith(sd.Text, &rng)
-				}
-				return nil
-			},
-		},
-	}
+	}}
 	if opts.Annotate {
 		// Compiled on first use, not at package init: processes that never
 		// annotate (harassd -no-annotate, the offline re-score) skip it.

@@ -94,14 +94,12 @@ func TestScoreStreamChaos(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The expected quarantine set: documents poisoned in either
-	// required scoring stage. Poisoning a degradable stage (pii,
-	// taxonomy) must degrade, not quarantine.
+	// The expected quarantine set: documents poisoned in the required
+	// score stage. Poisoning a degradable stage (pii, taxonomy) must
+	// degrade, not quarantine.
 	poison := map[int]bool{}
-	for _, stage := range []string{"score-cth", "score-dox"} {
-		for _, i := range poisonIndexes(chaosCfg, stage, len(docs)) {
-			poison[i] = true
-		}
+	for _, i := range poisonIndexes(chaosCfg, "score", len(docs)) {
+		poison[i] = true
 	}
 	if len(poison) == 0 {
 		t.Fatal("chaos seed produced no poison documents; test would be vacuous")
@@ -162,13 +160,6 @@ func TestScoreStreamChaos(t *testing.T) {
 	cv := func(name, stage string) int {
 		return int(counterValue(s, name, obs.L("stage", stage)))
 	}
-	poisonCTH := poisonIndexes(chaosCfg, "score-cth", len(docs))
-	poisonDoxOnly := 0
-	for _, i := range poisonIndexes(chaosCfg, "score-dox", len(docs)) {
-		if !contains(poisonCTH, i) {
-			poisonDoxOnly++
-		}
-	}
 	annotFailures := map[string]int{}
 	for _, stage := range []string{"pii", "taxonomy"} {
 		for _, i := range poisonIndexes(chaosCfg, stage, len(docs)) {
@@ -178,21 +169,19 @@ func TestScoreStreamChaos(t *testing.T) {
 		}
 	}
 	wantFailures := map[string]int{
-		"score-cth": len(poisonCTH),
-		"score-dox": poisonDoxOnly,
-		"pii":       annotFailures["pii"],
-		"taxonomy":  annotFailures["taxonomy"],
+		"score":    len(poison),
+		"pii":      annotFailures["pii"],
+		"taxonomy": annotFailures["taxonomy"],
 	}
-	// Documents entering each stage: everything reaches score-cth; docs
-	// quarantined there never reach score-dox; quarantined docs skip the
-	// degradable annotation stages (degraded ones continue).
+	// Documents entering each stage: everything reaches score;
+	// quarantined docs skip the degradable annotation stages (degraded
+	// ones continue).
 	wantEntered := map[string]int{
-		"score-cth": len(docs),
-		"score-dox": len(docs) - len(poisonCTH),
-		"pii":       len(docs) - len(poison),
-		"taxonomy":  len(docs) - len(poison),
+		"score":    len(docs),
+		"pii":      len(docs) - len(poison),
+		"taxonomy": len(docs) - len(poison),
 	}
-	for _, stage := range []string{"score-cth", "score-dox", "pii", "taxonomy"} {
+	for _, stage := range []string{"score", "pii", "taxonomy"} {
 		attempts := cv("pipeline_stage_attempts_total", stage)
 		retries := cv("pipeline_stage_retries_total", stage)
 		errs := cv("pipeline_stage_errors_total", stage)
@@ -236,15 +225,6 @@ func TestScoreStreamChaos(t *testing.T) {
 	if iv("ok")+iv("degraded")+iv("quarantined") != faultySum.Processed {
 		t.Errorf("sum of items_total != Processed %d", faultySum.Processed)
 	}
-}
-
-func contains(xs []int, x int) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
 }
 
 // TestScoreStreamDeterministicAcrossWorkers: same seed, different
@@ -315,7 +295,7 @@ func TestScoreStreamEmptyTextQuarantined(t *testing.T) {
 	if sum.Quarantined != 1 || sum.Succeeded != 1 {
 		t.Fatalf("summary = %v", sum)
 	}
-	if res[1].Dead == nil || res[1].Dead.Attempts != 1 || res[1].Dead.Stage != "score-cth" {
+	if res[1].Dead == nil || res[1].Dead.Attempts != 1 || res[1].Dead.Stage != "score" {
 		t.Fatalf("empty doc dead letter = %+v", res[1].Dead)
 	}
 }

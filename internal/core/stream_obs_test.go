@@ -112,13 +112,12 @@ func TestScoreStreamMetricsWorkerInvariance(t *testing.T) {
 			l    []obs.Label
 		}{
 			{"pipeline_items_total ok", cv("pipeline_items_total", obs.L("status", "ok")), n, nil},
-			{"attempts score-cth", cv("pipeline_stage_attempts_total", obs.L("stage", "score-cth")), n, nil},
-			{"attempts score-dox", cv("pipeline_stage_attempts_total", obs.L("stage", "score-dox")), n, nil},
+			{"attempts score", cv("pipeline_stage_attempts_total", obs.L("stage", "score")), n, nil},
 			{"attempts pii", cv("pipeline_stage_attempts_total", obs.L("stage", "pii")), n, nil},
 			{"attempts taxonomy", cv("pipeline_stage_attempts_total", obs.L("stage", "taxonomy")), n, nil},
-			{"retries score-cth", cv("pipeline_stage_retries_total", obs.L("stage", "score-cth")), 0, nil},
-			{"pool gets", cv("score_pool_gets_total"), 2 * n, nil},
-			{"phase sampled", cv("score_phase_sampled_total"), 2 * sampledDocs, nil},
+			{"retries score", cv("pipeline_stage_retries_total", obs.L("stage", "score")), 0, nil},
+			{"pool gets", cv("score_pool_gets_total"), n, nil},
+			{"phase sampled", cv("score_phase_sampled_total"), sampledDocs, nil},
 			{"pii scanned", cv("pii_docs_scanned_total"), n, nil},
 		}
 		for _, c := range checks {
@@ -126,14 +125,21 @@ func TestScoreStreamMetricsWorkerInvariance(t *testing.T) {
 				t.Errorf("workers=%d: %s = %v, want %d", workers, c.name, c.got, c.want)
 			}
 		}
-		// Each task's phase histograms saw exactly the sampled docs.
+		// The shared tokenize and each task's featurize and model
+		// histograms saw exactly the sampled docs; no per-task tokenize
+		// series exists.
+		series := [][2]string{{"both", "tokenize"}}
 		for _, task := range []string{"cth", "dox"} {
-			for _, phase := range []string{"tokenize", "featurize", "model"} {
-				m, ok := findMetric(s, "score_phase_ns", obs.L("task", task), obs.L("phase", phase))
-				if !ok || m.Count != sampledDocs {
-					t.Errorf("workers=%d: score_phase_ns{%s,%s} count = %v, want %d",
-						workers, task, phase, m.Count, sampledDocs)
-				}
+			series = append(series, [2]string{task, "featurize"}, [2]string{task, "model"})
+			if _, ok := findMetric(s, "score_phase_ns", obs.L("task", task), obs.L("phase", "tokenize")); ok {
+				t.Errorf("workers=%d: score_phase_ns{%s,tokenize} exists; tokenize is shared", workers, task)
+			}
+		}
+		for _, sr := range series {
+			m, ok := findMetric(s, "score_phase_ns", obs.L("task", sr[0]), obs.L("phase", sr[1]))
+			if !ok || m.Count != sampledDocs {
+				t.Errorf("workers=%d: score_phase_ns{%s,%s} count = %v, want %d",
+					workers, sr[0], sr[1], m.Count, sampledDocs)
 			}
 		}
 		// Pool misses are bounded by concurrency, never exceed gets.
@@ -199,15 +205,16 @@ func TestScoreStreamMetricsReconcilePII(t *testing.T) {
 	}
 }
 
-// TestScoreObsAllocFree gates the instrumented scoring hot path at zero
-// allocations per op — for unsampled documents and for sampled ones.
-func TestScoreObsAllocFree(t *testing.T) {
+// TestScoreBothAllocs gates the fused scoring hot path at zero
+// allocations per document, plain and instrumented — for unsampled
+// documents and for sampled ones — on a short document (one shared
+// vector) and a long one (spans for both tasks).
+func TestScoreBothAllocs(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("allocation counts differ under the race detector")
 	}
 	det := testDetector(t)
 	sm := newScoreMetrics(obs.NewRegistry(), 42)
-	text := "we need to mass-report his twitter and youtube, spread the word"
 
 	// Find one unsampled and one sampled index.
 	unsampled, sampled := -1, -1
@@ -224,21 +231,31 @@ func TestScoreObsAllocFree(t *testing.T) {
 		t.Fatal("could not find both a sampled and an unsampled index")
 	}
 
-	base := randx.New(42).Split("score-cth")
-	for _, tc := range []struct {
-		name  string
-		index int
-	}{
-		{"unsampled", unsampled},
-		{"sampled", sampled},
+	base := randx.New(42)
+	cthBase, doxBase := base.Split("score-cth"), base.Split("score-dox")
+	for _, doc := range []struct{ name, text string }{
+		{"short", "we need to mass-report his twitter and youtube, spread the word"},
+		{"long", tokenLenText(513)},
 	} {
-		rng := base.SplitNVal("doc", tc.index)
-		det.scoreObs(det.cth, taskCTH, text, det.meta.CTHTextLen, &rng, sm, tc.index) // warm scratch
-		if n := testing.AllocsPerRun(200, func() {
-			r := base.SplitNVal("doc", tc.index)
-			det.scoreObs(det.cth, taskCTH, text, det.meta.CTHTextLen, &r, sm, tc.index)
-		}); n > 0 {
-			t.Errorf("scoreObs (%s doc) allocates %v per op, want 0", tc.name, n)
+		for _, tc := range []struct {
+			name  string
+			score func(cthRng, doxRng *randx.Source)
+		}{
+			{"scoreBoth", func(c, d *randx.Source) { det.scoreBoth(doc.text, c, d) }},
+			{"scoreBothObs unsampled", func(c, d *randx.Source) { det.scoreBothObs(doc.text, c, d, sm, unsampled) }},
+			{"scoreBothObs sampled", func(c, d *randx.Source) { det.scoreBothObs(doc.text, c, d, sm, sampled) }},
+		} {
+			// Allocated once: the indirect call would move per-run
+			// stack copies to the heap.
+			cthRng, doxRng := new(randx.Source), new(randx.Source)
+			run := func() {
+				*cthRng, *doxRng = cthBase.SplitNVal("doc", 0), doxBase.SplitNVal("doc", 0)
+				tc.score(cthRng, doxRng)
+			}
+			run() // warm scratch
+			if n := testing.AllocsPerRun(200, run); n > 0 {
+				t.Errorf("%s (%s doc) allocates %v per op, want 0", tc.name, doc.name, n)
+			}
 		}
 	}
 }

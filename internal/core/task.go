@@ -53,7 +53,11 @@ func (p *Pipeline) runTask(task annotate.Task) (*TaskRun, error) {
 
 	// Held-out evaluation set (expert-labelled), used for the
 	// hyperparameter sweep and Table 3.
-	evalItems := p.buildEvalSet(task, platDocs, rng)
+	evalExperts := annotate.NewPool(annotate.ExpertConfig(task), rng.Split("eval-experts"))
+	evalItems, err := p.buildEvalSet(task, platDocs, evalExperts, rng)
+	if err != nil {
+		return nil, fmt.Errorf("evaluation set: %w", err)
+	}
 
 	// Steps 3-4: train with active learning, per candidate length;
 	// pick the best by held-out macro F1 (AUC tiebreak).
@@ -102,7 +106,11 @@ func (p *Pipeline) runTask(task annotate.Task) (*TaskRun, error) {
 	run.Model = bestRun.Model
 	run.LabelledSize = len(bestRun.Labelled)
 	run.Eval = run.EvalByLen[bestLen]
-	run.CrowdStats = p.measureCrowdStats(task, platDocs, rng.Split("crowd-stats"))
+	statsRng := rng.Split("crowd-stats")
+	statsCrowd := annotate.NewPool(annotate.CrowdConfig(task), statsRng.Split("pool"))
+	if run.CrowdStats, err = p.measureCrowdStats(task, platDocs, statsCrowd, statsRng); err != nil {
+		return nil, fmt.Errorf("crowd agreement: %w", err)
+	}
 
 	// §5.3 quality pass over the delivered crowd annotations: a random
 	// spot-check sample plus an author review of every positive label.
@@ -242,11 +250,10 @@ func (p *Pipeline) buildPool(task annotate.Task, platDocs map[corpus.Platform][]
 	return pool, refs
 }
 
-// buildEvalSet expert-labels a stratified held-out sample used for the
-// hyperparameter sweep and Table 3 (standing in for the paper's withheld
-// evaluation annotations).
-func (p *Pipeline) buildEvalSet(task annotate.Task, platDocs map[corpus.Platform][]*corpus.Document, rng *randx.Source) []evalItem {
-	experts := annotate.NewPool(annotate.ExpertConfig(task), rng.Split("eval-experts"))
+// buildEvalSet has experts label a stratified held-out sample used for
+// the hyperparameter sweep and Table 3 (standing in for the paper's
+// withheld evaluation annotations).
+func (p *Pipeline) buildEvalSet(task annotate.Task, platDocs map[corpus.Platform][]*corpus.Document, experts *annotate.Pool, rng *randx.Source) ([]evalItem, error) {
 	var docs []*corpus.Document
 	var pos, neg int
 	wantPos, wantNeg := 150, 850
@@ -270,13 +277,13 @@ func (p *Pipeline) buildEvalSet(task annotate.Task, platDocs map[corpus.Platform
 	}
 	decisions, _, err := experts.Annotate(items)
 	if err != nil {
-		return nil
+		return nil, err
 	}
 	out := make([]evalItem, len(docs))
 	for i, d := range docs {
 		out[i] = evalItem{doc: d, label: decisions[i].Label}
 	}
-	return out
+	return out, nil
 }
 
 type evalItem struct {
@@ -462,8 +469,7 @@ func (p *Pipeline) spotCheckAndRetrain(task annotate.Task, run *TaskRun, res *ac
 // crowd pool annotates a representative mixed sample of the task's
 // documents, and Cohen's kappa plus the raw disagreement rate are
 // computed over the first two raters.
-func (p *Pipeline) measureCrowdStats(task annotate.Task, platDocs map[corpus.Platform][]*corpus.Document, rng *randx.Source) annotate.Stats {
-	crowd := annotate.NewPool(annotate.CrowdConfig(task), rng.Split("pool"))
+func (p *Pipeline) measureCrowdStats(task annotate.Task, platDocs map[corpus.Platform][]*corpus.Document, crowd *annotate.Pool, rng *randx.Source) (annotate.Stats, error) {
 	// Sample proportionally to platform volume so the pool prevalence
 	// matches the task's true base rate (the statistic the paper's
 	// agreement numbers were measured at).
@@ -485,10 +491,7 @@ func (p *Pipeline) measureCrowdStats(task annotate.Task, platDocs map[corpus.Pla
 		}
 	}
 	_, st, err := crowd.Annotate(items)
-	if err != nil {
-		return annotate.Stats{}
-	}
-	return st
+	return st, err
 }
 
 // scaleCount divides a paper full-scale count by the positive scale,

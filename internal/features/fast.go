@@ -20,21 +20,16 @@ package features
 // Golden tests assert bit-identical vectors against the legacy
 // string-building implementation.
 
-import "slices"
+import (
+	"math/bits"
+	"slices"
+)
 
 // FNV-1a constants, matching hash/fnv.
 const (
 	fnvOffset64 uint64 = 14695981039346656037
 	fnvPrime64  uint64 = 1099511628211
 )
-
-func fnvAddString(h uint64, s string) uint64 {
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= fnvPrime64
-	}
-	return h
-}
 
 func fnvAddByte(h uint64, b byte) uint64 {
 	h ^= uint64(b)
@@ -51,24 +46,18 @@ var (
 
 // bucket maps a finished FNV-1a sum to its feature bucket. The lowest
 // bit is dropped first: saved models were trained on that assignment.
+// A power-of-two feature space masks, which gives the modulo's result
+// without a 64-bit division per n-gram.
 func (h *Hasher) bucket(sum uint64) uint32 {
+	if h.mask != 0 {
+		return uint32(sum>>1) & h.mask
+	}
 	return uint32((sum >> 1) % uint64(h.cfg.Buckets))
 }
 
 // accumEmpty marks a free accumulator slot. Buckets is at most
 // 1<<32 - 1, so a real bucket id can never equal it.
 const accumEmpty = ^uint32(0)
-
-// mix32 is a 32-bit finalizer (Prospector constants) spreading bucket
-// ids across the probe table.
-func mix32(x uint32) uint32 {
-	x ^= x >> 16
-	x *= 0x7feb352d
-	x ^= x >> 15
-	x *= 0x846ca68b
-	x ^= x >> 16
-	return x
-}
 
 // Featurizer maps token sequences to sparse hashed count vectors using
 // reusable scratch space: an open-addressing count accumulator and one
@@ -82,7 +71,9 @@ type Featurizer struct {
 	keys    []uint32 // probe table: bucket id or accumEmpty
 	vals    []float64
 	mask    uint32
-	touched []int32 // occupied slots, for reset and gathering
+	shift   uint32   // 32 - log2(len(keys)): slot(b) is the top bits of b*φ
+	touched []int32  // occupied slots, for reset and gathering
+	order   []uint64 // bucket<<32 | slot, sorted to gather the output
 	idx     []uint32
 	out     []float64
 }
@@ -101,6 +92,7 @@ func (f *Featurizer) resize(n int) {
 	}
 	f.vals = make([]float64, n)
 	f.mask = uint32(n - 1)
+	f.shift = uint32(32 - bits.TrailingZeros(uint(n)))
 }
 
 // rehash doubles the table and reinserts the live entries.
@@ -114,8 +106,10 @@ func (f *Featurizer) rehash() {
 }
 
 // insert adds delta to bucket's count without a load-factor check.
+// Fibonacci hashing (the top bits of bucket times 2^32/φ) spreads bucket
+// ids across the probe table with one multiply.
 func (f *Featurizer) insert(bucket uint32, delta float64) {
-	slot := mix32(bucket) & f.mask
+	slot := (bucket * 0x9E3779B1) >> f.shift
 	for {
 		switch f.keys[slot] {
 		case bucket:
@@ -140,15 +134,6 @@ func (f *Featurizer) add(bucket uint32) {
 	f.insert(bucket, 1)
 }
 
-// count returns the accumulated count for a bucket known to be present.
-func (f *Featurizer) count(bucket uint32) float64 {
-	slot := mix32(bucket) & f.mask
-	for f.keys[slot] != bucket {
-		slot = (slot + 1) & f.mask
-	}
-	return f.vals[slot]
-}
-
 // Vectorize maps tokens to a sparse vector of hashed feature counts.
 func (f *Featurizer) Vectorize(tokens []string) Vector {
 	for _, slot := range f.touched {
@@ -156,27 +141,39 @@ func (f *Featurizer) Vectorize(tokens []string) Vector {
 	}
 	f.touched = f.touched[:0]
 
+	// One pass over each token's bytes carries three sums: its unigram,
+	// the bigram it ends (continuing the previous token's
+	// "b\x00"+prev+"\x00" prefix) and the prefix of the bigram it starts.
+	// Counts are whole numbers, so the order features are added in
+	// cannot change a value.
 	h := f.h
-	for _, t := range tokens {
-		f.add(h.bucket(fnvAddString(unigramSeed, t)))
-	}
-	if h.cfg.Bigrams {
-		for i := 0; i+1 < len(tokens); i++ {
-			sum := fnvAddString(bigramSeed, tokens[i])
-			sum = fnvAddByte(sum, 0)
-			sum = fnvAddString(sum, tokens[i+1])
-			f.add(h.bucket(sum))
+	var prefix uint64
+	for i, t := range tokens {
+		uni, end, next := unigramSeed, prefix, bigramSeed
+		for j := 0; j < len(t); j++ {
+			c := uint64(t[j])
+			uni = (uni ^ c) * fnvPrime64
+			end = (end ^ c) * fnvPrime64
+			next = (next ^ c) * fnvPrime64
 		}
+		f.add(h.bucket(uni))
+		if h.cfg.Bigrams && i > 0 {
+			f.add(h.bucket(end))
+		}
+		prefix = fnvAddByte(next, 0)
 	}
 
-	f.idx = f.idx[:0]
+	// Sorting (bucket, slot) pairs orders the buckets and keeps each
+	// one's slot, so no count needs a second probe.
+	f.order = f.order[:0]
 	for _, slot := range f.touched {
-		f.idx = append(f.idx, f.keys[slot])
+		f.order = append(f.order, uint64(f.keys[slot])<<32|uint64(slot))
 	}
-	slices.Sort(f.idx)
-	f.out = f.out[:0]
-	for _, bucket := range f.idx {
-		f.out = append(f.out, f.count(bucket))
+	slices.Sort(f.order)
+	f.idx, f.out = f.idx[:0], f.out[:0]
+	for _, o := range f.order {
+		f.idx = append(f.idx, uint32(o>>32))
+		f.out = append(f.out, f.vals[uint32(o)])
 	}
 	return Vector{Indices: f.idx, Values: f.out}
 }

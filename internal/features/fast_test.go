@@ -70,6 +70,7 @@ func hasherVariants() []*Hasher {
 		NewHasher(HasherConfig{Buckets: 1 << 16}),
 		NewHasher(HasherConfig{Buckets: 1 << 16, Bigrams: true}),
 		NewHasher(HasherConfig{Buckets: 64, Bigrams: true}),
+		NewHasher(HasherConfig{Buckets: 1000, Bigrams: true}), // not a power of two: the modulo path
 	}
 }
 

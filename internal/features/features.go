@@ -46,6 +46,10 @@ func (c *HasherConfig) fillDefaults() {
 // Hasher maps token sequences to sparse hashed count vectors.
 type Hasher struct {
 	cfg HasherConfig
+	// mask is Buckets-1 when Buckets is a power of two above 1 (every
+	// feature space the pipeline builds), else 0: bucket then masks
+	// instead of dividing.
+	mask uint32
 	// featurizers pools scratch for Vectorize; safe for concurrent use.
 	featurizers sync.Pool
 }
@@ -53,7 +57,11 @@ type Hasher struct {
 // NewHasher returns a Hasher with the given configuration.
 func NewHasher(cfg HasherConfig) *Hasher {
 	cfg.fillDefaults()
-	return &Hasher{cfg: cfg}
+	h := &Hasher{cfg: cfg}
+	if b := cfg.Buckets; b > 1 && b&(b-1) == 0 {
+		h.mask = b - 1
+	}
+	return h
 }
 
 // Buckets returns the feature space size.

@@ -444,8 +444,8 @@ func TestRetrainProducesPromotableCandidate(t *testing.T) {
 		t.Fatalf("retrain not deterministic: %+v vs %+v", res2, res)
 	}
 	for _, text := range texts {
-		a := cand.Score(annotate.TaskCTH, text)
-		b := cand2.Score(annotate.TaskCTH, text)
+		a := cand.ScoreCTH(text)
+		b := cand2.ScoreCTH(text)
 		if a != b {
 			t.Fatalf("candidate scores differ across identical retrains: %v vs %v", a, b)
 		}

@@ -148,22 +148,22 @@ func viewString(b []byte) string {
 // Session carries the per-goroutine scratch state for WordPiece
 // segmentation with a shared Tokenizer. Steady-state Tokenize calls
 // allocate nothing: word splitting reuses the embedded BasicTokenizer
-// arena, vocabulary lookups use byte-slice keys, and emitted pieces are
-// the vocabulary's interned strings (stable across calls).
+// arena, pieces are found by walking the tokenizer's shared vocabulary
+// trie, and emitted pieces are the vocabulary's interned strings (stable
+// across calls).
 //
 // A Session is not safe for concurrent use; the returned token slice is
 // reused by the next Tokenize call, but its piece strings are stable.
 type Session struct {
-	t      *Tokenizer
-	basic  BasicTokenizer
-	out    []string
-	bounds []int32 // rune start offsets within the current word
-	key    []byte  // lookup key scratch for continuation pieces
+	t     *Tokenizer
+	trie  *pieceTrie
+	basic BasicTokenizer
+	out   []string
 }
 
 // NewSession returns a Session bound to the tokenizer's vocabulary.
 func (t *Tokenizer) NewSession() *Session {
-	return &Session{t: t, key: append(make([]byte, 0, 64), ContinuationPrefix...)}
+	return &Session{t: t, trie: t.pieceTrie()}
 }
 
 // Tokenize segments text into word pieces — identical output to
@@ -178,51 +178,22 @@ func (s *Session) Tokenize(text string) []string {
 }
 
 // appendWordPieces segments one lower-cased word with greedy
-// longest-match-first, mirroring Tokenizer.tokenizeWord on byte spans
-// at rune boundaries instead of a fresh []rune.
+// longest-match-first, as the legacy per-word []rune search did: each
+// piece is the longest vocabulary entry (with the "##" prefix after the
+// first) that the rest of the word starts with, found by one trie walk.
 func (s *Session) appendWordPieces(word string) {
-	s.bounds = s.bounds[:0]
-	for i := range word {
-		s.bounds = append(s.bounds, int32(i))
-	}
-	s.bounds = append(s.bounds, int32(len(word)))
-	nRunes := len(s.bounds) - 1
-	if nRunes > s.t.maxWordChars {
+	if utf8.RuneCountInString(word) > s.t.maxWordChars {
 		s.out = append(s.out, UnknownToken)
 		return
 	}
 	outStart := len(s.out)
-	start := 0
-	for start < nRunes {
-		matched := false
-		// No candidate longer than the longest vocabulary piece can
-		// match, so the greedy search starts there instead of at the
-		// full word length (legacy behaviour tried — and failed — every
-		// longer candidate first).
-		maxEnd := start + s.t.vocab.maxPieceRunes
-		if maxEnd > nRunes {
-			maxEnd = nRunes
-		}
-		for end := maxEnd; end > start; end-- {
-			seg := word[s.bounds[start]:s.bounds[end]]
-			var piece string
-			var ok bool
-			if start > 0 {
-				s.key = append(s.key[:len(ContinuationPrefix)], seg...)
-				piece, ok = s.t.vocab.canon(s.key)
-			} else {
-				piece, ok = s.t.vocab.canonString(seg)
-			}
-			if ok {
-				s.out = append(s.out, piece)
-				start = end
-				matched = true
-				break
-			}
-		}
-		if !matched {
+	for start := 0; start < len(word); {
+		piece, n, ok := s.trie.longest(word[start:], start > 0)
+		if !ok {
 			s.out = append(s.out[:outStart], UnknownToken)
 			return
 		}
+		s.out = append(s.out, piece)
+		start += n
 	}
 }

@@ -7,6 +7,7 @@ package tokenize
 // input, including adversarial Unicode.
 
 import (
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -160,6 +161,35 @@ func TestSessionMatchesReferenceQuick(t *testing.T) {
 	}, &quick.Config{MaxCount: 2000})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSessionMatchesReferenceEdgeVocab drives the trie walk against the
+// rune-stepping reference on vocabularies it could get wrong: multi-byte
+// pieces, pieces that are not valid UTF-8 (a byte-wise match would split
+// a rune), "#" and "##" as pieces, a continuation piece that extends an
+// initial one, and no continuation pieces at all.
+func TestSessionMatchesReferenceEdgeVocab(t *testing.T) {
+	vocabs := [][]string{
+		{"a", "é", "##é", "日本", "##本", "日", "\xc3", "##\xa9", "\xff", "#", "##", "##a", "ab", "##b", "##ab"},
+		{"a", "b", "ab", "é"},
+		{"a", "\xc3", "##\xa9", "##a"}, // "é" is C3 A9: a byte walk over these would split it
+	}
+	alphabet := []string{"a", "b", "é", "日", "本", "#", " ", "\xff", "\xc3", "Ab"}
+	rng := rand.New(rand.NewSource(1))
+	for _, pieces := range vocabs {
+		tok := NewTokenizer(NewVocab(pieces))
+		sess := tok.NewSession()
+		for i := 0; i < 3000; i++ {
+			var sb strings.Builder
+			for n := rng.Intn(12); n > 0; n-- {
+				sb.WriteString(alphabet[rng.Intn(len(alphabet))])
+			}
+			text := sb.String()
+			if got, want := sess.Tokenize(text), referenceWordPiece(tok, text); !equalTokens(got, want) {
+				t.Fatalf("vocab %q: Session.Tokenize(%q) = %q, want %q", pieces, text, got, want)
+			}
+		}
 	}
 }
 

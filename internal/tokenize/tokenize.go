@@ -8,7 +8,7 @@ package tokenize
 
 import (
 	"sort"
-	"unicode/utf8"
+	"sync"
 
 	"harassrepro/internal/randx"
 )
@@ -40,29 +40,21 @@ func BasicTokenize(text string) []string {
 }
 
 // Vocab is a trained WordPiece vocabulary. Pieces are stored as their
-// own canonical strings so lookups can return an interned piece that is
-// stable across calls — the property the zero-allocation Session path
-// relies on to hand out tokens without copying.
+// own canonical strings so the segmenter can hand out an interned piece
+// that is stable across calls — the property the zero-allocation
+// Session path relies on to emit tokens without copying.
 type Vocab struct {
 	pieces map[string]string
-	// maxPieceRunes bounds the greedy longest-match search: no lookup
-	// key longer than the longest stored piece can succeed, so the
-	// segmenter never needs to try candidates beyond this length.
-	maxPieceRunes int
 }
 
 // NewVocab builds a Vocab directly from a list of pieces. Continuation
 // pieces must carry the "##" prefix.
 func NewVocab(pieces []string) *Vocab {
 	m := make(map[string]string, len(pieces))
-	v := &Vocab{pieces: m}
 	for _, p := range pieces {
 		m[p] = p
-		if n := utf8.RuneCountInString(p); n > v.maxPieceRunes {
-			v.maxPieceRunes = n
-		}
 	}
-	return v
+	return &Vocab{pieces: m}
 }
 
 // Size returns the number of pieces in the vocabulary.
@@ -72,22 +64,6 @@ func (v *Vocab) Size() int { return len(v.pieces) }
 func (v *Vocab) Contains(piece string) bool {
 	_, ok := v.pieces[piece]
 	return ok
-}
-
-// canon returns the interned copy of piece, looked up by a byte-slice
-// key. The string(key) conversion is recognised by the compiler as a
-// map-access key and does not allocate.
-func (v *Vocab) canon(key []byte) (string, bool) {
-	p, ok := v.pieces[string(key)]
-	return p, ok
-}
-
-// canonString is canon for keys already available as (possibly
-// scratch-backed) strings; the returned piece is the stable interned
-// copy, never the argument.
-func (v *Vocab) canonString(key string) (string, bool) {
-	p, ok := v.pieces[key]
-	return p, ok
 }
 
 // Pieces returns the vocabulary contents in sorted order.
@@ -131,11 +107,21 @@ func (c *TrainerConfig) fillDefaults() {
 type Tokenizer struct {
 	vocab        *Vocab
 	maxWordChars int
+	// trie is built on the first Session, not here, so loading a
+	// detector costs no more than reading its files.
+	trieOnce sync.Once
+	trie     *pieceTrie
 }
 
 // NewTokenizer returns a Tokenizer over the given vocabulary.
 func NewTokenizer(vocab *Vocab) *Tokenizer {
 	return &Tokenizer{vocab: vocab, maxWordChars: 100}
+}
+
+// pieceTrie returns the vocabulary's trie, building it on first use.
+func (t *Tokenizer) pieceTrie() *pieceTrie {
+	t.trieOnce.Do(func() { t.trie = newPieceTrie(t.vocab) })
+	return t.trie
 }
 
 // Vocab returns the tokenizer's vocabulary (for persistence).
@@ -244,23 +230,24 @@ func Spans(tokens []string, maxLen, maxSpans int, strategy SpanStrategy, rng *ra
 		}
 		return spans
 	default: // SpanRandomNoOverlap
-		// Partition the document into ceil(n/maxLen) chunks, shuffle the
-		// chunk order, and keep the first maxSpans: random spans, no
-		// overlap, covering all areas of the document.
-		var chunks [][]string
-		for start := 0; start < len(tokens); start += maxLen {
-			end := start + maxLen
-			if end > len(tokens) {
-				end = len(tokens)
-			}
-			chunks = append(chunks, tokens[start:end])
-		}
-		randx.Shuffle(rng, chunks)
-		if len(chunks) > maxSpans {
-			chunks = chunks[:maxSpans]
-		}
-		return chunks
+		return AppendRandomSpans(nil, tokens, maxLen, maxSpans, rng)
 	}
+}
+
+// AppendRandomSpans appends the SpanRandomNoOverlap spans of a document
+// longer than maxLen (maxLen, maxSpans > 0) to dst and returns the
+// extended slice: the document is partitioned into ceil(n/maxLen)
+// chunks, the chunk order is shuffled, and the first maxSpans are kept —
+// random spans, no overlap, covering all areas of the document. The
+// spans alias tokens; a caller that passes the previous call's result
+// as dst[:0] samples without allocating.
+func AppendRandomSpans(dst [][]string, tokens []string, maxLen, maxSpans int, rng *randx.Source) [][]string {
+	first := len(dst)
+	for start := 0; start < len(tokens); start += maxLen {
+		dst = append(dst, tokens[start:min(start+maxLen, len(tokens))])
+	}
+	randx.Shuffle(rng, dst[first:])
+	return dst[:min(len(dst), first+maxSpans)]
 }
 
 // Truncate limits tokens to at most maxLen tokens, used when a single
