@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"harassrepro/internal/active"
@@ -117,17 +118,31 @@ func (p *Pipeline) SpanStrategyAblation() (string, error) {
 		strategy string
 		auc      float64
 	}
+	// Each paste is tokenized once: tokenize.Spans only slices the
+	// tokens, never writing or reordering them, so all four strategies
+	// reduce the same slices.
+	sess := p.Tokenizer.NewSession()
+	tokenizeAll := func(items []struct {
+		doc   *corpus.Document
+		label bool
+	}) [][]string {
+		out := make([][]string, len(items))
+		for i, it := range items {
+			out[i] = slices.Clone(sess.Tokenize(it.doc.Text))
+		}
+		return out
+	}
+	trainToks, testToks := tokenizeAll(train), tokenizeAll(test)
 	var results []result
 	for _, strat := range strategies {
 		vrng := rng.Split("vec-" + strat.String())
 		toExamples := func(items []struct {
 			doc   *corpus.Document
 			label bool
-		}) []model.Example {
+		}, toks [][]string) []model.Example {
 			out := make([]model.Example, len(items))
 			for i, it := range items {
-				toks := p.Tokenizer.Tokenize(it.doc.Text)
-				spans := tokenize.Spans(toks, maxLen, 2, strat, vrng)
+				spans := tokenize.Spans(toks[i], maxLen, 2, strat, vrng)
 				var merged []string
 				for _, s := range spans {
 					merged = append(merged, s...)
@@ -136,8 +151,8 @@ func (p *Pipeline) SpanStrategyAblation() (string, error) {
 			}
 			return out
 		}
-		trainEx := toExamples(train)
-		testEx := toExamples(test)
+		trainEx := toExamples(train, trainToks)
+		testEx := toExamples(test, testToks)
 		m, err := model.TrainLogReg(trainEx, model.LogRegConfig{
 			Buckets: p.Config.Buckets, Epochs: p.Config.Epochs, Seed: p.Config.Seed ^ 0xab1,
 		})
@@ -380,17 +395,22 @@ func (p *Pipeline) CrawlCompletenessAblation() (string, error) {
 	if full == nil || len(full.Above) == 0 {
 		return "", fmt.Errorf("no pastes dox results")
 	}
+	// Each dox's record is built once; every coverage level draws its
+	// own crawl sample over them (Link only reads records).
+	all := make([]repeatdox.Record, len(full.Above))
+	for i, d := range full.Above {
+		all[i] = repeatdox.RecordFromText(d.ID, d.Dataset, d.Text, ex)
+	}
 	t := report.NewTable("", "Crawl coverage", "Doxes crawled", "Linkable", "Repeated", "Repeated share")
 	for _, coverage := range []float64{1.0, 0.8, 0.6, 0.4, 0.2} {
 		rng := p.rng.Split(fmt.Sprintf("crawl-%.1f", coverage))
 		var records []repeatdox.Record
 		crawled := 0
-		for _, d := range full.Above {
+		for _, rec := range all {
 			if !rng.Bool(coverage) {
 				continue
 			}
 			crawled++
-			rec := repeatdox.RecordFromText(d.ID, d.Dataset, d.Text, ex)
 			if len(rec.Handles) > 0 {
 				records = append(records, rec)
 			}

@@ -30,7 +30,8 @@ import (
 // setting — only wall time and instrumentation change.
 type Options struct {
 	// Workers bounds the worker pool for stage and experiment
-	// scheduling. 0 means GOMAXPROCS.
+	// scheduling, and the vectors stage's tokenizing goroutines. 0 means
+	// GOMAXPROCS.
 	Workers int
 	// Metrics, if set, receives per-stage graph counters/latency
 	// histograms plus the scheduling runner's own metrics.
@@ -51,6 +52,7 @@ const (
 	StageBlogs     = "blogs"
 	StageTokenizer = "tokenizer"
 	StageHasher    = "hasher"
+	StageVectors   = "vectors"
 	StageTaskDox   = "task-dox"
 	StageTaskCTH   = "task-cth"
 
@@ -130,9 +132,18 @@ func (p *Pipeline) initGraph(opts Options, storeGen uint64) {
 		return p.Hasher, nil
 	})
 
-	// Steps 2-7 per task.
+	// Every distinct corpus text tokenized and featurized once; each
+	// task pass and experiment reads it through vectorize (vectors.go).
 	textStack := []string{StageCorpora, StageTokenizer, StageHasher}
-	g.Register(StageTaskDox, textStack, func() (any, error) {
+	g.Register(StageVectors, textStack, func() (any, error) {
+		keepOver := min(p.Config.CTHTextLen, p.Config.DoxTextLen)
+		p.vectors = buildVectorMemo(p.Tokenizer, p.Hasher, p.corpusTexts(), keepOver, opts.Workers)
+		return p.vectors, nil
+	})
+
+	// Steps 2-7 per task.
+	taskDeps := []string{StageCorpora, StageTokenizer, StageHasher, StageVectors}
+	g.Register(StageTaskDox, taskDeps, func() (any, error) {
 		run, err := p.runTask(annotate.TaskDox)
 		if err != nil {
 			return nil, fmt.Errorf("dox pipeline: %w", err)
@@ -140,7 +151,7 @@ func (p *Pipeline) initGraph(opts Options, storeGen uint64) {
 		p.Dox = run
 		return run, nil
 	})
-	g.Register(StageTaskCTH, textStack, func() (any, error) {
+	g.Register(StageTaskCTH, taskDeps, func() (any, error) {
 		run, err := p.runTask(annotate.TaskCTH)
 		if err != nil {
 			return nil, fmt.Errorf("cth pipeline: %w", err)

@@ -16,7 +16,7 @@ import (
 func allStageNames() []string {
 	return []string{
 		StageCorpora, StageBlogs, StageTokenizer, StageHasher,
-		StageTaskDox, StageTaskCTH,
+		StageVectors, StageTaskDox, StageTaskCTH,
 		ArtifactCodedCTH, ArtifactDoxPII, ArtifactBoardPosts,
 		ArtifactAboveBoardPosts, ArtifactRepeatDox,
 	}

@@ -183,6 +183,9 @@ type Pipeline struct {
 	CTH *TaskRun
 
 	rng *randx.Source
+	// vectors is the run's tokenize-once memo (vectors.go), set by the
+	// vectors stage; nil on a Pipeline built without the graph.
+	vectors vectorMemo
 	// scorers pools tokenize/featurize scratch for vectorize; safe for
 	// concurrent use once Tokenizer and Hasher are set.
 	scorers sync.Pool
@@ -203,6 +206,19 @@ func Run(cfg Config) (*Pipeline, error) {
 // byte-identical to the sequential monolith for a given seed/config
 // (each stage owns a pure rng split keyed by its name).
 func RunWithOptions(cfg Config, opts Options) (*Pipeline, error) {
+	p, err := newPipeline(cfg, opts)
+	if err != nil {
+		return nil, err
+	}
+	if err := p.materialize(); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// newPipeline returns a pipeline with its artifact graph registered and
+// nothing computed yet.
+func newPipeline(cfg Config, opts Options) (*Pipeline, error) {
 	cfg.fillDefaults()
 	p := &Pipeline{
 		Config: cfg,
@@ -217,23 +233,27 @@ func RunWithOptions(cfg Config, opts Options) (*Pipeline, error) {
 		}
 	}
 	p.initGraph(opts, storeGen)
+	return p, nil
+}
 
-	// Materialize the run's terminal stages; the graph pulls in their
-	// dependencies (corpora, tokenizer, hasher) exactly once each.
+// materialize computes the run's terminal stages; the graph pulls in
+// their dependencies (corpora, tokenizer, hasher, vectors) exactly once
+// each.
+func (p *Pipeline) materialize() error {
 	if err := p.g.Prefetch(context.Background(), StageBlogs, StageTaskDox, StageTaskCTH); err != nil {
 		var ge *graph.Errors
 		if errors.As(err, &ge) {
 			// Preserve the monolith's error shape: report the first
 			// failing stage's wrapped error in a stable order.
-			for _, name := range []string{StageCorpora, StageBlogs, StageTokenizer, StageHasher, StageTaskDox, StageTaskCTH} {
+			for _, name := range []string{StageCorpora, StageBlogs, StageTokenizer, StageHasher, StageVectors, StageTaskDox, StageTaskCTH} {
 				if ferr, ok := ge.Failed[name]; ok {
-					return nil, ferr
+					return ferr
 				}
 			}
 		}
-		return nil, err
+		return err
 	}
-	return p, nil
+	return nil
 }
 
 // trainTokenizer learns the WordPiece vocabulary from a sample of all
@@ -257,27 +277,6 @@ func (p *Pipeline) trainTokenizer() {
 	}
 	vocab := tokenize.Train(sample, tokenize.TrainerConfig{VocabSize: p.Config.VocabSize})
 	p.Tokenizer = tokenize.NewTokenizer(vocab)
-}
-
-// vectorize converts document text to the model input vector at the
-// given span length: tokens are reduced with the paper's
-// random-no-overlap strategy and the spans' features are pooled. It
-// runs on pooled scratch (bit-identical to the legacy tokenizer/hasher
-// composition — see fastpath_test.go) and returns an owned vector,
-// since callers store vectors in training examples that outlive the
-// scratch.
-func (p *Pipeline) vectorize(text string, maxLen int, rng *randx.Source) features.Vector {
-	sc, _ := p.scorers.Get().(*scorer)
-	if sc == nil {
-		sc = &scorer{sess: p.Tokenizer.NewSession(), feat: p.Hasher.NewFeaturizer()}
-	}
-	v := sc.featurize(sc.sess.Tokenize(text), maxLen, rng)
-	out := features.Vector{
-		Indices: append([]uint32(nil), v.Indices...),
-		Values:  append([]float64(nil), v.Values...),
-	}
-	p.scorers.Put(sc)
-	return out
 }
 
 // taskPlatforms returns the platforms a task covers: the CTH task

@@ -307,10 +307,12 @@ func (p *Pipeline) evaluate(m *model.LogReg, items []evalItem, maxLen int, task 
 }
 
 // countCrowdAnnotations attributes the crowd-annotated training examples
-// (everything beyond the seed) to data sets for Table 2. The active
-// learner does not return per-example document IDs, so the attribution
-// follows the task's platform document mix, which is what stratified
-// sampling converges to.
+// (everything beyond the seed) to data sets for Table 2. The attribution
+// is an estimate: it splits the labels by the task's platform document
+// mix (truncating each share), which is what stratified sampling
+// converges to. The exact count is in hand — active.Result.PoolIndices
+// traces every example to its document, as spotCheckAndRetrain does —
+// and counting from it is ROADMAP.md item 14.
 func (p *Pipeline) countCrowdAnnotations(run *TaskRun, res active.Result, seed []model.Example, task annotate.Task, platDocs map[corpus.Platform][]*corpus.Document, maxLen int) {
 	extra := len(res.Labelled) - len(seed)
 	if extra <= 0 {
