@@ -146,7 +146,6 @@ func main() {
 	})
 
 	tool.Finish(streamcli.Run(tool, streamcli.Pipeline[row]{
-		Seed:   *seed,
 		New:    func(text string) row { return row{Text: text} },
 		Text:   func(r *row) string { return r.Text },
 		Stages: stages,

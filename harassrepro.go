@@ -31,7 +31,6 @@ import (
 	"harassrepro/internal/harm"
 	"harassrepro/internal/pii"
 	"harassrepro/internal/query"
-	"harassrepro/internal/resilience"
 	"harassrepro/internal/taxonomy"
 )
 
@@ -322,19 +321,19 @@ type StreamSummary struct {
 
 // ScoreStream scores documents concurrently on the fault-tolerant
 // runtime: per-document panics and transient failures are isolated,
-// retried with seeded backoff, and — if permanent — quarantined to the
-// returned dead-letter records instead of aborting the run. Results
-// are in input order. err is non-nil only when ctx was cancelled.
+// retried, and — if permanent — quarantined to the returned
+// dead-letter records instead of aborting the run. Results are in
+// input order. err is non-nil only when ctx was cancelled.
 func (d *Detector) ScoreStream(ctx context.Context, docs []StreamDocument, opts StreamOptions) ([]StreamResult, StreamSummary, error) {
 	in := make([]core.StreamDoc, len(docs))
 	for i, sd := range docs {
 		in[i] = core.StreamDoc{ID: sd.ID, Platform: sd.Platform, Text: sd.Text}
 	}
 	results, sum, err := d.d.ScoreBatch(ctx, in, core.StreamOptions{
-		Workers:  opts.Workers,
-		Seed:     opts.Seed,
-		Retry:    resilience.RetryPolicy{MaxAttempts: opts.MaxAttempts},
-		Annotate: opts.Annotate,
+		Workers:     opts.Workers,
+		Seed:        opts.Seed,
+		MaxAttempts: opts.MaxAttempts,
+		Annotate:    opts.Annotate,
 	})
 	out := make([]StreamResult, len(results))
 	for i, r := range results {

@@ -261,7 +261,6 @@ func (p *Pipeline) RunExperiments(ctx context.Context, ids []string, workers int
 	}
 	r := resilience.NewRunner[ExperimentResult](resilience.Config[ExperimentResult]{
 		Workers:  workers,
-		Seed:     p.Config.Seed,
 		Metrics:  p.opts.Metrics,
 		Describe: func(e *ExperimentResult) string { return e.ID },
 	}, resilience.Stage[ExperimentResult]{
@@ -311,7 +310,6 @@ func RunSweepParallel(ctx context.Context, base Config, seeds []uint64, workers 
 	}
 	r := resilience.NewRunner[seedRun](resilience.Config[seedRun]{
 		Workers:  workers,
-		Seed:     base.Seed,
 		Describe: func(it *seedRun) string { return fmt.Sprintf("seed-%d", it.seed) },
 	}, resilience.Stage[seedRun]{
 		Name: "pipeline",

@@ -70,6 +70,7 @@ func TestGoldenStoreStreamedOutputs(t *testing.T) {
 						}
 						checkGoldenStore(t, filepath.Join(fixtures, e.ID+".txt"), out)
 					}
+					checkGoldenStore(t, filepath.Join(fixtures, "quality.txt"), qualityTable(p))
 				})
 			}
 		})

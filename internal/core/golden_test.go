@@ -9,6 +9,7 @@ package core
 // through these fixtures.
 //
 // Regenerate with: go test ./internal/core -run TestGoldenExperimentOutputs -update
+// (which also rewrites the classifier-quality tables, quality_test.go).
 
 import (
 	"flag"
@@ -82,6 +83,7 @@ func TestGoldenExperimentOutputs(t *testing.T) {
 			}
 			checkGolden(t, filepath.Join(dir, "sweep-metrics.txt"),
 				fmt.Sprintf("%+v\n", p.CollectMetrics()))
+			checkGolden(t, filepath.Join(dir, "quality.txt"), qualityTable(p))
 		})
 	}
 }

@@ -17,7 +17,7 @@ import (
 // the stream. ScoreStream is that surface for the reproduction: it
 // runs the detector's scoring plus the rule-based annotations on the
 // resilience runtime — bounded worker pool, per-document panic
-// isolation, retry with seeded jitter, dead-letter quarantine — while
+// isolation, immediate retry, dead-letter quarantine — while
 // keeping scores bit-identical to a sequential run for a given seed.
 
 // StreamDoc is one document flowing through the streaming scoring
@@ -44,14 +44,15 @@ type StreamDoc struct {
 type StreamOptions struct {
 	// Workers bounds the scoring pool. 0 means GOMAXPROCS.
 	Workers int
-	// Seed drives span sampling and retry jitter: two runs with the
-	// same seed over the same stream produce identical scores for
-	// every non-quarantined document, regardless of worker count or
-	// injected faults.
+	// Seed drives span sampling: two runs with the same seed over the
+	// same stream produce identical scores for every non-quarantined
+	// document, regardless of worker count or injected faults.
 	Seed uint64
-	// Retry is the transient-failure policy.
-	Retry resilience.RetryPolicy
-	// Ordered makes results arrive in input order.
+	// MaxAttempts bounds how many times a transiently failing stage
+	// runs per document; 0 means the default (4).
+	MaxAttempts int
+	// Ordered changes nothing and is kept for existing callers:
+	// results are always in input order.
 	Ordered bool
 	// Annotate adds the PII and taxonomy/seed-query stages (both
 	// degradable) after scoring.
@@ -164,23 +165,22 @@ func (d *Detector) streamStages(opts StreamOptions) []resilience.Stage[StreamDoc
 // caller (internal/serve) builds one per model and scores each document
 // on its own goroutine with the runner's RunItem, passing the
 // document's stream position as index, which yields the result
-// ScoreStream gives the document at that position. Workers and Ordered
-// shape only Process and RunSlice.
+// ScoreStream gives the document at that position. Workers shapes only
+// Process and RunSlice.
 func (d *Detector) Runner(opts StreamOptions) *resilience.Runner[StreamDoc] {
 	return resilience.NewRunner(resilience.Config[StreamDoc]{
-		Workers:  opts.Workers,
-		Seed:     opts.Seed,
-		Retry:    opts.Retry,
-		Ordered:  opts.Ordered,
-		Describe: func(sd *StreamDoc) string { return sd.ID },
-		Metrics:  opts.Metrics,
+		Workers:     opts.Workers,
+		MaxAttempts: opts.MaxAttempts,
+		Describe:    func(sd *StreamDoc) string { return sd.ID },
+		Metrics:     opts.Metrics,
 	}, d.streamStages(opts)...)
 }
 
 // ScoreStream scores documents from in on a fault-tolerant worker
-// pool. The returned channel must be drained until closed; each result
-// carries the scored document, its degradation marks, or its
-// dead-letter record. Cancel ctx to stop early.
+// pool, yielding results in input order. The returned channel must be
+// drained until closed; each result carries the scored document, its
+// degradation marks, or its dead-letter record. Cancel ctx to stop
+// early.
 func (d *Detector) ScoreStream(ctx context.Context, in <-chan StreamDoc, opts StreamOptions) <-chan resilience.Result[StreamDoc] {
 	return d.Runner(opts).Process(ctx, in)
 }

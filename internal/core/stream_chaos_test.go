@@ -61,9 +61,8 @@ func streamCorpus(t *testing.T, n int) []StreamDoc {
 	return docs
 }
 
-func streamRetry() resilience.RetryPolicy {
-	return resilience.RetryPolicy{MaxAttempts: 6, BaseDelay: 10 * time.Microsecond, MaxDelay: 200 * time.Microsecond}
-}
+// streamAttempts is the retry budget of the chaotic stream runs.
+const streamAttempts = 6
 
 // TestScoreStreamChaos is the acceptance chaos test: 5% injected
 // transient stage failures and 1% injected panics over a QuickConfig
@@ -73,7 +72,7 @@ func streamRetry() resilience.RetryPolicy {
 func TestScoreStreamChaos(t *testing.T) {
 	det := sharedDetector(t)
 	docs := streamCorpus(t, 300)
-	opts := StreamOptions{Workers: 4, Seed: 11, Retry: streamRetry(), Annotate: true}
+	opts := StreamOptions{Workers: 4, Seed: 11, MaxAttempts: streamAttempts, Annotate: true}
 
 	clean, cleanSum, err := det.ScoreBatch(context.Background(), docs, opts)
 	if err != nil {
@@ -207,9 +206,9 @@ func TestScoreStreamChaos(t *testing.T) {
 		}
 	}
 	for _, dl := range faultySum.DeadLetters {
-		if dl.Attempts != streamRetry().MaxAttempts {
+		if dl.Attempts != streamAttempts {
 			t.Errorf("dead letter %v burned %d attempts, want the full budget %d",
-				dl.ID, dl.Attempts, streamRetry().MaxAttempts)
+				dl.ID, dl.Attempts, streamAttempts)
 		}
 	}
 	// Item-status totals reconcile with the run summary.
@@ -234,7 +233,7 @@ func TestScoreStreamDeterministicAcrossWorkers(t *testing.T) {
 	docs := streamCorpus(t, 120)
 	run := func(workers int) []resilience.Result[StreamDoc] {
 		res, _, err := det.ScoreBatch(context.Background(),
-			docs, StreamOptions{Workers: workers, Seed: 7, Retry: streamRetry()})
+			docs, StreamOptions{Workers: workers, Seed: 7, MaxAttempts: streamAttempts})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -263,7 +262,7 @@ func TestScoreStreamMatchesSequentialScores(t *testing.T) {
 	for i, txt := range texts {
 		docs = append(docs, StreamDoc{ID: fmt.Sprintf("t%d", i), Text: txt})
 	}
-	res, sum, err := det.ScoreBatch(context.Background(), docs, StreamOptions{Workers: 2, Seed: 1, Retry: streamRetry()})
+	res, sum, err := det.ScoreBatch(context.Background(), docs, StreamOptions{Workers: 2, Seed: 1, MaxAttempts: streamAttempts})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +287,7 @@ func TestScoreStreamEmptyTextQuarantined(t *testing.T) {
 		{ID: "ok", Text: "hello there"},
 		{ID: "empty", Text: ""},
 	}
-	res, sum, err := det.ScoreBatch(context.Background(), docs, StreamOptions{Workers: 2, Seed: 1, Retry: streamRetry()})
+	res, sum, err := det.ScoreBatch(context.Background(), docs, StreamOptions{Workers: 2, Seed: 1, MaxAttempts: streamAttempts})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +311,7 @@ func TestScoreStreamChannelOrdered(t *testing.T) {
 		}
 	}()
 	out := det.ScoreStream(context.Background(), in,
-		StreamOptions{Workers: 4, Seed: 3, Retry: streamRetry(), Ordered: true, Annotate: true})
+		StreamOptions{Workers: 4, Seed: 3, MaxAttempts: streamAttempts, Ordered: true, Annotate: true})
 	n := 0
 	for res := range out {
 		if res.Index != n {
@@ -330,15 +329,22 @@ func TestScoreStreamChannelOrdered(t *testing.T) {
 func TestScoreStreamLatencyDeadline(t *testing.T) {
 	det := sharedDetector(t)
 	docs := streamCorpus(t, 60)
-	opts := StreamOptions{Workers: 4, Seed: 5, Retry: streamRetry()}
+	opts := StreamOptions{Workers: 4, Seed: 5, MaxAttempts: streamAttempts}
 	clean, _, err := det.ScoreBatch(context.Background(), docs, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	chaosCfg := chaos.Config{Seed: 31, LatencyRate: 0.2, Latency: 100 * time.Millisecond}
 	opts.StageWrap = func(st resilience.Stage[StreamDoc]) resilience.Stage[StreamDoc] {
-		st.Timeout = 10 * time.Millisecond
-		return chaos.Wrap(st, chaosCfg)
+		// The stage bounds each attempt with its own deadline, which
+		// cuts an injected spike short.
+		inner := chaos.Wrap(st, chaosCfg)
+		st.Fn = func(ctx context.Context, index int, sd *StreamDoc) error {
+			ctx, cancel := context.WithTimeout(ctx, 10*time.Millisecond)
+			defer cancel()
+			return inner.Fn(ctx, index, sd)
+		}
+		return st
 	}
 	faulty, sum, err := det.ScoreBatch(context.Background(), docs, opts)
 	if err != nil {
@@ -359,7 +365,7 @@ func TestScoreStreamLatencyDeadline(t *testing.T) {
 // plan's poison decisions alone quarantines on a single attempt.
 func poisonIndexes(cfg chaos.Config, stage string, n int) []int {
 	noop := resilience.Stage[StreamDoc]{Name: stage, Fn: func(context.Context, int, *StreamDoc) error { return nil }}
-	oracle := resilience.NewRunner(resilience.Config[StreamDoc]{Retry: resilience.RetryPolicy{MaxAttempts: 1}},
+	oracle := resilience.NewRunner(resilience.Config[StreamDoc]{MaxAttempts: 1},
 		chaos.Wrap(noop, chaos.Config{Seed: cfg.Seed, PermanentRate: cfg.PermanentRate}))
 	var out []int
 	for i := 0; i < n; i++ {

@@ -49,10 +49,7 @@ func (s *Store) ScanParallel(workers int, fn func(d *corpus.Document, ref DocRef
 		seg  int
 		docs []corpus.Document
 	}
-	runner := resilience.NewRunner(resilience.Config[segBatch]{
-		Workers: workers,
-		Ordered: true,
-	}, resilience.Stage[segBatch]{
+	runner := resilience.NewRunner(resilience.Config[segBatch]{Workers: workers}, resilience.Stage[segBatch]{
 		Name: "decode-segment",
 		Fn: func(_ context.Context, _ int, b *segBatch) error {
 			si := segs[b.seg]

@@ -248,7 +248,6 @@ func (g *Graph) Prefetch(ctx context.Context, names ...string) error {
 	}
 	r := resilience.NewRunner[string](resilience.Config[string]{
 		Workers:  g.cfg.Workers,
-		Seed:     g.cfg.Seed,
 		Metrics:  g.cfg.Metrics,
 		Describe: func(s *string) string { return *s },
 	}, resilience.Stage[string]{

@@ -44,8 +44,8 @@ type Config struct {
 	// must quarantine exactly these items.
 	PermanentRate float64
 	// LatencyRate is the per-attempt probability of sleeping Latency
-	// before the stage runs (honouring the attempt context, so stage
-	// deadlines cut the spike short).
+	// before the stage runs (honouring the attempt context, so a
+	// request deadline cuts the spike short).
 	LatencyRate float64
 	// Latency is the injected spike duration. 0 means 10ms.
 	Latency time.Duration

@@ -38,8 +38,19 @@ func scoreStage() resilience.Stage[item] {
 	}
 }
 
-func retry() resilience.RetryPolicy {
-	return resilience.RetryPolicy{MaxAttempts: 6, BaseDelay: time.Microsecond, MaxDelay: 20 * time.Microsecond}
+// maxAttempts is the retry budget the chaotic runs absorb faults with.
+const maxAttempts = 6
+
+// withDeadline bounds every attempt of st with its own deadline d,
+// which cuts an injected latency spike short.
+func withDeadline[T any](st resilience.Stage[T], d time.Duration) resilience.Stage[T] {
+	inner := st.Fn
+	st.Fn = func(ctx context.Context, index int, it *T) error {
+		ctx, cancel := context.WithTimeout(ctx, d)
+		defer cancel()
+		return inner(ctx, index, it)
+	}
+	return st
 }
 
 // TestInjectionDeterministic: two identical chaotic runs make identical
@@ -47,7 +58,7 @@ func retry() resilience.RetryPolicy {
 func TestInjectionDeterministic(t *testing.T) {
 	run := func(workers int) ([]resilience.Result[item], resilience.Summary) {
 		cfg := Config{Seed: 77, TransientRate: 0.2, PanicRate: 0.05, PermanentRate: 0.08}
-		r := resilience.NewRunner(resilience.Config[item]{Workers: workers, Seed: 77, Retry: retry()},
+		r := resilience.NewRunner(resilience.Config[item]{Workers: workers, MaxAttempts: maxAttempts},
 			Wrap(scoreStage(), cfg))
 		results, sum, err := r.RunSlice(context.Background(), makeItems(120))
 		if err != nil {
@@ -76,7 +87,7 @@ func TestPoisonItemsQuarantinedExactly(t *testing.T) {
 	if len(want) == 0 || len(want) == n {
 		t.Fatalf("degenerate poison set: %d of %d", len(want), n)
 	}
-	r := resilience.NewRunner(resilience.Config[item]{Workers: 6, Seed: 5, Retry: retry()},
+	r := resilience.NewRunner(resilience.Config[item]{Workers: 6, MaxAttempts: maxAttempts},
 		Wrap(scoreStage(), cfg))
 	results, sum, err := r.RunSlice(context.Background(), makeItems(n))
 	if err != nil {
@@ -107,12 +118,12 @@ func TestPoisonItemsQuarantinedExactly(t *testing.T) {
 // score a fault-free run produces.
 func TestTransientAndPanicFaultsAreAbsorbed(t *testing.T) {
 	n := 150
-	clean := resilience.NewRunner(resilience.Config[item]{Workers: 4, Seed: 9, Retry: retry()}, scoreStage())
+	clean := resilience.NewRunner(resilience.Config[item]{Workers: 4, MaxAttempts: maxAttempts}, scoreStage())
 	cleanRes, _, err := clean.RunSlice(context.Background(), makeItems(n))
 	if err != nil {
 		t.Fatal(err)
 	}
-	chaotic := resilience.NewRunner(resilience.Config[item]{Workers: 4, Seed: 9, Retry: retry()},
+	chaotic := resilience.NewRunner(resilience.Config[item]{Workers: 4, MaxAttempts: maxAttempts},
 		Wrap(scoreStage(), Config{Seed: 9, TransientRate: 0.1, PanicRate: 0.02}))
 	chaosRes, sum, err := chaotic.RunSlice(context.Background(), makeItems(n))
 	if err != nil {
@@ -133,15 +144,14 @@ func TestTransientAndPanicFaultsAreAbsorbed(t *testing.T) {
 // completes with correct results.
 func TestLatencySpikesCutByStageDeadline(t *testing.T) {
 	st := scoreStage()
-	st.Timeout = 3 * time.Millisecond
 	var calls atomic.Int64
 	inner := st.Fn
 	st.Fn = func(ctx context.Context, index int, it *item) error {
 		calls.Add(1)
 		return inner(ctx, index, it)
 	}
-	r := resilience.NewRunner(resilience.Config[item]{Workers: 4, Seed: 13, Retry: retry()},
-		Wrap(st, Config{Seed: 13, LatencyRate: 0.3, Latency: 50 * time.Millisecond}))
+	r := resilience.NewRunner(resilience.Config[item]{Workers: 4, MaxAttempts: maxAttempts},
+		withDeadline(Wrap(st, Config{Seed: 13, LatencyRate: 0.3, Latency: 50 * time.Millisecond}), 3*time.Millisecond))
 	results, sum, err := r.RunSlice(context.Background(), makeItems(40))
 	if err != nil {
 		t.Fatal(err)
@@ -174,7 +184,7 @@ func TestTruncationCorruptsOnlyInjectedAttempts(t *testing.T) {
 		it := v.(*item)
 		it.Text = it.Text[:len(it.Text)/2]
 	}}
-	r := resilience.NewRunner(resilience.Config[item]{Workers: 4, Seed: 21, Retry: retry()}, Wrap(st, cfg))
+	r := resilience.NewRunner(resilience.Config[item]{Workers: 4, MaxAttempts: maxAttempts}, Wrap(st, cfg))
 	results, sum, err := r.RunSlice(context.Background(), makeItems(100))
 	if err != nil {
 		t.Fatal(err)
@@ -197,7 +207,7 @@ func TestAttemptMapDoesNotGrowWithTraffic(t *testing.T) {
 	cfg := Config{Seed: 3, TransientRate: 0.3, PanicRate: 0.1, PermanentRate: 0.05}
 	counter := &attemptCounter{}
 	st := wrap(scoreStage(), cfg, counter)
-	r := resilience.NewRunner(resilience.Config[item]{Seed: 3, Retry: retry()}, st)
+	r := resilience.NewRunner(resilience.Config[item]{MaxAttempts: maxAttempts}, st)
 	const n = 2000
 	quarantined := 0
 	for i := 0; i < n; i++ {

@@ -10,18 +10,18 @@ import (
 	"time"
 
 	"harassrepro/internal/obs"
-	"harassrepro/internal/randx"
 )
 
 // Stage is one named processing step applied to every item. Stages run
 // in declaration order; each attempt operates on a private copy of the
-// item that is committed back only on success, so a failing or
-// timed-out attempt never leaves a half-mutated document behind.
+// item that is committed back only on success, so a failing attempt
+// never leaves a half-mutated document behind.
 //
 // Stage functions must treat the item's existing field values as
-// read-only inputs (replace slices, don't append into shared backing
-// arrays): a timed-out attempt is abandoned, not killed, and its
-// goroutine keeps its own copy until it returns.
+// read-only inputs (replace slices, don't write into shared backing
+// arrays): the private copy is shallow, so a failed attempt's writes
+// through a slice or pointer it copied would survive into the committed
+// item.
 type Stage[T any] struct {
 	// Name identifies the stage in dead letters and degradation marks.
 	Name string
@@ -31,13 +31,9 @@ type Stage[T any] struct {
 	// Degradable means a permanent failure annotates the item as
 	// degraded (Result.Degraded) instead of quarantining it.
 	Degradable bool
-	// Timeout is the per-attempt deadline. 0 means no deadline. A
-	// timed-out attempt fails with context.DeadlineExceeded and is
-	// retried like any other transient failure when the stage allows.
-	Timeout time.Duration
 	// Fn processes the item. index is the item's position in the
-	// input stream; combined with the runner seed it lets stages
-	// derive deterministic per-item randomness.
+	// input stream; stages derive their deterministic per-item
+	// randomness from it.
 	Fn func(ctx context.Context, index int, item *T) error
 }
 
@@ -45,15 +41,11 @@ type Stage[T any] struct {
 type Config[T any] struct {
 	// Workers bounds the worker pool. 0 means GOMAXPROCS.
 	Workers int
-	// Seed drives retry jitter (and is conventionally shared with the
-	// stages' own per-item randomness derivation).
-	Seed uint64
-	// Retry is the backoff policy for retryable failures.
-	Retry RetryPolicy
-	// Ordered makes the results channel yield items in input order
-	// (with a bounded reordering window of 4x workers) instead of
-	// completion order.
-	Ordered bool
+	// MaxAttempts bounds how many times a retryable stage runs per
+	// item (>= 1). 0 means the default of 4. Retries are immediate:
+	// every stage is a CPU function of its item, so waiting between
+	// attempts would change nothing but wall-clock time.
+	MaxAttempts int
 	// Describe, if set, labels items in dead letters (typically the
 	// document ID).
 	Describe func(*T) string
@@ -79,7 +71,9 @@ func NewRunner[T any](cfg Config[T], stages ...Stage[T]) *Runner[T] {
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
-	cfg.Retry = cfg.Retry.withDefaults()
+	if cfg.MaxAttempts <= 0 {
+		cfg.MaxAttempts = 4
+	}
 	r := &Runner[T]{cfg: cfg, stages: stages}
 	if cfg.Metrics != nil {
 		names := make([]string, len(stages))
@@ -91,34 +85,47 @@ func NewRunner[T any](cfg Config[T], stages ...Stage[T]) *Runner[T] {
 	return r
 }
 
+// work is one accepted item on its way to a worker, with the reply
+// channel its result goes back on.
 type work[T any] struct {
 	index int
 	item  T
+	reply chan Result[T]
 }
 
 // Process consumes items from in and returns a channel of per-item
-// results. The results channel is closed once every accepted item has
-// completed and must be drained until closed. When ctx is cancelled,
-// in-flight items finish their current attempt, remaining input is not
-// consumed, and the channel closes early: the caller observes fewer
-// results than inputs.
+// results in input order. The results channel is closed once every
+// accepted item has been emitted and must be drained until closed.
+// When ctx is cancelled, in-flight items finish their current attempt,
+// remaining input is not consumed, and the channel closes early: the
+// caller observes a contiguous in-order prefix of the input.
+//
+// Ordering costs no per-item allocation: a fixed window of 4x workers
+// reply channels (capacity 1 each) cycles from free, to the feeder,
+// which hands one to the item's worker and queues it in input order,
+// to the emitter, which waits on the oldest and then frees it. The
+// window also bounds the items in flight.
 func (r *Runner[T]) Process(ctx context.Context, in <-chan T) <-chan Result[T] {
-	raw := make(chan Result[T], r.cfg.Workers)
-	workCh := make(chan work[T], r.cfg.Workers)
-
-	// The reordering window bounds in-flight items in ordered mode; it
-	// must exceed workers + work-channel capacity so the next item to
-	// emit always owns a slot (see Config.Ordered).
-	var window chan struct{}
-	if r.cfg.Ordered {
-		window = make(chan struct{}, 4*r.cfg.Workers)
+	started := time.Now()
+	window := 4 * r.cfg.Workers
+	free := make(chan chan Result[T], window)
+	for i := 0; i < window; i++ {
+		free <- make(chan Result[T], 1)
 	}
+	// Only window reply channels exist, so sends to pending and free
+	// never block.
+	pending := make(chan chan Result[T], window)
+	workCh := make(chan work[T], r.cfg.Workers)
+	out := make(chan Result[T], r.cfg.Workers)
 
-	// Feeder: assigns stream indexes in arrival order.
+	// Feeder: assigns stream indexes in arrival order. An item is
+	// accepted once a worker can receive it; every accepted item is
+	// queued for emission, even after cancellation.
 	go func() {
+		defer close(pending)
 		defer close(workCh)
-		index := 0
-		for {
+		for index := 0; ; index++ {
+			var wk work[T]
 			select {
 			case <-ctx.Done():
 				return
@@ -126,119 +133,87 @@ func (r *Runner[T]) Process(ctx context.Context, in <-chan T) <-chan Result[T] {
 				if !ok {
 					return
 				}
-				if window != nil {
-					select {
-					case window <- struct{}{}:
-					case <-ctx.Done():
-						return
-					}
-				}
-				select {
-				case workCh <- work[T]{index: index, item: item}:
-					index++
-				case <-ctx.Done():
-					return
-				}
+				wk = work[T]{index: index, item: item}
 			}
-		}
-	}()
-
-	started := time.Now()
-	var completed atomic.Uint64
-	var wg sync.WaitGroup
-	wg.Add(r.cfg.Workers)
-	for w := 0; w < r.cfg.Workers; w++ {
-		go func() {
-			defer wg.Done()
-			for wk := range workCh {
-				// Deliver unconditionally: results channels must be
-				// drained until closed, even after cancellation, so no
-				// completed item is lost.
-				res := r.RunItem(ctx, wk.index, wk.item)
-				completed.Add(1)
-				raw <- res
-			}
-		}()
-	}
-	go func() {
-		wg.Wait()
-		if r.metrics != nil {
-			elapsed := time.Since(started).Seconds()
-			r.metrics.runSec.Set(elapsed)
-			if elapsed > 0 {
-				r.metrics.docsPS.Set(float64(completed.Load()) / elapsed)
-			}
-		}
-		close(raw)
-	}()
-
-	if !r.cfg.Ordered {
-		return raw
-	}
-	out := make(chan Result[T], r.cfg.Workers)
-	go func() {
-		defer close(out)
-		pending := map[int]Result[T]{}
-		next := 0
-		for res := range raw {
-			pending[res.Index] = res
-			for {
-				n, ok := pending[next]
-				if !ok {
-					break
-				}
-				delete(pending, next)
-				out <- n
-				next++
-				<-window
-			}
-		}
-		// Cancellation can leave gaps; flush what completed, in order.
-		for len(pending) > 0 {
-			for {
-				n, ok := pending[next]
-				if !ok {
-					next++
-					break
-				}
-				delete(pending, next)
-				out <- n
-				next++
-			}
-		}
-	}()
-	return out
-}
-
-// RunSlice processes items and returns the results in input order,
-// with an aggregate summary. On cancellation the results cover only
-// the items that completed and err is the context error.
-func (r *Runner[T]) RunSlice(ctx context.Context, items []T) ([]Result[T], Summary, error) {
-	in := make(chan T)
-	go func() {
-		defer close(in)
-		for _, it := range items {
 			select {
-			case in <- it:
+			case wk.reply = <-free:
+			case <-ctx.Done():
+				return
+			}
+			select {
+			case workCh <- wk:
+				pending <- wk.reply
 			case <-ctx.Done():
 				return
 			}
 		}
 	}()
-	var results []Result[T]
-	for res := range r.Process(ctx, in) {
-		results = append(results, res)
+
+	for w := 0; w < r.cfg.Workers; w++ {
+		go func() {
+			for wk := range workCh {
+				wk.reply <- r.RunItem(ctx, wk.index, wk.item)
+			}
+		}()
 	}
-	sortResults(results)
-	return results, Summarize(results), ctx.Err()
+
+	go func() {
+		defer close(out)
+		n := 0
+		for reply := range pending {
+			out <- <-reply
+			free <- reply
+			n++
+		}
+		r.recordRun(started, n)
+	}()
+	return out
 }
 
-func sortResults[T any](rs []Result[T]) {
-	// Insertion sort: results arrive nearly ordered (bounded window).
-	for i := 1; i < len(rs); i++ {
-		for j := i; j > 0 && rs[j].Index < rs[j-1].Index; j-- {
-			rs[j], rs[j-1] = rs[j-1], rs[j]
-		}
+// RunSlice processes items and returns the results in input order,
+// with an aggregate summary. Workers claim indexes in order and write
+// each result into its slot. On cancellation no further index is
+// claimed: the results cover the completed prefix and err is the
+// context error.
+func (r *Runner[T]) RunSlice(ctx context.Context, items []T) ([]Result[T], Summary, error) {
+	started := time.Now()
+	results := make([]Result[T], len(items))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(r.cfg.Workers, len(items)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for ctx.Err() == nil {
+				i := int(next.Add(1) - 1)
+				if i >= len(items) {
+					return
+				}
+				results[i] = r.RunItem(ctx, i, items[i])
+			}
+		}()
+	}
+	wg.Wait()
+	// Every claimed index completed, so the claimed ones form a prefix.
+	results = results[:min(int(next.Load()), len(items))]
+	r.recordRun(started, len(results))
+	var sum Summary
+	for _, res := range results {
+		sum.Add(res.Status, res.Dead)
+	}
+	return results, sum, ctx.Err()
+}
+
+// recordRun sets the last-run gauges for a Process or RunSlice run
+// that completed n items.
+func (r *Runner[T]) recordRun(started time.Time, n int) {
+	if r.metrics == nil {
+		return
+	}
+	elapsed := time.Since(started).Seconds()
+	r.metrics.runSec.Set(elapsed)
+	if elapsed > 0 {
+		r.metrics.docsPS.Set(float64(n) / elapsed)
 	}
 }
 
@@ -246,9 +221,9 @@ func sortResults[T any](rs []Result[T]) {
 // with retries, panic recovery, degradation and quarantine: the path
 // Process runs on each worker, for callers that own their concurrency
 // (the scoring service runs it on the request's goroutine). index is the
-// item's identity for every seeded decision (retry jitter, the stages'
-// per-item randomness), so the result equals what
-// Process or RunSlice yields for the same item at that stream position.
+// item's identity for the stages' per-item randomness, so the result
+// equals what Process or RunSlice yields for the same item at that
+// stream position.
 func (r *Runner[T]) RunItem(ctx context.Context, index int, item T) Result[T] {
 	res := Result[T]{Index: index, Status: StatusOK}
 	for si, st := range r.stages {
@@ -276,15 +251,15 @@ func (r *Runner[T]) RunItem(ctx context.Context, index int, item T) Result[T] {
 	return res
 }
 
-// runStage runs one stage with the retry policy, returning the final
-// error (nil on success) and the number of attempts made. si is the
-// stage's index into r.stages, used to resolve its metric handles.
+// runStage runs one stage, retrying retryable failures immediately up
+// to MaxAttempts, and returns the final error (nil on success) and the
+// number of attempts made. si is the stage's index into r.stages, used
+// to resolve its metric handles.
 func (r *Runner[T]) runStage(ctx context.Context, st Stage[T], si, index int, item *T) (error, int) {
 	var sm *stageMetrics
 	if r.metrics != nil {
 		sm = &r.metrics.stages[si]
 	}
-	var jitter *randx.Source
 	for attempt := 1; ; attempt++ {
 		if sm != nil {
 			sm.attempts.Inc()
@@ -296,7 +271,7 @@ func (r *Runner[T]) runStage(ctx context.Context, st Stage[T], si, index int, it
 		if sm != nil {
 			t0 = time.Now()
 		}
-		err := r.attempt(ctx, st, index, item)
+		err := runAttempt(ctx, st, index, item)
 		if sm != nil {
 			sm.latency.Observe(time.Since(t0).Nanoseconds())
 		}
@@ -313,76 +288,27 @@ func (r *Runner[T]) runStage(ctx context.Context, st Stage[T], si, index int, it
 		if ctx.Err() != nil {
 			return fmt.Errorf("cancelled: %w", err), attempt
 		}
-		if !retryable(st.Transient, err) || attempt >= r.cfg.Retry.MaxAttempts {
+		if !retryable(st.Transient, err) || attempt >= r.cfg.MaxAttempts {
 			if sm != nil {
 				sm.failures.Inc()
 			}
 			return err, attempt
 		}
-		if jitter == nil {
-			jitter = randx.New(r.cfg.Seed).Split("retry").Split(st.Name).SplitN("item", index)
-		}
-		if serr := sleep(ctx, r.cfg.Retry.backoff(attempt, jitter)); serr != nil {
-			return fmt.Errorf("cancelled during backoff: %w", err), attempt
-		}
 	}
 }
 
-// attempt runs one stage attempt on a private copy of the item,
-// committing the copy back only on success. The attempt executes in
-// its own goroutine so a deadline can abandon a stuck stage without
-// blocking the worker; a recovered panic is returned as *PanicError.
-func (r *Runner[T]) attempt(ctx context.Context, st Stage[T], index int, item *T) error {
-	// Fast path: without a deadline there is nothing to abandon, so
-	// the attempt runs inline on the worker (no goroutine per
-	// attempt), still on a private copy and still panic-isolated.
-	if st.Timeout <= 0 {
-		scratch := *item
-		err := func() (err error) {
-			defer func() {
-				if v := recover(); v != nil {
-					err = capturePanic(v)
-				}
-			}()
-			return st.Fn(ctx, index, &scratch)
-		}()
-		if err != nil {
-			return err
-		}
-		*item = scratch
-		return nil
-	}
-
-	actx, cancel := context.WithTimeout(ctx, st.Timeout)
-	defer cancel()
-
-	type outcome struct {
-		scratch T
-		err     error
-	}
-	done := make(chan outcome, 1)
+// runAttempt runs one stage attempt inline on a private copy of the
+// item, committing the copy back only on success; a recovered panic is
+// returned as *PanicError.
+func runAttempt[T any](ctx context.Context, st Stage[T], index int, item *T) (err error) {
 	scratch := *item
-	go func() {
-		var err error
-		defer func() {
-			if v := recover(); v != nil {
-				err = capturePanic(v)
-			}
-			done <- outcome{scratch: scratch, err: err}
-		}()
-		err = st.Fn(actx, index, &scratch)
-	}()
-
-	select {
-	case o := <-done:
-		if o.err != nil {
-			return o.err
+	defer func() {
+		if v := recover(); v != nil {
+			err = capturePanic(v)
 		}
-		*item = o.scratch
-		return nil
-	case <-actx.Done():
-		// Deadline or cancellation: abandon the attempt. The goroutine
-		// owns its scratch copy and exits via the buffered channel.
-		return fmt.Errorf("resilience: stage %q: %w", st.Name, actx.Err())
+	}()
+	if err = st.Fn(ctx, index, &scratch); err == nil {
+		*item = scratch
 	}
+	return err
 }

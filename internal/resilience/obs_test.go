@@ -30,7 +30,7 @@ func TestRunnerMetricsReconcile(t *testing.T) {
 
 	var firstTry [n]atomic.Bool
 	reg := obs.NewRegistry()
-	r := NewRunner(Config[doc]{Workers: 4, Seed: 9, Retry: RetryPolicy{MaxAttempts: 3, BaseDelay: 1, MaxDelay: 1}, Metrics: reg},
+	r := NewRunner(Config[doc]{Workers: 4, MaxAttempts: 3, Metrics: reg},
 		Stage[doc]{Name: "flaky", Transient: true, Fn: func(_ context.Context, index int, d *doc) error {
 			if flakes(index) && !firstTry[index].Swap(true) {
 				return fmt.Errorf("transient glitch on %d", index)
@@ -117,7 +117,7 @@ func TestRunnerMetricsReconcile(t *testing.T) {
 // TestRunnerWithoutMetricsUnchanged pins the zero-config path: a runner
 // with no registry behaves exactly as before.
 func TestRunnerWithoutMetricsUnchanged(t *testing.T) {
-	r := NewRunner(Config[doc]{Workers: 2, Seed: 1, Retry: fastRetry()},
+	r := NewRunner(Config[doc]{Workers: 2, MaxAttempts: 4},
 		Stage[doc]{Name: "score", Fn: func(_ context.Context, index int, d *doc) error {
 			d.Score = float64(index)
 			return nil

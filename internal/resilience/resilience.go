@@ -5,23 +5,22 @@
 // hiccups, malformed records and slow stages are the norm; this package
 // provides the equivalent robustness layer for the reproduction:
 //
-//   - a bounded worker-pool executor (Runner) with context cancellation
-//     and per-stage attempt deadlines;
+//   - a bounded worker-pool executor (Runner) with context
+//     cancellation, yielding results in input order;
 //   - per-document panic recovery and error isolation: a poison
 //     document is quarantined to a dead-letter queue (recording the
 //     failing stage, error and attempt count) instead of killing the
 //     run;
-//   - retry with exponential backoff and seeded jitter, driven by
-//     randx so that runs remain deterministic;
+//   - immediate retry of transient failures, up to a bounded number of
+//     attempts;
 //   - graceful degradation: stages marked Degradable annotate the
 //     document as degraded on permanent failure instead of dropping it.
 //
-// Determinism contract: every per-item random stream (retry jitter,
-// span sampling inside stage functions, chaos injection) is derived
-// from (seed, stage name, item index) via randx.Split/SplitN, never
-// from wall-clock time or scheduling order. Worker scheduling therefore
-// affects only completion order, which Reorder and RunSlice normalise
-// back to input order.
+// Determinism contract: every per-item random stream (span sampling
+// inside stage functions, chaos injection) is derived from (seed, stage
+// name, item index) via randx.Split/SplitN, never from wall-clock time
+// or scheduling order. Worker scheduling therefore affects only which
+// worker runs an item, never its result or its position in the output.
 package resilience
 
 import (
@@ -128,32 +127,21 @@ func (s Summary) String() string {
 		s.Processed, s.Succeeded, s.Degraded, s.Quarantined)
 }
 
-// Summarize aggregates results (in any order) into a Summary with
-// dead letters sorted by input index.
-func Summarize[T any](results []Result[T]) Summary {
-	sum := Summary{Processed: len(results)}
-	for _, r := range results {
-		switch r.Status {
-		case StatusOK:
-			sum.Succeeded++
-		case StatusDegraded:
-			sum.Succeeded++
-			sum.Degraded++
-		case StatusQuarantined:
-			sum.Quarantined++
-			if r.Dead != nil {
-				sum.DeadLetters = append(sum.DeadLetters, *r.Dead)
-			}
-		}
-	}
-	sortDeadLetters(sum.DeadLetters)
-	return sum
-}
-
-func sortDeadLetters(dl []DeadLetter) {
-	for i := 1; i < len(dl); i++ {
-		for j := i; j > 0 && dl[j].Index < dl[j-1].Index; j-- {
-			dl[j], dl[j-1] = dl[j-1], dl[j]
+// Add counts one result with status st and, when quarantined, its
+// dead letter dl. Results counted in input order keep DeadLetters in
+// input order.
+func (s *Summary) Add(st Status, dl *DeadLetter) {
+	s.Processed++
+	switch st {
+	case StatusOK:
+		s.Succeeded++
+	case StatusDegraded:
+		s.Succeeded++
+		s.Degraded++
+	case StatusQuarantined:
+		s.Quarantined++
+		if dl != nil {
+			s.DeadLetters = append(s.DeadLetters, *dl)
 		}
 	}
 }

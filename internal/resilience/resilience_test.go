@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -28,12 +29,8 @@ func makeDocs(n int) []doc {
 	return out
 }
 
-func fastRetry() RetryPolicy {
-	return RetryPolicy{MaxAttempts: 4, BaseDelay: time.Microsecond, MaxDelay: 50 * time.Microsecond}
-}
-
 func TestRunSliceAllSucceed(t *testing.T) {
-	r := NewRunner(Config[doc]{Workers: 4, Seed: 1, Retry: fastRetry()},
+	r := NewRunner(Config[doc]{Workers: 4, MaxAttempts: 4},
 		Stage[doc]{Name: "score", Fn: func(_ context.Context, index int, d *doc) error {
 			d.Score = float64(index) + 0.5
 			return nil
@@ -62,7 +59,7 @@ func TestRunSliceAllSucceed(t *testing.T) {
 
 func TestQuarantineIsolatesPoisonDocuments(t *testing.T) {
 	poison := func(i int) bool { return i%17 == 3 }
-	r := NewRunner(Config[doc]{Workers: 8, Seed: 2, Retry: fastRetry(),
+	r := NewRunner(Config[doc]{Workers: 8, MaxAttempts: 4,
 		Describe: func(d *doc) string { return d.ID }},
 		Stage[doc]{Name: "parse", Fn: func(_ context.Context, index int, d *doc) error {
 			if poison(index) {
@@ -109,7 +106,7 @@ func TestQuarantineIsolatesPoisonDocuments(t *testing.T) {
 }
 
 func TestPanicRecoveryQuarantinesNotCrashes(t *testing.T) {
-	r := NewRunner(Config[doc]{Workers: 4, Seed: 3, Retry: fastRetry()},
+	r := NewRunner(Config[doc]{Workers: 4, MaxAttempts: 4},
 		Stage[doc]{Name: "boom", Fn: func(_ context.Context, index int, d *doc) error {
 			if index == 5 {
 				panic("nil pointer dereference simulation")
@@ -139,7 +136,7 @@ func TestPanicRecoveryQuarantinesNotCrashes(t *testing.T) {
 
 func TestTransientRetrySucceedsAndCountsAttempts(t *testing.T) {
 	var attempts atomic.Int64
-	r2 := NewRunner(Config[doc]{Workers: 1, Seed: 4, Retry: fastRetry()},
+	r2 := NewRunner(Config[doc]{Workers: 1, MaxAttempts: 4},
 		Stage[doc]{Name: "flaky", Transient: true, Fn: func(_ context.Context, _ int, d *doc) error {
 			if attempts.Add(1) < 3 {
 				return errors.New("temporary backend hiccup")
@@ -161,7 +158,7 @@ func TestTransientRetrySucceedsAndCountsAttempts(t *testing.T) {
 }
 
 func TestRetryExhaustionRecordsAttemptCount(t *testing.T) {
-	r := NewRunner(Config[doc]{Workers: 2, Seed: 5, Retry: fastRetry()},
+	r := NewRunner(Config[doc]{Workers: 2, MaxAttempts: 4},
 		Stage[doc]{Name: "alwaysdown", Transient: true, Fn: func(_ context.Context, _ int, _ *doc) error {
 			return errors.New("backend unreachable")
 		}},
@@ -183,7 +180,7 @@ func TestRetryExhaustionRecordsAttemptCount(t *testing.T) {
 func TestErrorMarkersOverrideStagePolicy(t *testing.T) {
 	// Permanent marker inside a transient stage fails fast.
 	var permCalls atomic.Int64
-	r := NewRunner(Config[doc]{Workers: 1, Seed: 6, Retry: fastRetry()},
+	r := NewRunner(Config[doc]{Workers: 1, MaxAttempts: 4},
 		Stage[doc]{Name: "validate", Transient: true, Fn: func(_ context.Context, _ int, _ *doc) error {
 			permCalls.Add(1)
 			return Permanent(errors.New("schema violation"))
@@ -195,7 +192,7 @@ func TestErrorMarkersOverrideStagePolicy(t *testing.T) {
 	}
 	// Transient marker inside a non-transient stage retries.
 	var transCalls atomic.Int64
-	r2 := NewRunner(Config[doc]{Workers: 1, Seed: 6, Retry: fastRetry()},
+	r2 := NewRunner(Config[doc]{Workers: 1, MaxAttempts: 4},
 		Stage[doc]{Name: "strict", Fn: func(_ context.Context, _ int, d *doc) error {
 			if transCalls.Add(1) < 2 {
 				return Transient(errors.New("blip"))
@@ -224,7 +221,7 @@ func TestRunItemMatchesRunSlice(t *testing.T) {
 	// is kept per run, so the two runs see the same fault schedule.
 	newRunner := func() *Runner[doc] {
 		var attempts [40][2]atomic.Int64
-		return NewRunner(Config[doc]{Workers: 4, Seed: 11, Retry: fastRetry(), Describe: func(d *doc) string { return d.ID }},
+		return NewRunner(Config[doc]{Workers: 4, MaxAttempts: 4, Describe: func(d *doc) string { return d.ID }},
 			Stage[doc]{Name: "score", Transient: true, Fn: func(_ context.Context, index int, d *doc) error {
 				attempt := attempts[index][0].Add(1)
 				d.Tags = append(d.Tags[:len(d.Tags):len(d.Tags)], fmt.Sprintf("score#%d", attempt))
@@ -276,7 +273,7 @@ func TestRunItemMatchesRunSlice(t *testing.T) {
 }
 
 func TestDegradationEmitsInsteadOfDropping(t *testing.T) {
-	r := NewRunner(Config[doc]{Workers: 4, Seed: 7, Retry: fastRetry()},
+	r := NewRunner(Config[doc]{Workers: 4, MaxAttempts: 4},
 		Stage[doc]{Name: "score", Fn: func(_ context.Context, index int, d *doc) error {
 			d.Score = float64(index)
 			return nil
@@ -313,7 +310,7 @@ func TestDegradationEmitsInsteadOfDropping(t *testing.T) {
 
 func TestFailedAttemptDoesNotCommitPartialMutation(t *testing.T) {
 	var attempts atomic.Int64
-	r := NewRunner(Config[doc]{Workers: 1, Seed: 8, Retry: fastRetry()},
+	r := NewRunner(Config[doc]{Workers: 1, MaxAttempts: 4},
 		Stage[doc]{Name: "mutator", Transient: true, Fn: func(_ context.Context, _ int, d *doc) error {
 			d.Text = d.Text + "+garbage" // mutate, then maybe fail
 			if attempts.Add(1) < 3 {
@@ -332,41 +329,10 @@ func TestFailedAttemptDoesNotCommitPartialMutation(t *testing.T) {
 	}
 }
 
-func TestStageTimeoutAbandonsStuckAttempt(t *testing.T) {
-	var attempts atomic.Int64
-	r := NewRunner(Config[doc]{Workers: 2, Seed: 9, Retry: fastRetry()},
-		Stage[doc]{Name: "slow", Transient: true, Timeout: 5 * time.Millisecond,
-			Fn: func(ctx context.Context, _ int, d *doc) error {
-				if attempts.Add(1) == 1 {
-					// First attempt wedges until well past the deadline.
-					select {
-					case <-time.After(200 * time.Millisecond):
-					case <-ctx.Done():
-						<-time.After(1 * time.Millisecond) // linger past abandonment
-					}
-					return nil
-				}
-				d.Score = 42
-				return nil
-			}},
-	)
-	start := time.Now()
-	results, sum, err := r.RunSlice(context.Background(), makeDocs(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum.Succeeded != 1 || results[0].Item.Score != 42 {
-		t.Fatalf("timeout retry failed: %v %+v", sum, results[0])
-	}
-	if elapsed := time.Since(start); elapsed > 150*time.Millisecond {
-		t.Errorf("worker waited for the stuck attempt: %v", elapsed)
-	}
-}
-
 func TestContextCancellationStopsRun(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var started atomic.Int64
-	r := NewRunner(Config[doc]{Workers: 2, Seed: 10, Retry: fastRetry()},
+	r := NewRunner(Config[doc]{Workers: 2, MaxAttempts: 4},
 		Stage[doc]{Name: "gate", Fn: func(ctx context.Context, _ int, _ *doc) error {
 			if started.Add(1) == 4 {
 				cancel()
@@ -383,8 +349,84 @@ func TestContextCancellationStopsRun(t *testing.T) {
 	}
 }
 
+// TestRunSliceEmptyAndMoreWorkersThanItems: a slice shorter than the
+// pool, or empty, comes back whole and in input order.
+func TestRunSliceEmptyAndMoreWorkersThanItems(t *testing.T) {
+	r := NewRunner(Config[doc]{Workers: 16},
+		Stage[doc]{Name: "score", Fn: func(_ context.Context, index int, d *doc) error {
+			d.Score = float64(index)
+			return nil
+		}},
+	)
+	for _, n := range []int{0, 3} {
+		results, sum, err := r.RunSlice(context.Background(), makeDocs(n))
+		if err != nil || len(results) != n || sum.Processed != n || sum.Succeeded != n {
+			t.Fatalf("n=%d: %d results, summary %v, err %v", n, len(results), sum, err)
+		}
+		for i, res := range results {
+			if res.Index != i || res.Item.Score != float64(i) {
+				t.Fatalf("n=%d: result %d = %+v", n, i, res)
+			}
+		}
+	}
+}
+
+// TestProcessCancelledEmitsInOrderPrefix: cancelling mid-stream still
+// emits every accepted item, so at any worker count the output is a
+// contiguous in-order prefix of the input; the channel closes and every
+// goroutine of the run exits.
+func TestProcessCancelledEmitsInOrderPrefix(t *testing.T) {
+	const n, cancelAt = 1000, 50
+	for _, workers := range []int{1, 4, 16} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			r := NewRunner(Config[doc]{Workers: workers},
+				Stage[doc]{Name: "jittery", Fn: func(_ context.Context, index int, d *doc) error {
+					if index == cancelAt {
+						cancel()
+					}
+					time.Sleep(time.Duration(index%3) * 50 * time.Microsecond)
+					d.Score = float64(index)
+					return nil
+				}},
+			)
+			in := make(chan doc)
+			go func() {
+				defer close(in)
+				for _, d := range makeDocs(n) {
+					select {
+					case in <- d:
+					case <-ctx.Done():
+						return
+					}
+				}
+			}()
+			emitted := 0
+			for res := range r.Process(ctx, in) {
+				if res.Index != emitted || res.Item.Score != float64(emitted) {
+					t.Fatalf("emitted index %d (score %v), want %d", res.Index, res.Item.Score, emitted)
+				}
+				emitted++
+			}
+			// The item that cancelled was accepted, so it and every
+			// item before it were emitted.
+			if emitted <= cancelAt || emitted >= n {
+				t.Fatalf("emitted %d results, want a prefix past %d and short of %d", emitted, cancelAt, n)
+			}
+			for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d goroutines still running after the channel closed", runtime.NumGoroutine()-before)
+				}
+				time.Sleep(time.Millisecond)
+			}
+		})
+	}
+}
+
 func TestProcessOrderedStreaming(t *testing.T) {
-	r := NewRunner(Config[doc]{Workers: 4, Seed: 11, Retry: fastRetry(), Ordered: true},
+	r := NewRunner(Config[doc]{Workers: 4, MaxAttempts: 4},
 		Stage[doc]{Name: "jittery", Fn: func(_ context.Context, index int, d *doc) error {
 			// Vary work so completion order differs from input order.
 			time.Sleep(time.Duration((index%7)*100) * time.Microsecond)
@@ -413,7 +455,7 @@ func TestProcessOrderedStreaming(t *testing.T) {
 
 func TestDeterministicAcrossWorkerCounts(t *testing.T) {
 	run := func(workers int) []Result[doc] {
-		r := NewRunner(Config[doc]{Workers: workers, Seed: 42, Retry: fastRetry()},
+		r := NewRunner(Config[doc]{Workers: workers, MaxAttempts: 4},
 			Stage[doc]{Name: "score", Fn: func(_ context.Context, index int, d *doc) error {
 				// Deterministic per-item randomness, derived the way
 				// stages are meant to: from (seed, item index).
@@ -432,21 +474,6 @@ func TestDeterministicAcrossWorkerCounts(t *testing.T) {
 	for i := range a {
 		if a[i].Item.Score != b[i].Item.Score {
 			t.Fatalf("doc %d: score %v (1 worker) != %v (8 workers)", i, a[i].Item.Score, b[i].Item.Score)
-		}
-	}
-}
-
-func TestBackoffDeterministicAndBounded(t *testing.T) {
-	p := RetryPolicy{}.withDefaults()
-	a := randx.New(9).Split("jitter")
-	b := randx.New(9).Split("jitter")
-	for attempt := 1; attempt <= 8; attempt++ {
-		da, db := p.backoff(attempt, a), p.backoff(attempt, b)
-		if da != db {
-			t.Fatalf("jitter nondeterministic at attempt %d: %v vs %v", attempt, da, db)
-		}
-		if da < 0 || da > p.MaxDelay {
-			t.Fatalf("backoff %v outside [0, %v]", da, p.MaxDelay)
 		}
 	}
 }

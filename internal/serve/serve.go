@@ -24,7 +24,7 @@
 //     so a hot-swap is a pointer store and requests in flight finish on
 //     the generation they loaded;
 //   - per-document fault isolation comes from the resilience runner the
-//     offline path uses (retry with seeded jitter, panic capture on a
+//     offline path uses (immediate retry, panic capture on a
 //     private copy, degradation, quarantine): a poison document is
 //     quarantined inside its own 200 response and nothing else notices;
 //   - per-request deadlines propagated via context — scoring stops at
@@ -128,8 +128,7 @@ type Config struct {
 	// Admin, if set, is mounted under /v1/admin/ (stripped prefix) —
 	// the model-lifecycle control surface (swap/promote/rollback).
 	Admin http.Handler
-	// Seed drives the detector's deterministic span sampling and the
-	// runner's retry jitter.
+	// Seed drives the detector's deterministic span sampling.
 	Seed uint64
 	// Annotate adds the PII and taxonomy/seed-query stages to every
 	// scored document.
@@ -242,10 +241,10 @@ type Server struct {
 	shadow atomic.Pointer[shadowState]
 
 	// seq numbers admitted documents in arrival order. It is the runner
-	// index of each document, so span sampling, phase-timing sampling and
-	// retry jitter are spread over the traffic as they are over a corpus
-	// stream (a per-request position would make every single-document
-	// request index 0).
+	// index of each document, so span sampling and phase-timing sampling
+	// are spread over the traffic as they are over a corpus stream (a
+	// per-request position would make every single-document request
+	// index 0).
 	seq atomic.Uint64
 	// slots is the scoring-concurrency semaphore (see scoringSlots).
 	slots chan struct{}

@@ -30,13 +30,12 @@ import (
 )
 
 // stageRunner builds a one-stage runner the way a detector builds its
-// own: the server's seed, metrics and stage wrap applied.
+// own: the server's metrics and stage wrap applied.
 func stageRunner(opts core.StreamOptions, stage resilience.Stage[core.StreamDoc]) *resilience.Runner[core.StreamDoc] {
 	if opts.StageWrap != nil {
 		stage = opts.StageWrap(stage)
 	}
 	return resilience.NewRunner(resilience.Config[core.StreamDoc]{
-		Seed:     opts.Seed,
 		Describe: func(sd *core.StreamDoc) string { return sd.ID },
 		Metrics:  opts.Metrics,
 	}, stage)

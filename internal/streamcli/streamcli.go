@@ -124,8 +124,6 @@ func (t *Tool) exitWith(code int) {
 
 // Pipeline is what a command runs over each document.
 type Pipeline[T any] struct {
-	// Seed drives the runner's retry jitter.
-	Seed uint64
 	// New makes the item for one document text.
 	New func(text string) T
 	// Text returns an item's document text; its first 40 bytes name
@@ -144,8 +142,6 @@ type Pipeline[T any] struct {
 func Run[T any](t *Tool, p Pipeline[T]) error {
 	runner := resilience.NewRunner(resilience.Config[T]{
 		Workers: t.workers,
-		Seed:    p.Seed,
-		Ordered: true,
 		Describe: func(it *T) string {
 			s := p.Text(it)
 			if len(s) > 40 {
@@ -163,9 +159,11 @@ func Run[T any](t *Tool, p Pipeline[T]) error {
 		inputErr <- t.feed(func(text string) { in <- p.New(text) })
 	}()
 
-	var results []resilience.Result[T]
+	// Only the summary counts and dead letters outlive a result, so
+	// memory stays bounded by the runner's window, not the input size.
+	var sum resilience.Summary
 	for res := range runner.Process(context.Background(), in) {
-		results = append(results, res)
+		sum.Add(res.Status, res.Dead)
 		if res.Status == resilience.StatusQuarantined {
 			fmt.Fprintf(t.stdout, "QUARANTINED (%s after %d attempts): %v\n",
 				res.Dead.Stage, res.Dead.Attempts, res.Dead.Err)
@@ -173,7 +171,6 @@ func Run[T any](t *Tool, p Pipeline[T]) error {
 		}
 		p.Print(t.stdout, res)
 	}
-	sum := resilience.Summarize(results)
 	fmt.Fprintln(t.stderr, sum)
 	for _, dl := range sum.DeadLetters {
 		fmt.Fprintf(t.stderr, "  dead-letter %s\n", dl)

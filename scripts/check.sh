@@ -42,6 +42,13 @@ go test -race ./internal/resilience/... ./internal/core/... ./internal/obs/... .
 echo "== store parallel-scan race step"
 go test -race -count=2 -run 'TestScanParallelWhileAppend|TestScanWhileAppend|TestDocConcurrentWithClose' ./internal/corpus/store/
 
+# Runner race certification: Process's recycled reply window (each
+# reply channel handed from feeder to worker to emitter and back, with
+# cancellation mid-stream) and RunSlice's claimed-index slots, repeated
+# under the race detector.
+echo "== runner race step"
+go test -race -count=3 -run 'TestProcess|TestRunSlice|TestContextCancellation|TestRunItemMatchesRunSlice' ./internal/resilience/
+
 # Allocation-regression gates: the scoring hot path (tokenize,
 # featurize, PII clean path, pooled detector scoring), the annotation
 # stages on a cue-free document (taxonomy gate, seed query) and the obs
