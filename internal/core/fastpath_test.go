@@ -198,22 +198,28 @@ func TestScoreBatchWorkerCountInvariance(t *testing.T) {
 // the streaming path. The scoring itself is allocation-free; the small
 // remaining budget covers the runner's per-item bookkeeping (result
 // envelope, channel send) — far below the ~350 allocations per document
-// the legacy path paid.
+// the legacy path paid. A document over the dox span length also pins
+// the span path: sampling, merging and gathering spans whose distinct
+// n-grams outgrow the featurizer's initial table.
 func TestScoreStreamSteadyStateAllocs(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("allocation counts differ under the race detector")
 	}
 	det := testDetector(t)
-	text := "we need to mass-report his twitter and youtube, spread the word"
-	det.Scores(text) // warm pooled scratch
-	if n := testing.AllocsPerRun(200, func() {
-		det.ScoreCTH(text)
-		det.ScoreDox(text)
-	}); n > 0 {
-		t.Errorf("ScoreCTH+ScoreDox allocate %v per op, want 0", n)
-	}
-	if n := testing.AllocsPerRun(200, func() { det.Scores(text) }); n > 0 {
-		t.Errorf("Scores allocates %v per op, want 0", n)
+	for _, text := range []string{
+		"we need to mass-report his twitter and youtube, spread the word",
+		tokenLenText(det.meta.DoxTextLen + 100),
+	} {
+		det.Scores(text) // warm pooled scratch
+		if n := testing.AllocsPerRun(200, func() {
+			det.ScoreCTH(text)
+			det.ScoreDox(text)
+		}); n > 0 {
+			t.Errorf("ScoreCTH+ScoreDox(%d bytes) allocate %v per op, want 0", len(text), n)
+		}
+		if n := testing.AllocsPerRun(200, func() { det.Scores(text) }); n > 0 {
+			t.Errorf("Scores(%d bytes) allocates %v per op, want 0", len(text), n)
+		}
 	}
 }
 

@@ -10,6 +10,8 @@ import (
 	"hash/fnv"
 	"reflect"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -71,7 +73,110 @@ func hasherVariants() []*Hasher {
 		NewHasher(HasherConfig{Buckets: 1 << 16, Bigrams: true}),
 		NewHasher(HasherConfig{Buckets: 64, Bigrams: true}),
 		NewHasher(HasherConfig{Buckets: 1000, Bigrams: true}), // not a power of two: the modulo path
+		// Occupancy-bitmap edges: one bucket, one bucket short of and
+		// one past a 64-bit word, exactly one summary word (64 words)
+		// and one bucket past it, and the default feature space.
+		NewHasher(HasherConfig{Buckets: 1, Bigrams: true}),
+		NewHasher(HasherConfig{Buckets: 63, Bigrams: true}),
+		NewHasher(HasherConfig{Buckets: 65, Bigrams: true}),
+		NewHasher(HasherConfig{Buckets: 4096, Bigrams: true}),
+		NewHasher(HasherConfig{Buckets: 4097, Bigrams: true}),
+		NewHasher(HasherConfig{Buckets: 1 << 18, Bigrams: true}),
 	}
+}
+
+// distinctTokens returns n different tokens: with bigrams, 2n-1
+// distinct n-grams, so n > 128 makes the accumulator rehash mid-document.
+func distinctTokens(n int) []string {
+	toks := make([]string, n)
+	for i := range toks {
+		toks[i] = "t" + strconv.Itoa(i)
+	}
+	return toks
+}
+
+// owned copies a Featurizer's aliased result into fresh slices, as
+// Hasher.Vectorize does, so reflect.DeepEqual can compare it with
+// referenceVectorize (which never returns nil slices).
+func owned(v Vector) Vector {
+	return Vector{Indices: append([]uint32{}, v.Indices...), Values: append([]float64{}, v.Values...)}
+}
+
+// checkVectorize compares both vectorizers with the reference on toks.
+func checkVectorize(t *testing.T, h *Hasher, f *Featurizer, toks []string) {
+	t.Helper()
+	want := referenceVectorize(h, toks)
+	if got := h.Vectorize(toks); !reflect.DeepEqual(got, want) {
+		t.Errorf("Hasher.Vectorize(%d tokens, buckets=%d) = %+v, want %+v", len(toks), h.Buckets(), got, want)
+	}
+	if got := owned(f.Vectorize(toks)); !reflect.DeepEqual(got, want) {
+		t.Errorf("Featurizer.Vectorize(%d tokens, buckets=%d) = %+v, want %+v", len(toks), h.Buckets(), got, want)
+	}
+}
+
+// TestFeaturizerGatherOrder drives the ordered gather through a
+// mid-document rehash and through one Featurizer reused for a long, a
+// short, an empty and a long document: a bit left set by an earlier
+// document would add a bucket to a later one.
+func TestFeaturizerGatherOrder(t *testing.T) {
+	long, short := distinctTokens(600), []string{"we", "report", "him"}
+	for _, h := range hasherVariants() {
+		f := h.NewFeaturizer()
+		for _, toks := range [][]string{long, short, nil, long, distinctTokens(300)} {
+			checkVectorize(t, h, f, toks)
+		}
+	}
+}
+
+// TestFeaturizerEdgeBuckets gathers the first and the last bucket of
+// the feature space, alone and together, using tokens found by search.
+func TestFeaturizerEdgeBuckets(t *testing.T) {
+	for _, n := range []uint32{64, 65, 1000, 4097} {
+		h := NewHasher(HasherConfig{Buckets: n, Bigrams: true})
+		var first, last string
+		for i := 0; first == "" || last == ""; i++ {
+			tok := "e" + strconv.Itoa(i)
+			switch referenceVectorize(h, []string{tok}).Indices[0] {
+			case 0:
+				first = tok
+			case n - 1:
+				last = tok
+			}
+		}
+		f := h.NewFeaturizer()
+		for _, toks := range [][]string{{first}, {last}, {last, first}, {first, "x", last, first}, {last}} {
+			checkVectorize(t, h, f, toks)
+		}
+	}
+}
+
+// FuzzFeaturizerMatchesReference is the differential fuzz target for
+// the featurizer: the space-separated tokens of the input, followed by
+// up to 599 distinct generated ones (so long documents that rehash need
+// no long input, which the minimizer handles in quadratic time), hashed
+// into a feature space of 1 to 1<<18 buckets drawn from the input, must
+// give referenceVectorize's vector from Hasher.Vectorize and from a
+// Featurizer reused across inputs.
+func FuzzFeaturizerMatchesReference(f *testing.F) {
+	f.Add(uint32(1<<18-1), uint16(0), "we need to mass-report his twitter")
+	f.Add(uint32(0), uint16(0), "a b a")
+	f.Add(uint32(63), uint16(0), "")
+	f.Add(uint32(4096), uint16(300), "dox her address now")
+	f.Add(uint32(1000), uint16(129), "tok\x00with nul  bytes ünïcode 日本語")
+	cache := map[HasherConfig]*Featurizer{}
+	f.Fuzz(func(t *testing.T, n uint32, distinct uint16, text string) {
+		cfg := HasherConfig{Buckets: 1 + (n>>1)%(1<<18), Bigrams: n&1 == 0}
+		feat := cache[cfg]
+		if feat == nil {
+			if len(cache) >= 16 { // bound the memory of a long run
+				clear(cache)
+			}
+			feat = NewHasher(cfg).NewFeaturizer()
+			cache[cfg] = feat
+		}
+		toks := append(strings.Split(text, " "), distinctTokens(int(distinct%600))...)
+		checkVectorize(t, feat.h, feat, toks)
+	})
 }
 
 func TestVectorizeMatchesReference(t *testing.T) {

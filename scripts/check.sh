@@ -72,6 +72,12 @@ if [[ $fast -eq 0 ]]; then
   echo "== taxonomy gate differential fuzz smoke (-fuzztime=10s)"
   go test -run '^$' -fuzz '^FuzzCategorizeGateEquivalence$' -fuzztime 10s ./internal/taxonomy/
 
+  # Featurizer differential fuzz smoke: the occupancy-bitmap gather
+  # must give the legacy string-hashing vectorizer's vector (its
+  # in-test oracle) at any feature-space size, on a reused Featurizer.
+  echo "== featurizer differential fuzz smoke (-fuzztime=10s)"
+  go test -run '^$' -fuzz '^FuzzFeaturizerMatchesReference$' -fuzztime 10s ./internal/features/
+
   # Corpus-store differential fuzz smokes: the segment record decoder
   # must reject every non-canonical framing and round-trip every
   # accepted payload byte-identically, and the posting bitmaps must
