@@ -10,17 +10,18 @@ package features
 // sequence produces exactly the sum of hashing their concatenation —
 // no feature string needs to exist.
 //
-// Featurizer goes further and replaces the per-document Go map with a
-// reusable open-addressing accumulator: inserts are a couple of array
-// probes, and a touched-slot list makes reset proportional to the
-// number of distinct features in the document, not the table capacity
-// (iterating a Go map visits every bucket group, which profiling showed
-// was the single largest scoring cost). The output must list buckets in
-// ascending order, because float addition is not associative and Dot
-// sums in index order. A two-level occupancy bitmap over the feature
-// space yields that order without a sort (which profiling showed was a
-// third of scoring): one bit per bucket, one summary bit per nonzero
-// word, walked in ascending order.
+// Featurizer goes further and counts n-grams in a dense per-bucket
+// array (Buckets×4 bytes, half of one model's weight vector): an
+// increment is one array write with no probing, and a touched-bucket
+// list makes reset proportional to the number of distinct features in
+// the document, not the feature space (iterating a Go map visits every
+// bucket group, which profiling showed was the single largest scoring
+// cost). The output must list buckets in ascending order, because
+// float addition is not associative and Dot sums in index order. A
+// two-level occupancy bitmap over the feature space yields that order
+// without a sort (which profiling showed was a third of scoring): one
+// bit per bucket, one summary bit per nonzero word, walked in ascending
+// order.
 //
 // Golden tests assert bit-identical vectors against the legacy
 // string-building implementation.
@@ -57,13 +58,9 @@ func (h *Hasher) bucket(sum uint64) uint32 {
 	return uint32((sum >> 1) % uint64(h.cfg.Buckets))
 }
 
-// accumEmpty marks a free accumulator slot. Buckets is at most
-// 1<<32 - 1, so a real bucket id can never equal it.
-const accumEmpty = ^uint32(0)
-
 // Featurizer maps token sequences to sparse hashed count vectors using
-// reusable scratch space: an open-addressing count accumulator, an
-// occupancy bitmap over the buckets (Buckets/8 bytes) and one
+// reusable scratch space: a dense count per bucket (Buckets×4 bytes),
+// an occupancy bitmap over the buckets (Buckets/8 bytes) and one
 // index/value pair are recycled across documents.
 //
 // Not safe for concurrent use; pool one Featurizer per worker. The
@@ -71,12 +68,9 @@ const accumEmpty = ^uint32(0)
 // Vectorize call — consume it (Dot, model scoring) before reuse.
 type Featurizer struct {
 	h       *Hasher
-	keys    []uint32 // probe table: bucket id or accumEmpty
-	vals    []float64
-	mask    uint32
-	shift   uint32   // 32 - log2(len(keys)): slot(b) is the top bits of b*φ
-	touched []int32  // occupied slots, for reset
-	occ     []uint64 // bit b%64 of word b/64: bucket b is in the table
+	cnt     []uint32 // n-gram count per bucket, nonzero only for touched ones
+	touched []uint32 // buckets counted since the last reset
+	occ     []uint64 // bit b%64 of word b/64: bucket b is touched
 	occSum  []uint64 // bit w%64 of word w/64: occ[w] is nonzero
 	idx     []uint32
 	out     []float64
@@ -85,70 +79,32 @@ type Featurizer struct {
 // NewFeaturizer returns a Featurizer sharing the hasher's configuration.
 func (h *Hasher) NewFeaturizer() *Featurizer {
 	words := (uint64(h.cfg.Buckets) + 63) / 64
-	f := &Featurizer{h: h, occ: make([]uint64, words), occSum: make([]uint64, (words+63)/64)}
-	f.resize(512)
-	return f
-}
-
-func (f *Featurizer) resize(n int) {
-	f.keys = make([]uint32, n)
-	for i := range f.keys {
-		f.keys[i] = accumEmpty
-	}
-	f.vals = make([]float64, n)
-	f.mask = uint32(n - 1)
-	f.shift = uint32(32 - bits.TrailingZeros(uint(n)))
-}
-
-// rehash doubles the table and reinserts the live entries.
-func (f *Featurizer) rehash() {
-	oldKeys, oldVals, oldTouched := f.keys, f.vals, f.touched
-	f.resize(2 * len(oldKeys))
-	f.touched = f.touched[:0]
-	for _, slot := range oldTouched {
-		f.insert(oldKeys[slot], oldVals[slot])
+	return &Featurizer{
+		h:      h,
+		cnt:    make([]uint32, h.cfg.Buckets),
+		occ:    make([]uint64, words),
+		occSum: make([]uint64, (words+63)/64),
 	}
 }
 
-// insert adds delta to bucket's count without a load-factor check.
-// Fibonacci hashing (the top bits of bucket times 2^32/φ) spreads bucket
-// ids across the probe table with one multiply.
-func (f *Featurizer) insert(bucket uint32, delta float64) {
-	slot := (bucket * 0x9E3779B1) >> f.shift
-	for {
-		switch f.keys[slot] {
-		case bucket:
-			f.vals[slot] += delta
-			return
-		case accumEmpty:
-			f.keys[slot] = bucket
-			f.vals[slot] = delta
-			f.touched = append(f.touched, int32(slot))
-			f.occ[bucket>>6] |= 1 << (bucket & 63)
-			f.occSum[bucket>>12] |= 1 << (bucket >> 6 & 63)
-			return
-		}
-		slot = (slot + 1) & f.mask
-	}
-}
-
-// add accumulates one n-gram occurrence, growing the table when the
-// load factor would exceed 1/2.
+// add counts one n-gram occurrence in bucket.
 func (f *Featurizer) add(bucket uint32) {
-	if 2*(len(f.touched)+1) > len(f.keys) {
-		f.rehash()
+	if f.cnt[bucket] == 0 {
+		f.touched = append(f.touched, bucket)
+		f.occ[bucket>>6] |= 1 << (bucket & 63)
+		f.occSum[bucket>>12] |= 1 << (bucket >> 6 & 63)
 	}
-	f.insert(bucket, 1)
+	f.cnt[bucket]++
 }
 
 // Vectorize maps tokens to a sparse vector of hashed feature counts.
 func (f *Featurizer) Vectorize(tokens []string) Vector {
 	// Every set bit belongs to a touched bucket, so zeroing the touched
-	// buckets' whole words clears both bitmaps.
-	for _, slot := range f.touched {
-		b := f.keys[slot]
+	// buckets' counts and whole words clears all the scratch. Being the
+	// only reset, it also clears whatever a call abandoned midway left.
+	for _, b := range f.touched {
+		f.cnt[b] = 0
 		f.occ[b>>6], f.occSum[b>>12] = 0, 0
-		f.keys[slot] = accumEmpty
 	}
 	f.touched = f.touched[:0]
 
@@ -174,20 +130,16 @@ func (f *Featurizer) Vectorize(tokens []string) Vector {
 		prefix = fnvAddByte(next, 0)
 	}
 
-	// Walk the occupied buckets in ascending order and probe each one's
-	// count as insert does.
+	// Walk the occupied buckets in ascending order. A count is far below
+	// 2^53, so its float64 is exactly the sum of that many 1.0s.
 	f.idx, f.out = f.idx[:0], f.out[:0]
 	for s, sum := range f.occSum {
 		for ; sum != 0; sum &= sum - 1 {
 			w := s<<6 | bits.TrailingZeros64(sum)
 			for word := f.occ[w]; word != 0; word &= word - 1 {
 				bucket := uint32(w<<6 | bits.TrailingZeros64(word))
-				slot := (bucket * 0x9E3779B1) >> f.shift
-				for f.keys[slot] != bucket {
-					slot = (slot + 1) & f.mask
-				}
 				f.idx = append(f.idx, bucket)
-				f.out = append(f.out, f.vals[slot])
+				f.out = append(f.out, float64(f.cnt[bucket]))
 			}
 		}
 	}

@@ -86,7 +86,7 @@ func hasherVariants() []*Hasher {
 }
 
 // distinctTokens returns n different tokens: with bigrams, 2n-1
-// distinct n-grams, so n > 128 makes the accumulator rehash mid-document.
+// distinct n-grams, spread over many occupancy-bitmap words.
 func distinctTokens(n int) []string {
 	toks := make([]string, n)
 	for i := range toks {
@@ -114,8 +114,8 @@ func checkVectorize(t *testing.T, h *Hasher, f *Featurizer, toks []string) {
 	}
 }
 
-// TestFeaturizerGatherOrder drives the ordered gather through a
-// mid-document rehash and through one Featurizer reused for a long, a
+// TestFeaturizerGatherOrder drives the ordered gather through hundreds
+// of distinct n-grams and through one Featurizer reused for a long, a
 // short, an empty and a long document: a bit left set by an earlier
 // document would add a bucket to a later one.
 func TestFeaturizerGatherOrder(t *testing.T) {
@@ -125,6 +125,40 @@ func TestFeaturizerGatherOrder(t *testing.T) {
 		for _, toks := range [][]string{long, short, nil, long, distinctTokens(300)} {
 			checkVectorize(t, h, f, toks)
 		}
+	}
+}
+
+// TestFeaturizerCountsReset reuses one Featurizer on documents whose
+// n-grams repeat (counts above 1) in the order long, short, empty,
+// long: with dense counts a missed reset does not drop or add a bucket
+// but leaves a wrong count, which only a value comparison sees.
+func TestFeaturizerCountsReset(t *testing.T) {
+	long := append(distinctTokens(200), distinctTokens(200)...)
+	for i := 0; i < 50; i++ {
+		long = append(long, "dox", "her")
+	}
+	short := []string{"dox", "her", "dox", "her", "dox"}
+	for _, h := range hasherVariants() {
+		f := h.NewFeaturizer()
+		for _, toks := range [][]string{long, short, nil, long, short} {
+			checkVectorize(t, h, f, toks)
+		}
+	}
+}
+
+// TestFeaturizerDirtyScratch leaves counts and occupancy bits behind,
+// as a Vectorize abandoned midway would, and checks that the next call
+// still gives the reference vector.
+func TestFeaturizerDirtyScratch(t *testing.T) {
+	for _, h := range hasherVariants() {
+		f := h.NewFeaturizer()
+		f.Vectorize([]string{"we", "report", "him"})
+		for _, b := range []uint32{0, h.Buckets() / 2, h.Buckets() - 1, h.Buckets() - 1} {
+			f.add(b)
+		}
+		checkVectorize(t, h, f, []string{"report", "him", "report"})
+		f.add(h.Buckets() - 1)
+		checkVectorize(t, h, f, nil)
 	}
 }
 
@@ -152,7 +186,7 @@ func TestFeaturizerEdgeBuckets(t *testing.T) {
 
 // FuzzFeaturizerMatchesReference is the differential fuzz target for
 // the featurizer: the space-separated tokens of the input, followed by
-// up to 599 distinct generated ones (so long documents that rehash need
+// up to 599 distinct generated ones (so long documents need
 // no long input, which the minimizer handles in quadratic time), hashed
 // into a feature space of 1 to 1<<18 buckets drawn from the input, must
 // give referenceVectorize's vector from Hasher.Vectorize and from a
@@ -241,7 +275,7 @@ func TestFeaturizerZeroAllocs(t *testing.T) {
 }
 
 // TestHasherVectorizeAllocs pins the wrapper's cost: the two owned
-// output slices, never a fresh accumulator table per call.
+// output slices, never a fresh count array per call.
 func TestHasherVectorizeAllocs(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("allocation counts differ under the race detector")

@@ -6,15 +6,19 @@ package tokenize
 // acceptable for training, ruinous for a scoring loop that exists to
 // process hundreds of millions of documents (Table 1). BasicTokenizer
 // and Session keep per-goroutine scratch buffers so that steady-state
-// tokenization performs no heap allocations at all: the input is
-// lower-cased and split in a single pass into a reusable byte arena,
-// and tokens are handed out as views into that arena (basic path) or as
-// interned vocabulary strings (WordPiece path).
+// tokenization performs no heap allocations at all. BasicTokenizer
+// lower-cases and splits the input in a single pass into a reusable
+// byte arena and hands out views into it. Session segments ASCII text
+// in one fused pass with no copy at all — lowering, splitting, a
+// whole-word table probe and, only for words that are not themselves a
+// piece, a trie walk — and emits interned vocabulary strings; other
+// text takes the BasicTokenizer's arena first.
 //
 // Equivalence with the legacy implementations is load-bearing and
-// covered by golden tests: for every input, BasicTokenizer.Tokenize
-// yields exactly the tokens of legacy BasicTokenize, and
-// Session.Tokenize exactly the pieces of legacy Tokenizer.Tokenize.
+// covered by golden and differential fuzz tests: for every input,
+// BasicTokenizer.Tokenize yields exactly the tokens of legacy
+// BasicTokenize, and Session.Tokenize exactly the pieces of legacy
+// Tokenizer.Tokenize.
 
 import (
 	"unicode"
@@ -50,7 +54,17 @@ const (
 // uses, so the two paths cannot disagree.
 var asciiClass [128]byte
 
+// lowerASCII maps 'A'-'Z' to 'a'-'z' and every other byte to itself, so
+// applying it to a lowered word's UTF-8 bytes changes nothing.
+var lowerASCII [256]byte
+
 func init() {
+	for c := range lowerASCII {
+		lowerASCII[c] = byte(c)
+		if 'A' <= c && c <= 'Z' {
+			lowerASCII[c] += 'a' - 'A'
+		}
+	}
 	for c := range asciiClass {
 		r := unicode.ToLower(rune(c))
 		switch {
@@ -86,9 +100,7 @@ func (bt *BasicTokenizer) Tokenize(text string) []string {
 	for i := 0; i < len(text); {
 		c := text[i]
 		if c < utf8.RuneSelf {
-			if 'A' <= c && c <= 'Z' {
-				c += 'a' - 'A'
-			}
+			c = lowerASCII[c]
 			switch asciiClass[c] {
 			case classSpace:
 				flush()
@@ -147,10 +159,11 @@ func viewString(b []byte) string {
 
 // Session carries the per-goroutine scratch state for WordPiece
 // segmentation with a shared Tokenizer. Steady-state Tokenize calls
-// allocate nothing: word splitting reuses the embedded BasicTokenizer
-// arena, pieces are found by walking the tokenizer's shared vocabulary
-// trie, and emitted pieces are the vocabulary's interned strings (stable
-// across calls).
+// allocate nothing: ASCII text is lowered, split and segmented in one
+// pass over the input with no copy, pieces are found by a whole-word
+// table probe or a walk of the tokenizer's shared vocabulary trie, and
+// emitted pieces are the vocabulary's interned strings (stable across
+// calls). Other text goes through the embedded BasicTokenizer's arena.
 //
 // A Session is not safe for concurrent use; the returned token slice is
 // reused by the next Tokenize call, but its piece strings are stable.
@@ -169,23 +182,67 @@ func (t *Tokenizer) NewSession() *Session {
 // Tokenize segments text into word pieces — identical output to
 // Tokenizer.Tokenize. The returned slice is valid until the next call;
 // its elements (interned vocabulary pieces or UnknownToken) are stable.
+//
+// ASCII text (nearly all chat text) takes one fused loop: it finds each
+// word's end while folding its lowered bytes into a hash, and a word
+// the whole-word table holds is its own only piece, because greedy
+// longest-match takes the whole word when it can. Other words walk the
+// trie over the text's own bytes, lowering on the fly. The first
+// non-ASCII byte restarts the document on the rune path.
 func (s *Session) Tokenize(text string) []string {
 	s.out = s.out[:0]
-	for _, word := range s.basic.Tokenize(text) {
-		s.appendWordPieces(word)
+	for i := 0; i < len(text); {
+		c := text[i]
+		if c >= utf8.RuneSelf {
+			return s.tokenizeRunes(text)
+		}
+		class := asciiClass[c]
+		if class == classSpace {
+			i++
+			continue
+		}
+		// A punctuation byte is a one-byte word.
+		start, h := i, (fnv32Offset^uint32(lowerASCII[c]))*fnv32Prime
+		for i++; class == classWord && i < len(text); i++ {
+			// A non-ASCII byte ends the word here and restarts the
+			// document at the top of the loop.
+			c = text[i]
+			if c >= utf8.RuneSelf || asciiClass[c] != classWord {
+				break
+			}
+			h = (h ^ uint32(lowerASCII[c])) * fnv32Prime
+		}
+		word := text[start:i]
+		if len(word) > s.t.maxWordChars { // an ASCII word's bytes are its runes
+			s.out = append(s.out, UnknownToken)
+		} else if piece, ok := s.trie.whole(word, h); ok {
+			s.out = append(s.out, piece)
+		} else {
+			s.appendWordPieces(word)
+		}
 	}
 	return s.out
 }
 
-// appendWordPieces segments one lower-cased word with greedy
-// longest-match-first, as the legacy per-word []rune search did: each
-// piece is the longest vocabulary entry (with the "##" prefix after the
-// first) that the rest of the word starts with, found by one trie walk.
-func (s *Session) appendWordPieces(word string) {
-	if utf8.RuneCountInString(word) > s.t.maxWordChars {
-		s.out = append(s.out, UnknownToken)
-		return
+// tokenizeRunes is Tokenize for text that is not all ASCII: the
+// BasicTokenizer splits the lowered runes, then each word is segmented.
+func (s *Session) tokenizeRunes(text string) []string {
+	s.out = s.out[:0]
+	for _, word := range s.basic.Tokenize(text) {
+		if utf8.RuneCountInString(word) > s.t.maxWordChars {
+			s.out = append(s.out, UnknownToken)
+		} else {
+			s.appendWordPieces(word)
+		}
 	}
+	return s.out
+}
+
+// appendWordPieces segments one word with greedy longest-match-first,
+// as the legacy per-word []rune search did: each piece is the longest
+// vocabulary entry (with the "##" prefix after the first) that the rest
+// of the lowered word starts with, found by one trie walk.
+func (s *Session) appendWordPieces(word string) {
 	outStart := len(s.out)
 	for start := 0; start < len(word); {
 		piece, n, ok := s.trie.longest(word[start:], start > 0)

@@ -193,6 +193,96 @@ func TestSessionMatchesReferenceEdgeVocab(t *testing.T) {
 	}
 }
 
+// TestSessionFusedPathEdges pins the one-pass ASCII path against the
+// reference on the cases it handles by its own rules: a lowered word
+// that is a whole piece, the byte-length cap at maxWordChars and one
+// past it, punctuation outside the vocabulary, digits and control
+// bytes (word bytes), and non-ASCII bytes first, last and mid-word,
+// which restart the document on the rune path. One session runs every
+// case in turn, so a restart must leave nothing behind.
+func TestSessionFusedPathEdges(t *testing.T) {
+	atCap, pastCap := strings.Repeat("x", 100), strings.Repeat("y", 101)
+	tok := NewTokenizer(NewVocab([]string{
+		"harass", "##ment", "raid", "Raid", "r", "##a", "##i", "##d",
+		atCap, pastCap, "y", "##y", ",", "1", "##2", "\x00", "##\x01",
+		"é", "##é", "caf",
+	}))
+	if tok.maxWordChars != len(atCap) {
+		t.Fatalf("maxWordChars = %d, the cases assume %d", tok.maxWordChars, len(atCap))
+	}
+	sess := tok.NewSession()
+	cases := []struct {
+		text string
+		want []string // nil: only the reference is checked
+	}{
+		{"HARASS", []string{"harass"}},
+		{"Raid", []string{"raid"}},
+		{"HARASSMENT raids", []string{"harass", "##ment", UnknownToken}},
+		{atCap, []string{atCap}},
+		{pastCap, []string{UnknownToken}},
+		{"a " + strings.ToUpper(pastCap) + " raid", nil},
+		{"raid! raid, raid", []string{"raid", UnknownToken, "raid", ",", "raid"}},
+		{"12 1 122 21", nil},
+		{"\x00\x01 \x00 raid\x7f \x1f", nil},
+		{"é raid", []string{"é", "raid"}},
+		{"raid é", []string{"raid", "é"}},
+		{"RAéID café", nil},
+		{"raid\xff raid", nil},
+		{"HARASS", []string{"harass"}}, // back on the fused path
+	}
+	for _, c := range cases {
+		want := referenceWordPiece(tok, c.text)
+		if c.want != nil && !equalTokens(want, c.want) {
+			t.Fatalf("reference(%q) = %q, the case expects %q", c.text, want, c.want)
+		}
+		if got := sess.Tokenize(c.text); !equalTokens(got, want) {
+			t.Errorf("Session.Tokenize(%q) = %q, want %q", c.text, got, want)
+		}
+		if got := tok.Tokenize(c.text); !equalTokens(got, want) {
+			t.Errorf("Tokenizer.Tokenize(%q) = %q, want %q", c.text, got, want)
+		}
+	}
+}
+
+// FuzzSessionMatchesReference is the differential fuzz target for
+// WordPiece segmentation: over a vocabulary of the input's
+// newline-separated pieces (so "##" pieces, mixed case, non-ASCII and
+// invalid UTF-8 all come from the fuzzer), a Session reused across
+// inputs and Tokenizer.Tokenize must both give referenceWordPiece's
+// pieces for the text.
+func FuzzSessionMatchesReference(f *testing.F) {
+	edgeVocab := "harass\n##ment\nraid\nRaid\n" + strings.Repeat("x", 100) + "\n" +
+		strings.Repeat("y", 101) + "\n,\n1\n##2\né\n##é\n日本\n##本\n#\n##\n\xc3\n##\xa9\n\x00"
+	for _, text := range goldenTexts {
+		f.Add(edgeVocab, text)
+	}
+	for _, text := range []string{
+		"HARASS Raid HARASSMENT", strings.Repeat("x", 100), strings.Repeat("Y", 101),
+		"raid! ## #", "é raid", "raid é", "raéid", "raid\xff", "12 122 \x00\x01\x1f",
+	} {
+		f.Add(edgeVocab, text)
+	}
+	f.Add("a\nb\nab\nabc\n##a\n##b\n##c\n##bc", "abcab cab, ABC")
+	sessions := map[string]*Session{}
+	f.Fuzz(func(t *testing.T, vocab, text string) {
+		sess := sessions[vocab]
+		if sess == nil {
+			if len(sessions) >= 16 { // bound the memory of a long run
+				clear(sessions)
+			}
+			sess = NewTokenizer(NewVocab(strings.Split(vocab, "\n"))).NewSession()
+			sessions[vocab] = sess
+		}
+		want := referenceWordPiece(sess.t, text)
+		if got := sess.Tokenize(text); !equalTokens(got, want) {
+			t.Errorf("Session.Tokenize(%q) = %q, want %q", text, got, want)
+		}
+		if got := sess.t.Tokenize(text); !equalTokens(got, want) {
+			t.Errorf("Tokenizer.Tokenize(%q) = %q, want %q", text, got, want)
+		}
+	})
+}
+
 // TestSessionPiecesStableAcrossCalls verifies the documented contract:
 // the token slice is reused, but emitted piece strings stay valid.
 func TestSessionPiecesStableAcrossCalls(t *testing.T) {

@@ -120,7 +120,7 @@ func NewTokenizer(vocab *Vocab) *Tokenizer {
 
 // pieceTrie returns the vocabulary's trie, building it on first use.
 func (t *Tokenizer) pieceTrie() *pieceTrie {
-	t.trieOnce.Do(func() { t.trie = newPieceTrie(t.vocab) })
+	t.trieOnce.Do(func() { t.trie = newPieceTrie(t.vocab, t.maxWordChars) })
 	return t.trie
 }
 

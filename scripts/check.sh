@@ -78,6 +78,12 @@ if [[ $fast -eq 0 ]]; then
   echo "== featurizer differential fuzz smoke (-fuzztime=10s)"
   go test -run '^$' -fuzz '^FuzzFeaturizerMatchesReference$' -fuzztime 10s ./internal/features/
 
+  # Tokenizer differential fuzz smoke: Session's one-pass ASCII path and
+  # its rune-path restart must give the legacy rune-stepping WordPiece
+  # pieces (its in-test oracle) over vocabularies drawn from the input.
+  echo "== tokenizer differential fuzz smoke (-fuzztime=10s)"
+  go test -run '^$' -fuzz '^FuzzSessionMatchesReference$' -fuzztime 10s ./internal/tokenize/
+
   # Corpus-store differential fuzz smokes: the segment record decoder
   # must reject every non-canonical framing and round-trip every
   # accepted payload byte-identically, and the posting bitmaps must
