@@ -93,25 +93,43 @@ func ReadJSONLLenient(r io.Reader) ([]Document, []LineError, error) {
 // honors. In lenient mode every bad line is returned in bad and err
 // reports only I/O failures.
 func ReadJSONLOpts(r io.Reader, opts JSONLOptions) (docs []Document, bad []LineError, err error) {
+	bad, err = EachJSONL(r, opts, func(d *Document) error {
+		docs = append(docs, *d)
+		return nil
+	})
+	return docs, bad, err
+}
+
+// EachJSONL is the streaming form of ReadJSONLOpts: it decodes one
+// document per line from r and calls fn with each good one, in input
+// order, holding one line in memory at a time. d is reused for the next
+// line, so fn copies what it keeps; the document's strings are its own
+// and never alias the input. Bad lines follow ReadJSONLOpts' strict and
+// lenient contract. An error from fn stops the read and is returned
+// unchanged.
+func EachJSONL(r io.Reader, opts JSONLOptions, fn func(d *Document) error) (bad []LineError, err error) {
 	if opts.MaxLineBytes <= 0 {
 		opts.MaxLineBytes = 16 << 20
 	}
 	br := bufio.NewReaderSize(r, 64<<10)
 	line := 0
 	var offset int64 // byte offset of the next unread line's start
+	var raw []byte   // the current line, reused across lines
+	var d Document   // the current document, reused across lines
 	for {
 		lineStart := offset
-		raw, consumed, tooLong, rerr := readLine(br, opts.MaxLineBytes)
+		next, consumed, tooLong, rerr := readLine(br, raw[:0], opts.MaxLineBytes)
+		raw = next
 		offset += consumed
 		if rerr != nil && rerr != io.EOF {
-			return docs, bad, fmt.Errorf("corpus: jsonl line %d (byte %d): read: %w", line+1, lineStart, rerr)
+			return bad, fmt.Errorf("corpus: jsonl line %d (byte %d): read: %w", line+1, lineStart, rerr)
 		}
 		if len(raw) == 0 && !tooLong && rerr == io.EOF {
-			return docs, bad, nil
+			return bad, nil
 		}
 		line++
-		fail := func(cause error, preview string) error {
-			le := LineError{Line: line, Offset: lineStart, Err: cause, Preview: preview}
+		fail := func(cause error) error {
+			le := LineError{Line: line, Offset: lineStart, Err: cause, Preview: preview(raw)}
 			if opts.Lenient {
 				bad = append(bad, le)
 				return nil
@@ -120,20 +138,21 @@ func ReadJSONLOpts(r io.Reader, opts JSONLOptions) (docs []Document, bad []LineE
 		}
 		switch {
 		case tooLong:
-			if ferr := fail(ErrLineTooLong, preview(raw)); ferr != nil {
-				return docs, bad, ferr
+			if ferr := fail(ErrLineTooLong); ferr != nil {
+				return bad, ferr
 			}
 		case len(raw) > 0:
-			if d, derr := decodeJSONLLine(raw, line); derr != nil {
-				if ferr := fail(derr, preview(raw)); ferr != nil {
-					return docs, bad, ferr
+			var derr error
+			if d, derr = decodeJSONLLine(raw, line); derr != nil {
+				if ferr := fail(derr); ferr != nil {
+					return bad, ferr
 				}
-			} else {
-				docs = append(docs, d)
+			} else if ferr := fn(&d); ferr != nil {
+				return bad, ferr
 			}
 		}
 		if rerr == io.EOF {
-			return docs, bad, nil
+			return bad, nil
 		}
 	}
 }
@@ -146,14 +165,14 @@ func preview(raw []byte) string {
 	return string(raw)
 }
 
-// readLine reads one newline-terminated line of at most max bytes. A
-// longer line is discarded to its end and reported with tooLong=true,
-// returning only a short retained prefix for diagnostics. consumed is
-// the exact number of input bytes this line occupied — terminator and
-// discarded overflow included — so the caller can maintain byte
-// offsets. err is io.EOF at end of input (the final line may be
-// unterminated).
-func readLine(br *bufio.Reader, max int) (line []byte, consumed int64, tooLong bool, err error) {
+// readLine appends one newline-terminated line of at most max bytes to
+// line, a buffer the caller reuses across lines. A longer line is
+// discarded to its end and reported with tooLong=true, returning only a
+// short retained prefix for diagnostics. consumed is the exact number
+// of input bytes this line occupied — terminator and discarded overflow
+// included — so the caller can maintain byte offsets. err is io.EOF at
+// end of input (the final line may be unterminated).
+func readLine(br *bufio.Reader, line []byte, max int) (_ []byte, consumed int64, tooLong bool, err error) {
 	for {
 		frag, rerr := br.ReadSlice('\n')
 		consumed += int64(len(frag))
@@ -187,35 +206,39 @@ func readLine(br *bufio.Reader, max int) (line []byte, consumed int64, tooLong b
 	}
 }
 
-// decodeJSONLLine parses and validates one non-blank line.
+// decodeJSONLLine parses and validates one non-blank line: the schema
+// decoder when the line lies in its subset, encoding/json otherwise.
 func decodeJSONLLine(raw []byte, line int) (Document, error) {
-	var jd JSONLDocument
-	if err := json.Unmarshal(raw, &jd); err != nil {
-		return Document{}, err
+	var d Document
+	if !decodeJSONLSchema(raw, &d) {
+		var jd JSONLDocument
+		if err := json.Unmarshal(raw, &jd); err != nil {
+			return Document{}, err
+		}
+		d = Document{
+			ID:          jd.ID,
+			Dataset:     Dataset(jd.Dataset),
+			Platform:    Platform(jd.Platform),
+			Domain:      jd.Domain,
+			ThreadID:    jd.ThreadID,
+			PosInThread: jd.PosInThread,
+			ThreadSize:  jd.ThreadSize,
+			Author:      jd.Author,
+			Date:        jd.Date,
+			Text:        jd.Text,
+		}
+		if jd.IsCTH != nil {
+			d.Truth.IsCTH = *jd.IsCTH
+		}
+		if jd.IsDox != nil {
+			d.Truth.IsDox = *jd.IsDox
+		}
 	}
-	if jd.Text == "" {
+	if d.Text == "" {
 		return Document{}, errors.New("missing text")
-	}
-	d := Document{
-		ID:          jd.ID,
-		Dataset:     Dataset(jd.Dataset),
-		Platform:    Platform(jd.Platform),
-		Domain:      jd.Domain,
-		ThreadID:    jd.ThreadID,
-		PosInThread: jd.PosInThread,
-		ThreadSize:  jd.ThreadSize,
-		Author:      jd.Author,
-		Date:        jd.Date,
-		Text:        jd.Text,
 	}
 	if d.ID == "" {
 		d.ID = fmt.Sprintf("jsonl-%08d", line)
-	}
-	if jd.IsCTH != nil {
-		d.Truth.IsCTH = *jd.IsCTH
-	}
-	if jd.IsDox != nil {
-		d.Truth.IsDox = *jd.IsDox
 	}
 	return d, nil
 }

@@ -57,13 +57,22 @@ func (b *Bitmap) Add(v uint32) {
 		}
 		return
 	}
-	j := sort.Search(len(c.array), func(j int) bool { return c.array[j] >= low })
-	if j < len(c.array) && c.array[j] == low {
+	// The index builder adds ordinals in order, often the same one
+	// several times in a row: check the array's end before searching it.
+	switch n := len(c.array); {
+	case n > 0 && c.array[n-1] == low:
 		return
+	case n == 0 || c.array[n-1] < low:
+		c.array = append(c.array, low)
+	default:
+		j := sort.Search(n, func(j int) bool { return c.array[j] >= low })
+		if c.array[j] == low {
+			return
+		}
+		c.array = append(c.array, 0)
+		copy(c.array[j+1:], c.array[j:])
+		c.array[j] = low
 	}
-	c.array = append(c.array, 0)
-	copy(c.array[j+1:], c.array[j:])
-	c.array[j] = low
 	if len(c.array) > arrayMax {
 		words := make([]uint64, bitmapWords)
 		for _, lv := range c.array {

@@ -25,46 +25,6 @@ import (
 // append detectable with one read; Open quarantines the segment pair
 // rather than trusting a half-written token table.
 
-// indexTokens produces the index terms for one document: the text's
-// word tokens plus dataset/platform/domain field terms (the latter make
-// Lookup usable as a cheap metadata filter without a scan).
-func indexTokens(d *corpus.Document, emit func(string)) {
-	tokenizeText(d.Text, emit)
-	emit("dataset:" + string(d.Dataset))
-	emit("platform:" + string(d.Platform))
-	if d.Domain != "" {
-		emit("domain:" + d.Domain)
-	}
-}
-
-// tokenizeText splits text into lowercase tokens: ASCII letters/digits
-// fold and join, any non-ASCII byte joins as-is (UTF-8 sequences stay
-// whole), everything else separates. Deterministic and allocation-light;
-// this is the index's notion of a word, shared by writer and Lookup.
-func tokenizeText(text string, emit func(string)) {
-	start := -1
-	var buf []byte
-	flush := func(end int) {
-		if start < 0 {
-			return
-		}
-		buf = appendFoldedToken(buf[:0], text[start:end])
-		emit(string(buf))
-		start = -1
-	}
-	for i := 0; i < len(text); i++ {
-		c := text[i]
-		isTok := c >= 0x80 || c == '_' ||
-			(c >= '0' && c <= '9') || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z')
-		if isTok && start < 0 {
-			start = i
-		} else if !isTok {
-			flush(i)
-		}
-	}
-	flush(len(text))
-}
-
 // appendFoldedToken lower-cases ASCII letters into buf.
 func appendFoldedToken(buf []byte, tok string) []byte {
 	for i := 0; i < len(tok); i++ {
@@ -103,30 +63,66 @@ func (ix *segIndex) lookup(tok string) *Bitmap {
 type indexBuilder struct {
 	offsets []uint64
 	posting map[string]*Bitmap
-	scratch map[string]bool
+	term    []byte // the term being looked up, reused across terms
 }
 
 func newIndexBuilder() *indexBuilder {
-	return &indexBuilder{posting: map[string]*Bitmap{}, scratch: map[string]bool{}}
+	return &indexBuilder{posting: map[string]*Bitmap{}}
 }
 
-// add indexes one document at the given record offset.
+// add indexes one document at the given record offset. Its terms are
+// the text's words plus dataset/platform/domain field terms (the latter
+// make Lookup usable as a cheap metadata filter without a scan). A word
+// is a run of ASCII letters, digits, '_' and bytes >= 0x80 (so UTF-8
+// sequences stay whole), with ASCII letters lower-cased; every other
+// byte separates words. Each term is folded into one reused buffer and
+// looked up without a copy, so a term already in the segment costs no
+// allocation; Bitmap.Add makes a repeat within the document a no-op.
 func (ib *indexBuilder) add(d *corpus.Document, offset uint64) {
 	ordinal := uint32(len(ib.offsets))
 	ib.offsets = append(ib.offsets, offset)
-	// Dedupe per document so each token is added once per ordinal.
-	for t := range ib.scratch {
-		delete(ib.scratch, t)
-	}
-	indexTokens(d, func(tok string) { ib.scratch[tok] = true })
-	for tok := range ib.scratch {
-		bm := ib.posting[tok]
-		if bm == nil {
-			bm = &Bitmap{}
-			ib.posting[tok] = bm
+	text := d.Text
+	for i := 0; i < len(text); {
+		if !isWordByte(text[i]) {
+			i++
+			continue
 		}
-		bm.Add(ordinal)
+		j := i + 1
+		for j < len(text) && isWordByte(text[j]) {
+			j++
+		}
+		ib.term = appendFoldedToken(ib.term[:0], text[i:j])
+		ib.addTerm(ordinal)
+		i = j
 	}
+	ib.addField("dataset:", string(d.Dataset), ordinal)
+	ib.addField("platform:", string(d.Platform), ordinal)
+	if d.Domain != "" {
+		ib.addField("domain:", d.Domain, ordinal)
+	}
+}
+
+// isWordByte reports whether c belongs to an index word.
+func isWordByte(c byte) bool {
+	return c >= 0x80 || c == '_' ||
+		(c >= '0' && c <= '9') || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z')
+}
+
+// addField posts the field term prefix+value, which is not folded.
+func (ib *indexBuilder) addField(prefix, value string, ordinal uint32) {
+	ib.term = append(append(ib.term[:0], prefix...), value...)
+	ib.addTerm(ordinal)
+}
+
+// addTerm posts ordinal under the term in ib.term, allocating the key
+// and its bitmap only at the term's first occurrence in the segment.
+func (ib *indexBuilder) addTerm(ordinal uint32) {
+	bm := ib.posting[string(ib.term)]
+	if bm == nil {
+		bm = &Bitmap{}
+		ib.posting[string(ib.term)] = bm
+	}
+	bm.Add(ordinal)
 }
 
 // encode renders the complete .idx file contents.

@@ -45,7 +45,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -590,7 +589,7 @@ func (s *Store) Scan(fn func(d *corpus.Document, ref DocRef) error) error {
 }
 
 // Lookup iterates the refs of every document whose index terms include
-// token (see tokenizeText for the text terms; "dataset:boards"-style
+// token (see indexBuilder.add for the text terms; "dataset:boards"-style
 // field terms also work), in store order. fn returns false to stop.
 func (s *Store) Lookup(token string, fn func(ref DocRef) bool) {
 	token = NormalizeToken(token)
@@ -682,9 +681,4 @@ func (s *Store) Doc(ref DocRef) (corpus.Document, error) {
 		return corpus.Document{}, &CorruptError{Segment: si.Name, Offset: off, Err: err}
 	}
 	return d, nil
-}
-
-// IsNotExist reports whether err means dir held no store.
-func IsNotExist(err error) bool {
-	return errors.Is(err, fs.ErrNotExist)
 }

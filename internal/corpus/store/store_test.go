@@ -1,6 +1,8 @@
 package store
 
 import (
+	"errors"
+	"io/fs"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -258,7 +260,7 @@ func TestCreateRefusesExistingStore(t *testing.T) {
 
 func TestOpenMissingStore(t *testing.T) {
 	_, err := Open(filepath.Join(t.TempDir(), "nope"))
-	if err == nil || !IsNotExist(err) {
+	if err == nil || !errors.Is(err, fs.ErrNotExist) {
 		t.Fatalf("err = %v, want not-exist", err)
 	}
 }

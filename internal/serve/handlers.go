@@ -9,7 +9,7 @@ package serve
 //                         scored it)
 //   POST /v1/score/batch  JSONL (one document per line, lenient: bad
 //                         lines are quarantined and reported, reusing
-//                         corpus.ReadJSONLOpts) or a JSON array of
+//                         corpus.EachJSONL) or a JSON array of
 //                         score requests -> BatchResponse
 //   POST /v1/feedback     JSON array of FeedbackItem -> 202 with the
 //                         accepted count (registered only when a
@@ -401,16 +401,17 @@ func (s *Server) parseBatch(body []byte) (docs []core.StreamDoc, quarantined []B
 		return docs, quarantined, ""
 	}
 
-	parsed, bad, err := corpus.ReadJSONLOpts(bytes.NewReader(body),
-		corpus.JSONLOptions{Lenient: true, MaxLineBytes: s.cfg.MaxLineBytes})
+	bad, err := corpus.EachJSONL(bytes.NewReader(body),
+		corpus.JSONLOptions{Lenient: true, MaxLineBytes: s.cfg.MaxLineBytes},
+		func(d *corpus.Document) error {
+			docs = append(docs, core.StreamDoc{ID: d.ID, Platform: string(d.Platform), Text: d.Text})
+			return nil
+		})
 	if err != nil {
 		return nil, nil, "reading JSONL body: " + err.Error()
 	}
 	for _, le := range bad {
 		quarantined = append(quarantined, BatchLineError{Line: le.Line, Error: le.Err.Error(), Preview: le.Preview})
-	}
-	for i := range parsed {
-		docs = append(docs, core.StreamDoc{ID: parsed[i].ID, Platform: string(parsed[i].Platform), Text: parsed[i].Text})
 	}
 	return docs, quarantined, ""
 }

@@ -147,7 +147,7 @@ type Config struct {
 	// MaxBodyBytes bounds a request body. Default 32 MiB.
 	MaxBodyBytes int64
 	// MaxLineBytes bounds one JSONL line in a batch body; longer lines
-	// are quarantined per corpus.ReadJSONLOpts. Default 1 MiB.
+	// are quarantined per corpus.EachJSONL. Default 1 MiB.
 	MaxLineBytes int
 	// RequestTimeout is the per-request deadline, layered onto the
 	// client's own context. Default 30s; negative disables.

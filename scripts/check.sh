@@ -52,11 +52,13 @@ go test -race -count=3 -run 'TestProcess|TestRunSlice|TestContextCancellation|Te
 # Allocation-regression gates: the scoring hot path (tokenize,
 # featurize, PII clean path, pooled detector scoring), the annotation
 # stages on a cue-free document (taxonomy gate, seed query) and the obs
-# metric handles it records into must stay allocation-free. These run
+# metric handles it records into must stay allocation-free; the JSONL
+# line decoder allocates only its strings, and the segment index
+# builder nothing on terms it has seen. These run
 # under the race detector above too, but the race detector changes the
 # allocator, so assert them in a plain run.
 echo "== alloc-regression tests"
-go test -run 'Allocs' ./internal/tokenize/ ./internal/features/ ./internal/pii/ ./internal/taxonomy/ ./internal/query/ ./internal/core/ ./internal/obs/
+go test -run 'Allocs' ./internal/tokenize/ ./internal/features/ ./internal/pii/ ./internal/taxonomy/ ./internal/query/ ./internal/core/ ./internal/obs/ ./internal/corpus/ ./internal/corpus/store/
 
 if [[ $fast -eq 0 ]]; then
   # Differential fuzz smoke: the one-pass PII engine must stay
@@ -83,6 +85,12 @@ if [[ $fast -eq 0 ]]; then
   # pieces (its in-test oracle) over vocabularies drawn from the input.
   echo "== tokenizer differential fuzz smoke (-fuzztime=10s)"
   go test -run '^$' -fuzz '^FuzzSessionMatchesReference$' -fuzztime 10s ./internal/tokenize/
+
+  # JSONL decoder differential fuzz smoke: the schema decoder plus its
+  # encoding/json fallback must give the plain encoding/json decode (its
+  # in-test oracle) the same document and the same error on any line.
+  echo "== jsonl decoder differential fuzz smoke (-fuzztime=10s)"
+  go test -run '^$' -fuzz '^FuzzDecodeJSONLLineMatchesEncodingJSON$' -fuzztime 10s ./internal/corpus/
 
   # Corpus-store differential fuzz smokes: the segment record decoder
   # must reject every non-canonical framing and round-trip every
