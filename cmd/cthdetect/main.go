@@ -23,10 +23,9 @@
 // dead-letter summary instead of scoring them.
 //
 // With -store, documents are streamed from a segmented corpus store
-// (built by corpusgen -store) instead of stdin — one segment at a time,
-// so memory stays bounded; -scan-workers N decodes segments in
-// parallel through the store's mmap readers (output order is identical
-// at any count). -token restricts the stream to the store's
+// (built by corpusgen -store) instead of stdin, one document at a time
+// in store order through the store's mmap readers, so memory stays
+// bounded. -token restricts the stream to the store's
 // inverted-index matches with boolean syntax: comma-separated clauses
 // AND, |-separated alternatives within a clause OR, and a -term clause
 // excludes matches — e.g. -token "dataset:boards,raid" or
@@ -35,7 +34,7 @@
 // Usage:
 //
 //	echo "we should mass report his channel" | cthdetect [-seed N] [-rules-only] [-workers N] [-metrics] [-metrics-addr :9090] [-max-doc-bytes N]
-//	cthdetect -store DIR [-scan-workers N] [-token "dox|doxx,-paste"] [-rules-only] ...
+//	cthdetect -store DIR [-token "dox|doxx,-paste"] [-rules-only] ...
 package main
 
 import (

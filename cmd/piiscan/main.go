@@ -15,10 +15,9 @@
 // net/http/pprof endpoints while the scan runs.
 //
 // With -store, documents are streamed from a segmented corpus store
-// (built by corpusgen -store) instead of stdin, one segment at a time;
-// -scan-workers N decodes segments in parallel through the store's
-// mmap readers (output order is identical at any count). -token
-// restricts the stream to the store's inverted-index matches with
+// (built by corpusgen -store) instead of stdin, one document at a time
+// in store order through the store's mmap readers. -token restricts
+// the stream to the store's inverted-index matches with
 // boolean syntax: comma-separated clauses AND, |-separated
 // alternatives OR, and a -term clause excludes — so
 // -token "paste,email|phone" scans paste documents with an email or a
@@ -28,7 +27,7 @@
 //
 //	piiscan [-json] [-metrics] < document.txt
 //	piiscan -stream [-json] [-workers N] [-metrics] [-metrics-addr :9090] < documents.txt
-//	piiscan -store DIR [-scan-workers N] [-token "paste,email|phone"] [-json] [-workers N]
+//	piiscan -store DIR [-token "paste,email|phone"] [-json] [-workers N]
 package main
 
 import (

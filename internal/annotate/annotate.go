@@ -304,21 +304,6 @@ func boolLabel(b bool) string {
 	return "negative"
 }
 
-// Accuracy scores decisions against ground truth, returning the fraction
-// of correct final labels (used by spot checks, §5.3).
-func Accuracy(items []Item, decisions []Decision) float64 {
-	if len(items) == 0 || len(items) != len(decisions) {
-		return 0
-	}
-	correct := 0
-	for i, item := range items {
-		if decisions[i].Label == item.Truth {
-			correct++
-		}
-	}
-	return float64(correct) / float64(len(items))
-}
-
 // SpotCheckResult reports a §5.3-style quality pass over delivered
 // crowd annotations: "We established a spot-checking process ...
 // reviewing random samples of annotations in order to keep track of poor

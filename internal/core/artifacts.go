@@ -95,7 +95,7 @@ func (p *Pipeline) initGraph(opts Options, storeGen uint64) {
 		var storeBlogs *corpus.Corpus
 		g.Register(StageCorpora, nil, func() (any, error) {
 			var err error
-			p.Corpora, storeBlogs, err = loadStoreCorpora(opts.StorePath, opts.Workers)
+			p.Corpora, storeBlogs, err = loadStoreCorpora(opts.StorePath)
 			if err != nil {
 				return nil, err
 			}

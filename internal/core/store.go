@@ -20,10 +20,7 @@ import (
 // loadStoreCorpora opens the store and streams every document into
 // per-dataset corpora, returning the blogs corpus separately (it is a
 // distinct pipeline stage, not part of the machine-filtered map).
-// workers > 1 decodes segments in parallel (store.ScanParallel); the
-// delivery order — and therefore every corpus — is identical at any
-// worker count.
-func loadStoreCorpora(dir string, workers int) (map[corpus.Dataset]*corpus.Corpus, *corpus.Corpus, error) {
+func loadStoreCorpora(dir string) (map[corpus.Dataset]*corpus.Corpus, *corpus.Corpus, error) {
 	s, err := store.Open(dir)
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: corpus store: %w", err)
@@ -33,7 +30,7 @@ func loadStoreCorpora(dir string, workers int) (map[corpus.Dataset]*corpus.Corpu
 	for _, ds := range corpus.Datasets() {
 		byDS[ds] = &corpus.Corpus{Dataset: ds}
 	}
-	err = s.ScanParallel(workers, func(d *corpus.Document, _ store.DocRef) error {
+	err = s.Scan(func(d *corpus.Document, _ store.DocRef) error {
 		c := byDS[d.Dataset]
 		if c == nil {
 			c = &corpus.Corpus{Dataset: d.Dataset}

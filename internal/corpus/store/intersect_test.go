@@ -176,10 +176,12 @@ func TestLookupAllMatchesNaiveScan(t *testing.T) {
 			t.Fatal(err)
 		}
 		var refs []DocRef
-		s.LookupQuery(q, func(ref DocRef) bool {
+		if err := s.eachMatch(q.eval, func(ref DocRef) bool {
 			refs = append(refs, ref)
 			return true
-		})
+		}); err != nil {
+			t.Fatal(err)
+		}
 		return refs
 	}
 
@@ -213,7 +215,9 @@ func TestLookupAllMatchesNaiveScan(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := 0
-	s.LookupQuery(channel, func(DocRef) bool { n++; return false })
+	if err := s.eachMatch(channel.eval, func(DocRef) bool { n++; return false }); err != nil {
+		t.Fatal(err)
+	}
 	if n != 1 {
 		t.Fatalf("early stop visited %d refs, want 1", n)
 	}

@@ -124,49 +124,9 @@ func (q *Query) eval(ix *segIndex) *Bitmap {
 	return out
 }
 
-// LookupQuery iterates the refs of every document matching q, in store
-// order. fn returns false to stop.
-func (s *Store) LookupQuery(q *Query, fn func(ref DocRef) bool) {
-	_, indexes, err := s.snapshot()
-	if err != nil {
-		return
-	}
-	for segIdx, ix := range indexes {
-		bm := q.eval(ix)
-		if bm == nil {
-			continue
-		}
-		stop := false
-		bm.Iterate(func(ord uint32) bool {
-			if !fn(DocRef{Segment: segIdx, Ordinal: ord}) {
-				stop = true
-				return false
-			}
-			return true
-		})
-		if stop {
-			return
-		}
-	}
-}
-
-// LookupQueryDocs is LookupQuery plus document fetch, with the same
-// error contract as LookupDocs: fetch failures are wrapped but keep
-// their chain (errors.As finds the *CorruptError), fn errors return
-// unchanged.
+// LookupQueryDocs streams every document matching q to fn, in store
+// order, with the same error contract as LookupDocs (see
+// fetchMatches); on a closed store it returns ErrClosed.
 func (s *Store) LookupQueryDocs(q *Query, fn func(d *corpus.Document, ref DocRef) error) error {
-	var ferr error
-	s.LookupQuery(q, func(ref DocRef) bool {
-		d, err := s.Doc(ref)
-		if err != nil {
-			ferr = fmt.Errorf("store: query %s: fetching segment %d record %d: %w", q, ref.Segment, ref.Ordinal, err)
-			return false
-		}
-		if err := fn(&d, ref); err != nil {
-			ferr = err
-			return false
-		}
-		return true
-	})
-	return ferr
+	return s.fetchMatches(func() string { return "query " + q.String() }, q.eval, fn)
 }

@@ -46,7 +46,7 @@ func TestParseQuery(t *testing.T) {
 }
 
 // TestLookupQueryMatchesNaiveScan differentially tests the boolean
-// query evaluator: for each query, LookupQuery must return exactly the
+// query evaluator: for each query, the matching walk must return exactly the
 // refs a full scan + retokenize + literal clause evaluation finds.
 func TestLookupQueryMatchesNaiveScan(t *testing.T) {
 	dir := t.TempDir()
@@ -109,10 +109,12 @@ func TestLookupQueryMatchesNaiveScan(t *testing.T) {
 	}
 	lookup := func(q *Query) []DocRef {
 		var refs []DocRef
-		s.LookupQuery(q, func(ref DocRef) bool {
+		if err := s.eachMatch(q.eval, func(ref DocRef) bool {
 			refs = append(refs, ref)
 			return true
-		})
+		}); err != nil {
+			t.Fatal(err)
+		}
 		return refs
 	}
 
@@ -136,7 +138,7 @@ func TestLookupQueryMatchesNaiveScan(t *testing.T) {
 		}
 		want, got := oracle(q), lookup(q)
 		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("LookupQuery(%q) = %v, want %v", spec, got, want)
+			t.Fatalf("query %q matched %v, want %v", spec, got, want)
 		}
 		matched += len(want)
 	}
@@ -160,7 +162,9 @@ func TestLookupQueryMatchesNaiveScan(t *testing.T) {
 
 	// Early stop.
 	n := 0
-	s.LookupQuery(mustParse("channel"), func(DocRef) bool { n++; return false })
+	if err := s.eachMatch(mustParse("channel").eval, func(DocRef) bool { n++; return false }); err != nil {
+		t.Fatal(err)
+	}
 	if n != 1 {
 		t.Fatalf("early stop visited %d refs, want 1", n)
 	}

@@ -68,74 +68,11 @@ func TestNoMmapFallsBackToFileReader(t *testing.T) {
 	}
 }
 
-// TestScanParallelMatchesScan is the store-order contract: at any
-// worker count, on either reader implementation, ScanParallel delivers
-// exactly the documents and refs the sequential Scan does, in the same
-// order.
-func TestScanParallelMatchesScan(t *testing.T) {
-	dir := t.TempDir()
-	docs := testDocs(53, "sp-")
-	s, err := Create(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.AppendAll(docs, 7); err != nil { // 8 segments: 7×7+4
-		t.Fatal(err)
-	}
-	s.Close()
-
-	type step struct {
-		d   corpus.Document
-		ref DocRef
-	}
-	collect := func(t *testing.T, scan func(func(*corpus.Document, DocRef) error) error) []step {
-		t.Helper()
-		var out []step
-		if err := scan(func(d *corpus.Document, ref DocRef) error {
-			out = append(out, step{*d, ref})
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
-
-	openArms(t, func(t *testing.T, openStore func(string) (*Store, error)) {
-		r, err := openStore(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer r.Close()
-		want := collect(t, r.Scan)
-		if len(want) != len(docs) {
-			t.Fatalf("sequential scan saw %d docs, want %d", len(want), len(docs))
-		}
-		for _, workers := range []int{1, 4, 16} {
-			got := collect(t, func(fn func(*corpus.Document, DocRef) error) error {
-				return r.ScanParallel(workers, fn)
-			})
-			if len(got) != len(want) {
-				t.Fatalf("workers=%d: %d docs, want %d", workers, len(got), len(want))
-			}
-			for i := range want {
-				if got[i].ref != want[i].ref {
-					t.Fatalf("workers=%d: ref[%d] = %+v, want %+v", workers, i, got[i].ref, want[i].ref)
-				}
-			}
-			wd := make([]corpus.Document, len(want))
-			gd := make([]corpus.Document, len(got))
-			for i := range want {
-				wd[i], gd[i] = want[i].d, got[i].d
-			}
-			docsEqual(t, wd, gd)
-		}
-	})
-}
-
-// TestScanParallelCorruptSegmentIsolated: a corrupt segment fails its
-// own decode, but every document of every earlier segment is still
-// delivered — in order — before the *CorruptError surfaces.
-func TestScanParallelCorruptSegmentIsolated(t *testing.T) {
+// TestScanCorruptSegmentIsolated: a corrupt segment fails its own
+// decode, but every document of every earlier segment — and of the
+// corrupt one up to the damaged record — is still delivered, in order,
+// before the *CorruptError surfaces, and nothing after it is.
+func TestScanCorruptSegmentIsolated(t *testing.T) {
 	dir := t.TempDir()
 	batches := [][]corpus.Document{
 		testDocs(4, "a-"), testDocs(4, "b-"), testDocs(4, "c-"), testDocs(4, "d-"),
@@ -159,7 +96,7 @@ func TestScanParallelCorruptSegmentIsolated(t *testing.T) {
 	}
 	defer s.Close()
 	var got []string
-	err = s.ScanParallel(4, func(d *corpus.Document, _ DocRef) error {
+	err = s.Scan(func(d *corpus.Document, _ DocRef) error {
 		got = append(got, d.ID)
 		return nil
 	})
@@ -167,18 +104,29 @@ func TestScanParallelCorruptSegmentIsolated(t *testing.T) {
 	if err == nil || !errors.As(err, &ce) || ce.Segment != "seg-00000003" {
 		t.Fatalf("scan err = %v, want CorruptError in seg-00000003", err)
 	}
+	// The damaged record is the one the error points at; its
+	// predecessors in segment 3 decoded cleanly.
+	intact := -1
+	for ord, off := range s.indexes[2].offsets {
+		if int64(off) == ce.Offset {
+			intact = ord
+		}
+	}
+	if intact < 0 {
+		t.Fatalf("CorruptError offset %d is no record start of seg-00000003", ce.Offset)
+	}
 	var want []string
-	for _, d := range append(append([]corpus.Document(nil), batches[0]...), batches[1]...) {
+	for _, d := range append(append(append([]corpus.Document(nil), batches[0]...), batches[1]...), batches[2][:intact]...) {
 		want = append(want, d.ID)
 	}
 	if !reflect.DeepEqual(want, got) {
-		t.Fatalf("delivered %d docs before the error, want the full first two segments (%d)", len(got), len(want))
+		t.Fatalf("delivered %v before the error, want %v", got, want)
 	}
 }
 
-// TestScanParallelFnErrorStopsEarly: an fn error comes back unchanged
-// and the documents delivered before it are a store-order prefix.
-func TestScanParallelFnErrorStopsEarly(t *testing.T) {
+// TestScanFnErrorStopsEarly: an fn error comes back unchanged and the
+// documents delivered before it are a store-order prefix.
+func TestScanFnErrorStopsEarly(t *testing.T) {
 	dir := t.TempDir()
 	docs := testDocs(20, "fe-")
 	s, err := Create(dir)
@@ -191,7 +139,7 @@ func TestScanParallelFnErrorStopsEarly(t *testing.T) {
 	}
 	boom := errors.New("boom")
 	n := 0
-	err = s.ScanParallel(4, func(d *corpus.Document, _ DocRef) error {
+	err = s.Scan(func(d *corpus.Document, _ DocRef) error {
 		if d.ID != docs[n].ID {
 			t.Fatalf("doc %d = %q, want %q", n, d.ID, docs[n].ID)
 		}
@@ -246,14 +194,6 @@ func TestScanIgnoresUncommittedTail(t *testing.T) {
 		}
 
 		docsEqual(t, docs, scanAll(t, s))
-		var par []corpus.Document
-		if err := s.ScanParallel(4, func(d *corpus.Document, _ DocRef) error {
-			par = append(par, *d)
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-		docsEqual(t, docs, par)
 		d, err := s.Doc(DocRef{Segment: 2, Ordinal: 0})
 		if err != nil {
 			t.Fatal(err)
@@ -264,11 +204,10 @@ func TestScanIgnoresUncommittedTail(t *testing.T) {
 	})
 }
 
-// scanWhileAppend is the shared body of the append-while-scan race
-// tests: readers scan (sequentially or in parallel) while an appender
-// commits batches, and every scan must observe an exact committed
-// prefix — full batches, in order, no torn reads.
-func scanWhileAppend(t *testing.T, workers int) {
+// TestScanWhileAppend: readers scan while an appender commits batches,
+// and every scan must observe an exact committed prefix — full
+// batches, in order, no torn reads.
+func TestScanWhileAppend(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Create(dir)
 	if err != nil {
@@ -306,7 +245,7 @@ func scanWhileAppend(t *testing.T, workers int) {
 			defer wg.Done()
 			for i := 0; i < 15; i++ {
 				n := 0
-				err := s.ScanParallel(workers, func(d *corpus.Document, _ DocRef) error {
+				err := s.Scan(func(d *corpus.Document, _ DocRef) error {
 					if n < len(all) && d.ID != all[n].ID {
 						return fmt.Errorf("doc %d = %q, want %q", n, d.ID, all[n].ID)
 					}
@@ -330,9 +269,6 @@ func scanWhileAppend(t *testing.T, workers int) {
 	}
 	docsEqual(t, all, scanAll(t, s))
 }
-
-func TestScanWhileAppend(t *testing.T)         { scanWhileAppend(t, 1) }
-func TestScanParallelWhileAppend(t *testing.T) { scanWhileAppend(t, 16) }
 
 // TestDocConcurrentWithClose: readers hammering Doc while Close runs
 // must never observe a use-after-unmap, a torn read, or anything but a
@@ -416,8 +352,16 @@ func TestDocConcurrentWithClose(t *testing.T) {
 		if err := s.Scan(func(*corpus.Document, DocRef) error { return nil }); !errors.Is(err, ErrClosed) {
 			t.Fatalf("Scan after Close = %v, want ErrClosed", err)
 		}
-		if err := s.ScanParallel(4, func(*corpus.Document, DocRef) error { return nil }); !errors.Is(err, ErrClosed) {
-			t.Fatalf("ScanParallel after Close = %v, want ErrClosed", err)
+		noop := func(*corpus.Document, DocRef) error { return nil }
+		if err := s.LookupDocs("report", noop); !errors.Is(err, ErrClosed) {
+			t.Fatalf("LookupDocs after Close = %v, want ErrClosed", err)
+		}
+		q, err := ParseQuery("report|channel")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.LookupQueryDocs(q, noop); !errors.Is(err, ErrClosed) {
+			t.Fatalf("LookupQueryDocs after Close = %v, want ErrClosed", err)
 		}
 		if _, err := s.Append(docs[:1]); !errors.Is(err, ErrClosed) {
 			t.Fatalf("Append after Close = %v, want ErrClosed", err)

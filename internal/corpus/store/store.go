@@ -30,8 +30,7 @@
 // one, a ReadAt fallback elsewhere. Because readers never see past
 // SegBytes, scans and lookups are safe concurrently with a live
 // appender — the in-progress tail of the next commit is invisible.
-// Scan streams in store order; ScanParallel (parallel.go) decodes
-// segments concurrently and merges back to store order; Lookup* answer
+// Scan streams in store order, one document at a time; Lookup* answer
 // token queries from the posting bitmaps, including OR/NOT boolean
 // combinations (query.go).
 //
@@ -126,7 +125,7 @@ type DocRef struct {
 }
 
 // Store is an open corpus store. One goroutine may append at a time;
-// reads (Scan, ScanParallel, Lookup*, Doc) are safe concurrently with
+// reads (Scan, Lookup*, Doc) are safe concurrently with
 // each other and with the appender — a reader only ever sees segments
 // the manifest had committed when the read began.
 type Store struct {
@@ -588,17 +587,24 @@ func (s *Store) Scan(fn func(d *corpus.Document, ref DocRef) error) error {
 	return nil
 }
 
-// Lookup iterates the refs of every document whose index terms include
-// token (see indexBuilder.add for the text terms; "dataset:boards"-style
-// field terms also work), in store order. fn returns false to stop.
-func (s *Store) Lookup(token string, fn func(ref DocRef) bool) {
-	token = NormalizeToken(token)
+// ScanParallel is Scan; workers is ignored. It remains only because the
+// benchmark harness (bench/offline.go) still calls it; the next
+// benchmark change switches those calls to Scan and deletes this
+// forwarder.
+func (s *Store) ScanParallel(_ int, fn func(d *corpus.Document, ref DocRef) error) error {
+	return s.Scan(fn)
+}
+
+// eachMatch iterates, in store order, the refs set in each committed
+// segment's match bitmap (nil means none). fn returns false to stop.
+// The only error is ErrClosed, from a store closed before the walk.
+func (s *Store) eachMatch(match func(ix *segIndex) *Bitmap, fn func(ref DocRef) bool) error {
 	_, indexes, err := s.snapshot()
 	if err != nil {
-		return
+		return err
 	}
 	for segIdx, ix := range indexes {
-		bm := ix.lookup(token)
+		bm := match(ix)
 		if bm == nil {
 			continue
 		}
@@ -611,21 +617,23 @@ func (s *Store) Lookup(token string, fn func(ref DocRef) bool) {
 			return true
 		})
 		if stop {
-			return
+			return nil
 		}
 	}
+	return nil
 }
 
-// LookupDocs is Lookup plus document fetch: fn receives each matching
-// document in store order. A fetch failure is wrapped with lookup
-// context but keeps its chain — errors.As still surfaces the
-// *CorruptError — while an error from fn is returned unchanged.
-func (s *Store) LookupDocs(token string, fn func(d *corpus.Document, ref DocRef) error) error {
+// fetchMatches is eachMatch plus document fetch: fn receives each
+// matching document in store order. A fetch failure is wrapped with
+// what (the lookup's description) but keeps its chain — errors.As
+// still surfaces the *CorruptError — while an error from fn, or
+// ErrClosed, is returned unchanged.
+func (s *Store) fetchMatches(what func() string, match func(ix *segIndex) *Bitmap, fn func(d *corpus.Document, ref DocRef) error) error {
 	var ferr error
-	s.Lookup(token, func(ref DocRef) bool {
+	if err := s.eachMatch(match, func(ref DocRef) bool {
 		d, err := s.Doc(ref)
 		if err != nil {
-			ferr = fmt.Errorf("store: lookup %q: fetching segment %d record %d: %w", token, ref.Segment, ref.Ordinal, err)
+			ferr = fmt.Errorf("store: %s: fetching segment %d record %d: %w", what(), ref.Segment, ref.Ordinal, err)
 			return false
 		}
 		if err := fn(&d, ref); err != nil {
@@ -633,8 +641,30 @@ func (s *Store) LookupDocs(token string, fn func(d *corpus.Document, ref DocRef)
 			return false
 		}
 		return true
-	})
+	}); err != nil {
+		return err
+	}
 	return ferr
+}
+
+// Lookup iterates the refs of every document whose index terms include
+// token (see indexBuilder.add for the text terms; "dataset:boards"-style
+// field terms also work), in store order. fn returns false to stop. A
+// closed store delivers nothing; LookupDocs reports it as ErrClosed.
+func (s *Store) Lookup(token string, fn func(ref DocRef) bool) {
+	_ = s.eachMatch(tokenMatch(token), fn)
+}
+
+// LookupDocs is Lookup plus document fetch, with fetchMatches' error
+// contract; on a closed store it returns ErrClosed.
+func (s *Store) LookupDocs(token string, fn func(d *corpus.Document, ref DocRef) error) error {
+	return s.fetchMatches(func() string { return fmt.Sprintf("lookup %q", token) }, tokenMatch(token), fn)
+}
+
+// tokenMatch selects the posting bitmap of token's normalized form.
+func tokenMatch(token string) func(ix *segIndex) *Bitmap {
+	token = NormalizeToken(token)
+	return func(ix *segIndex) *Bitmap { return ix.lookup(token) }
 }
 
 // Doc random-accesses one document through the segment's offset table.

@@ -120,11 +120,6 @@ func (m *LogReg) Score(x features.Vector) float64 {
 	return sigmoid(x.Dot(m.weights) + m.bias)
 }
 
-// Predict returns the hard label at the 0.5 threshold.
-func (m *LogReg) Predict(x features.Vector) bool {
-	return m.Score(x) > 0.5
-}
-
 func sigmoid(z float64) float64 {
 	if z >= 0 {
 		return 1 / (1 + math.Exp(-z))
@@ -207,9 +202,4 @@ func (nb *NaiveBayes) Score(x features.Vector) float64 {
 	p0 := math.Exp(logp[0] - m)
 	p1 := math.Exp(logp[1] - m)
 	return p1 / (p0 + p1)
-}
-
-// Predict returns the hard label at the 0.5 threshold.
-func (nb *NaiveBayes) Predict(x features.Vector) bool {
-	return nb.Score(x) > 0.5
 }

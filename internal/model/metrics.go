@@ -52,14 +52,6 @@ func (c Confusion) F1() float64 {
 	return 2 * p * r / (p + r)
 }
 
-// Accuracy returns the fraction of correct predictions.
-func (c Confusion) Accuracy() float64 {
-	if c.Total() == 0 {
-		return 0
-	}
-	return float64(c.TP+c.TN) / float64(c.Total())
-}
-
 // Invert returns the confusion matrix of the negative class treated as
 // positive, which is how Table 3 reports the "No Dox" / "No CTH" rows.
 func (c Confusion) Invert() Confusion {

@@ -66,17 +66,6 @@ func (c Clause) match(lowerBody string) bool {
 	return false
 }
 
-// Select returns the indices of the bodies matching the query, in order.
-func (q Query) Select(bodies []string) []int {
-	var out []int
-	for i, b := range bodies {
-		if q.Match(b) {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
 // Figure4 returns the exact seed query from the paper's appendix: a
 // mobilizing-language clause AND an in-group-versus-target subclause.
 func Figure4() Query {

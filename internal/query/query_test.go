@@ -1,7 +1,6 @@
 package query
 
 import (
-	"reflect"
 	"strings"
 	"testing"
 
@@ -41,17 +40,6 @@ func TestQueryCaseInsensitive(t *testing.T) {
 	q := New(Clause{"We Should"})
 	if !q.Match("WE SHOULD ALL GO") {
 		t.Error("matching must be case-insensitive")
-	}
-}
-
-func TestSelect(t *testing.T) {
-	q := New(Clause{"x"})
-	got := q.Select([]string{"has x", "nope", "x again"})
-	if !reflect.DeepEqual(got, []int{0, 2}) {
-		t.Errorf("Select = %v", got)
-	}
-	if got := q.Select(nil); got != nil {
-		t.Errorf("empty Select = %v", got)
 	}
 }
 

@@ -47,14 +47,11 @@ type RetrainConfig struct {
 	// seed with historical documents replayed from the corpus store:
 	// documents carrying ground truth for the round's task, balanced
 	// positive/negative and streamed at store scan speed. Replay is
-	// deterministic — store order at any worker count — so the same
-	// store, feedback and seed still produce the same candidate.
+	// deterministic — store order — so the same store, feedback and
+	// seed still produce the same candidate.
 	ReplayStore *store.Store
 	// ReplayLimit caps the replayed examples. Defaults to 256.
 	ReplayLimit int
-	// ReplayWorkers is the replay scan's segment decode parallelism
-	// (0 = GOMAXPROCS, 1 = sequential).
-	ReplayWorkers int
 }
 
 func (c *RetrainConfig) fillDefaults() {
@@ -211,8 +208,8 @@ var errReplayDone = errors.New("registry: replay complete")
 // replayExamples streams historical documents out of the corpus store
 // and turns the ones carrying ground truth for task into labelled
 // training examples: at most limit/2 positives, negatives filling the
-// remainder, both taken in store order (ScanParallel delivers store
-// order at any worker count, so replay is deterministic). The selected
+// remainder, both taken in store order (Scan delivers store order, so
+// replay is deterministic). The selected
 // documents are vectorized after the scan, negatives first, in one
 // fixed order on the shared rng stream.
 func replayExamples(base *core.Detector, task annotate.Task, vecRng *randx.Source, cfg RetrainConfig) ([]model.Example, error) {
@@ -227,7 +224,7 @@ func replayExamples(base *core.Detector, task annotate.Task, vecRng *randx.Sourc
 		y    bool
 	}
 	var pos, neg []labelled
-	err := cfg.ReplayStore.ScanParallel(cfg.ReplayWorkers, func(d *corpus.Document, _ store.DocRef) error {
+	err := cfg.ReplayStore.Scan(func(d *corpus.Document, _ store.DocRef) error {
 		y := d.Truth.IsDox
 		if task == annotate.TaskCTH {
 			y = d.Truth.IsCTH

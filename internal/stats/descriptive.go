@@ -136,14 +136,6 @@ func NewECDF(xs []float64) *ECDF {
 	return &ECDF{sorted: cp}
 }
 
-// Quantile returns the q-quantile of the underlying sample.
-func (e *ECDF) Quantile(q float64) float64 {
-	return Quantile(e.sorted, q)
-}
-
-// N returns the sample size.
-func (e *ECDF) N() int { return len(e.sorted) }
-
 // Points returns (x, cdf) pairs evaluated at each distinct sample value,
 // suitable for plotting the CDF as the paper does in Figure 5.
 func (e *ECDF) Points() (xs, ps []float64) {

@@ -1,6 +1,6 @@
 // Package streamcli is the skeleton the line-per-document commands
 // (cthdetect, piiscan) share: the -workers, -metrics, -metrics-addr,
-// -store, -token and -scan-workers flags; documents read from stdin
+// -store and -token flags; documents read from stdin
 // lines or streamed out of a segmented corpus store; the
 // fault-tolerant runner; and the drain that prints QUARANTINED lines,
 // the processed/succeeded/degraded/quarantined summary, dead letters
@@ -33,7 +33,6 @@ type Tool struct {
 	metricsAddr string
 	storeDir    string
 	token       string
-	scanWorkers int
 
 	reg *obs.Registry
 	srv *obshttp.Server
@@ -52,7 +51,6 @@ func New(name string, fs *flag.FlagSet) *Tool {
 	fs.StringVar(&t.metricsAddr, "metrics-addr", "", "serve /metrics and /debug/pprof on this address during the run")
 	fs.StringVar(&t.storeDir, "store", "", "stream documents from the segmented corpus store at this directory instead of stdin")
 	fs.StringVar(&t.token, "token", "", "with -store: stream only inverted-index matches; clauses AND on commas, OR on |, -term excludes")
-	fs.IntVar(&t.scanWorkers, "scan-workers", 0, "with -store: segment decode parallelism for full scans (0 = GOMAXPROCS, 1 = sequential)")
 	return t
 }
 
@@ -62,9 +60,6 @@ func New(name string, fs *flag.FlagSet) *Tool {
 func (t *Tool) Start() *obs.Registry {
 	if t.token != "" && t.storeDir == "" {
 		t.Fail("-token requires -store")
-	}
-	if t.scanWorkers != 0 && t.storeDir == "" {
-		t.Fail("-scan-workers requires -store")
 	}
 	if t.metrics || t.metricsAddr != "" {
 		t.reg = obs.NewRegistry()
@@ -194,11 +189,11 @@ func (t *Tool) feed(emit func(text string)) error {
 	return sc.Err()
 }
 
-// feedStore streams the store's documents: all of them (segments
-// decoded in parallel as -scan-workers allows; delivery is in store
-// order regardless), or only the -token query's matches (posting
-// bitmaps combined per segment, see store.ParseQuery). One segment is
-// decoded at a time, so memory stays bounded whatever the store size.
+// feedStore streams the store's documents in store order: all of them
+// (store.Scan), or only the -token query's matches (posting bitmaps
+// combined per segment, see store.ParseQuery). Documents are decoded
+// one at a time, so memory stays bounded whatever the store size; the
+// runner, not the scan, supplies the parallelism.
 func (t *Tool) feedStore(emit func(text string)) error {
 	s, err := store.Open(t.storeDir)
 	if err != nil {
@@ -222,5 +217,5 @@ func (t *Tool) feedStore(emit func(text string)) error {
 		}
 		return s.LookupQueryDocs(q, fn)
 	}
-	return s.ScanParallel(t.scanWorkers, fn)
+	return s.Scan(fn)
 }

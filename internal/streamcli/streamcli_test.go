@@ -91,8 +91,8 @@ func buildStore(t *testing.T, texts []string) string {
 }
 
 // TestSourcesDeliverStoreOrder: stdin lines, a full store scan at any
-// -scan-workers and a -token lookup all hand the pipeline the same
-// texts in the same order.
+// -workers and a -token lookup all hand the pipeline the same texts in
+// the same order.
 func TestSourcesDeliverStoreOrder(t *testing.T) {
 	texts := []string{
 		"we should mass report his channel",
@@ -112,7 +112,7 @@ func TestSourcesDeliverStoreOrder(t *testing.T) {
 	}
 	wantOut := strings.Join(want, "\n") + "\n"
 
-	for _, args := range [][]string{nil, {"-store", dir}, {"-store", dir, "-scan-workers", "1"}, {"-store", dir, "-scan-workers", "3", "-workers", "4"}} {
+	for _, args := range [][]string{nil, {"-store", dir}, {"-store", dir, "-workers", "4"}} {
 		stdout, stderr, code := runTool(t, strings.Join(texts, "\n")+"\n", args...)
 		if code != 0 || stdout != wantOut {
 			t.Errorf("%v: exit %d, stdout\n%s\nwant\n%s\nstderr: %s", args, code, stdout, wantOut, stderr)
@@ -125,17 +125,10 @@ func TestSourcesDeliverStoreOrder(t *testing.T) {
 }
 
 func TestStoreFlagsRequireStore(t *testing.T) {
-	for _, c := range []struct {
-		args []string
-		msg  string
-	}{
-		{[]string{"-token", "mass"}, "tool: -token requires -store\n"},
-		{[]string{"-scan-workers", "2"}, "tool: -scan-workers requires -store\n"},
-	} {
-		stdout, stderr, code := runTool(t, "hello\n", c.args...)
-		if code != 1 || stderr != c.msg || stdout != "" {
-			t.Errorf("%v: exit %d, stdout %q, stderr %q; want exit 1 and %q", c.args, code, stdout, stderr, c.msg)
-		}
+	const msg = "tool: -token requires -store\n"
+	stdout, stderr, code := runTool(t, "hello\n", "-token", "mass")
+	if code != 1 || stderr != msg || stdout != "" {
+		t.Errorf("exit %d, stdout %q, stderr %q; want exit 1 and %q", code, stdout, stderr, msg)
 	}
 }
 

@@ -164,43 +164,6 @@ var parentOf = map[Sub]Parent{
 // Parent returns the parent attack type of the subcategory.
 func (s Sub) Parent() Parent { return parentOf[s] }
 
-// subDescriptions summarises each subcategory, drawn from the paper's
-// category discussion (§6.1) and published examples.
-var subDescriptions = map[Sub]string{
-	SubDoxing:               "Publishing the target's personal information (name, address, phone) to enable harassment.",
-	SubLeakedChats:          "Building a target profile from leaked chat logs (e.g. leaked Discord logs).",
-	SubNonConsensual:        "Exposing private or explicit media of the target without consent.",
-	SubOutingDeadnaming:     "Outing the target or referring to them by a rejected former name.",
-	SubDoxPropagation:       "Spreading or mirroring an existing dox to further venues.",
-	SubContentLeakMisc:      "Content leakage without a specific leak modality.",
-	SubImpersonatedProfiles: "Creating fake accounts or profiles posing as the target.",
-	SubSyntheticPorn:        "Fabricating explicit imagery of the target (deepfakes).",
-	SubImpersonationMisc:    "Impersonation without a specific modality.",
-	SubAccountLockout:       "Hacking or phishing the target's accounts to lock them out.",
-	SubLockoutMisc:          "Unauthorized-access attacks without a specific modality.",
-	SubNegativeRatings:      "Flooding the target's business or content with negative ratings/reviews.",
-	SubRaiding:              "Coordinated flooding of the target's comments, chat or stream (merged with dogpiling).",
-	SubSpamming:             "Flooding the target's inboxes or mentions with messages.",
-	SubOverloadingMisc:      "Overloading without a specific channel.",
-	SubHashtagHijacking:     "Derailing or co-opting a hashtag to manipulate public perception.",
-	SubPublicOpinionMisc:    "Spreading an admittedly false narrative about the target.",
-	SubFalseReporting:       "Deceiving authorities (police, employers, agencies) with false reports; includes SWATing.",
-	SubMassFlagging:         "Mass-reporting the target's accounts or content to platform moderation systems.",
-	SubReportingMisc:        "Reporting-system abuse without a specific mechanism.",
-	SubReputationPrivate:    "Contacting the target's personal or professional network to spread harmful information.",
-	SubReputationPublic:     "Publicly posting harmful narratives, flyers or exposes about the target.",
-	SubReputationMisc:       "Reputation attacks without a specific channel.",
-	SubStalkingTracking:     "Following, tracking or monitoring the target and posting the results.",
-	SubSurveillanceMisc:     "Surveillance without a specific modality.",
-	SubHateSpeech:           "Directing slurs or hate speech at the target.",
-	SubUnwantedExplicit:     "Sending the target unwanted explicit content.",
-	SubToxicMisc:            "Toxic content without a specific modality.",
-	SubGeneric:              "Mobilizing the crowd to bully or blackmail without naming a tactic.",
-}
-
-// Describe returns a one-line summary of the subcategory, or "".
-func (s Sub) Describe() string { return subDescriptions[s] }
-
 // Label is the multi-label coding of one call to harassment: the set of
 // subcategory attack types it incites. The paper codes each call to
 // harassment with one or more categories. It is a bitset over subTable,

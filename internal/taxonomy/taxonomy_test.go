@@ -293,17 +293,6 @@ func BenchmarkCategorize(b *testing.B) {
 	}
 }
 
-func TestEverySubcategoryDescribed(t *testing.T) {
-	for _, s := range Subs() {
-		if s.Describe() == "" {
-			t.Errorf("subcategory %q has no description", s)
-		}
-	}
-	if Sub("bogus").Describe() != "" {
-		t.Error("bogus subcategory has a description")
-	}
-}
-
 func TestEverySubcategoryHasCues(t *testing.T) {
 	// The categorizer must be able to code every subcategory: each needs
 	// at least one cue pattern, and the compiled rule set must cover all.

@@ -249,12 +249,3 @@ func AppendRandomSpans(dst [][]string, tokens []string, maxLen, maxSpans int, rn
 	randx.Shuffle(rng, dst[first:])
 	return dst[:min(len(dst), first+maxSpans)]
 }
-
-// Truncate limits tokens to at most maxLen tokens, used when a single
-// fixed-length input is required.
-func Truncate(tokens []string, maxLen int) []string {
-	if maxLen > 0 && len(tokens) > maxLen {
-		return tokens[:maxLen]
-	}
-	return tokens
-}

@@ -247,19 +247,6 @@ func TestSpansPropertyNoOverlapWithinBudget(t *testing.T) {
 	}
 }
 
-func TestTruncate(t *testing.T) {
-	toks := makeTokens(10)
-	if got := Truncate(toks, 3); len(got) != 3 {
-		t.Errorf("Truncate = %d tokens", len(got))
-	}
-	if got := Truncate(toks, 0); len(got) != 10 {
-		t.Errorf("Truncate(0) should not truncate, got %d", len(got))
-	}
-	if got := Truncate(toks, 100); len(got) != 10 {
-		t.Errorf("Truncate beyond length = %d", len(got))
-	}
-}
-
 func TestSpanStrategyString(t *testing.T) {
 	names := map[SpanStrategy]string{
 		SpanRandomNoOverlap: "random-no-overlap",

@@ -35,12 +35,12 @@ fi
 echo "== go test -race ./internal/resilience/... ./internal/core/... ./internal/obs/... ./internal/serve/... ./internal/corpus/... ./internal/registry/... ./internal/lifecycle/..."
 go test -race ./internal/resilience/... ./internal/core/... ./internal/obs/... ./internal/serve/... ./internal/corpus/... ./internal/registry/... ./internal/lifecycle/...
 
-# Parallel-scan race certification: scans at 16 workers racing a live
-# appender, and point reads racing Close, repeated under the race
-# detector — the committed-extent bounding and reader-refcount
+# Store read-path race certification: three concurrent scanners racing
+# a live appender, and point reads racing Close, repeated under the
+# race detector — the committed-extent bounding and reader-refcount
 # (mapping lifetime) invariants of the store's mmap read path.
-echo "== store parallel-scan race step"
-go test -race -count=2 -run 'TestScanParallelWhileAppend|TestScanWhileAppend|TestDocConcurrentWithClose' ./internal/corpus/store/
+echo "== store concurrent-read race step"
+go test -race -count=2 -run 'TestScanWhileAppend|TestDocConcurrentWithClose' ./internal/corpus/store/
 
 # Runner race certification: Process's recycled reply window (each
 # reply channel handed from feeder to worker to emitter and back, with
