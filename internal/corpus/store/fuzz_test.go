@@ -20,7 +20,9 @@ import (
 //     aligned size;
 //   - anything a decode accepts re-encodes to the identical bytes
 //     (decode∘encode is the identity on valid inputs), so the decoder
-//     accepts only the canonical serialization.
+//     accepts only the canonical serialization;
+//   - decoding into a reused Document gives exactly a fresh decode:
+//     nothing of the document it held before survives, accepted or not.
 func FuzzSegmentDecode(f *testing.F) {
 	// Seed with real encodings so the fuzzer starts at the format's
 	// surface rather than random noise.
@@ -57,7 +59,18 @@ func FuzzSegmentDecode(f *testing.F) {
 		}
 
 		// Document codec: any accepted payload must round-trip exactly.
-		d, err := decodeDoc(data)
+		// The reused arm starts from a labelled document with every
+		// field set, so a field the decode forgot to reset shows up.
+		var d corpus.Document
+		err := decodeDoc(&d, data)
+		reused := testDocs(1, "stale-")[0]
+		rerr := decodeDoc(&reused, data)
+		if (err == nil) != (rerr == nil) {
+			t.Fatalf("fresh decode error %v, reused decode error %v", err, rerr)
+		}
+		if !reflect.DeepEqual(d, reused) {
+			t.Fatalf("reused decode differs from fresh:\nfresh  %+v\nreused %+v", d, reused)
+		}
 		if err != nil {
 			return
 		}
@@ -65,8 +78,8 @@ func FuzzSegmentDecode(f *testing.F) {
 		if !bytes.Equal(re, data) {
 			t.Fatalf("decoded doc re-encodes to %d bytes, input was %d", len(re), len(data))
 		}
-		d2, err := decodeDoc(re)
-		if err != nil {
+		var d2 corpus.Document
+		if err := decodeDoc(&d2, re); err != nil {
 			t.Fatalf("re-encoded doc fails decode: %v", err)
 		}
 		if d.ID != d2.ID || d.Text != d2.Text ||
@@ -193,8 +206,8 @@ func TestSegmentWalkRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d, err := decodeDoc(payload)
-		if err != nil {
+		var d corpus.Document
+		if err := decodeDoc(&d, payload); err != nil {
 			t.Fatal(err)
 		}
 		out = append(out, d)

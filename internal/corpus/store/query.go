@@ -126,7 +126,9 @@ func (q *Query) eval(ix *segIndex) *Bitmap {
 
 // LookupQueryDocs streams every document matching q to fn, in store
 // order, with the same error contract as LookupDocs (see
-// fetchMatches); on a closed store it returns ErrClosed.
+// fetchMatches); on a closed store it returns ErrClosed. As with Scan,
+// the *Document passed to fn is reused and valid only until fn
+// returns; its strings are owned and outlive Close.
 func (s *Store) LookupQueryDocs(q *Query, fn func(d *corpus.Document, ref DocRef) error) error {
 	return s.fetchMatches(func() string { return "query " + q.String() }, q.eval, fn)
 }

@@ -7,7 +7,9 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"harassrepro/internal/corpus"
@@ -367,6 +369,139 @@ func TestDocConcurrentWithClose(t *testing.T) {
 			t.Fatalf("Append after Close = %v, want ErrClosed", err)
 		}
 		// No leaked mappings or file handles.
+		if got := openReaderCount.Load(); got != before {
+			t.Fatalf("open reader count = %d, want %d (leak)", got, before)
+		}
+	})
+}
+
+// TestLookupQueryDocsConcurrentWithClose: a query walk holds one
+// segment reader reference across that segment's whole bitmap walk, so
+// walks race Close and a live appender here. Every walk must deliver
+// exact copies of committed documents and end cleanly, with ErrClosed,
+// or — for the query whose match is a damaged record — with the
+// *CorruptError chain TestLookupDocsCorruptionKeepsChain pins. When
+// the dust settles every reader handle must be released.
+func TestLookupQueryDocsConcurrentWithClose(t *testing.T) {
+	before := openReaderCount.Load()
+	openArms(t, func(t *testing.T, openStore func(string) (*Store, error)) {
+		dir := t.TempDir()
+		docs := testDocs(12, "qc-")
+		docs[7].Text = "poisoned record" // segment 3, ordinal 1
+		buildStore(t, dir, docs[:3], docs[3:6], docs[6:9], docs[9:]).Close()
+		path := filepath.Join(dir, "seg-00000003"+segSuffix)
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data[recordBoundaries(t, data)[1]+recHeaderSz+2] ^= 0xFF
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+
+		const maxBatches, maxWalks = 40, 5000
+		byID := map[string]corpus.Document{}
+		for _, d := range docs {
+			byID[d.ID] = d
+		}
+		batches := make([][]corpus.Document, maxBatches)
+		for k := range batches {
+			batches[k] = testDocs(3, fmt.Sprintf("qa%d-", k))
+			for _, d := range batches[k] {
+				byID[d.ID] = d
+			}
+		}
+		healthy, err := ParseQuery("report|channel")
+		if err != nil {
+			t.Fatal(err)
+		}
+		poisoned, err := ParseQuery("poisoned")
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		s, err := openStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var mu sync.Mutex
+		var fails []string
+		report := func(format string, args ...any) {
+			mu.Lock()
+			fails = append(fails, fmt.Sprintf(format, args...))
+			mu.Unlock()
+		}
+		var walks atomic.Int64
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		for g := 0; g < 6; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				<-start
+				for i := 0; i < maxWalks; i++ {
+					if (g+i)%2 == 0 {
+						err := s.LookupQueryDocs(healthy, func(d *corpus.Document, _ DocRef) error {
+							if want, ok := byID[d.ID]; !ok || !reflect.DeepEqual(*d, want) {
+								report("healthy walk delivered %+v", *d)
+							}
+							return nil
+						})
+						if err != nil && !errors.Is(err, ErrClosed) {
+							report("healthy walk: %v", err)
+						}
+						if err != nil {
+							return
+						}
+					} else {
+						err := s.LookupQueryDocs(poisoned, func(d *corpus.Document, _ DocRef) error {
+							report("poisoned walk delivered %q", d.ID)
+							return nil
+						})
+						if errors.Is(err, ErrClosed) {
+							return
+						}
+						var ce *CorruptError
+						if !errors.As(err, &ce) || ce.Segment != "seg-00000003" {
+							report("poisoned walk error = %v, want a wrapped *CorruptError in seg-00000003", err)
+						}
+					}
+					walks.Add(1)
+				}
+			}(g)
+		}
+		wg.Add(1)
+		go func() { // the live appender
+			defer wg.Done()
+			<-start
+			for _, b := range batches {
+				if _, err := s.Append(b); err != nil {
+					if !errors.Is(err, ErrClosed) {
+						report("append: %v", err)
+					}
+					return
+				}
+			}
+		}()
+		wg.Add(1)
+		go func() { // Close lands mid-traffic
+			defer wg.Done()
+			<-start
+			for walks.Load() < 60 {
+				runtime.Gosched()
+			}
+			if err := s.Close(); err != nil {
+				report("Close: %v", err)
+			}
+		}()
+		close(start)
+		wg.Wait()
+		for _, f := range fails {
+			t.Error(f)
+		}
+		if err := s.LookupQueryDocs(healthy, func(*corpus.Document, DocRef) error { return nil }); !errors.Is(err, ErrClosed) {
+			t.Fatalf("LookupQueryDocs after Close = %v, want ErrClosed", err)
+		}
 		if got := openReaderCount.Load(); got != before {
 			t.Fatalf("open reader count = %d, want %d (leak)", got, before)
 		}

@@ -41,16 +41,40 @@ const (
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// subRank maps each known taxonomy subcategory to its Table 11
-// position, the canonical order Label.Subs() emits and decodeDoc
-// therefore requires.
-var subRank = func() map[taxonomy.Sub]int {
-	m := make(map[taxonomy.Sub]int)
+// subByName maps each known taxonomy subcategory's encoded name to its
+// constant and its Table 11 position — the canonical order
+// Label.Subs() emits and decodeDoc therefore requires.
+var subByName = func() map[string]subEntry {
+	m := make(map[string]subEntry)
 	for i, s := range taxonomy.Subs() {
-		m[s] = i
+		m[string(s)] = subEntry{sub: s, rank: i}
 	}
 	return m
 }()
+
+type subEntry struct {
+	sub  taxonomy.Sub
+	rank int
+}
+
+// piiByName and genderByName map the other closed-vocabulary truth
+// strings to their constants, so decoding a known value allocates
+// nothing. The codec still accepts any string there (an unknown one is
+// copied out), as it always has.
+var (
+	piiByName = func() map[string]pii.Type {
+		m := make(map[string]pii.Type)
+		for _, t := range pii.AllTypes() {
+			m[string(t)] = t
+		}
+		return m
+	}()
+	genderByName = map[string]gender.Gender{
+		string(gender.Unknown): gender.Unknown,
+		string(gender.Female):  gender.Female,
+		string(gender.Male):    gender.Male,
+	}
+)
 
 // Decode failure causes. ErrTornRecord covers every way a record can
 // fail to be fully present (short header, short payload, bad checksum,
@@ -215,18 +239,32 @@ func (dd *docDecoder) uvarint() uint64 {
 	return v
 }
 
-func (dd *docDecoder) str() string {
+// span is a string field's byte range [lo, hi) in the payload.
+type span struct{ lo, hi int }
+
+// in returns the field as a substring of s, a string copy of the
+// payload prefix that contains it.
+func (sp span) in(s string) string { return s[sp.lo:sp.hi] }
+
+// span reads one uvarint-prefixed string without copying it.
+func (dd *docDecoder) span() span {
 	n := dd.uvarint()
 	if dd.err != nil {
-		return ""
+		return span{}
 	}
 	if n > uint64(len(dd.b)-dd.pos) {
 		dd.err = fmt.Errorf("store: string of %d bytes exceeds payload at offset %d", n, dd.pos)
-		return ""
+		return span{}
 	}
-	s := string(dd.b[dd.pos : dd.pos+int(n)])
-	dd.pos += int(n)
-	return s
+	sp := span{dd.pos, dd.pos + int(n)}
+	dd.pos = sp.hi
+	return sp
+}
+
+// bytes reads one uvarint-prefixed string as a view into the payload.
+func (dd *docDecoder) bytes() []byte {
+	sp := dd.span()
+	return dd.b[sp.lo:sp.hi]
 }
 
 func (dd *docDecoder) byte() byte {
@@ -257,21 +295,32 @@ func (dd *docDecoder) count() int {
 	return int(n)
 }
 
-// decodeDoc parses one document payload. The entire payload must be
-// consumed: trailing garbage is an error, so encode∘decode is exact.
-func decodeDoc(payload []byte) (corpus.Document, error) {
-	dd := &docDecoder{b: payload}
-	var d corpus.Document
-	d.ID = dd.str()
-	d.Dataset = corpus.Dataset(dd.str())
-	d.Platform = corpus.Platform(dd.str())
-	d.Domain = dd.str()
-	d.ThreadID = dd.str()
-	d.PosInThread = int(dd.uvarint())
-	d.ThreadSize = int(dd.uvarint())
-	d.Author = dd.str()
-	d.Date = dd.str()
-	d.Text = dd.str()
+// decodeDoc parses one document payload into d, which it resets first,
+// so a caller may decode record after record into one Document. The
+// entire payload must be consumed: trailing garbage is an error, so
+// encode∘decode is exact. On error d is left zeroed.
+//
+// A decode costs two string allocations. The fields before Text are
+// substrings of one copy of the payload prefix that holds them, and
+// Text is a copy of its own: a consumer that keeps only an ID then
+// pins that short prefix, never the text. Known closed-vocabulary
+// truth strings (label subcategories, PII types, target gender) decode
+// to their constants; a labelled document also allocates its DoxPII
+// slice.
+func decodeDoc(d *corpus.Document, payload []byte) error {
+	*d = corpus.Document{}
+	dd := docDecoder{b: payload}
+	id := dd.span()
+	dataset := dd.span()
+	platform := dd.span()
+	domain := dd.span()
+	thread := dd.span()
+	posInThread := dd.uvarint()
+	threadSize := dd.uvarint()
+	author := dd.span()
+	date := dd.span()
+	headEnd := dd.pos
+	text := dd.span()
 
 	flags := dd.byte()
 	if flags&^(tfCTH|tfDox|tfHardNegative) != 0 && dd.err == nil {
@@ -286,42 +335,63 @@ func decodeDoc(payload []byte) (corpus.Document, error) {
 		// The encoder writes Label.Subs() output: known subcategories in
 		// strictly ascending Table 11 order. Enforcing that here keeps
 		// decode∘encode the identity and rejects corrupted sub lists
-		// (Label would otherwise silently drop unknown subs).
-		subs := make([]taxonomy.Sub, 0, n)
+		// (Label would otherwise silently drop unknown subs). Strictly
+		// ascending known ranks bound the list to the table's length.
+		var buf [32]taxonomy.Sub
+		subs := buf[:0]
 		prev := -1
 		for i := 0; i < n; i++ {
-			s := taxonomy.Sub(dd.str())
+			name := dd.bytes()
 			if dd.err != nil {
 				break
 			}
-			rank, ok := subRank[s]
-			if !ok || rank <= prev {
-				dd.err = fmt.Errorf("store: non-canonical label sub %q at offset %d", s, dd.pos)
+			e, ok := subByName[string(name)]
+			if !ok || e.rank <= prev {
+				dd.err = fmt.Errorf("store: non-canonical label sub %q at offset %d", name, dd.pos)
 				break
 			}
-			prev = rank
-			subs = append(subs, s)
+			prev = e.rank
+			subs = append(subs, e.sub)
 		}
-		if dd.err == nil {
-			d.Truth.CTHLabel = taxonomy.NewLabel(subs...)
-		}
+		d.Truth.CTHLabel = taxonomy.NewLabel(subs...)
 	}
 	if n := dd.count(); n > 0 && dd.err == nil {
 		types := make([]pii.Type, 0, n)
 		for i := 0; i < n; i++ {
-			types = append(types, pii.Type(dd.str()))
+			name := dd.bytes()
+			t, ok := piiByName[string(name)]
+			if !ok {
+				t = pii.Type(name)
+			}
+			types = append(types, t)
 		}
-		if dd.err == nil {
-			d.Truth.DoxPII = types
-		}
+		d.Truth.DoxPII = types
 	}
 	d.Truth.TargetID = int(dd.uvarint())
-	d.Truth.TargetGender = gender.Gender(dd.str())
+	targetGender := dd.bytes()
+	if dd.err == nil && dd.pos != len(payload) {
+		dd.err = fmt.Errorf("store: %d trailing payload bytes", len(payload)-dd.pos)
+	}
 	if dd.err != nil {
-		return corpus.Document{}, dd.err
+		*d = corpus.Document{}
+		return dd.err
 	}
-	if dd.pos != len(payload) {
-		return corpus.Document{}, fmt.Errorf("store: %d trailing payload bytes", len(payload)-dd.pos)
+	if g, ok := genderByName[string(targetGender)]; ok {
+		d.Truth.TargetGender = g
+	} else {
+		d.Truth.TargetGender = gender.Gender(targetGender)
 	}
-	return d, nil
+
+	head := string(payload[:headEnd])
+	d.ID = id.in(head)
+	d.Dataset = corpus.Dataset(dataset.in(head))
+	d.Platform = corpus.Platform(platform.in(head))
+	d.Domain = domain.in(head)
+	d.ThreadID = thread.in(head)
+	d.PosInThread = int(posInThread)
+	d.ThreadSize = int(threadSize)
+	d.Author = author.in(head)
+	d.Date = date.in(head)
+	d.Text = string(payload[text.lo:text.hi])
+	return nil
 }

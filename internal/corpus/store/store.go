@@ -319,8 +319,8 @@ func salvageRecords(data []byte) ([]corpus.Document, error) {
 		if err != nil {
 			return docs, fmt.Errorf("record %d at byte %d: %w", len(docs), pos, err)
 		}
-		d, err := decodeDoc(payload)
-		if err != nil {
+		var d corpus.Document
+		if err := decodeDoc(&d, payload); err != nil {
 			return docs, fmt.Errorf("record %d at byte %d: %w", len(docs), pos, err)
 		}
 		docs = append(docs, d)
@@ -357,9 +357,6 @@ func (s *Store) Docs() int {
 	}
 	return n
 }
-
-// Dir returns the store directory.
-func (s *Store) Dir() string { return s.dir }
 
 // snapshot returns the committed view at one instant: parallel slice
 // prefixes of segments and their loaded indexes. The returned slices
@@ -529,11 +526,11 @@ func (s *Store) commitManifest(man manifest) error {
 	return nil
 }
 
-// scanSegment decodes committed segment segIdx in record order,
-// invoking fn per document. The read is bounded to si.SegBytes — bytes
-// a live appender may have written past the committed extent are never
-// seen — and the decode must consume exactly that extent, or the
-// segment is reported corrupt.
+// scanSegment decodes committed segment segIdx in record order into
+// one reused Document, invoking fn per document. The read is bounded
+// to si.SegBytes — bytes a live appender may have written past the
+// committed extent are never seen — and the decode must consume
+// exactly that extent, or the segment is reported corrupt.
 func (s *Store) scanSegment(segIdx int, si SegmentInfo, fn func(d *corpus.Document, ref DocRef) error) error {
 	h, err := s.acquireReader(segIdx, si)
 	if err != nil {
@@ -547,14 +544,14 @@ func (s *Store) scanSegment(segIdx int, si SegmentInfo, fn func(d *corpus.Docume
 	if err := checkSegHeader(data); err != nil {
 		return &CorruptError{Segment: si.Name, Err: err}
 	}
+	var d corpus.Document
 	pos := segHeaderSz
 	for ord := uint32(0); ord < si.Docs; ord++ {
 		payload, n, err := decodeRecord(data[pos:])
 		if err != nil {
 			return &CorruptError{Segment: si.Name, Offset: int64(pos), Err: err}
 		}
-		d, err := decodeDoc(payload)
-		if err != nil {
+		if err := decodeDoc(&d, payload); err != nil {
 			return &CorruptError{Segment: si.Name, Offset: int64(pos), Err: err}
 		}
 		pos += n
@@ -574,6 +571,11 @@ func (s *Store) scanSegment(segIdx int, si SegmentInfo, fn func(d *corpus.Docume
 // ref. Documents are decoded lazily from each segment's reader — a
 // consumer holds at most one segment in memory, never the corpus. fn
 // errors abort the scan; record damage surfaces as a *CorruptError.
+//
+// The *Document passed to fn is reused for the next document and is
+// valid only until fn returns: copy *d (or the fields needed) to keep
+// it. Its strings are owned, not views into the segment, so a copy
+// stays valid after Close.
 func (s *Store) Scan(fn func(d *corpus.Document, ref DocRef) error) error {
 	segs, _, err := s.snapshot()
 	if err != nil {
@@ -623,27 +625,53 @@ func (s *Store) eachMatch(match func(ix *segIndex) *Bitmap, fn func(ref DocRef) 
 	return nil
 }
 
-// fetchMatches is eachMatch plus document fetch: fn receives each
-// matching document in store order. A fetch failure is wrapped with
-// what (the lookup's description) but keeps its chain — errors.As
-// still surfaces the *CorruptError — while an error from fn, or
-// ErrClosed, is returned unchanged.
+// fetchMatches is the document-fetching form of eachMatch: fn receives
+// each matching document in store order. It takes one snapshot, then
+// walks each segment's match bitmap under a single reader reference
+// (fetchSegment). A fetch failure is wrapped with what (the lookup's
+// description) but keeps its chain — errors.As still surfaces the
+// *CorruptError — while an error from fn, or ErrClosed, is returned
+// unchanged. fn's *Document follows Scan's reuse contract.
 func (s *Store) fetchMatches(what func() string, match func(ix *segIndex) *Bitmap, fn func(d *corpus.Document, ref DocRef) error) error {
+	segs, indexes, err := s.snapshot()
+	if err != nil {
+		return err
+	}
+	for segIdx, ix := range indexes {
+		if bm := match(ix); bm != nil {
+			if err := s.fetchSegment(segIdx, segs[segIdx], ix, bm, what, fn); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// fetchSegment decodes the records of segment segIdx set in bm, in
+// ordinal order, into one reused Document, holding the segment's
+// reader for the whole walk.
+func (s *Store) fetchSegment(segIdx int, si SegmentInfo, ix *segIndex, bm *Bitmap, what func() string, fn func(d *corpus.Document, ref DocRef) error) error {
+	h, err := s.acquireReader(segIdx, si)
+	if err != nil {
+		if errors.Is(err, ErrClosed) {
+			return err
+		}
+		return fmt.Errorf("store: %s: reading segment %d: %w", what(), segIdx, err)
+	}
+	defer h.release() //nolint:errcheck // close error surfaces on Store.Close
+	var d corpus.Document
 	var ferr error
-	if err := s.eachMatch(match, func(ref DocRef) bool {
-		d, err := s.Doc(ref)
-		if err != nil {
-			ferr = fmt.Errorf("store: %s: fetching segment %d record %d: %w", what(), ref.Segment, ref.Ordinal, err)
+	bm.Iterate(func(ord uint32) bool {
+		if err := readDoc(h.rd, si, ix, ord, &d); err != nil {
+			ferr = fmt.Errorf("store: %s: fetching segment %d record %d: %w", what(), segIdx, ord, err)
 			return false
 		}
-		if err := fn(&d, ref); err != nil {
+		if err := fn(&d, DocRef{Segment: segIdx, Ordinal: ord}); err != nil {
 			ferr = err
 			return false
 		}
 		return true
-	}); err != nil {
-		return err
-	}
+	})
 	return ferr
 }
 
@@ -656,7 +684,9 @@ func (s *Store) Lookup(token string, fn func(ref DocRef) bool) {
 }
 
 // LookupDocs is Lookup plus document fetch, with fetchMatches' error
-// contract; on a closed store it returns ErrClosed.
+// contract; on a closed store it returns ErrClosed. As with Scan, the
+// *Document passed to fn is reused and valid only until fn returns;
+// its strings are owned and outlive Close.
 func (s *Store) LookupDocs(token string, fn func(d *corpus.Document, ref DocRef) error) error {
 	return s.fetchMatches(func() string { return fmt.Sprintf("lookup %q", token) }, tokenMatch(token), fn)
 }
@@ -669,8 +699,8 @@ func tokenMatch(token string) func(ix *segIndex) *Bitmap {
 
 // Doc random-accesses one document through the segment's offset table.
 // The record bytes come straight from the segment reader (zero copies
-// on the mmap path); the decoded document owns its strings, so it
-// stays valid after Close.
+// on the mmap path). The returned Document is the caller's own, never
+// reused, and owns its strings, so it stays valid after Close.
 func (s *Store) Doc(ref DocRef) (corpus.Document, error) {
 	segs, indexes, err := s.snapshot()
 	if err != nil {
@@ -680,35 +710,46 @@ func (s *Store) Doc(ref DocRef) (corpus.Document, error) {
 		return corpus.Document{}, fmt.Errorf("store: no segment %d", ref.Segment)
 	}
 	si := segs[ref.Segment]
-	ix := indexes[ref.Segment]
-	if ref.Ordinal >= uint32(len(ix.offsets)) {
-		return corpus.Document{}, fmt.Errorf("store: segment %s has no record %d", si.Name, ref.Ordinal)
-	}
-	off := int64(ix.offsets[ref.Ordinal])
-	end := si.SegBytes
-	if int(ref.Ordinal)+1 < len(ix.offsets) {
-		end = int64(ix.offsets[ref.Ordinal+1])
-	}
-	if off < segHeaderSz || end <= off || end > si.SegBytes {
-		return corpus.Document{}, &CorruptError{Segment: si.Name, Offset: off,
-			Err: errors.New("index offset outside the committed segment")}
-	}
 	h, err := s.acquireReader(ref.Segment, si)
 	if err != nil {
 		return corpus.Document{}, err
 	}
 	defer h.release() //nolint:errcheck // close error surfaces on Store.Close
-	buf, err := h.rd.slice(off, end-off)
+	var d corpus.Document
+	if err := readDoc(h.rd, si, indexes[ref.Segment], ref.Ordinal, &d); err != nil {
+		return corpus.Document{}, err
+	}
+	return d, nil
+}
+
+// readDoc decodes record ord of committed segment si into d: the
+// offset-table bounds, then the record's framing and checksum
+// (decodeRecord), then the payload. Doc and fetchSegment share it, so a
+// point read and a query walk fail the same way; damage is a
+// *CorruptError.
+func readDoc(rd segReader, si SegmentInfo, ix *segIndex, ord uint32, d *corpus.Document) error {
+	if ord >= uint32(len(ix.offsets)) {
+		return fmt.Errorf("store: segment %s has no record %d", si.Name, ord)
+	}
+	off := int64(ix.offsets[ord])
+	end := si.SegBytes
+	if int(ord)+1 < len(ix.offsets) {
+		end = int64(ix.offsets[ord+1])
+	}
+	if off < segHeaderSz || end <= off || end > si.SegBytes {
+		return &CorruptError{Segment: si.Name, Offset: off,
+			Err: errors.New("index offset outside the committed segment")}
+	}
+	buf, err := rd.slice(off, end-off)
 	if err != nil {
-		return corpus.Document{}, &CorruptError{Segment: si.Name, Offset: off, Err: err}
+		return &CorruptError{Segment: si.Name, Offset: off, Err: err}
 	}
 	payload, _, err := decodeRecord(buf)
 	if err != nil {
-		return corpus.Document{}, &CorruptError{Segment: si.Name, Offset: off, Err: err}
+		return &CorruptError{Segment: si.Name, Offset: off, Err: err}
 	}
-	d, err := decodeDoc(payload)
-	if err != nil {
-		return corpus.Document{}, &CorruptError{Segment: si.Name, Offset: off, Err: err}
+	if err := decodeDoc(d, payload); err != nil {
+		return &CorruptError{Segment: si.Name, Offset: off, Err: err}
 	}
-	return d, nil
+	return nil
 }

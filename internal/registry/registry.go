@@ -303,9 +303,6 @@ func (r *Registry) Entries() []Entry {
 	return append([]Entry(nil), r.man.Entries...)
 }
 
-// Dir returns the registry root.
-func (r *Registry) Dir() string { return r.dir }
-
 // Recovery reports what the opening scan had to repair.
 func (r *Registry) Recovery() RecoveryReport {
 	r.mu.Lock()

@@ -36,11 +36,13 @@ echo "== go test -race ./internal/resilience/... ./internal/core/... ./internal/
 go test -race ./internal/resilience/... ./internal/core/... ./internal/obs/... ./internal/serve/... ./internal/corpus/... ./internal/registry/... ./internal/lifecycle/...
 
 # Store read-path race certification: three concurrent scanners racing
-# a live appender, and point reads racing Close, repeated under the
-# race detector — the committed-extent bounding and reader-refcount
-# (mapping lifetime) invariants of the store's mmap read path.
+# a live appender, point reads racing Close, and query walks (which
+# hold a segment's reader across its whole bitmap walk) racing Close
+# and an appender, repeated under the race detector — the
+# committed-extent bounding and reader-refcount (mapping lifetime)
+# invariants of the store's mmap read path.
 echo "== store concurrent-read race step"
-go test -race -count=2 -run 'TestScanWhileAppend|TestDocConcurrentWithClose' ./internal/corpus/store/
+go test -race -count=2 -run 'TestScanWhileAppend|TestDocConcurrentWithClose|TestLookupQueryDocsConcurrentWithClose' ./internal/corpus/store/
 
 # Runner race certification: Process's recycled reply window (each
 # reply channel handed from feeder to worker to emitter and back, with
