@@ -51,7 +51,7 @@
 // once enough feedback buffers; -shadow-rate sets the live-traffic
 // fraction a committed candidate shadow-scores before promotion.
 // -replay-store points retrains at a segmented corpus store (corpusgen
-// -store) so each round's training seed also replays historical
+// -store) so each round's training set also replays historical
 // documents at store scan speed; -replay-limit caps how many.
 //
 // Usage:

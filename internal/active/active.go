@@ -75,11 +75,6 @@ type Config struct {
 	Model model.LogRegConfig
 	// Seed drives sampling.
 	Seed uint64
-	// Progress, when set, observes each iteration's stats as they are
-	// produced — the hook live retrain pipelines use to stream
-	// training progress into logs and metrics. It must not retain the
-	// stats beyond the call.
-	Progress func(IterationStats)
 }
 
 func (c *Config) fillDefaults() {
@@ -182,9 +177,6 @@ func Run(seed []model.Example, pool []Instance, annotators *annotate.Pool, cfg C
 			NewPositives: newPos,
 			AUC:          model.AUCROC(scores, truths),
 		})
-		if cfg.Progress != nil {
-			cfg.Progress(history[len(history)-1])
-		}
 	}
 
 	// Final retrain on everything gathered.

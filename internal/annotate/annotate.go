@@ -27,6 +27,19 @@ const (
 	TaskCTH Task = "call-to-harassment"
 )
 
+// ParseTask maps a task name from the wire to its Task: "" (the
+// default), "cth" or "call-to-harassment" name TaskCTH, and "dox" or
+// "doxing" name TaskDox. Any other spelling is an error.
+func ParseTask(s string) (Task, error) {
+	switch s {
+	case "", "cth", string(TaskCTH):
+		return TaskCTH, nil
+	case "dox", string(TaskDox):
+		return TaskDox, nil
+	}
+	return "", fmt.Errorf("annotate: unknown task %q (want cth or dox)", s)
+}
+
 // Item is one document to annotate; Truth is the hidden ground-truth
 // label the simulated annotator perceives through its confusion model.
 type Item struct {
@@ -65,9 +78,6 @@ func (a *Annotator) Label(truth bool, rng *randx.Source) bool {
 	}
 	return !rng.Bool(a.TNR)
 }
-
-// Removed reports whether the annotator was removed by quality gating.
-func (a *Annotator) Removed() bool { return a.removed }
 
 // PoolConfig configures an annotator pool.
 type PoolConfig struct {
@@ -187,17 +197,6 @@ func (p *Pool) Active() []*Annotator {
 	var out []*Annotator
 	for _, a := range p.annotators {
 		if !a.removed {
-			out = append(out, a)
-		}
-	}
-	return out
-}
-
-// Removed returns the annotators removed by the rolling re-test gate.
-func (p *Pool) Removed() []*Annotator {
-	var out []*Annotator
-	for _, a := range p.annotators {
-		if a.removed {
 			out = append(out, a)
 		}
 	}

@@ -214,6 +214,22 @@ func TestTaskTemplate(t *testing.T) {
 	}
 }
 
+func TestParseTask(t *testing.T) {
+	for in, want := range map[string]Task{
+		"": TaskCTH, "cth": TaskCTH, "call-to-harassment": TaskCTH,
+		"dox": TaskDox, "doxing": TaskDox,
+	} {
+		if got, err := ParseTask(in); got != want || err != nil {
+			t.Errorf("ParseTask(%q) = %q, %v; want %q", in, got, err, want)
+		}
+	}
+	for _, in := range []string{"Dox", "doxx", "CTH", " cth", "harassment"} {
+		if got, err := ParseTask(in); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%q", in)) {
+			t.Errorf("ParseTask(%q) = %q, %v; want an error naming the value", in, got, err)
+		}
+	}
+}
+
 func BenchmarkAnnotate(b *testing.B) {
 	rng := randx.New(1)
 	p := NewPool(CrowdConfig(TaskDox), rng)

@@ -178,9 +178,6 @@ func (g *Generator) recordDox(id int, p Platform) {
 	g.doxedByPlat[p] = append(g.doxedByPlat[p], id)
 }
 
-// Persona returns the persona for a TargetID recorded in ground truth.
-func (g *Generator) Persona(id int) synth.Persona { return g.personas[id] }
-
 // sampleCTHLabel draws a planted taxonomy label for a platform and
 // inferred-gender class, following Table 11 x Table 10 mixtures and the
 // §6.2 multi-type co-occurrence structure.

@@ -107,10 +107,10 @@ func checkVectorize(t *testing.T, h *Hasher, f *Featurizer, toks []string) {
 	t.Helper()
 	want := referenceVectorize(h, toks)
 	if got := h.Vectorize(toks); !reflect.DeepEqual(got, want) {
-		t.Errorf("Hasher.Vectorize(%d tokens, buckets=%d) = %+v, want %+v", len(toks), h.Buckets(), got, want)
+		t.Errorf("Hasher.Vectorize(%d tokens, buckets=%d) = %+v, want %+v", len(toks), h.cfg.Buckets, got, want)
 	}
 	if got := owned(f.Vectorize(toks)); !reflect.DeepEqual(got, want) {
-		t.Errorf("Featurizer.Vectorize(%d tokens, buckets=%d) = %+v, want %+v", len(toks), h.Buckets(), got, want)
+		t.Errorf("Featurizer.Vectorize(%d tokens, buckets=%d) = %+v, want %+v", len(toks), h.cfg.Buckets, got, want)
 	}
 }
 
@@ -153,11 +153,11 @@ func TestFeaturizerDirtyScratch(t *testing.T) {
 	for _, h := range hasherVariants() {
 		f := h.NewFeaturizer()
 		f.Vectorize([]string{"we", "report", "him"})
-		for _, b := range []uint32{0, h.Buckets() / 2, h.Buckets() - 1, h.Buckets() - 1} {
+		for _, b := range []uint32{0, h.cfg.Buckets / 2, h.cfg.Buckets - 1, h.cfg.Buckets - 1} {
 			f.add(b)
 		}
 		checkVectorize(t, h, f, []string{"report", "him", "report"})
-		f.add(h.Buckets() - 1)
+		f.add(h.cfg.Buckets - 1)
 		checkVectorize(t, h, f, nil)
 	}
 }
@@ -219,11 +219,11 @@ func TestVectorizeMatchesReference(t *testing.T) {
 		for _, toks := range goldenTokenSets {
 			want := referenceVectorize(h, toks)
 			if got := h.Vectorize(toks); !reflect.DeepEqual(got, want) {
-				t.Errorf("Vectorize(%q, buckets=%d) = %+v, want %+v", toks, h.Buckets(), got, want)
+				t.Errorf("Vectorize(%q, buckets=%d) = %+v, want %+v", toks, h.cfg.Buckets, got, want)
 			}
 			got := f.Vectorize(toks)
 			if !equalVec(got, want) {
-				t.Errorf("Featurizer.Vectorize(%q, buckets=%d) = %+v, want %+v", toks, h.Buckets(), got, want)
+				t.Errorf("Featurizer.Vectorize(%q, buckets=%d) = %+v, want %+v", toks, h.cfg.Buckets, got, want)
 			}
 		}
 	}

@@ -64,9 +64,6 @@ func NewHasher(cfg HasherConfig) *Hasher {
 	return h
 }
 
-// Buckets returns the feature space size.
-func (h *Hasher) Buckets() uint32 { return h.cfg.Buckets }
-
 // Vectorize maps tokens to a sparse vector of hashed feature counts.
 // It is the owning convenience wrapper over a pooled Featurizer: the
 // returned vector has fresh storage and the call is safe for

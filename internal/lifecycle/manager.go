@@ -10,8 +10,9 @@
 // Admin surface (mounted under /v1/admin, prefix stripped):
 //
 //	GET  /models    registry state: active/previous/entries, shadow stats
-//	POST /retrain   consume buffered feedback, commit a candidate
-//	                generation, start shadow-scoring it
+//	POST /retrain   consume buffered feedback (at least MinFeedback
+//	                items, else 409), commit a candidate generation,
+//	                start shadow-scoring it
 //	POST /promote   gate on shadow divergence (min docs, flip rate, mean
 //	                delta; ?force=1 overrides), activate in the registry
 //	                and hot-swap the server
@@ -150,12 +151,19 @@ func (m *Manager) model(gen uint64) (*serve.Model, error) {
 
 // AddFeedback implements serve.FeedbackSink: buffer the batch and,
 // with AutoRetrain, kick a background retrain once the buffer reaches
-// MinFeedback. Never blocks on training.
+// MinFeedback. Never blocks on training. An item naming an unknown
+// task rejects the whole batch.
 func (m *Manager) AddFeedback(items []serve.FeedbackItem) error {
-	m.mu.Lock()
-	for _, it := range items {
-		m.fb = append(m.fb, toFeedback(it))
+	batch := make([]registry.Feedback, len(items))
+	for i, it := range items {
+		task, err := annotate.ParseTask(it.Task)
+		if err != nil {
+			return fmt.Errorf("lifecycle: feedback item %d: %w", i, err)
+		}
+		batch[i] = registry.Feedback{ID: it.ID, Platform: it.Platform, Text: it.Text, Task: task, Label: it.Label}
 	}
+	m.mu.Lock()
+	m.fb = append(m.fb, batch...)
 	n := len(m.fb)
 	kick := m.cfg.AutoRetrain && n >= m.cfg.MinFeedback && !m.retraining
 	if kick {
@@ -170,16 +178,6 @@ func (m *Manager) AddFeedback(items []serve.FeedbackItem) error {
 		}()
 	}
 	return nil
-}
-
-// toFeedback converts the wire item to the retrain pipeline's form.
-func toFeedback(it serve.FeedbackItem) registry.Feedback {
-	task := annotate.TaskCTH
-	switch it.Task {
-	case "dox", string(annotate.TaskDox):
-		task = annotate.TaskDox
-	}
-	return registry.Feedback{ID: it.ID, Platform: it.Platform, Text: it.Text, Task: task, Label: it.Label}
 }
 
 // retrain consumes the feedback buffer, commits the candidate
@@ -210,9 +208,9 @@ func (m *Manager) retrain(locked bool) (uint64, registry.RetrainResult, error) {
 		m.fb = append(fb, m.fb...)
 		m.mu.Unlock()
 	}
-	if len(fb) == 0 {
+	if len(fb) < m.cfg.MinFeedback {
 		restore()
-		return 0, registry.RetrainResult{}, fmt.Errorf("lifecycle: no feedback buffered")
+		return 0, registry.RetrainResult{}, fmt.Errorf("lifecycle: %d feedback items buffered, retrain needs at least %d", len(fb), m.cfg.MinFeedback)
 	}
 	base, baseGen, err := m.reg.LoadActive()
 	if err != nil {

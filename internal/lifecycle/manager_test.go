@@ -334,6 +334,44 @@ func TestLifecycleRetrainPromoteRollback(t *testing.T) {
 	}
 }
 
+func TestRetrainRefusesBatchBelowMinFeedback(t *testing.T) {
+	reg := bootRegistry(t)
+	mgr, err := New(Config{Registry: reg, Seed: 5, MinFeedback: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fb := make([]serve.FeedbackItem, 3)
+	for i := range fb {
+		fb[i] = serve.FeedbackItem{Platform: "boards", Text: fmt.Sprintf("mass report wave %d", i), Task: "cth", Label: i == 0}
+	}
+	if err := mgr.AddFeedback(fb); err != nil {
+		t.Fatal(err)
+	}
+	code, body := adminPost(t, mgr, "/retrain", "")
+	if code != http.StatusConflict || !strings.Contains(body, "3 feedback items") || !strings.Contains(body, "at least 4") {
+		t.Fatalf("retrain of 3 items with MinFeedback 4 = %d %s, want 409 naming both counts", code, body)
+	}
+	if got := feedbackBuffered(t, mgr); got != 3 {
+		t.Fatalf("buffered = %d after refused retrain, want 3 kept", got)
+	}
+	if n := len(reg.Entries()); n != 1 {
+		t.Fatalf("refused retrain committed: %d entries", n)
+	}
+
+	if err := mgr.AddFeedback([]serve.FeedbackItem{{Text: "ok", Task: "dox"}, {Text: "bad", Task: "Dox"}}); err == nil || !strings.Contains(err.Error(), "item 1") {
+		t.Fatalf("AddFeedback with an unknown task = %v, want an error naming item 1", err)
+	}
+	if got := feedbackBuffered(t, mgr); got != 3 {
+		t.Fatalf("buffered = %d after a rejected batch, want 3", got)
+	}
+	if err := mgr.AddFeedback(fb[:1]); err != nil {
+		t.Fatal(err)
+	}
+	if code, body := adminPost(t, mgr, "/retrain", ""); code != http.StatusOK {
+		t.Fatalf("retrain at MinFeedback = %d %s", code, body)
+	}
+}
+
 func TestAutoRetrainTriggersInBackground(t *testing.T) {
 	reg := bootRegistry(t)
 	mgr, err := New(Config{Registry: reg, Seed: 3, AutoRetrain: true, MinFeedback: 12})

@@ -24,9 +24,6 @@ func (c *Confusion) Add(predicted, actual bool) {
 	}
 }
 
-// Total returns the number of recorded observations.
-func (c Confusion) Total() int { return c.TP + c.FP + c.TN + c.FN }
-
 // Precision returns TP / (TP + FP), or 0 when no positives were predicted.
 func (c Confusion) Precision() float64 {
 	if c.TP+c.FP == 0 {

@@ -54,7 +54,7 @@ func TestRegistryConcurrentMutationVsSnapshot(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
 				c.Inc()
-				g.Add(1)
+				g.Set(float64(w))
 				h.Observe(int64(i % 2000))
 			}
 		}(w)
@@ -66,8 +66,8 @@ func TestRegistryConcurrentMutationVsSnapshot(t *testing.T) {
 	if got := c.Value(); got != writers*perG {
 		t.Errorf("counter = %d, want %d", got, writers*perG)
 	}
-	if got := g.Value(); got != float64(writers*perG) {
-		t.Errorf("gauge = %v, want %d", got, writers*perG)
+	if got := g.Value(); got != float64(int(got)) || got < 0 || got >= writers {
+		t.Errorf("gauge = %v, want the last writer's id in [0, %d)", got, writers)
 	}
 	if got := h.Count(); got != writers*perG {
 		t.Errorf("histogram count = %d, want %d", got, writers*perG)

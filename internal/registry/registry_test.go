@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"harassrepro/internal/active"
 	"harassrepro/internal/annotate"
 	"harassrepro/internal/durable"
 	"harassrepro/internal/features"
@@ -409,22 +408,15 @@ func TestRetrainProducesPromotableCandidate(t *testing.T) {
 		})
 	}
 
-	var progressed int
-	cand, res, err := Retrain(base, fb, RetrainConfig{
-		Seed:     42,
-		Progress: func(st active.IterationStats) { progressed++ },
-	})
+	cand, res, err := Retrain(base, fb, RetrainConfig{Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Task != annotate.TaskCTH {
 		t.Fatalf("retrained task = %v, want CTH (dominant in feedback)", res.Task)
 	}
-	if res.Feedback != len(fb) || res.Labelled < len(fb) {
-		t.Fatalf("feedback/labelled = %d/%d", res.Feedback, res.Labelled)
-	}
-	if len(res.History) == 0 || progressed != len(res.History) {
-		t.Fatalf("progress callback fired %d times for %d iterations", progressed, len(res.History))
+	if res.Feedback != len(fb) || res.Labelled == 0 || res.Labelled >= len(fb) {
+		t.Fatalf("feedback/labelled = %d/%d, want a training half of the batch", res.Feedback, res.Labelled)
 	}
 	for plat, th := range res.Thresholds {
 		if th <= 0 || th > 1 {
@@ -440,7 +432,7 @@ func TestRetrainProducesPromotableCandidate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res2.Labelled != res.Labelled || len(res2.History) != len(res.History) {
+	if res2.Labelled != res.Labelled {
 		t.Fatalf("retrain not deterministic: %+v vs %+v", res2, res)
 	}
 	for _, text := range texts {

@@ -5,11 +5,11 @@ import (
 	"fmt"
 	"sort"
 
-	"harassrepro/internal/active"
 	"harassrepro/internal/annotate"
 	"harassrepro/internal/core"
 	"harassrepro/internal/corpus"
 	"harassrepro/internal/corpus/store"
+	"harassrepro/internal/features"
 	"harassrepro/internal/model"
 	"harassrepro/internal/randx"
 	"harassrepro/internal/threshold"
@@ -28,23 +28,13 @@ type Feedback struct {
 
 // RetrainConfig controls one feedback-driven retrain round.
 type RetrainConfig struct {
-	// Seed drives every random decision of the round (sampling,
-	// simulated annotators, span selection). Same seed + same feedback
-	// = same candidate detector.
+	// Seed drives every random decision of the round: the
+	// train/threshold split, span selection, example order and
+	// threshold sampling. Same seed + same feedback = same candidate
+	// detector.
 	Seed uint64
-	// Bins / PerBin / Iterations shape the active-learning loop;
-	// defaults are sized for live feedback batches, far smaller than
-	// the paper's offline runs.
-	Bins       int
-	PerBin     int
-	Iterations int
-	// Epochs for classifier training. Defaults to the model package's
-	// default.
-	Epochs int
-	// Progress, when set, observes active-learning iterations live.
-	Progress func(active.IterationStats)
 	// ReplayStore, when set, augments the feedback batch's training
-	// seed with historical documents replayed from the corpus store:
+	// half with historical documents replayed from the corpus store:
 	// documents carrying ground truth for the round's task, balanced
 	// positive/negative and streamed at store scan speed. Replay is
 	// deterministic — store order — so the same store, feedback and
@@ -52,18 +42,6 @@ type RetrainConfig struct {
 	ReplayStore *store.Store
 	// ReplayLimit caps the replayed examples. Defaults to 256.
 	ReplayLimit int
-}
-
-func (c *RetrainConfig) fillDefaults() {
-	if c.Bins <= 0 {
-		c.Bins = 5
-	}
-	if c.PerBin <= 0 {
-		c.PerBin = 8
-	}
-	if c.Iterations <= 0 {
-		c.Iterations = 2
-	}
 }
 
 // RetrainResult describes the candidate detector a retrain produced.
@@ -74,28 +52,30 @@ type RetrainResult struct {
 	// Feedback is the number of feedback items consumed.
 	Feedback int
 	// Replayed is the number of historical store documents folded into
-	// the training seed (0 without a ReplayStore).
+	// the training set (0 without a ReplayStore).
 	Replayed int
-	// Labelled is the final training-set size.
+	// Labelled is the training-set size: the feedback batch's training
+	// half plus Replayed.
 	Labelled int
-	// History is the active-learning iteration trail.
-	History []active.IterationStats
 	// Thresholds are the recalibrated per-platform thresholds folded
-	// into the candidate (platforms absent from feedback keep the
-	// base detector's values).
+	// into the candidate (platforms absent from the threshold half keep
+	// the base detector's values).
 	Thresholds map[string]float64
 }
 
-// Retrain runs the paper's iterative loop over a live feedback batch:
-// the feedback labels seed an active-learning round in the base
-// detector's feature space (§5.3), and the resulting classifier's
-// thresholds are recalibrated per platform with the §5.5 procedure
-// before being folded into a candidate detector. The base detector is
-// not modified; the candidate shares its vocabulary and feature space,
-// so it can shadow-score the same traffic for divergence measurement
+// Retrain trains a candidate detector on a live feedback batch. Every
+// feedback item already carries the operator's label, so there is
+// nothing to annotate: a seeded hash of each text puts it in a training
+// half or a threshold half (copies of one text land in the same half).
+// One classifier is trained in the base detector's feature space on the
+// training half plus any replayed store documents, and the §5.5
+// threshold search then runs per platform on the threshold half, with
+// the operator's labels as its precision estimate — no text both trains
+// the model and selects its threshold. The base detector is not
+// modified; the candidate shares its vocabulary and feature space, so
+// it can shadow-score the same traffic for divergence measurement
 // before promotion.
 func Retrain(base *core.Detector, fb []Feedback, cfg RetrainConfig) (*core.Detector, RetrainResult, error) {
-	cfg.fillDefaults()
 	if base == nil {
 		return nil, RetrainResult{}, fmt.Errorf("registry: retrain: nil base detector")
 	}
@@ -113,57 +93,52 @@ func Retrain(base *core.Detector, fb []Feedback, cfg RetrainConfig) (*core.Detec
 	if counts[annotate.TaskCTH] > counts[annotate.TaskDox] {
 		task = annotate.TaskCTH
 	}
-	batch := fb[:0:0]
+
+	rng := randx.New(cfg.Seed).Split("retrain")
+	split := rng.Split("split")
+	vecRng := rng.Split("vectorize")
+	type heldOut struct {
+		f Feedback
+		x features.Vector
+	}
+	var train []model.Example
+	var held []heldOut
 	for _, f := range fb {
-		if f.Task == task {
-			batch = append(batch, f)
+		if f.Task != task {
+			continue
+		}
+		x := base.VectorizeTask(task, f.Text, vecRng)
+		if split.Split(f.Text).Uint64()&1 == 0 {
+			train = append(train, model.Example{X: x, Y: f.Label})
+		} else {
+			held = append(held, heldOut{f: f, x: x})
 		}
 	}
 
-	rng := randx.New(cfg.Seed).Split("retrain")
-	vecRng := rng.Split("vectorize")
-	seed := make([]model.Example, 0, len(batch))
-	pool := make([]active.Instance, 0, len(batch))
-	for _, f := range batch {
-		x := base.VectorizeTask(task, f.Text, vecRng)
-		seed = append(seed, model.Example{X: x, Y: f.Label})
-		pool = append(pool, active.Instance{ID: f.ID, X: x, Truth: f.Label})
-	}
-
-	// Historical replay vectorizes after the feedback batch on the same
-	// rng stream, so a round without a ReplayStore is bit-identical to
-	// the pre-replay behavior.
 	replayed := 0
 	if cfg.ReplayStore != nil {
 		ex, err := replayExamples(base, task, vecRng, cfg)
 		if err != nil {
 			return nil, RetrainResult{}, fmt.Errorf("registry: retrain: replay: %w", err)
 		}
-		seed = append(seed, ex...)
+		train = append(train, ex...)
 		replayed = len(ex)
 	}
 
-	crowd := annotate.NewPool(annotate.CrowdConfig(task), rng.Split("crowd"))
-	res, err := active.Run(seed, pool, crowd, active.Config{
-		Bins:       cfg.Bins,
-		PerBin:     cfg.PerBin,
-		Iterations: cfg.Iterations,
-		Model:      model.LogRegConfig{Buckets: base.Buckets(), Epochs: cfg.Epochs},
-		Seed:       rng.Split("active").Uint64(),
-		Progress:   cfg.Progress,
-	})
+	m, err := model.TrainLogReg(train, model.LogRegConfig{Buckets: base.Buckets(), Seed: rng.Split("train").Uint64()})
 	if err != nil {
-		return nil, RetrainResult{}, fmt.Errorf("registry: retrain: %w", err)
+		return nil, RetrainResult{}, fmt.Errorf("registry: retrain: training half of %d feedback items: %w", counts[task], err)
 	}
 
-	// Recalibrate thresholds per platform present in the batch (§5.5);
-	// platforms whose candidate set is empty keep the base thresholds.
+	// Recalibrate thresholds per platform present in the threshold
+	// half (§5.5); platforms whose candidate set is empty keep the base
+	// thresholds.
 	byPlat := map[string][]threshold.ScoredDoc{}
-	for i, f := range batch {
-		byPlat[f.Platform] = append(byPlat[f.Platform], threshold.ScoredDoc{
-			ID:    f.ID,
-			Score: res.Model.Score(pool[i].X),
-			Truth: f.Label,
+	for _, h := range held {
+		byPlat[h.f.Platform] = append(byPlat[h.f.Platform], threshold.ScoredDoc{
+			ID:    h.f.ID,
+			Score: m.Score(h.x),
+			Truth: h.f.Label,
 		})
 	}
 	plats := make([]string, 0, len(byPlat))
@@ -173,8 +148,7 @@ func Retrain(base *core.Detector, fb []Feedback, cfg RetrainConfig) (*core.Detec
 	sort.Strings(plats)
 	thresholds := map[string]float64{}
 	for _, p := range plats {
-		experts := annotate.NewPool(annotate.ExpertConfig(task), rng.Split("experts-"+p))
-		sel, err := threshold.Select(byPlat[p], experts, threshold.Config{
+		sel, err := threshold.Select(byPlat[p], operatorLabels{}, threshold.Config{
 			SampleSize: 64,
 			Seed:       rng.Split("threshold-" + p).Uint64(),
 		})
@@ -187,18 +161,30 @@ func Retrain(base *core.Detector, fb []Feedback, cfg RetrainConfig) (*core.Detec
 		thresholds[p] = sel.Threshold
 	}
 
-	cand, err := base.Retrained(task, res.Model, thresholds)
+	cand, err := base.Retrained(task, m, thresholds)
 	if err != nil {
 		return nil, RetrainResult{}, err
 	}
 	return cand, RetrainResult{
 		Task:       task,
-		Feedback:   len(batch),
+		Feedback:   counts[task],
 		Replayed:   replayed,
-		Labelled:   len(res.Labelled),
-		History:    res.History,
+		Labelled:   len(train),
 		Thresholds: thresholds,
 	}, nil
+}
+
+// operatorLabels is the threshold search's annotator for feedback:
+// each item's Truth is already the operator's label, so it is the
+// decision.
+type operatorLabels struct{}
+
+func (operatorLabels) Annotate(items []annotate.Item) ([]annotate.Decision, annotate.Stats, error) {
+	out := make([]annotate.Decision, len(items))
+	for i, it := range items {
+		out[i] = annotate.Decision{ID: it.ID, Label: it.Truth}
+	}
+	return out, annotate.Stats{Items: len(items)}, nil
 }
 
 // errReplayDone stops the replay scan early once both label caps are

@@ -33,12 +33,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"strconv"
 	"strings"
 	"time"
 
+	"harassrepro/internal/annotate"
 	"harassrepro/internal/core"
 	"harassrepro/internal/corpus"
 	"harassrepro/internal/obs/obshttp"
@@ -283,7 +285,11 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	accepted := items[:0]
-	for _, it := range items {
+	for i, it := range items {
+		if _, err := annotate.ParseTask(it.Task); err != nil {
+			writeError(w, http.StatusBadRequest, fmt.Sprintf("item %d: %v", i, err))
+			return
+		}
 		if strings.TrimSpace(it.Text) == "" {
 			continue
 		}

@@ -98,7 +98,8 @@ type FeedbackItem struct {
 	Platform string `json:"platform,omitempty"`
 	Text     string `json:"text"`
 	// Task names the classifier the label applies to: "cth" or "dox"
-	// (default "cth").
+	// (default "cth"; annotate.ParseTask lists every accepted
+	// spelling, and any other value is a 400).
 	Task string `json:"task,omitempty"`
 	// Label is the operator's call on the document.
 	Label bool `json:"label"`

@@ -197,6 +197,8 @@ func (st *shadowState) record(sd shadowDoc, cand core.StreamDoc) {
 
 // decide applies a model's per-platform thresholds (default 0.5) to a
 // score pair, yielding the (cth, dox) decision bits packed as an int.
+// A score flags only strictly above its threshold, the rule the
+// thresholds were selected under.
 func decide(m *Model, platform string, cth, dox float64) int {
 	tc, td := 0.5, 0.5
 	if m != nil && m.Thresholds != nil {
@@ -208,10 +210,10 @@ func decide(m *Model, platform string, cth, dox float64) int {
 		}
 	}
 	out := 0
-	if cth >= tc {
+	if cth > tc {
 		out |= 1
 	}
-	if dox >= td {
+	if dox > td {
 		out |= 2
 	}
 	return out

@@ -12,6 +12,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"runtime"
 	"strconv"
@@ -251,6 +252,20 @@ type fixedThresholds struct{ cth, dox float64 }
 func (f fixedThresholds) CTHThreshold(string) float64 { return f.cth }
 func (f fixedThresholds) DoxThreshold(string) float64 { return f.dox }
 
+func TestShadowDecisionFlagsStrictlyAboveThreshold(t *testing.T) {
+	c, d := genScore(1, "shadow sample 3")
+	if c <= 0 || d <= 0 || c >= 1 || d >= 1 {
+		t.Fatalf("genScore = %v, %v; want both inside (0, 1)", c, d)
+	}
+	m := &Model{Thresholds: fixedThresholds{c, d}}
+	if got := decide(m, "boards", c, d); got != 0 {
+		t.Errorf("scores equal to their thresholds decide %02b, want 00 (flag only above)", got)
+	}
+	if got := decide(m, "boards", math.Nextafter(c, 1), math.Nextafter(d, 1)); got != 3 {
+		t.Errorf("scores just above their thresholds decide %02b, want 11", got)
+	}
+}
+
 func TestShadowScoringDivergenceAccounting(t *testing.T) {
 	reg := obs.NewRegistry()
 	m1 := &Model{Backend: &genBackend{gen: 1}, Generation: 1, Thresholds: fixedThresholds{0.5, 0.5}}
@@ -277,7 +292,7 @@ func TestShadowScoringDivergenceAccounting(t *testing.T) {
 		// Expected divergence from the pure golden functions.
 		c1, d1 := genScore(1, text)
 		c2, d2 := genScore(2, text)
-		if (c1 >= 0.5) != (c2 >= 0.5) || (d1 >= 0.5) != (d2 >= 0.5) {
+		if (c1 > 0.5) != (c2 > 0.5) || (d1 > 0.5) != (d2 > 0.5) {
 			flips++
 		}
 		delta := c1 - c2
@@ -367,11 +382,21 @@ func TestFeedbackEndpoint(t *testing.T) {
 		t.Errorf("serve_feedback_total = %v, want 2", got)
 	}
 
-	for _, bad := range []string{`not json`, `[]`, `[{"text":""}]`} {
+	for _, bad := range []string{`not json`, `[]`, `[{"text":""}]`, `[{"text":"x","task":"Dox"}]`} {
 		code, _, _ := postJSON(t, ts.Client(), ts.URL+"/v1/feedback", bad)
 		if code != http.StatusBadRequest {
 			t.Errorf("feedback %q = %d, want 400", bad, code)
 		}
+	}
+	code, body, _ = postJSON(t, ts.Client(), ts.URL+"/v1/feedback", `[{"text":"a","task":"dox"},{"text":"b","task":"doxx"}]`)
+	if code != http.StatusBadRequest || !strings.Contains(body, "item 1") || !strings.Contains(body, "doxx") {
+		t.Errorf("unknown task = %d %s, want 400 naming item 1 and its value", code, body)
+	}
+	sink.mu.Lock()
+	n = len(sink.items)
+	sink.mu.Unlock()
+	if n != 2 {
+		t.Errorf("sink holds %d items after rejected batches, want 2", n)
 	}
 }
 

@@ -103,6 +103,13 @@ if [[ $fast -eq 0 ]]; then
   go test -run '^$' -fuzz '^FuzzSegmentDecode$' -fuzztime 10s ./internal/corpus/store/
   go test -run '^$' -fuzz '^FuzzPostingIterator$' -fuzztime 10s ./internal/corpus/store/
 
+  # Feedback body fuzz smoke: POST /v1/feedback answers 202 or 400 on
+  # any body, a 202 hands the retrain sink exactly the accepted items
+  # (each with text and a task annotate.ParseTask accepts), and a 400
+  # hands it nothing.
+  echo "== feedback body fuzz smoke (-fuzztime=10s)"
+  go test -run '^$' -fuzz '^FuzzFeedbackBody$' -fuzztime 10s ./internal/serve/
+
   # Registry manifest fuzz smoke: every accepted manifest must
   # re-encode to its canonical byte form (decode∘encode identity, the
   # FuzzSegmentDecode contract for the model registry's root state).
