@@ -108,9 +108,11 @@ func isWordByte(c byte) bool {
 		(c >= '0' && c <= '9') || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z')
 }
 
-// addField posts the field term prefix+value, which is not folded.
+// addField posts the field term prefix+value with value folded as
+// query terms are (NormalizeToken), so "domain:Paste.Example" finds a
+// document from Paste.Example.
 func (ib *indexBuilder) addField(prefix, value string, ordinal uint32) {
-	ib.term = append(append(ib.term[:0], prefix...), value...)
+	ib.term = appendFoldedToken(append(ib.term[:0], prefix...), value)
 	ib.addTerm(ordinal)
 }
 
@@ -125,8 +127,10 @@ func (ib *indexBuilder) addTerm(ordinal uint32) {
 	bm.Add(ordinal)
 }
 
-// encode renders the complete .idx file contents.
-func (ib *indexBuilder) encode() []byte {
+// encode renders the complete .idx file contents and returns them with
+// the index they decode to (decodeIndex), which shares the builder's
+// offsets and bitmaps; the builder must not be used after.
+func (ib *indexBuilder) encode() ([]byte, *segIndex) {
 	buf := make([]byte, 0, 16+8*len(ib.offsets))
 	buf = append(buf, idxMagic...)
 	buf = binary.LittleEndian.AppendUint32(buf, version)
@@ -134,18 +138,20 @@ func (ib *indexBuilder) encode() []byte {
 	for _, off := range ib.offsets {
 		buf = binary.LittleEndian.AppendUint64(buf, off)
 	}
-	tokens := make([]string, 0, len(ib.posting))
+	ix := &segIndex{offsets: ib.offsets, tokens: make([]string, 0, len(ib.posting))}
 	for tok := range ib.posting {
-		tokens = append(tokens, tok)
+		ix.tokens = append(ix.tokens, tok)
 	}
-	sort.Strings(tokens)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(tokens)))
-	for _, tok := range tokens {
+	sort.Strings(ix.tokens)
+	ix.posting = make([]*Bitmap, len(ix.tokens))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(ix.tokens)))
+	for i, tok := range ix.tokens {
+		ix.posting[i] = ib.posting[tok]
 		buf = binary.AppendUvarint(buf, uint64(len(tok)))
 		buf = append(buf, tok...)
-		buf = ib.posting[tok].appendTo(buf)
+		buf = ix.posting[i].appendTo(buf)
 	}
-	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, castagnoli))
+	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, castagnoli)), ix
 }
 
 // decodeIndex parses and verifies a complete .idx file.

@@ -1,7 +1,10 @@
 package store
 
 import (
+	"math/rand"
+	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"harassrepro/internal/corpus"
@@ -9,15 +12,17 @@ import (
 )
 
 // indexTokens is the reference for the index terms of one document:
-// the text's word tokens plus dataset/platform/domain field terms. The
-// tests that check Lookup against a naive scan use it, and
-// TestIndexBuilderMatchesReference checks indexBuilder.add against it.
+// the text's word tokens plus dataset/platform/domain field terms, all
+// ASCII-lower-cased as query terms are. The tests that check Lookup
+// against a naive scan use it, and TestIndexBuilderMatchesReference
+// checks indexBuilder.add against it.
 func indexTokens(d *corpus.Document, emit func(string)) {
 	tokenizeText(d.Text, emit)
-	emit("dataset:" + string(d.Dataset))
-	emit("platform:" + string(d.Platform))
+	field := func(term string) { emit(string(appendFoldedToken(nil, term))) }
+	field("dataset:" + string(d.Dataset))
+	field("platform:" + string(d.Platform))
 	if d.Domain != "" {
-		emit("domain:" + d.Domain)
+		field("domain:" + d.Domain)
 	}
 }
 
@@ -56,7 +61,8 @@ func TestIndexBuilderMatchesReference(t *testing.T) {
 	docs = append(docs,
 		corpus.Document{Text: "MiXeD case_words, café CAFÉ  x2 x2 X2!!", Dataset: "boards", Platform: "gab"},
 		corpus.Document{Text: "", Dataset: "", Platform: ""},
-		corpus.Document{Text: "\xff\xfe broken utf8 __ 9", Domain: "Upper.Example"})
+		corpus.Document{Text: "\xff\xfe broken utf8 __ 9", Domain: "Upper.Example"},
+		corpus.Document{Text: "x", Dataset: "Boards", Platform: "GAB", Domain: "CAFÉ.Example"})
 	ib := newIndexBuilder()
 	want := map[string][]uint32{}
 	for i := range docs {
@@ -79,6 +85,86 @@ func TestIndexBuilderMatchesReference(t *testing.T) {
 		}
 		if got := values(bm); !slices.Equal(got, ords) {
 			t.Fatalf("term %q: ordinals %v, want %v", tok, got, ords)
+		}
+	}
+}
+
+// TestFieldTermsMatchAnyCase: a document whose domain (or dataset or
+// platform) has upper-case letters is found by its field term in any
+// case, as every query term is folded before the lookup.
+func TestFieldTermsMatchAnyCase(t *testing.T) {
+	s := buildStore(t, t.TempDir(), []corpus.Document{
+		{ID: "lower", Text: "a", Dataset: corpus.Pastes, Platform: corpus.PlatformPastes, Domain: "paste.example"},
+		{ID: "upper", Text: "b", Dataset: "Pastes", Platform: "Pastes", Domain: "Paste.Example"},
+	})
+	defer s.Close()
+	for _, term := range []string{"domain:Paste.Example", "domain:paste.example", "DOMAIN:PASTE.EXAMPLE", "dataset:PASTES", "platform:pastes"} {
+		var ids []string
+		if err := s.LookupDocs(term, func(d *corpus.Document, _ DocRef) error {
+			ids = append(ids, d.ID)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if want := []string{"lower", "upper"}; !slices.Equal(ids, want) {
+			t.Fatalf("LookupDocs(%q) = %v, want %v", term, ids, want)
+		}
+		q, err := ParseQuery(term + ",b")
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = ids[:0]
+		if err := s.LookupQueryDocs(q, func(d *corpus.Document, _ DocRef) error {
+			ids = append(ids, d.ID)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if want := []string{"upper"}; !slices.Equal(ids, want) {
+			t.Fatalf("LookupQueryDocs(%q) = %v, want %v", q, ids, want)
+		}
+	}
+}
+
+// TestEncodeReturnsDecodedIndex: the index encode hands back — the one
+// a commit publishes — is exactly what decodeIndex reads from the bytes
+// it returns, over random batches with mixed-case text and field terms
+// and postings dense enough to need bitmap containers.
+func TestEncodeReturnsDecodedIndex(t *testing.T) {
+	rng := rand.New(rand.NewSource(46))
+	words := []string{"mass", "Report", "RAID", "café", "x_1", "42", "ça", "dox"}
+	fields := []string{"boards", "Pastes", "gab", "Tg-Channel.Example", ""}
+	for round := 0; round < 40; round++ {
+		n := 1 + rng.Intn(300)
+		if round%10 == 0 {
+			n = 4096 + rng.Intn(3000) // "mass" below outgrows an array container
+		}
+		docs := make([]corpus.Document, n)
+		for i := range docs {
+			var text []string
+			for k := rng.Intn(6); k >= 0; k-- {
+				text = append(text, words[rng.Intn(len(words))])
+			}
+			if round%10 == 0 {
+				text = append(text, "mass")
+			}
+			docs[i] = corpus.Document{
+				Text:     strings.Join(text, " ,"),
+				Dataset:  corpus.Dataset(fields[rng.Intn(len(fields))]),
+				Platform: corpus.Platform(fields[rng.Intn(len(fields))]),
+				Domain:   fields[rng.Intn(len(fields))],
+			}
+		}
+		b := buildSegment(docs)
+		decoded, err := decodeIndex(b.idx)
+		if err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		if !reflect.DeepEqual(decoded, b.ix) {
+			t.Fatalf("round %d: the built index differs from its decoded bytes", round)
+		}
+		if b.docs != uint32(n) || len(b.ix.offsets) != n {
+			t.Fatalf("round %d: built %d docs with %d offsets, want %d", round, b.docs, len(b.ix.offsets), n)
 		}
 	}
 }

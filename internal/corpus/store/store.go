@@ -426,12 +426,51 @@ func (s *Store) Close() error {
 // partial files are exactly what Open quarantines). Readers running
 // concurrently see the new segment only after the commit publishes.
 func (s *Store) Append(docs []corpus.Document) (SegmentInfo, error) {
-	if len(docs) == 0 {
-		return SegmentInfo{}, errors.New("store: append of zero documents")
+	if err := checkSegmentDocs(len(docs)); err != nil {
+		return SegmentInfo{}, err
 	}
-	if len(docs) > 1<<31 {
-		return SegmentInfo{}, fmt.Errorf("store: append of %d documents exceeds segment capacity", len(docs))
+	return s.commitSegment(buildSegment(docs))
+}
+
+// checkSegmentDocs rejects a batch no segment can hold.
+func checkSegmentDocs(n int) error {
+	if n == 0 {
+		return errors.New("store: append of zero documents")
 	}
+	if n > 1<<31 {
+		return fmt.Errorf("store: append of %d documents exceeds segment capacity", n)
+	}
+	return nil
+}
+
+// builtSegment is one segment ready to commit: the complete .seg and
+// .idx file contents and the index the store publishes for them.
+type builtSegment struct {
+	docs     uint32
+	seg, idx []byte
+	ix       *segIndex
+}
+
+// buildSegment encodes docs as one segment's records and builds its
+// index. It does no I/O and touches no store state, so it can run
+// beside the commit of the segment before it.
+func buildSegment(docs []corpus.Document) builtSegment {
+	ib := newIndexBuilder()
+	seg := segHeader()
+	var payload []byte
+	for i := range docs {
+		ib.add(&docs[i], uint64(len(seg)))
+		payload = encodeDoc(payload[:0], &docs[i])
+		seg = appendRecord(seg, payload)
+	}
+	idx, ix := ib.encode()
+	return builtSegment{docs: uint32(len(docs)), seg: seg, idx: idx, ix: ix}
+}
+
+// commitSegment names b after the committed segments, writes and syncs
+// its files, commits the manifest and publishes the segment to readers.
+// It is the store's one appender: callers must not run two at once.
+func (s *Store) commitSegment(b builtSegment) (SegmentInfo, error) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -441,56 +480,52 @@ func (s *Store) Append(docs []corpus.Document) (SegmentInfo, error) {
 	s.mu.Unlock()
 	name := fmt.Sprintf("seg-%08d", len(cur.Segments)+1)
 
-	ib := newIndexBuilder()
-	seg := segHeader()
-	var payload []byte
-	for i := range docs {
-		ib.add(&docs[i], uint64(len(seg)))
-		payload = encodeDoc(payload[:0], &docs[i])
-		seg = appendRecord(seg, payload)
-	}
-	idx := ib.encode()
-
-	if err := durable.WriteFile(filepath.Join(s.dir, name+segSuffix), seg); err != nil {
+	if err := durable.WriteFile(filepath.Join(s.dir, name+segSuffix), b.seg); err != nil {
 		return SegmentInfo{}, fmt.Errorf("store: append: %w", err)
 	}
-	if err := durable.WriteFile(filepath.Join(s.dir, name+idxSuffix), idx); err != nil {
+	if err := durable.WriteFile(filepath.Join(s.dir, name+idxSuffix), b.idx); err != nil {
 		return SegmentInfo{}, fmt.Errorf("store: append: %w", err)
 	}
 
-	si := SegmentInfo{Name: name, Docs: uint32(len(docs)), SegBytes: int64(len(seg)), IdxBytes: int64(len(idx))}
+	si := SegmentInfo{Name: name, Docs: b.docs, SegBytes: int64(len(b.seg)), IdxBytes: int64(len(b.idx))}
 	man := cur
 	man.Segments = append(append([]SegmentInfo(nil), cur.Segments...), si)
 	man.Generation++
 	if err := s.commitManifest(man); err != nil {
 		return SegmentInfo{}, err
 	}
-	ix, err := decodeIndex(idx)
-	if err != nil { // cannot happen: we just encoded it
-		return SegmentInfo{}, fmt.Errorf("store: append: %w", err)
-	}
 	s.mu.Lock()
 	s.man = man
-	s.indexes = append(s.indexes, ix)
+	s.indexes = append(s.indexes, b.ix)
 	s.readers = append(s.readers, nil)
 	s.mu.Unlock()
 	return si, nil
 }
 
 // AppendAll commits docs as a run of segments of at most perSeg
-// documents each (DefaultSegmentDocs when perSeg <= 0).
+// documents each (DefaultSegmentDocs when perSeg <= 0), in order, with
+// the files a loop of Append calls over the same chunks would write.
+// It runs the segment writer IngestJSONL runs (writeSegments), with the
+// chunks of docs as its batches: the next chunk's segment is built
+// while the one before commits, so beyond docs itself it holds a few
+// encoded segments. On a store error the segments committed before it
+// stay committed and no later one reaches the disk. The caller must not
+// Append or ingest into the same store until AppendAll returns.
 func (s *Store) AppendAll(docs []corpus.Document, perSeg int) error {
 	if perSeg <= 0 {
 		perSeg = DefaultSegmentDocs
 	}
-	for len(docs) > 0 {
-		n := min(perSeg, len(docs))
-		if _, err := s.Append(docs[:n]); err != nil {
-			return err
+	_, err := s.writeSegments(func(put func([]corpus.Document) ([]corpus.Document, error)) error {
+		for len(docs) > 0 {
+			n := min(perSeg, len(docs))
+			if _, err := put(docs[:n:n]); err != nil {
+				return err
+			}
+			docs = docs[n:]
 		}
-		docs = docs[n:]
-	}
-	return nil
+		return nil
+	})
+	return err
 }
 
 // WriteCorpora appends the generated corpora to s in the fixed Table 1

@@ -35,14 +35,17 @@ fi
 echo "== go test -race ./internal/resilience/... ./internal/core/... ./internal/obs/... ./internal/serve/... ./internal/corpus/... ./internal/registry/... ./internal/lifecycle/..."
 go test -race ./internal/resilience/... ./internal/core/... ./internal/obs/... ./internal/serve/... ./internal/corpus/... ./internal/registry/... ./internal/lifecycle/...
 
-# Store read-path race certification: three concurrent scanners racing
-# a live appender, point reads racing Close, and query walks (which
-# hold a segment's reader across its whole bitmap walk) racing Close
-# and an appender, repeated under the race detector — the
-# committed-extent bounding and reader-refcount (mapping lifetime)
-# invariants of the store's mmap read path.
-echo "== store concurrent-read race step"
-go test -race -count=2 -run 'TestScanWhileAppend|TestDocConcurrentWithClose|TestLookupQueryDocsConcurrentWithClose' ./internal/corpus/store/
+# Store race certification: three concurrent scanners racing a live
+# appender, point reads racing Close, and query walks (which hold a
+# segment's reader across its whole bitmap walk) racing Close and an
+# appender — the committed-extent bounding and reader-refcount (mapping
+# lifetime) invariants of the store's mmap read path — plus the
+# concurrent segment writer behind IngestJSONL and AppendAll (decode,
+# build and commit on three goroutines: byte identity with single
+# Appends, error paths, no leaked goroutine), repeated under the race
+# detector.
+echo "== store race step"
+go test -race -count=2 -run 'TestScanWhileAppend|TestDocConcurrentWithClose|TestLookupQueryDocsConcurrentWithClose|TestIngestJSONL|TestAppendAll' ./internal/corpus/store/
 
 # Runner race certification: Process's recycled reply window (each
 # reply channel handed from feeder to worker to emitter and back, with
