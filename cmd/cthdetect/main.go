@@ -4,9 +4,10 @@
 // Figure 4 seed query matches.
 //
 // Lines are processed on the fault-tolerant streaming runtime: a
-// document that panics a stage or fails repeatedly is quarantined to a
-// dead-letter record and reported in the final
-// processed/succeeded/quarantined summary instead of killing the run.
+// document that panics or fails a stage is quarantined to a dead-letter
+// record and reported in the final processed/succeeded/quarantined
+// summary instead of killing the run, and so is a line longer than
+// 1 MiB, which is never held in memory.
 //
 // The classifiers are loaded with -models or trained at startup by
 // running the quick-scale pipeline over generated corpora (about a
@@ -14,7 +15,7 @@
 // score depends only on the document's text, so the output is the same
 // at any -workers.
 //
-// With -metrics, a JSON metrics snapshot (per-stage attempt/retry
+// With -metrics, a JSON metrics snapshot (per-stage attempt/failure
 // counters, latency histograms, scratch-pool and PII-prefilter
 // instruments) is printed to stderr after the summary; -metrics-addr
 // additionally serves the live registry at /metrics (Prometheus text
@@ -39,6 +40,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -96,7 +98,7 @@ func main() {
 	}
 
 	// Stage pipeline: classifier scoring is required (quarantine on
-	// permanent failure); the rule-based annotations degrade instead.
+	// failure); the rule-based annotations degrade instead.
 	ext := pii.NewExtractor()
 	if reg != nil {
 		ext.SetMetrics(reg)
@@ -108,7 +110,7 @@ func main() {
 			Name: "validate",
 			Fn: func(_ context.Context, _ int, r *row) error {
 				if len(r.Text) > limit {
-					return resilience.Permanent(fmt.Errorf("document is %d bytes, limit %d", len(r.Text), limit))
+					return fmt.Errorf("document is %d bytes, limit %d", len(r.Text), limit)
 				}
 				return nil
 			},
@@ -116,11 +118,10 @@ func main() {
 	}
 	if det != nil {
 		stages = append(stages, resilience.Stage[row]{
-			Name:      "score",
-			Transient: true,
+			Name: "score",
 			Fn: func(_ context.Context, _ int, r *row) error {
 				if strings.TrimSpace(r.Text) == "" {
-					return resilience.Permanent(fmt.Errorf("blank document"))
+					return errors.New("blank document")
 				}
 				r.CTH, r.Dox = det.Scores(r.Text)
 				r.HasScores = true
@@ -130,7 +131,6 @@ func main() {
 	}
 	stages = append(stages, resilience.Stage[row]{
 		Name:       "annotate",
-		Transient:  true,
 		Degradable: true,
 		Fn: func(_ context.Context, _ int, r *row) error {
 			r.SeedQuery = harassrepro.MatchesSeedQuery(r.Text)

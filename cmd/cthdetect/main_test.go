@@ -214,3 +214,29 @@ func TestModelScoresIndependentOfWorkers(t *testing.T) {
 		}
 	}
 }
+
+// TestOverCapLineIsDeadLettered: a stdin line over the 1 MiB line cap
+// is one dead letter in its place, naming its line number and length,
+// -max-doc-bytes never sees it, and the lines after it are still
+// processed, to exit status 0.
+func TestOverCapLineIsDeadLettered(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and execs the binary")
+	}
+	cmd := exec.Command(buildCthdetect(t), "-rules-only", "-max-doc-bytes", "4096")
+	cmd.Stdin = strings.NewReader("we should mass report his channel\n" +
+		strings.Repeat("x", 1<<20+10) + "\neveryone go flag her account now\n")
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	if err := cmd.Run(); err != nil {
+		t.Fatalf("cthdetect: %v\n%s", err, stderr.String())
+	}
+	lines := strings.Split(strings.TrimSuffix(stdout.String(), "\n"), "\n")
+	if len(lines) != 3 || !strings.HasPrefix(lines[0], "seed-query=") || !strings.HasPrefix(lines[2], "seed-query=") ||
+		lines[1] != "QUARANTINED (read): line 2 is 1048586 bytes, over the 1048576-byte line limit" {
+		t.Errorf("stdout:\n%s", stdout.String())
+	}
+	if !strings.Contains(stderr.String(), "processed=3 succeeded=2 degraded=0 quarantined=1\n") {
+		t.Errorf("stderr:\n%s", stderr.String())
+	}
+}

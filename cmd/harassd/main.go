@@ -26,17 +26,11 @@
 // bounded count of admitted-but-unscored documents, never an unbounded
 // goroutine pile-up), a request that outlives -request-timeout gets
 // 504 and gives back everything it held, and a document whose scoring
-// stage keeps failing or panicking is quarantined inside its own 200
-// response. SIGINT/SIGTERM triggers a graceful drain: stop admitting,
-// finish every accepted request, then exit 0. If -drain-timeout
+// stage fails or panics is quarantined inside its own 200 response.
+// SIGINT/SIGTERM triggers a graceful drain: stop admitting, finish
+// every accepted request, then exit 0. If -drain-timeout
 // expires first, the abandoned in-flight requests are counted, logged,
 // and the process exits non-zero.
-//
-// -chaos wraps every scoring stage in the seeded per-document fault
-// harness (internal/resilience/chaos: panics, transient errors, poison
-// documents, latency), e.g.
-// -chaos "seed=7,panic=0.02,transient=0.05,latency=0.05,latency-ms=20".
-// A latency longer than -request-timeout is a stall.
 //
 // With -models the classifiers are loaded from a directory written by
 // `harassrepro -save-models`; otherwise they are trained at startup by
@@ -61,7 +55,7 @@
 //	        [-replay-store DIR] [-replay-limit N]
 //	        [-workers N] [-max-inflight N] [-queue-depth N]
 //	        [-max-batch-docs N] [-request-timeout D] [-drain-timeout D]
-//	        [-chaos PLAN] [-no-annotate] [-metrics]
+//	        [-no-annotate] [-metrics]
 package main
 
 import (
@@ -77,8 +71,6 @@ import (
 	"harassrepro/internal/lifecycle"
 	"harassrepro/internal/obs"
 	"harassrepro/internal/registry"
-	"harassrepro/internal/resilience"
-	"harassrepro/internal/resilience/chaos"
 	"harassrepro/internal/serve"
 	"harassrepro/internal/taxonomy"
 )
@@ -108,7 +100,6 @@ func main() {
 		maxLineBytes   = flag.Int("max-line-bytes", 1<<20, "maximum JSONL line length in a batch body")
 		requestTimeout = flag.Duration("request-timeout", 30*time.Second, "per-request scoring deadline")
 		drainTimeout   = flag.Duration("drain-timeout", 30*time.Second, "graceful shutdown bound after SIGINT/SIGTERM")
-		chaosPlan      = flag.String("chaos", "", "seeded per-document fault plan, e.g. \"seed=7,panic=0.02,transient=0.05,poison=0.001,latency=0.05,latency-ms=20\"")
 		noAnnotate     = flag.Bool("no-annotate", false, "skip the PII and taxonomy annotation stages")
 		metrics        = flag.Bool("metrics", false, "print a JSON metrics snapshot to stderr on exit")
 	)
@@ -116,14 +107,6 @@ func main() {
 
 	if *replayStore != "" && *registryDir == "" {
 		fail("-replay-store requires -registry")
-	}
-
-	faults, err := chaos.ParsePlan(*chaosPlan)
-	if err != nil {
-		fail("%v", err)
-	}
-	if faults != nil {
-		fmt.Fprintf(os.Stderr, "harassd: CHAOS ENABLED: %s\n", *chaosPlan)
 	}
 
 	reg := obs.NewRegistry()
@@ -208,11 +191,6 @@ func main() {
 		RequestTimeout: *requestTimeout,
 		Metrics:        reg,
 	}
-	if faults != nil {
-		cfg.StageWrap = func(st resilience.Stage[core.StreamDoc]) resilience.Stage[core.StreamDoc] {
-			return chaos.Wrap(st, *faults)
-		}
-	}
 	if mgr != nil {
 		cfg.Feedback = mgr
 		cfg.Admin = mgr
@@ -241,7 +219,7 @@ func main() {
 	fmt.Fprintf(os.Stderr, "harassd: draining (bound %v)...\n", *drainTimeout)
 	dctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 	defer cancel()
-	err = srv.Shutdown(dctx)
+	err := srv.Shutdown(dctx)
 	if *metrics {
 		fmt.Fprintln(os.Stderr, "metrics snapshot:")
 		if werr := reg.WriteJSON(os.Stderr); werr != nil {

@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -17,11 +16,7 @@ import (
 	"testing"
 	"time"
 
-	"harassrepro/internal/core"
 	"harassrepro/internal/obs"
-	"harassrepro/internal/resilience"
-	"harassrepro/internal/resilience/chaos"
-	"harassrepro/internal/serve"
 )
 
 // buildHarassd compiles the binary under test.
@@ -167,14 +162,19 @@ func TestSIGTERMRightAfterReadyDrains(t *testing.T) {
 
 // -max-inflight and -queue-depth reach the admission check: with both at
 // one, a second request arriving while the first is being scored is shed
-// at the door. The first is held open by a -chaos latency fault.
+// at the door. The first is held open by the size of its document: 4 MB
+// of text takes the tokenizer, both classifiers, PII extraction and the
+// taxonomy about 0.7 s on two cores.
 func TestAdmissionFlagsShedSecondConcurrentRequest(t *testing.T) {
-	d := startHarassd(t, buildHarassd(t), "-no-annotate", "-max-inflight", "1", "-queue-depth", "1",
-		"-chaos", "seed=1,latency=1,latency-ms=300")
+	d := startHarassd(t, buildHarassd(t), "-max-inflight", "1", "-queue-depth", "1")
+	held := func(id string) string {
+		text := strings.Repeat("keep reporting her account everyone go flag it now ", 80000)
+		return fmt.Sprintf(`{"id":%q,"text":%q}`, id, text)
+	}
 
 	first := make(chan int, 1)
 	go func() {
-		code, _, _ := d.post(t, "/v1/score", `{"id":"held","text":"holds the only slot"}`)
+		code, _, _ := d.post(t, "/v1/score", held("held"))
 		first <- code
 	}()
 	d.awaitInFlight(t, 1)
@@ -196,7 +196,7 @@ func TestAdmissionFlagsShedSecondConcurrentRequest(t *testing.T) {
 
 	// SIGTERM while a request is being scored: the drain waits for it.
 	go func() {
-		code, _, _ := d.post(t, "/v1/score", `{"id":"draining","text":"in flight at SIGTERM"}`)
+		code, _, _ := d.post(t, "/v1/score", held("draining"))
 		first <- code
 	}()
 	d.awaitInFlight(t, 1)
@@ -206,105 +206,19 @@ func TestAdmissionFlagsShedSecondConcurrentRequest(t *testing.T) {
 	}
 }
 
-// A -chaos plan is executed by the live process exactly as planned: the
-// documents it poisons, or whose every attempt it panics, are
-// quarantined inside 200 responses — those and no others — nothing is
-// answered 5xx, and the process still drains cleanly. The plan is a pure
-// function of (seed, stage, arrival index, attempt), so an in-process
-// run of the same wrapped stages is the oracle.
-func TestChaosPlanQuarantinesExactlyThePlannedDocuments(t *testing.T) {
-	const spec, docs = "seed=11,poison=0.1,panic=0.45", 60
-	plan, err := chaos.ParsePlan(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	oracle := resilience.NewRunner(resilience.Config[core.StreamDoc]{}, chaos.Wrap(resilience.Stage[core.StreamDoc]{
-		Name: "score", Transient: true,
-		Fn: func(context.Context, int, *core.StreamDoc) error { return nil },
-	}, *plan))
-	var want []string
-	for i := 0; i < docs; i++ {
-		if res := oracle.RunItem(context.Background(), i, core.StreamDoc{}); res.Status == resilience.StatusQuarantined {
-			var pe *resilience.PanicError
-			if !errors.Is(res.Dead.Err, chaos.ErrInjected) && !errors.As(res.Dead.Err, &pe) {
-				t.Fatalf("oracle document %d failed outside the plan: %v", i, res.Dead.Err)
-			}
-			want = append(want, fmt.Sprintf("doc-%d", i))
-		}
-	}
-	if len(want) < 5 || len(want) > docs/2 {
-		t.Fatalf("degenerate plan: %d of %d documents quarantined", len(want), docs)
-	}
-
-	d := startHarassd(t, buildHarassd(t), "-no-annotate", "-chaos", spec)
-	// One client, so arrival order is document order: singles, then a
-	// batch, then singles again.
-	var got []string
-	collect := func(res serve.ScoreResult) {
-		switch res.Status {
-		case "quarantined":
-			got = append(got, res.ID)
-		case "ok":
-		default:
-			t.Errorf("%s: status %q", res.ID, res.Status)
-		}
-	}
-	single := func(i int) {
-		code, _, body := d.post(t, "/v1/score", fmt.Sprintf(`{"id":"doc-%d","text":"planned document %d"}`, i, i))
-		var res serve.ScoreResult
-		if err := json.Unmarshal(body, &res); code != http.StatusOK || err != nil {
-			t.Fatalf("doc-%d: status %d (%v) body %s", i, code, err, body)
-		}
-		collect(res)
-	}
-	for i := 0; i < 20; i++ {
-		single(i)
-	}
-	var batch strings.Builder
-	for i := 20; i < 40; i++ {
-		fmt.Fprintf(&batch, "{\"id\":\"doc-%d\",\"text\":\"planned document %d\"}\n", i, i)
-	}
-	code, _, body := d.post(t, "/v1/score/batch", batch.String())
-	var br serve.BatchResponse
-	if err := json.Unmarshal(body, &br); code != http.StatusOK || err != nil || len(br.Results) != 20 {
-		t.Fatalf("batch: status %d (%v) body %s", code, err, body)
-	}
-	for _, res := range br.Results {
-		collect(res)
-	}
-	for i := 40; i < docs; i++ {
-		single(i)
-	}
-	if !slices.Equal(got, want) {
-		t.Errorf("quarantined %v\nthe plan says %v", got, want)
-	}
-
-	snap := d.metrics(t)
-	for _, m := range snap.Metrics {
-		if m.Name != "serve_requests_total" || m.Value == nil || *m.Value == 0 {
-			continue
-		}
-		for _, l := range m.Labels {
-			if l.Name == "code" && strings.HasPrefix(l.Value, "5") {
-				t.Errorf("serve_requests_total{code=%s} = %v, want no 5xx", l.Value, float64(*m.Value))
-			}
-		}
-	}
-	if q := counterValue(snap, "serve_docs_total", obs.L("status", "quarantined")); int(q) != len(want) {
-		t.Errorf("serve_docs_total{quarantined} = %v, want %d", q, len(want))
-	}
-	d.drain(t)
-}
-
-// The shard fleet's flag is gone, not ignored.
+// Removed flags are gone, not ignored: the shard fleet's -shards and
+// the fault-injection plan's -chaos.
 func TestShardsFlagIsNotDefined(t *testing.T) {
-	out, err := exec.Command(buildHarassd(t), "-shards", "4").CombinedOutput()
-	var ee *exec.ExitError
-	if !errors.As(err, &ee) || ee.ExitCode() != 2 {
-		t.Fatalf("harassd -shards 4: %v, want exit status 2\n%s", err, out)
-	}
-	if !strings.Contains(string(out), "flag provided but not defined: -shards") {
-		t.Errorf("harassd -shards 4 said:\n%s", out)
+	bin := buildHarassd(t)
+	for _, args := range [][]string{{"-shards", "4"}, {"-chaos", "seed=7,panic=0.02"}} {
+		out, err := exec.Command(bin, args...).CombinedOutput()
+		var ee *exec.ExitError
+		if !errors.As(err, &ee) || ee.ExitCode() != 2 {
+			t.Fatalf("harassd %v: %v, want exit status 2\n%s", args, err, out)
+		}
+		if !strings.Contains(string(out), "flag provided but not defined: "+args[0]) {
+			t.Errorf("harassd %v said:\n%s", args, out)
+		}
 	}
 }
 

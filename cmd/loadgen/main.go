@@ -11,8 +11,8 @@
 // Retry-After hint, backing off (capped by -max-backoff) before its next
 // request. After the run the server's /metrics.json is scraped
 // (best-effort) so the summary reports the faults the server absorbed:
-// stage panics it captured, attempts it retried, documents it
-// quarantined and requests it answered 504.
+// stage panics it captured, documents it quarantined and requests it
+// answered 504.
 //
 // Every single-document 200 carries the X-Model-Generation header;
 // loadgen tracks the generations it was served by and counts
@@ -111,7 +111,6 @@ type report struct {
 	// Fault counters scraped from the server's /metrics.json after the
 	// run (zero when the server exposes no metrics).
 	StagePanics     int `json:"stage_panics"`
-	StageRetries    int `json:"stage_retries"`
 	QuarantinedDocs int `json:"quarantined_docs"`
 	Timeouts504     int `json:"timeouts_504"`
 }
@@ -315,8 +314,6 @@ func scrapeFaults(httpc *http.Client, base string, rep *report) {
 		switch {
 		case m.Name == "pipeline_stage_panics_total": // summed across stages
 			rep.StagePanics += int(v)
-		case m.Name == "pipeline_stage_retries_total":
-			rep.StageRetries += int(v)
 		case m.Name == "serve_docs_total" && labelled("status", "quarantined"):
 			rep.QuarantinedDocs += int(v)
 		case m.Name == "serve_requests_total" && labelled("code", "504"): // summed across routes

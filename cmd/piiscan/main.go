@@ -4,9 +4,10 @@
 //
 // By default the whole of stdin is one document. With -stream, each
 // line is one document, processed on the fault-tolerant streaming
-// runtime: a document that panics or repeatedly fails a stage is
-// quarantined and counted in the final
-// processed/succeeded/quarantined summary instead of aborting the run.
+// runtime: a document that panics or fails a stage is quarantined and
+// counted in the final processed/succeeded/quarantined summary instead
+// of aborting the run, and so is a line longer than 1 MiB, which is
+// never held in memory.
 //
 // With -metrics, a JSON metrics snapshot (PII prefilter pass/reject
 // counts, per-family regex activations, and — in stream mode — the
@@ -63,8 +64,7 @@ func main() {
 			New:  func(text string) scan { return scan{Text: text} },
 			Text: func(s *scan) string { return s.Text },
 			Stages: []resilience.Stage[scan]{{
-				Name:      "extract",
-				Transient: true,
+				Name: "extract",
 				Fn: func(_ context.Context, _ int, s *scan) error {
 					analyze(s)
 					return nil

@@ -276,14 +276,11 @@ type StreamOptions struct {
 	// Workers bounds the concurrent scoring pool; 0 means GOMAXPROCS.
 	Workers int
 	// Seed makes the run deterministic: same seed, same scores,
-	// regardless of worker count or transient failures.
+	// regardless of worker count or quarantined documents.
 	Seed uint64
-	// MaxAttempts bounds retries of transiently failing stages per
-	// document; 0 means the default (4).
-	MaxAttempts int
 	// Annotate additionally runs the PII and attack-taxonomy coders
-	// per document; if those stages fail permanently the document is
-	// still emitted with the annotation marked degraded.
+	// per document; if those stages fail the document is still
+	// emitted with the annotation marked degraded.
 	Annotate bool
 }
 
@@ -300,14 +297,13 @@ type StreamResult struct {
 	PII       []string
 	Attacks   []string
 	SeedQuery bool
-	// Degraded names annotation stages that failed permanently but
-	// were tolerated.
+	// Degraded names annotation stages that failed but were
+	// tolerated.
 	Degraded []string
 	// Quarantined marks a document isolated to the dead-letter queue;
-	// FailedStage, Attempts and Err describe the failure.
+	// FailedStage and Err describe the failure.
 	Quarantined bool
 	FailedStage string
-	Attempts    int
 	Err         string
 }
 
@@ -320,20 +316,20 @@ type StreamSummary struct {
 }
 
 // ScoreStream scores documents concurrently on the fault-tolerant
-// runtime: per-document panics and transient failures are isolated,
-// retried, and — if permanent — quarantined to the returned
-// dead-letter records instead of aborting the run. Results are in
-// input order. err is non-nil only when ctx was cancelled.
+// runtime: each stage runs once per document, and a document whose
+// scoring fails or panics is quarantined to the returned dead-letter
+// records instead of aborting the run (a failing annotation stage
+// degrades it instead). Results are in input order. err is non-nil
+// only when ctx was cancelled.
 func (d *Detector) ScoreStream(ctx context.Context, docs []StreamDocument, opts StreamOptions) ([]StreamResult, StreamSummary, error) {
 	in := make([]core.StreamDoc, len(docs))
 	for i, sd := range docs {
 		in[i] = core.StreamDoc{ID: sd.ID, Platform: sd.Platform, Text: sd.Text}
 	}
 	results, sum, err := d.d.ScoreBatch(ctx, in, core.StreamOptions{
-		Workers:     opts.Workers,
-		Seed:        opts.Seed,
-		MaxAttempts: opts.MaxAttempts,
-		Annotate:    opts.Annotate,
+		Workers:  opts.Workers,
+		Seed:     opts.Seed,
+		Annotate: opts.Annotate,
 	})
 	out := make([]StreamResult, len(results))
 	for i, r := range results {
@@ -350,7 +346,6 @@ func (d *Detector) ScoreStream(ctx context.Context, docs []StreamDocument, opts 
 		if r.Dead != nil {
 			sr.Quarantined = true
 			sr.FailedStage = r.Dead.Stage
-			sr.Attempts = r.Dead.Attempts
 			sr.Err = r.Dead.Err.Error()
 		}
 		out[i] = sr

@@ -2,7 +2,7 @@ package core
 
 import (
 	"context"
-	"fmt"
+	"errors"
 
 	"harassrepro/internal/obs"
 	"harassrepro/internal/pii"
@@ -17,8 +17,8 @@ import (
 // the stream. ScoreStream is that surface for the reproduction: it
 // runs the detector's scoring plus the rule-based annotations on the
 // resilience runtime — bounded worker pool, per-document panic
-// isolation, immediate retry, dead-letter quarantine — while
-// keeping scores bit-identical to a sequential run for a given seed.
+// isolation, dead-letter quarantine — while keeping scores
+// bit-identical to a sequential run for a given seed.
 
 // StreamDoc is one document flowing through the streaming scoring
 // path: input fields (ID, Platform, Text) plus the annotations the
@@ -32,8 +32,8 @@ type StreamDoc struct {
 	CTH float64
 	Dox float64
 	// PII / Attacks are the rule-based annotations (degradable: they
-	// may be missing when their stage failed permanently, in which
-	// case Result.Degraded names the stage).
+	// may be missing when their stage failed, in which case
+	// Result.Degraded names the stage).
 	PII     []string
 	Attacks []string
 	// SeedQuery reports the Figure 4 mobilizing-language seed query.
@@ -48,9 +48,6 @@ type StreamOptions struct {
 	// same stream produce identical scores for every non-quarantined
 	// document, regardless of worker count or injected faults.
 	Seed uint64
-	// MaxAttempts bounds how many times a transiently failing stage
-	// runs per document; 0 means the default (4).
-	MaxAttempts int
 	// Ordered changes nothing and is kept for existing callers:
 	// results are always in input order.
 	Ordered bool
@@ -58,7 +55,7 @@ type StreamOptions struct {
 	// degradable) after scoring.
 	Annotate bool
 	// StageWrap, if set, wraps every stage before the runner is
-	// built — the hook the chaos harness uses to inject faults.
+	// built — the hook the fault tests inject stage panics through.
 	StageWrap func(resilience.Stage[StreamDoc]) resilience.Stage[StreamDoc]
 	// Metrics, if set, receives the runner's per-stage counters and
 	// latency histograms plus the scoring instruments (scratch-pool
@@ -75,8 +72,8 @@ var (
 // streamStages builds the stage pipeline for streaming scoring.
 func (d *Detector) streamStages(opts StreamOptions) []resilience.Stage[StreamDoc] {
 	// Per-document scoring randomness is derived from (seed, task,
-	// index), never from the detector's shared stream: retries and
-	// scheduling cannot perturb it. The per-task splits keep the labels of
+	// index), never from the detector's shared stream: scheduling
+	// cannot perturb it. The per-task splits keep the labels of
 	// the per-task stages they came from, so spans are sampled as before.
 	// They are hoisted out of the per-document closure and the
 	// per-document child streams are derived by value (SplitNVal), keeping
@@ -97,11 +94,10 @@ func (d *Detector) streamStages(opts StreamOptions) []resilience.Stage[StreamDoc
 	// One stage runs both classifiers so each document is tokenized once
 	// (and vectorized once when it fits both span lengths).
 	stages := []resilience.Stage[StreamDoc]{{
-		Name:      "score",
-		Transient: true,
+		Name: "score",
 		Fn: func(_ context.Context, index int, sd *StreamDoc) error {
 			if sd.Text == "" {
-				return resilience.Permanent(fmt.Errorf("empty document text"))
+				return errors.New("empty document text")
 			}
 			cthRng := cthBase.SplitNVal("doc", index)
 			doxRng := doxBase.SplitNVal("doc", index)
@@ -120,7 +116,6 @@ func (d *Detector) streamStages(opts StreamOptions) []resilience.Stage[StreamDoc
 		stages = append(stages,
 			resilience.Stage[StreamDoc]{
 				Name:       "pii",
-				Transient:  true,
 				Degradable: true,
 				Fn: func(_ context.Context, _ int, sd *StreamDoc) error {
 					// At most one entry per PII type: the scratch array keeps
@@ -137,7 +132,6 @@ func (d *Detector) streamStages(opts StreamOptions) []resilience.Stage[StreamDoc
 			},
 			resilience.Stage[StreamDoc]{
 				Name:       "taxonomy",
-				Transient:  true,
 				Degradable: true,
 				Fn: func(_ context.Context, _ int, sd *StreamDoc) error {
 					var subs []string
@@ -169,10 +163,9 @@ func (d *Detector) streamStages(opts StreamOptions) []resilience.Stage[StreamDoc
 // Process and RunSlice.
 func (d *Detector) Runner(opts StreamOptions) *resilience.Runner[StreamDoc] {
 	return resilience.NewRunner(resilience.Config[StreamDoc]{
-		Workers:     opts.Workers,
-		MaxAttempts: opts.MaxAttempts,
-		Describe:    func(sd *StreamDoc) string { return sd.ID },
-		Metrics:     opts.Metrics,
+		Workers:  opts.Workers,
+		Describe: func(sd *StreamDoc) string { return sd.ID },
+		Metrics:  opts.Metrics,
 	}, d.streamStages(opts)...)
 }
 

@@ -115,7 +115,6 @@ func TestScoreStreamMetricsWorkerInvariance(t *testing.T) {
 			{"attempts score", cv("pipeline_stage_attempts_total", obs.L("stage", "score")), n, nil},
 			{"attempts pii", cv("pipeline_stage_attempts_total", obs.L("stage", "pii")), n, nil},
 			{"attempts taxonomy", cv("pipeline_stage_attempts_total", obs.L("stage", "taxonomy")), n, nil},
-			{"retries score", cv("pipeline_stage_retries_total", obs.L("stage", "score")), 0, nil},
 			{"pool gets", cv("score_pool_gets_total"), n, nil},
 			{"phase sampled", cv("score_phase_sampled_total"), sampledDocs, nil},
 			{"pii scanned", cv("pii_docs_scanned_total"), n, nil},
@@ -161,8 +160,8 @@ func TestScoreStreamMetricsWorkerInvariance(t *testing.T) {
 		// Cross-worker counter equality for the deterministic series
 		// (latency histograms and pool misses legitimately vary).
 		for _, name := range []string{
-			"pipeline_stage_attempts_total", "pipeline_stage_retries_total",
-			"pipeline_stage_failures_total", "score_phase_sampled_total",
+			"pipeline_stage_attempts_total", "pipeline_stage_failures_total",
+			"score_phase_sampled_total",
 			"pii_docs_scanned_total", "pii_docs_clean_total",
 		} {
 			for _, m := range baseSnap.Metrics {

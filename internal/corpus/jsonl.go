@@ -118,7 +118,7 @@ func EachJSONL(r io.Reader, opts JSONLOptions, fn func(d *Document) error) (bad 
 	var d Document   // the current document, reused across lines
 	for {
 		lineStart := offset
-		next, consumed, tooLong, rerr := readLine(br, raw[:0], opts.MaxLineBytes)
+		next, consumed, tooLong, rerr := ReadLine(br, raw[:0], opts.MaxLineBytes)
 		raw = next
 		offset += consumed
 		if rerr != nil && rerr != io.EOF {
@@ -165,14 +165,15 @@ func preview(raw []byte) string {
 	return string(raw)
 }
 
-// readLine appends one newline-terminated line of at most max bytes to
-// line, a buffer the caller reuses across lines. A longer line is
+// ReadLine appends one newline-terminated line of at most max bytes to
+// line, a buffer the caller reuses across lines, without the
+// terminator (\n or \r\n). A longer line is
 // discarded to its end and reported with tooLong=true, returning only a
 // short retained prefix for diagnostics. consumed is the exact number
 // of input bytes this line occupied — terminator and discarded overflow
 // included — so the caller can maintain byte offsets. err is io.EOF at
 // end of input (the final line may be unterminated).
-func readLine(br *bufio.Reader, line []byte, max int) (_ []byte, consumed int64, tooLong bool, err error) {
+func ReadLine(br *bufio.Reader, line []byte, max int) (_ []byte, consumed int64, tooLong bool, err error) {
 	for {
 		frag, rerr := br.ReadSlice('\n')
 		consumed += int64(len(frag))

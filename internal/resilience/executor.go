@@ -13,23 +13,22 @@ import (
 )
 
 // Stage is one named processing step applied to every item. Stages run
-// in declaration order; each attempt operates on a private copy of the
-// item that is committed back only on success, so a failing attempt
-// never leaves a half-mutated document behind.
+// in declaration order, each once per item, on a private copy of the
+// item that is committed back only on success, so a failing stage
+// never leaves a half-mutated document behind: a Degradable stage that
+// panics halfway through writing its fields is still emitted, without
+// those writes.
 //
 // Stage functions must treat the item's existing field values as
 // read-only inputs (replace slices, don't write into shared backing
-// arrays): the private copy is shallow, so a failed attempt's writes
+// arrays): the private copy is shallow, so a failed stage's writes
 // through a slice or pointer it copied would survive into the committed
 // item.
 type Stage[T any] struct {
 	// Name identifies the stage in dead letters and degradation marks.
 	Name string
-	// Transient marks every failure of this stage retryable by
-	// default; Transient/Permanent error markers override per error.
-	Transient bool
-	// Degradable means a permanent failure annotates the item as
-	// degraded (Result.Degraded) instead of quarantining it.
+	// Degradable means a failure annotates the item as degraded
+	// (Result.Degraded) instead of quarantining it.
 	Degradable bool
 	// Fn processes the item. index is the item's position in the
 	// input stream; stages derive their deterministic per-item
@@ -41,16 +40,11 @@ type Stage[T any] struct {
 type Config[T any] struct {
 	// Workers bounds the worker pool. 0 means GOMAXPROCS.
 	Workers int
-	// MaxAttempts bounds how many times a retryable stage runs per
-	// item (>= 1). 0 means the default of 4. Retries are immediate:
-	// every stage is a CPU function of its item, so waiting between
-	// attempts would change nothing but wall-clock time.
-	MaxAttempts int
 	// Describe, if set, labels items in dead letters (typically the
 	// document ID).
 	Describe func(*T) string
-	// Metrics, if set, receives per-stage attempt/retry/panic/failure
-	// counters, per-attempt latency histograms and per-status item
+	// Metrics, if set, receives per-stage attempt/panic/failure
+	// counters, per-stage latency histograms and per-status item
 	// counters (see obs.go for the catalog and its reconciliation
 	// identities). The hot path stays allocation-free either way.
 	Metrics *obs.Registry
@@ -70,9 +64,6 @@ type Runner[T any] struct {
 func NewRunner[T any](cfg Config[T], stages ...Stage[T]) *Runner[T] {
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
-	}
-	if cfg.MaxAttempts <= 0 {
-		cfg.MaxAttempts = 4
 	}
 	r := &Runner[T]{cfg: cfg, stages: stages}
 	if cfg.Metrics != nil {
@@ -96,7 +87,7 @@ type work[T any] struct {
 // Process consumes items from in and returns a channel of per-item
 // results in input order. The results channel is closed once every
 // accepted item has been emitted and must be drained until closed.
-// When ctx is cancelled, in-flight items finish their current attempt,
+// When ctx is cancelled, in-flight items finish their current stage,
 // remaining input is not consumed, and the channel closes early: the
 // caller observes a contiguous in-order prefix of the input.
 //
@@ -218,16 +209,16 @@ func (r *Runner[T]) recordRun(started time.Time, n int) {
 }
 
 // RunItem applies every stage to one item on the caller's goroutine,
-// with retries, panic recovery, degradation and quarantine: the path
-// Process runs on each worker, for callers that own their concurrency
-// (the scoring service runs it on the request's goroutine). index is the
+// with panic recovery, degradation and quarantine: the path Process
+// runs on each worker, for callers that own their concurrency (the
+// scoring service runs it on the request's goroutine). index is the
 // item's identity for the stages' per-item randomness, so the result
 // equals what Process or RunSlice yields for the same item at that
 // stream position.
 func (r *Runner[T]) RunItem(ctx context.Context, index int, item T) Result[T] {
 	res := Result[T]{Index: index, Status: StatusOK}
 	for si, st := range r.stages {
-		err, attempts := r.runStage(ctx, st, si, index, &item)
+		err := r.runStage(ctx, st, si, index, &item)
 		if err == nil {
 			continue
 		}
@@ -236,7 +227,7 @@ func (r *Runner[T]) RunItem(ctx context.Context, index int, item T) Result[T] {
 			res.Degraded = append(res.Degraded, st.Name)
 			continue
 		}
-		dl := &DeadLetter{Index: index, Stage: st.Name, Attempts: attempts, Err: err}
+		dl := &DeadLetter{Index: index, Stage: st.Name, Err: err}
 		if r.cfg.Describe != nil {
 			dl.ID = r.cfg.Describe(&item)
 		}
@@ -251,56 +242,44 @@ func (r *Runner[T]) RunItem(ctx context.Context, index int, item T) Result[T] {
 	return res
 }
 
-// runStage runs one stage, retrying retryable failures immediately up
-// to MaxAttempts, and returns the final error (nil on success) and the
-// number of attempts made. si is the stage's index into r.stages, used
-// to resolve its metric handles.
-func (r *Runner[T]) runStage(ctx context.Context, st Stage[T], si, index int, item *T) (error, int) {
+// runStage runs one stage once and returns its error (nil on success).
+// si is the stage's index into r.stages, used to resolve its metric
+// handles.
+func (r *Runner[T]) runStage(ctx context.Context, st Stage[T], si, index int, item *T) error {
 	var sm *stageMetrics
+	var t0 time.Time
 	if r.metrics != nil {
 		sm = &r.metrics.stages[si]
+		sm.attempts.Inc()
+		t0 = time.Now()
 	}
-	for attempt := 1; ; attempt++ {
-		if sm != nil {
-			sm.attempts.Inc()
-			if attempt > 1 {
-				sm.retries.Inc()
-			}
-		}
-		var t0 time.Time
-		if sm != nil {
-			t0 = time.Now()
-		}
-		err := runAttempt(ctx, st, index, item)
-		if sm != nil {
-			sm.latency.Observe(time.Since(t0).Nanoseconds())
-		}
-		if err == nil {
-			return nil, attempt
-		}
-		if sm != nil {
-			sm.errors.Inc()
-			var pe *PanicError
-			if errors.As(err, &pe) {
-				sm.panics.Inc()
-			}
-		}
-		if ctx.Err() != nil {
-			return fmt.Errorf("cancelled: %w", err), attempt
-		}
-		if !retryable(st.Transient, err) || attempt >= r.cfg.MaxAttempts {
-			if sm != nil {
-				sm.failures.Inc()
-			}
-			return err, attempt
+	err := runIsolated(ctx, st, index, item)
+	if sm != nil {
+		sm.latency.Observe(time.Since(t0).Nanoseconds())
+	}
+	if err == nil {
+		return nil
+	}
+	if sm != nil {
+		sm.errors.Inc()
+		var pe *PanicError
+		if errors.As(err, &pe) {
+			sm.panics.Inc()
 		}
 	}
+	if ctx.Err() != nil {
+		return fmt.Errorf("cancelled: %w", err)
+	}
+	if sm != nil {
+		sm.failures.Inc()
+	}
+	return err
 }
 
-// runAttempt runs one stage attempt inline on a private copy of the
-// item, committing the copy back only on success; a recovered panic is
-// returned as *PanicError.
-func runAttempt[T any](ctx context.Context, st Stage[T], index int, item *T) (err error) {
+// runIsolated runs st inline on a private copy of the item, committing
+// the copy back only on success; a recovered panic is returned as
+// *PanicError.
+func runIsolated[T any](ctx context.Context, st Stage[T], index int, item *T) (err error) {
 	scratch := *item
 	defer func() {
 		if v := recover(); v != nil {

@@ -3,21 +3,20 @@ package resilience
 // Runner instrumentation. When Config.Metrics is set, NewRunner
 // registers one set of per-stage counters and latency histograms plus
 // per-status item counters, resolving every handle up front so the
-// per-attempt hot path pays only atomic increments and two clock
-// reads — never a registry lookup or an allocation.
+// per-stage hot path pays only atomic increments and two clock reads —
+// never a registry lookup or an allocation.
 //
 // Counter semantics (the reconciliation identities the tests assert):
 //
-//	pipeline_stage_attempts_total  every attempt, including retries
-//	pipeline_stage_retries_total   attempts after the first, per (item, stage)
-//	pipeline_stage_errors_total    failed attempts (cancelled ones included)
-//	pipeline_stage_panics_total    failed attempts that were recovered panics
-//	pipeline_stage_failures_total  permanent failures (retry budget exhausted
-//	                               or Permanent error); cancellation excluded
+//	pipeline_stage_attempts_total  stage runs: one per item entering the stage
+//	pipeline_stage_errors_total    failed runs (cancelled ones included)
+//	pipeline_stage_panics_total    failed runs that were recovered panics
+//	pipeline_stage_failures_total  failures that quarantined or degraded the
+//	                               item; cancellation excluded
 //	pipeline_items_total{status}   completed items by final status
 //
-// so attempts - retries == items that entered the stage, and
-// sum over status of items_total == Summary.Processed.
+// so attempts == items that entered the stage == the latency histogram's
+// count, and sum over status of items_total == Summary.Processed.
 
 import "harassrepro/internal/obs"
 
@@ -32,7 +31,6 @@ type runnerMetrics struct {
 
 type stageMetrics struct {
 	attempts *obs.Counter
-	retries  *obs.Counter
 	errors   *obs.Counter
 	panics   *obs.Counter
 	failures *obs.Counter
@@ -57,17 +55,15 @@ func newRunnerMetrics(reg *obs.Registry, stages []string) *runnerMetrics {
 		l := obs.L("stage", name)
 		rm.stages = append(rm.stages, stageMetrics{
 			attempts: reg.NewCounter("pipeline_stage_attempts_total",
-				"stage attempts, including retries", l),
-			retries: reg.NewCounter("pipeline_stage_retries_total",
-				"stage attempts beyond the first per item", l),
+				"stage runs, one per item entering the stage", l),
 			errors: reg.NewCounter("pipeline_stage_errors_total",
-				"failed stage attempts", l),
+				"failed stage runs", l),
 			panics: reg.NewCounter("pipeline_stage_panics_total",
-				"failed stage attempts that were recovered panics", l),
+				"failed stage runs that were recovered panics", l),
 			failures: reg.NewCounter("pipeline_stage_failures_total",
-				"permanent stage failures (quarantine or degradation)", l),
+				"stage failures (quarantine or degradation)", l),
 			latency: reg.NewHistogram("pipeline_stage_latency_ns",
-				"per-attempt stage latency", obs.DurationBuckets(), l),
+				"per-item stage latency", obs.DurationBuckets(), l),
 		})
 	}
 	return rm

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"sync/atomic"
 	"testing"
 
 	"harassrepro/internal/obs"
@@ -15,7 +14,7 @@ import (
 // reconciliation identities documented in obs.go exactly.
 func TestRunnerMetricsReconcile(t *testing.T) {
 	const n = 40
-	flakes := func(i int) bool { return i%4 == 0 }    // 10 docs: fail 1st attempt
+	failing := func(i int) bool { return i%4 == 0 }   // 10 docs: degrade via error
 	panics := func(i int) bool { return i%10 == 7 }   // 4 docs: degrade via panic
 	poisoned := func(i int) bool { return i%20 == 5 } // 2 docs: quarantine
 	count := func(p func(int) bool) (c int) {         // plan cardinalities
@@ -26,14 +25,13 @@ func TestRunnerMetricsReconcile(t *testing.T) {
 		}
 		return c
 	}
-	nFlaky, nPanic, nPoison := count(flakes), count(panics), count(poisoned)
+	nFailing, nPanic, nPoison := count(failing), count(panics), count(poisoned)
 
-	var firstTry [n]atomic.Bool
 	reg := obs.NewRegistry()
-	r := NewRunner(Config[doc]{Workers: 4, MaxAttempts: 3, Metrics: reg},
-		Stage[doc]{Name: "flaky", Transient: true, Fn: func(_ context.Context, index int, d *doc) error {
-			if flakes(index) && !firstTry[index].Swap(true) {
-				return fmt.Errorf("transient glitch on %d", index)
+	r := NewRunner(Config[doc]{Workers: 4, Metrics: reg},
+		Stage[doc]{Name: "failing", Degradable: true, Fn: func(_ context.Context, index int, d *doc) error {
+			if failing(index) {
+				return fmt.Errorf("enrichment rejected %d", index)
 			}
 			return nil
 		}},
@@ -43,7 +41,7 @@ func TestRunnerMetricsReconcile(t *testing.T) {
 			}
 			return nil
 		}},
-		Stage[doc]{Name: "quarantine", Transient: true, Fn: func(_ context.Context, index int, d *doc) error {
+		Stage[doc]{Name: "quarantine", Fn: func(_ context.Context, index int, d *doc) error {
 			if poisoned(index) {
 				return fmt.Errorf("poison document %d", index)
 			}
@@ -54,7 +52,8 @@ func TestRunnerMetricsReconcile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sum.Processed != n || sum.Degraded != nPanic || sum.Quarantined != nPoison {
+	// No document is in two fault sets, so each degraded one failed once.
+	if sum.Processed != n || sum.Degraded != nFailing+nPanic || sum.Quarantined != nPoison {
 		t.Fatalf("summary = %v", sum)
 	}
 
@@ -62,19 +61,18 @@ func TestRunnerMetricsReconcile(t *testing.T) {
 	cv := func(name, stage string) uint64 {
 		return uint64(counterValue(s, name, obs.L("stage", stage)))
 	}
-	// Expected per-stage totals from the fault plan. Panicky docs are
-	// degraded, not quarantined, so every doc reaches every stage except
-	// the nPoison quarantined ones, which die in the last stage anyway.
-	type want struct{ attempts, retries, errors, panics, failures uint64 }
+	// Expected per-stage totals from the fault plan. Degraded docs go on
+	// to the next stage, so every doc enters every stage; the nPoison
+	// quarantined ones die in the last stage.
+	type want struct{ attempts, errors, panics, failures uint64 }
 	wants := map[string]want{
-		"flaky":      {attempts: n + uint64(nFlaky), retries: uint64(nFlaky), errors: uint64(nFlaky)},
+		"failing":    {attempts: n, errors: uint64(nFailing), failures: uint64(nFailing)},
 		"panicky":    {attempts: n, errors: uint64(nPanic), panics: uint64(nPanic), failures: uint64(nPanic)},
-		"quarantine": {attempts: n + 2*uint64(nPoison), retries: 2 * uint64(nPoison), errors: 3 * uint64(nPoison), failures: uint64(nPoison)},
+		"quarantine": {attempts: n, errors: uint64(nPoison), failures: uint64(nPoison)},
 	}
 	for stage, w := range wants {
 		got := want{
 			attempts: cv("pipeline_stage_attempts_total", stage),
-			retries:  cv("pipeline_stage_retries_total", stage),
 			errors:   cv("pipeline_stage_errors_total", stage),
 			panics:   cv("pipeline_stage_panics_total", stage),
 			failures: cv("pipeline_stage_failures_total", stage),
@@ -82,27 +80,27 @@ func TestRunnerMetricsReconcile(t *testing.T) {
 		if got != w {
 			t.Errorf("stage %q counters = %+v, want %+v", stage, got, w)
 		}
-		// attempts - retries == items that entered the stage.
-		if entered := got.attempts - got.retries; entered != n {
-			t.Errorf("stage %q: attempts-retries = %d, want %d", stage, entered, n)
-		}
-		// The latency histogram sees exactly one observation per attempt.
+		// attempts == documents that entered the stage == latency count.
 		m, ok := findMetric(s, "pipeline_stage_latency_ns", obs.L("stage", stage))
 		if !ok {
 			t.Fatalf("stage %q latency histogram missing", stage)
 		}
-		if m.Count != got.attempts {
-			t.Errorf("stage %q latency count = %d, want %d attempts", stage, m.Count, got.attempts)
+		if got.attempts != n || m.Count != n {
+			t.Errorf("stage %q: attempts %d, latency count %d, want both = %d entering documents", stage, got.attempts, m.Count, n)
 		}
+	}
+	if _, ok := findMetric(s, "pipeline_stage_retries_total", obs.L("stage", "failing")); ok {
+		t.Error("pipeline_stage_retries_total is registered, but no stage runs twice")
 	}
 
 	// Items by final status reconcile with the run summary.
 	items := func(status string) int {
 		return int(counterValue(s, "pipeline_items_total", obs.L("status", status)))
 	}
-	if items("ok") != n-nPanic-nPoison || items("degraded") != nPanic || items("quarantined") != nPoison {
+	nOK := n - nFailing - nPanic - nPoison
+	if items("ok") != nOK || items("degraded") != nFailing+nPanic || items("quarantined") != nPoison {
 		t.Errorf("items_total = ok:%d degraded:%d quarantined:%d, want %d/%d/%d",
-			items("ok"), items("degraded"), items("quarantined"), n-nPanic-nPoison, nPanic, nPoison)
+			items("ok"), items("degraded"), items("quarantined"), nOK, nFailing+nPanic, nPoison)
 	}
 	if total := items("ok") + items("degraded") + items("quarantined"); total != sum.Processed {
 		t.Errorf("sum of items_total = %d, want Processed = %d", total, sum.Processed)
@@ -117,7 +115,7 @@ func TestRunnerMetricsReconcile(t *testing.T) {
 // TestRunnerWithoutMetricsUnchanged pins the zero-config path: a runner
 // with no registry behaves exactly as before.
 func TestRunnerWithoutMetricsUnchanged(t *testing.T) {
-	r := NewRunner(Config[doc]{Workers: 2, MaxAttempts: 4},
+	r := NewRunner(Config[doc]{Workers: 2},
 		Stage[doc]{Name: "score", Fn: func(_ context.Context, index int, d *doc) error {
 			d.Score = float64(index)
 			return nil

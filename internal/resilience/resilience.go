@@ -1,25 +1,26 @@
 // Package resilience is the fault-tolerant document-processing runtime
 // underneath the streaming ingest and scoring paths. The paper's
 // measurement system ran continuously over five live platform feeds
-// (405.9M board posts, 70.3M chat messages, ...), where crawler
-// hiccups, malformed records and slow stages are the norm; this package
-// provides the equivalent robustness layer for the reproduction:
+// (405.9M board posts, 70.3M chat messages, ...), where one malformed
+// or pathological document must cost that document, not the run; this
+// package provides that isolation for the reproduction:
 //
 //   - a bounded worker-pool executor (Runner) with context
 //     cancellation, yielding results in input order;
 //   - per-document panic recovery and error isolation: a poison
 //     document is quarantined to a dead-letter queue (recording the
-//     failing stage, error and attempt count) instead of killing the
-//     run;
-//   - immediate retry of transient failures, up to a bounded number of
-//     attempts;
+//     failing stage and error) instead of killing the run;
 //   - graceful degradation: stages marked Degradable annotate the
-//     document as degraded on permanent failure instead of dropping it.
+//     document as degraded on failure instead of dropping it.
+//
+// Every stage runs once per document. The stages are pure in-memory
+// functions of their document, so running one again would fail the
+// same way.
 //
 // Determinism contract: every per-item random stream (span sampling
-// inside stage functions, chaos injection) is derived from (seed, stage
-// name, item index) via randx.Split/SplitN, never from wall-clock time
-// or scheduling order. Worker scheduling therefore affects only which
+// inside stage functions) is derived from (seed, stage name, item
+// index) via randx.Split/SplitN, never from wall-clock time or
+// scheduling order. Worker scheduling therefore affects only which
 // worker runs an item, never its result or its position in the output.
 package resilience
 
@@ -34,10 +35,10 @@ type Status int
 const (
 	// StatusOK: every stage succeeded.
 	StatusOK Status = iota
-	// StatusDegraded: at least one Degradable stage failed permanently;
+	// StatusDegraded: at least one Degradable stage failed;
 	// the item was still emitted with those annotations marked degraded.
 	StatusDegraded
-	// StatusQuarantined: a required stage failed permanently; the item
+	// StatusQuarantined: a required stage failed; the item
 	// was sent to the dead-letter queue.
 	StatusQuarantined
 )
@@ -63,11 +64,9 @@ type DeadLetter struct {
 	// ID identifies the item when the runner was configured with a
 	// Describe function; otherwise empty.
 	ID string
-	// Stage is the name of the stage that failed permanently.
+	// Stage is the name of the stage that failed.
 	Stage string
-	// Attempts is how many times the failing stage ran.
-	Attempts int
-	// Err is the final error (a PanicError if the stage panicked).
+	// Err is the stage's error (a PanicError if the stage panicked).
 	Err error
 }
 
@@ -76,12 +75,11 @@ func (d DeadLetter) String() string {
 	if id == "" {
 		id = fmt.Sprintf("#%d", d.Index)
 	}
-	return fmt.Sprintf("%s: stage %q failed after %d attempt(s): %v", id, d.Stage, d.Attempts, d.Err)
+	return fmt.Sprintf("%s: stage %q failed: %v", id, d.Stage, d.Err)
 }
 
 // PanicError is a recovered stage panic, preserved as an error so a
-// panicking stage is handled by the same retry/quarantine machinery as
-// a failing one.
+// panicking stage is quarantined or degraded like a failing one.
 type PanicError struct {
 	Value any
 	Stack []byte
@@ -105,7 +103,7 @@ type Result[T any] struct {
 	Item T
 	// Status classifies the outcome.
 	Status Status
-	// Degraded lists the Degradable stages that failed permanently.
+	// Degraded lists the Degradable stages that failed.
 	Degraded []string
 	// Dead is set when Status is StatusQuarantined.
 	Dead *DeadLetter

@@ -1,15 +1,16 @@
 package serve
 
-// Chaos certification for the synchronous scoring path, run under -race
-// by check.sh: under a seeded per-document fault plan every request is
-// answered exactly once, every document the faults did not exhaust is
-// scored bit-identically to a fault-free run, and a fault's blast radius
-// is the request that ran into it.
+// Fault certification for the synchronous scoring path, run under -race
+// by check.sh: under a seeded per-document panic plan every request is
+// answered exactly once, every document the plan spares is scored
+// bit-identically to a fault-free run, and a fault's blast radius is the
+// document that ran into it.
 
 import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"hash/fnv"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -24,10 +25,9 @@ import (
 	"harassrepro/internal/core"
 	"harassrepro/internal/obs"
 	"harassrepro/internal/resilience"
-	"harassrepro/internal/resilience/chaos"
 )
 
-// goldenScore is the deterministic text-derived score the chaos tests
+// goldenScore is the deterministic text-derived score the fault tests
 // compare against: a faulted run must produce exactly these values for
 // every OK document.
 func goldenScore(text string) (cth, dox float64) {
@@ -59,11 +59,36 @@ func (g *goldenBackend) Runner(opts core.StreamOptions) *resilience.Runner[core.
 	})
 }
 
-// wrapWith adapts a chaos plan to Config.StageWrap.
-func wrapWith(cfg chaos.Config) func(resilience.Stage[core.StreamDoc]) resilience.Stage[core.StreamDoc] {
-	return func(st resilience.Stage[core.StreamDoc]) resilience.Stage[core.StreamDoc] {
-		return chaos.Wrap(st, cfg)
+// panicPlan makes a wrapped stage panic, after doing its work, on the
+// documents whose (seed, stage, text) hash falls under rate. It keys on
+// the text, not the runner index: the server numbers documents in
+// arrival order, which concurrent clients do not fix, and the text lets
+// each client tell which of its documents the plan hits.
+type panicPlan struct {
+	seed uint64
+	rate float64
+}
+
+func (p panicPlan) hits(stage, text string) bool {
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%d\x00%s\x00%s", p.seed, stage, text)
+	return float64(h.Sum64()%10000) < p.rate*10000
+}
+
+// planned is the message of every panic the plan injects.
+const planned = "planned panic"
+
+// stageWrap adapts the plan to Config.StageWrap.
+func (p panicPlan) stageWrap(st resilience.Stage[core.StreamDoc]) resilience.Stage[core.StreamDoc] {
+	inner := st.Fn
+	st.Fn = func(ctx context.Context, index int, sd *core.StreamDoc) error {
+		err := inner(ctx, index, sd)
+		if p.hits(st.Name, sd.Text) {
+			panic(planned)
+		}
+		return err
 	}
+	return st
 }
 
 // counterSum adds up every series of one counter family.
@@ -139,15 +164,13 @@ func TestChaosCertificationNoLossNoDoubleScore(t *testing.T) {
 	before := runtime.NumGoroutine()
 
 	reg := obs.NewRegistry()
+	plan := panicPlan{seed: 7, rate: 0.08}
 	s := New(Config{
 		Backend:        &goldenBackend{},
 		QueueDepth:     96,
 		RequestTimeout: 10 * time.Second,
-		StageWrap: wrapWith(chaos.Config{
-			Seed: 7, PanicRate: 0.08, TransientRate: 0.05, PermanentRate: 0.02,
-			LatencyRate: 0.05, Latency: 2 * time.Millisecond,
-		}),
-		Metrics: reg,
+		StageWrap:      plan.stageWrap,
+		Metrics:        reg,
 	})
 	ts := newHTTPFront(t, s)
 
@@ -164,29 +187,30 @@ func TestChaosCertificationNoLossNoDoubleScore(t *testing.T) {
 		bad = append(bad, fmt.Sprintf(format, args...))
 		mu.Unlock()
 	}
-	// check verifies one answered document against the fault-free run.
+	// check verifies one answered document against the plan and the
+	// fault-free run: exactly the planned documents are quarantined, and
+	// say why.
 	check := func(res ScoreResult, text string) {
-		switch res.Status {
-		case "ok":
+		hit := plan.hits("golden-score", text)
+		switch {
+		case res.Status == "ok" && !hit:
 			if c, d := goldenScore(text); res.CTH != c || res.Dox != d {
 				fail("%s: scores (%v,%v) != golden (%v,%v)", res.ID, res.CTH, res.Dox, c, d)
 				return
 			}
 			okDocs.Add(1)
-		case "quarantined":
-			// Only a document the plan poisoned, or whose every attempt it
-			// faulted, may fail — and it says so.
-			if !strings.Contains(res.Error, chaos.ErrInjected.Error()) {
+		case res.Status == "quarantined" && hit:
+			if !strings.Contains(res.Error, planned) {
 				fail("%s: quarantined by something other than the plan: %s", res.ID, res.Error)
 				return
 			}
 			quarantined.Add(1)
 		default:
-			fail("%s: status %q", res.ID, res.Status)
+			fail("%s: status %q, planned panic %v", res.ID, res.Status, hit)
 		}
 	}
 	post := func(client, n int) {
-		texts := stormTexts("chaos", client, n, batchEvery, batchDocs)
+		texts := stormTexts("fault", client, n, batchEvery, batchDocs)
 		sentDocs.Add(int64(len(texts)))
 		// No shedding is configured to bite and nothing is shared that
 		// could be lost: every answer is a 200.
@@ -228,11 +252,9 @@ func TestChaosCertificationNoLossNoDoubleScore(t *testing.T) {
 		t.Errorf("serve_docs_total{quarantined} = %v, clients saw %d", got, quarantined.Load())
 	}
 
-	// The plan actually bit: stages panicked, attempts were retried, and
-	// the poison documents were quarantined.
-	panics, retries := counterSum(snap, "pipeline_stage_panics_total"), counterSum(snap, "pipeline_stage_retries_total")
-	if panics == 0 || retries == 0 || quarantined.Load() == 0 {
-		t.Errorf("chaos did not bite: %v panics, %v retries, %d quarantined", panics, retries, quarantined.Load())
+	// The plan actually bit, and each planned document panicked once.
+	if panics := counterSum(snap, "pipeline_stage_panics_total"); quarantined.Load() == 0 || int64(panics) != quarantined.Load() {
+		t.Errorf("%v stage panics for %d quarantined documents, want as many and more than 0", panics, quarantined.Load())
 	}
 	for _, m := range snap.Metrics {
 		if m.Name == "serve_requests_total" && m.Value != nil && *m.Value != 0 && !strings.Contains(labelsOf(m), "code=200") {
@@ -261,23 +283,23 @@ func labelsOf(m obs.Metric) string {
 	return strings.Join(parts, ",")
 }
 
-// A stall is a latency fault longer than the request deadline. It ends
-// as its own request's 504 and, while it lasts, delays nobody else: the
-// scoring stages share no queue and no lock across requests.
+// A stall is a stage that outlives the request deadline. It ends as its
+// own request's 504 and, while it lasts, delays nobody else: the scoring
+// stages share no queue and no lock across requests.
 func TestInjectedStallEndsAt504AndDelaysNobody(t *testing.T) {
 	const deadline = 750 * time.Millisecond
 	entered := make(chan struct{}, 1)
-	stall := chaos.Config{Seed: 1, LatencyRate: 1, Latency: time.Hour}
 	s := New(Config{
 		Backend:        &goldenBackend{},
 		RequestTimeout: deadline,
 		StageWrap: func(st resilience.Stage[core.StreamDoc]) resilience.Stage[core.StreamDoc] {
-			stalled := chaos.Wrap(st, stall)
 			healthy := st.Fn
 			st.Fn = func(ctx context.Context, index int, sd *core.StreamDoc) error {
 				if strings.Contains(sd.Text, "wedge") {
 					entered <- struct{}{}
-					return stalled.Fn(ctx, index, sd)
+					if err := pause(ctx, time.Hour); err != nil {
+						return err
+					}
 				}
 				return healthy(ctx, index, sd)
 			}

@@ -19,8 +19,8 @@ package serve
 //	serve_draining                     gauge     (0/1)
 //
 // Per-document faults are the runner's to count, on the same registry:
-// pipeline_stage_retries_total, pipeline_stage_panics_total and
-// pipeline_stage_failures_total by stage; a quarantined document is
+// pipeline_stage_panics_total and pipeline_stage_failures_total by
+// stage; a quarantined document is
 // serve_docs_total{status="quarantined"} and a deadline
 // serve_requests_total{code="504"}.
 //

@@ -24,9 +24,9 @@
 //     so a hot-swap is a pointer store and requests in flight finish on
 //     the generation they loaded;
 //   - per-document fault isolation comes from the resilience runner the
-//     offline path uses (immediate retry, panic capture on a
-//     private copy, degradation, quarantine): a poison document is
-//     quarantined inside its own 200 response and nothing else notices;
+//     offline path uses (each stage once, panic capture on a private
+//     copy, degradation, quarantine): a poison document is quarantined
+//     inside its own 200 response and nothing else notices;
 //   - per-request deadlines propagated via context — scoring stops at
 //     the next document boundary and everything the request held is
 //     returned before the 504 is written — and graceful drain: Shutdown
@@ -157,12 +157,12 @@ type Config struct {
 	// Default 1s.
 	RetryAfter time.Duration
 	// StageWrap, if set, wraps every scoring stage of every model the
-	// server loads (core.StreamOptions.StageWrap): the hook
-	// `harassd -chaos` injects seeded per-document faults through.
+	// server loads (core.StreamOptions.StageWrap): the hook the fault
+	// tests inject stage panics and stalls through.
 	StageWrap func(resilience.Stage[core.StreamDoc]) resilience.Stage[core.StreamDoc]
 	// Metrics, if set, receives the serving instruments (request/
 	// latency/queue-depth/batch-size) alongside the backend's scoring
-	// and per-stage retry/panic metrics, and mounts /metrics,
+	// and per-stage panic/failure metrics, and mounts /metrics,
 	// /metrics.json and /debug/pprof/ on the server's own mux.
 	Metrics *obs.Registry
 }

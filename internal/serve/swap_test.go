@@ -1,8 +1,8 @@
 package serve
 
 // Hot-swap certification, run under -race by check.sh: a seeded swap
-// storm between two model generations under concurrent load and stage
-// panics loses zero requests, and every response, single or batch, is
+// storm between two model generations under concurrent load and planned
+// stage panics loses zero requests, and every response, single or batch, is
 // scored wholly by a single generation — every (CTH, Dox) pair equals
 // that generation's pure golden function, and the X-Model-Generation
 // header and every model_generation field name it. A response mixing
@@ -25,7 +25,6 @@ import (
 	"harassrepro/internal/core"
 	"harassrepro/internal/obs"
 	"harassrepro/internal/resilience"
-	"harassrepro/internal/resilience/chaos"
 )
 
 // genScore is the deterministic per-generation golden function: two
@@ -66,11 +65,12 @@ func TestHotSwapStormNoLossNoTornReads(t *testing.T) {
 	reg := obs.NewRegistry()
 	m1 := &Model{Backend: &genBackend{gen: 1}, Generation: 1, Seed: 101}
 	m2 := &Model{Backend: &genBackend{gen: 2}, Generation: 2, Seed: 202}
+	plan := panicPlan{seed: 13, rate: 0.2}
 	s := New(Config{
 		Model:          m1,
 		QueueDepth:     96,
 		RequestTimeout: 10 * time.Second,
-		StageWrap:      wrapWith(chaos.Config{Seed: 13, PanicRate: 0.2}),
+		StageWrap:      plan.stageWrap,
 		Metrics:        reg,
 	})
 	ts := newHTTPFront(t, s)
@@ -129,8 +129,12 @@ func TestHotSwapStormNoLossNoTornReads(t *testing.T) {
 				fail("req %d-%d doc %d: model_generation %d under header %d", client, n, i, res.ModelGen, gen)
 				return
 			}
-			if res.Status == "quarantined" && strings.Contains(res.Error, chaos.ErrInjected.Error()) {
-				continue // every attempt panicked: the plan's doing
+			if plan.hits("gen-score", texts[i]) {
+				if res.Status != "quarantined" || !strings.Contains(res.Error, planned) {
+					fail("req %d-%d doc %d: %s %q, want quarantined by its planned panic", client, n, i, res.Status, res.Error)
+					return
+				}
+				continue
 			}
 			if c, d := genScore(gen, texts[i]); res.Status != "ok" || res.CTH != c || res.Dox != d {
 				fail("req %d-%d doc %d: %s (%v,%v) != generation %d golden (%v,%v)", client, n, i, res.Status, res.CTH, res.Dox, gen, c, d)
@@ -163,12 +167,12 @@ func TestHotSwapStormNoLossNoTornReads(t *testing.T) {
 		t.Errorf("good answers = %d, want %d", okCount.Load(), sent.Load())
 	}
 	// The storm actually interleaved: both generations served traffic
-	// and the chaos plan fired.
+	// and the panic plan fired.
 	if genSeen[1].Load() == 0 || genSeen[2].Load() == 0 {
 		t.Errorf("generation mix = gen1:%d gen2:%d, want both > 0", genSeen[1].Load(), genSeen[2].Load())
 	}
 	if panics := counterSum(reg.Snapshot(), "pipeline_stage_panics_total"); panics == 0 {
-		t.Error("chaos plan never fired during the storm")
+		t.Error("panic plan never fired during the storm")
 	}
 
 	// A request admitted after SwapModel returns scores on the new model.

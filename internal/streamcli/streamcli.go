@@ -1,7 +1,8 @@
 // Package streamcli is the skeleton the line-per-document commands
 // (cthdetect, piiscan) share: the -workers, -metrics, -metrics-addr,
-// -store and -token flags; documents read from stdin
-// lines or streamed out of a segmented corpus store; the
+// -store and -token flags; documents read from stdin lines (a line
+// over 1 MiB is dead-lettered in its place, never held in memory) or
+// streamed out of a segmented corpus store; the
 // fault-tolerant runner; and the drain that prints QUARANTINED lines,
 // the processed/succeeded/degraded/quarantined summary, dead letters
 // and the metrics snapshot. A command keeps only its own flags, stages
@@ -10,12 +11,14 @@ package streamcli
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"strings"
+	"sync"
 	"time"
 
 	"harassrepro/internal/corpus"
@@ -130,11 +133,28 @@ type Pipeline[T any] struct {
 	Print func(w io.Writer, res resilience.Result[T])
 }
 
+// maxLineBytes caps one stdin document: a longer line is discarded as
+// it is read and fails the "read" stage in its place.
+const maxLineBytes = 1 << 20
+
 // Run feeds every non-blank document, in input order, through p's
 // stages on the resilience runner and prints each result, then the
 // summary and the dead letters. It returns the error that stopped the
 // input, if any.
 func Run[T any](t *Tool, p Pipeline[T]) error {
+	stages := p.Stages
+	// overCap maps the runner index of each stdin line over
+	// maxLineBytes to its error; the "read" stage quarantines it.
+	var overCap sync.Map
+	if !t.FromStore() {
+		read := resilience.Stage[T]{Name: "read", Fn: func(_ context.Context, index int, _ *T) error {
+			if err, ok := overCap.LoadAndDelete(index); ok {
+				return err.(error)
+			}
+			return nil
+		}}
+		stages = append([]resilience.Stage[T]{read}, stages...)
+	}
 	runner := resilience.NewRunner(resilience.Config[T]{
 		Workers: t.workers,
 		Describe: func(it *T) string {
@@ -145,13 +165,20 @@ func Run[T any](t *Tool, p Pipeline[T]) error {
 			return s
 		},
 		Metrics: t.reg,
-	}, p.Stages...)
+	}, stages...)
 
 	in := make(chan T)
 	inputErr := make(chan error, 1)
 	go func() {
 		defer close(in)
-		inputErr <- t.feed(func(text string) { in <- p.New(text) })
+		index := 0
+		inputErr <- t.feed(func(text string, err error) {
+			if err != nil {
+				overCap.Store(index, err)
+			}
+			in <- p.New(text)
+			index++
+		})
 	}()
 
 	// Only the summary counts and dead letters outlive a result, so
@@ -160,8 +187,7 @@ func Run[T any](t *Tool, p Pipeline[T]) error {
 	for res := range runner.Process(context.Background(), in) {
 		sum.Add(res.Status, res.Dead)
 		if res.Status == resilience.StatusQuarantined {
-			fmt.Fprintf(t.stdout, "QUARANTINED (%s after %d attempts): %v\n",
-				res.Dead.Stage, res.Dead.Attempts, res.Dead.Err)
+			fmt.Fprintf(t.stdout, "QUARANTINED (%s): %v\n", res.Dead.Stage, res.Dead.Err)
 			continue
 		}
 		p.Print(t.stdout, res)
@@ -174,19 +200,35 @@ func Run[T any](t *Tool, p Pipeline[T]) error {
 }
 
 // feed passes emit every non-blank document text: one per stdin line,
-// or the store's documents in store order.
-func (t *Tool) feed(emit func(text string)) error {
+// or the store's documents in store order. A stdin line over
+// maxLineBytes is emitted as its first bytes with an error naming its
+// line number and length.
+func (t *Tool) feed(emit func(text string, err error)) error {
 	if t.storeDir != "" {
-		return t.feedStore(emit)
+		return t.feedStore(func(text string) { emit(text, nil) })
 	}
-	sc := bufio.NewScanner(t.stdin)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		if line := sc.Text(); strings.TrimSpace(line) != "" {
-			emit(line)
+	br := bufio.NewReader(t.stdin)
+	var buf []byte
+	for n := 1; ; n++ {
+		line, consumed, tooLong, err := corpus.ReadLine(br, buf[:0], maxLineBytes)
+		buf = line
+		if err != nil && err != io.EOF {
+			return fmt.Errorf("line %d: %w", n, err)
+		}
+		switch {
+		case tooLong:
+			length := consumed
+			if err == nil {
+				length-- // the newline
+			}
+			emit(string(line), fmt.Errorf("line %d is %d bytes, over the %d-byte line limit", n, length, maxLineBytes))
+		case len(bytes.TrimSpace(line)) > 0:
+			emit(string(line), nil)
+		}
+		if err == io.EOF {
+			return nil
 		}
 	}
-	return sc.Err()
 }
 
 // feedStore streams the store's documents in store order: all of them

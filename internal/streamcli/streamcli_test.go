@@ -9,6 +9,7 @@ import (
 	"io"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"harassrepro/internal/corpus"
 	"harassrepro/internal/corpus/store"
@@ -24,10 +25,16 @@ type exitCode int
 // wrote and its exit code.
 func runTool(t *testing.T, stdin string, args ...string) (stdout, stderr string, code int) {
 	t.Helper()
+	return runToolFrom(t, strings.NewReader(stdin), args...)
+}
+
+// runToolFrom is runTool reading stdin from r.
+func runToolFrom(t *testing.T, r io.Reader, args ...string) (stdout, stderr string, code int) {
+	t.Helper()
 	fs := flag.NewFlagSet("tool", flag.ContinueOnError)
 	tool := New("tool", fs)
 	var out, errOut bytes.Buffer
-	tool.stdin, tool.stdout, tool.stderr = strings.NewReader(stdin), &out, &errOut
+	tool.stdin, tool.stdout, tool.stderr = r, &out, &errOut
 	tool.exit = func(c int) { panic(exitCode(c)) }
 	if err := fs.Parse(args); err != nil {
 		t.Fatal(err)
@@ -51,7 +58,7 @@ func runTool(t *testing.T, stdin string, args ...string) (stdout, stderr string,
 			Name: "validate",
 			Fn: func(_ context.Context, _ int, s *string) error {
 				if strings.Contains(*s, "poison") {
-					return resilience.Permanent(errors.New("poisoned document"))
+					return errors.New("poisoned document")
 				}
 				return nil
 			},
@@ -140,20 +147,45 @@ func TestSummaryAndDeadLetters(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit %d, stderr %s", code, stderr)
 	}
-	wantOut := "first\nQUARANTINED (validate after 1 attempts): permanent: poisoned document\nthird\n"
+	wantOut := "first\nQUARANTINED (validate): poisoned document\nthird\n"
 	if stdout != wantOut {
 		t.Errorf("stdout %q, want %q", stdout, wantOut)
 	}
 	wantErr := "processed=3 succeeded=2 degraded=0 quarantined=1\n" +
-		"  dead-letter poison pill: stage \"validate\" failed after 1 attempt(s): permanent: poisoned document\n"
+		"  dead-letter poison pill: stage \"validate\" failed: poisoned document\n"
 	if stderr != wantErr {
 		t.Errorf("stderr %q, want %q", stderr, wantErr)
 	}
 }
 
+// TestInputErrorExitsOne: a stdin read error ends the run after the
+// documents read before it, with a diagnostic naming the line and exit
+// status 1.
 func TestInputErrorExitsOne(t *testing.T) {
-	stdout, stderr, code := runTool(t, "short\n"+strings.Repeat("x", 1<<20+1)+"\n")
-	if code != 1 || stdout != "short\n" || !strings.HasSuffix(stderr, "tool: reading input: bufio.Scanner: token too long\n") {
+	r := io.MultiReader(strings.NewReader("short\nhalf a li"), iotest.ErrReader(errors.New("device gone")))
+	stdout, stderr, code := runToolFrom(t, r)
+	if code != 1 || stdout != "short\n" || !strings.HasSuffix(stderr, "tool: reading input: line 2: device gone\n") {
 		t.Errorf("exit %d, stdout %q, stderr %q", code, stdout, stderr)
+	}
+}
+
+// TestOverCapLineIsDeadLettered: a stdin line over the 1 MiB cap is one
+// dead letter in its place, naming its line number and length, and the
+// stream goes on to exit 0. Blank lines count toward the line number,
+// not toward the documents.
+func TestOverCapLineIsDeadLettered(t *testing.T) {
+	long := strings.Repeat("x", maxLineBytes+10)
+	for _, end := range []string{"\nthird\n", ""} {
+		stdout, stderr, code := runTool(t, "first\n\n"+long+end)
+		wantOut := "first\nQUARANTINED (read): line 3 is 1048586 bytes, over the 1048576-byte line limit\n"
+		wantErr := "processed=2 succeeded=1 degraded=0 quarantined=1\n" +
+			"  dead-letter " + long[:40] + "...: stage \"read\" failed: line 3 is 1048586 bytes, over the 1048576-byte line limit\n"
+		if end != "" {
+			wantOut += "third\n"
+			wantErr = strings.Replace(wantErr, "processed=2 succeeded=1", "processed=3 succeeded=2", 1)
+		}
+		if code != 0 || stdout != wantOut || stderr != wantErr {
+			t.Errorf("ending %q: exit %d\nstdout %q\nwant   %q\nstderr %q\nwant   %q", end, code, stdout, wantOut, stderr, wantErr)
+		}
 	}
 }

@@ -17,7 +17,8 @@
 #
 # (There used to be a "faulted" phase with 1 of 4 shards continuously
 # failing. No shard exists to fail: a fault is confined to one document,
-# and scripts/chaos_serve.sh certifies that.)
+# and internal/serve's TestChaosCertificationNoLossNoDoubleScore
+# certifies that under -race.)
 #
 # With -gate (how check.sh runs it) one same-run regression gate must
 # hold: shadow throughput ≥ 90% of the swap phase's (the same server and

@@ -25,7 +25,7 @@ if [[ $fast -eq 0 ]]; then
   go test ./...
 fi
 
-# The concurrent runtime (worker pool, chaos harness, streaming
+# The concurrent runtime (worker pool, panic isolation, streaming
 # scoring), the metrics core shared across its workers, the HTTP
 # serving layer scoring each request on its own goroutine through that
 # runtime's per-document path, the corpus store (concurrent segment
@@ -143,14 +143,6 @@ if [[ $fast -eq 0 ]]; then
   # and leaves the committed BENCH_serve.json alone.
   echo "== serving lifecycle smoke + shadow gate"
   scripts/bench_serve.sh -gate
-
-  # Chaos certification against a live harassd: under a deterministic
-  # seeded per-document fault plan (stage panics, transient errors,
-  # poison documents, latency) every request is answered, the server's
-  # own counters show the faults were injected and absorbed, and
-  # SIGTERM still drains cleanly.
-  echo "== chaos-serve certification"
-  scripts/chaos_serve.sh
 
   # Hot-swap chaos certification: the in-process swap storm under
   # -race (zero lost requests, every single and batch response scored
