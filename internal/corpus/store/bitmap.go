@@ -172,22 +172,10 @@ func andContainers(a, b *container) (container, bool) {
 			words[w] = a.bits[w] & b.bits[w]
 			n += bits.OnesCount64(words[w])
 		}
-		switch {
-		case n == 0:
+		if n == 0 {
 			return container{}, false
-		case n <= arrayMax:
-			arr := make([]uint16, 0, n)
-			for w, word := range words {
-				for word != 0 {
-					t := bits.TrailingZeros64(word)
-					arr = append(arr, uint16(w*64+t))
-					word &^= 1 << t
-				}
-			}
-			return container{key: a.key, array: arr}, true
-		default:
-			return container{key: a.key, bits: words, n: n}, true
 		}
+		return packContainer(a.key, words, n), true
 	default:
 		sparse, dense := a, b
 		if a.bits != nil {
@@ -466,65 +454,77 @@ func (b *Bitmap) appendTo(buf []byte) []byte {
 	return buf
 }
 
-// decodeBitmap parses a serialized bitmap from b, returning the bitmap
-// and the bytes consumed. Container keys must be strictly increasing
-// and array values strictly increasing, so every valid serialization
-// round-trips to identical bytes.
-func decodeBitmap(b []byte) (*Bitmap, int, error) {
+// readBitmap checks the serialized bitmap at the head of b, decodes it
+// into into unless that is nil, and returns the bytes it spans. Keys and
+// array values must be strictly increasing, so every valid
+// serialization round-trips to identical bytes.
+func readBitmap(b []byte, into *Bitmap) (int, error) {
 	if len(b) < 4 {
-		return nil, 0, fmt.Errorf("store: bitmap header truncated")
+		return 0, fmt.Errorf("store: bitmap header truncated")
 	}
 	nc := int(binary.LittleEndian.Uint32(b))
 	pos := 4
-	bm := &Bitmap{}
 	if nc > len(b)/3 { // each container needs >= 3 header bytes
-		return nil, 0, fmt.Errorf("store: implausible container count %d", nc)
+		return 0, fmt.Errorf("store: implausible container count %d", nc)
 	}
-	bm.containers = make([]container, 0, nc)
+	if into != nil {
+		into.containers = make([]container, 0, nc)
+	}
+	prevKey := -1
 	for i := 0; i < nc; i++ {
 		if len(b)-pos < 3 {
-			return nil, 0, fmt.Errorf("store: bitmap container %d truncated", i)
+			return 0, fmt.Errorf("store: bitmap container %d truncated", i)
 		}
 		key := binary.LittleEndian.Uint16(b[pos:])
 		kind := b[pos+2]
 		pos += 3
-		if i > 0 && key <= bm.containers[i-1].key {
-			return nil, 0, fmt.Errorf("store: container keys out of order")
+		if int(key) <= prevKey {
+			return 0, fmt.Errorf("store: container keys out of order")
 		}
+		prevKey = int(key)
 		switch kind {
 		case kindArray:
 			if len(b)-pos < 2 {
-				return nil, 0, fmt.Errorf("store: array container %d truncated", i)
+				return 0, fmt.Errorf("store: array container %d truncated", i)
 			}
 			n := int(binary.LittleEndian.Uint16(b[pos:]))
 			pos += 2
 			if len(b)-pos < 2*n {
-				return nil, 0, fmt.Errorf("store: array container %d values truncated", i)
+				return 0, fmt.Errorf("store: array container %d values truncated", i)
 			}
-			arr := make([]uint16, n)
-			for j := 0; j < n; j++ {
-				arr[j] = binary.LittleEndian.Uint16(b[pos+2*j:])
-				if j > 0 && arr[j] <= arr[j-1] {
-					return nil, 0, fmt.Errorf("store: array container values out of order")
+			prev := -1
+			for vals := b[pos : pos+2*n]; len(vals) >= 2; vals = vals[2:] {
+				v := int(vals[0]) | int(vals[1])<<8
+				if v <= prev {
+					return 0, fmt.Errorf("store: array container values out of order")
 				}
+				prev = v
+			}
+			if into != nil {
+				arr := make([]uint16, n)
+				for j := range arr {
+					arr[j] = binary.LittleEndian.Uint16(b[pos+2*j:])
+				}
+				into.containers = append(into.containers, container{key: key, array: arr})
 			}
 			pos += 2 * n
-			bm.containers = append(bm.containers, container{key: key, array: arr})
 		case kindBitmap:
 			if len(b)-pos < 8*bitmapWords {
-				return nil, 0, fmt.Errorf("store: bitmap container %d truncated", i)
+				return 0, fmt.Errorf("store: bitmap container %d truncated", i)
 			}
-			words := make([]uint64, bitmapWords)
-			n := 0
-			for j := range words {
-				words[j] = binary.LittleEndian.Uint64(b[pos+8*j:])
-				n += bits.OnesCount64(words[j])
+			if into != nil {
+				words := make([]uint64, bitmapWords)
+				n := 0
+				for j := range words {
+					words[j] = binary.LittleEndian.Uint64(b[pos+8*j:])
+					n += bits.OnesCount64(words[j])
+				}
+				into.containers = append(into.containers, container{key: key, bits: words, n: n})
 			}
 			pos += 8 * bitmapWords
-			bm.containers = append(bm.containers, container{key: key, bits: words, n: n})
 		default:
-			return nil, 0, fmt.Errorf("store: unknown container kind %d", kind)
+			return 0, fmt.Errorf("store: unknown container kind %d", kind)
 		}
 	}
-	return bm, pos, nil
+	return pos, nil
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"sort"
+	"sync/atomic"
 
 	"harassrepro/internal/corpus"
 )
@@ -43,20 +44,40 @@ func NormalizeToken(tok string) string {
 	return string(appendFoldedToken(nil, tok))
 }
 
-// segIndex is one segment's loaded index.
+// segIndex is one segment's index: the verified bytes of its .idx file,
+// never written after, with the offset table and token positions read
+// out; each posting is decoded by its first lookup.
 type segIndex struct {
-	offsets []uint64 // record ordinal → byte offset of record header
-	tokens  []string // sorted
-	posting []*Bitmap
+	data    []byte
+	offsets []uint64    // record ordinal → byte offset of record header
+	terms   []indexTerm // in token order
 }
 
-// lookup returns the posting bitmap for a (normalized) token.
+// indexTerm is one token of a segIndex.
+type indexTerm struct {
+	lo, hi  int                    // the token is data[lo:hi]; its posting follows
+	posting atomic.Pointer[Bitmap] // nil until a lookup decodes it
+}
+
+// lookup returns the posting bitmap for a (normalized) token. Racing
+// first lookups may each decode it; all return the one published first.
 func (ix *segIndex) lookup(tok string) *Bitmap {
-	i := sort.SearchStrings(ix.tokens, tok)
-	if i < len(ix.tokens) && ix.tokens[i] == tok {
-		return ix.posting[i]
+	i := sort.Search(len(ix.terms), func(i int) bool {
+		return string(ix.data[ix.terms[i].lo:ix.terms[i].hi]) >= tok
+	})
+	if i == len(ix.terms) || string(ix.data[ix.terms[i].lo:ix.terms[i].hi]) != tok {
+		return nil
 	}
-	return nil
+	t := &ix.terms[i]
+	if bm := t.posting.Load(); bm != nil {
+		return bm
+	}
+	bm := &Bitmap{}
+	if _, err := readBitmap(ix.data[t.hi:], bm); err != nil {
+		panic("store: a posting verified at open fails to decode: " + err.Error())
+	}
+	t.posting.CompareAndSwap(nil, bm)
+	return t.posting.Load()
 }
 
 // indexBuilder accumulates postings while a segment is written.
@@ -128,8 +149,8 @@ func (ib *indexBuilder) addTerm(ordinal uint32) {
 }
 
 // encode renders the complete .idx file contents and returns them with
-// the index they decode to (decodeIndex), which shares the builder's
-// offsets and bitmaps; the builder must not be used after.
+// the index over them that openIndex would build; the builder must not
+// be used after.
 func (ib *indexBuilder) encode() ([]byte, *segIndex) {
 	buf := make([]byte, 0, 16+8*len(ib.offsets))
 	buf = append(buf, idxMagic...)
@@ -138,24 +159,28 @@ func (ib *indexBuilder) encode() ([]byte, *segIndex) {
 	for _, off := range ib.offsets {
 		buf = binary.LittleEndian.AppendUint64(buf, off)
 	}
-	ix := &segIndex{offsets: ib.offsets, tokens: make([]string, 0, len(ib.posting))}
+	toks := make([]string, 0, len(ib.posting))
 	for tok := range ib.posting {
-		ix.tokens = append(ix.tokens, tok)
+		toks = append(toks, tok)
 	}
-	sort.Strings(ix.tokens)
-	ix.posting = make([]*Bitmap, len(ix.tokens))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(ix.tokens)))
-	for i, tok := range ix.tokens {
-		ix.posting[i] = ib.posting[tok]
+	sort.Strings(toks)
+	ix := &segIndex{offsets: ib.offsets, terms: make([]indexTerm, len(toks))}
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(toks)))
+	for i, tok := range toks {
 		buf = binary.AppendUvarint(buf, uint64(len(tok)))
+		ix.terms[i].lo = len(buf)
 		buf = append(buf, tok...)
-		buf = ix.posting[i].appendTo(buf)
+		ix.terms[i].hi = len(buf)
+		buf = ib.posting[tok].appendTo(buf)
 	}
-	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, castagnoli)), ix
+	ix.data = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, castagnoli))
+	return ix.data, ix
 }
 
-// decodeIndex parses and verifies a complete .idx file.
-func decodeIndex(b []byte) (*segIndex, error) {
+// openIndex verifies a complete .idx file in one walk — checksum,
+// header, offset table, token order, every posting's framing and order
+// — and returns the index over it with no posting decoded.
+func openIndex(b []byte) (*segIndex, error) {
 	if len(b) < 16+4 {
 		return nil, fmt.Errorf("store: index file truncated (%d bytes)", len(b))
 	}
@@ -174,7 +199,7 @@ func decodeIndex(b []byte) (*segIndex, error) {
 	if len(body)-pos < 8*docs {
 		return nil, fmt.Errorf("store: index offset table truncated")
 	}
-	ix := &segIndex{offsets: make([]uint64, docs)}
+	ix := &segIndex{data: b, offsets: make([]uint64, docs)}
 	for i := range ix.offsets {
 		ix.offsets[i] = binary.LittleEndian.Uint64(body[pos+8*i:])
 	}
@@ -184,26 +209,24 @@ func decodeIndex(b []byte) (*segIndex, error) {
 	}
 	nTok := int(binary.LittleEndian.Uint32(body[pos:]))
 	pos += 4
-	ix.tokens = make([]string, 0, min(nTok, len(body)-pos))
-	ix.posting = make([]*Bitmap, 0, cap(ix.tokens))
+	ix.terms = make([]indexTerm, 0, min(nTok, len(body)-pos))
 	for i := 0; i < nTok; i++ {
 		n, sz := binary.Uvarint(body[pos:])
 		if sz <= 0 || n > uint64(len(body)-pos-sz) {
 			return nil, fmt.Errorf("store: index token %d truncated", i)
 		}
 		pos += sz
-		tok := string(body[pos : pos+int(n)])
-		pos += int(n)
-		if i > 0 && tok <= ix.tokens[i-1] {
+		tok := body[pos : pos+int(n)]
+		if i > 0 && string(tok) <= string(body[ix.terms[i-1].lo:ix.terms[i-1].hi]) {
 			return nil, fmt.Errorf("store: index tokens out of order")
 		}
-		bm, consumed, err := decodeBitmap(body[pos:])
+		ix.terms = append(ix.terms, indexTerm{lo: pos, hi: pos + int(n)})
+		pos += int(n)
+		consumed, err := readBitmap(body[pos:], nil)
 		if err != nil {
 			return nil, fmt.Errorf("store: index token %q: %w", tok, err)
 		}
 		pos += consumed
-		ix.tokens = append(ix.tokens, tok)
-		ix.posting = append(ix.posting, bm)
 	}
 	if pos != len(body) {
 		return nil, fmt.Errorf("store: %d trailing index bytes", len(body)-pos)

@@ -2,9 +2,10 @@ package store
 
 import (
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"slices"
-	"strings"
 	"testing"
 
 	"harassrepro/internal/corpus"
@@ -126,45 +127,45 @@ func TestFieldTermsMatchAnyCase(t *testing.T) {
 	}
 }
 
-// TestEncodeReturnsDecodedIndex: the index encode hands back — the one
-// a commit publishes — is exactly what decodeIndex reads from the bytes
-// it returns, over random batches with mixed-case text and field terms
-// and postings dense enough to need bitmap containers.
+// TestEncodeReturnsDecodedIndex: the index a commit publishes is the
+// one Open builds from the bytes the commit wrote, over random batches
+// with mixed-case text and field terms and postings dense enough to
+// need bitmap containers.
 func TestEncodeReturnsDecodedIndex(t *testing.T) {
 	rng := rand.New(rand.NewSource(46))
-	words := []string{"mass", "Report", "RAID", "café", "x_1", "42", "ça", "dox"}
-	fields := []string{"boards", "Pastes", "gab", "Tg-Channel.Example", ""}
+	dir := t.TempDir()
+	s, err := Create(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
 	for round := 0; round < 40; round++ {
 		n := 1 + rng.Intn(300)
 		if round%10 == 0 {
-			n = 4096 + rng.Intn(3000) // "mass" below outgrows an array container
+			n = 4096 + rng.Intn(3000) // "mass" outgrows an array container
 		}
-		docs := make([]corpus.Document, n)
-		for i := range docs {
-			var text []string
-			for k := rng.Intn(6); k >= 0; k-- {
-				text = append(text, words[rng.Intn(len(words))])
-			}
-			if round%10 == 0 {
-				text = append(text, "mass")
-			}
-			docs[i] = corpus.Document{
-				Text:     strings.Join(text, " ,"),
-				Dataset:  corpus.Dataset(fields[rng.Intn(len(fields))]),
-				Platform: corpus.Platform(fields[rng.Intn(len(fields))]),
-				Domain:   fields[rng.Intn(len(fields))],
-			}
+		si, err := s.Append(lazyIndexDocs(rng, n))
+		if err != nil {
+			t.Fatal(err)
 		}
-		b := buildSegment(docs)
-		decoded, err := decodeIndex(b.idx)
+		_, indexes, err := s.snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		published := indexes[len(indexes)-1]
+		written, err := os.ReadFile(filepath.Join(dir, si.Name+idxSuffix))
+		if err != nil {
+			t.Fatal(err)
+		}
+		opened, err := openIndex(written)
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
-		if !reflect.DeepEqual(decoded, b.ix) {
-			t.Fatalf("round %d: the built index differs from its decoded bytes", round)
+		if !reflect.DeepEqual(published, opened) {
+			t.Fatalf("round %d: the published index differs from the one Open builds from its file", round)
 		}
-		if b.docs != uint32(n) || len(b.ix.offsets) != n {
-			t.Fatalf("round %d: built %d docs with %d offsets, want %d", round, b.docs, len(b.ix.offsets), n)
+		if len(published.offsets) != n {
+			t.Fatalf("round %d: published %d offsets for %d docs", round, len(published.offsets), n)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math/bits"
 
 	"harassrepro/internal/corpus"
 	"harassrepro/internal/gender"
@@ -113,17 +114,15 @@ func recordSize(payloadLen int) int {
 	return n
 }
 
-// appendRecord frames payload into buf: header, payload, alignment pad.
-func appendRecord(buf, payload []byte) []byte {
-	var hdr [recHeaderSz]byte
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:], crc32.Checksum(payload, castagnoli))
-	buf = append(buf, hdr[:]...)
-	buf = append(buf, payload...)
-	for rem := (recHeaderSz + len(payload)) % recAlign; rem != 0 && rem < recAlign; rem++ {
-		buf = append(buf, 0)
-	}
-	return buf
+// appendDocRecord frames d's record into buf: header, payload, alignment
+// pad. The payload is encoded in place and the header filled in after.
+func appendDocRecord(buf []byte, d *corpus.Document) []byte {
+	start := len(buf)
+	buf = encodeDoc(append(buf, make([]byte, recHeaderSz)...), d)
+	payload := buf[start+recHeaderSz:]
+	binary.LittleEndian.PutUint32(buf[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(buf[start+4:], crc32.Checksum(payload, castagnoli))
+	return append(buf, make([]byte, recordSize(len(payload))-recHeaderSz-len(payload))...)
 }
 
 // decodeRecord reads the record starting at b[0]. It returns the
@@ -168,6 +167,11 @@ const (
 	tfHardNegative
 )
 
+// uvarintLen and stringLen are the byte counts binary.AppendUvarint and
+// appendString add.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+func stringLen(s string) int  { return uvarintLen(uint64(len(s))) + len(s) }
+
 func appendString(buf []byte, s string) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(s)))
 	return append(buf, s...)
@@ -209,6 +213,23 @@ func encodeDoc(buf []byte, d *corpus.Document) []byte {
 	buf = binary.AppendUvarint(buf, uint64(d.Truth.TargetID))
 	buf = appendString(buf, string(d.Truth.TargetGender))
 	return buf
+}
+
+// payloadLen is len(encodeDoc(nil, d)), computed without encoding.
+func payloadLen(d *corpus.Document) int {
+	subs := d.Truth.CTHLabel.Subs()
+	n := 1 + uvarintLen(uint64(d.PosInThread)) + uvarintLen(uint64(d.ThreadSize)) + uvarintLen(uint64(d.Truth.TargetID)) +
+		uvarintLen(uint64(len(subs))) + uvarintLen(uint64(len(d.Truth.DoxPII)))
+	for _, s := range [...]string{d.ID, string(d.Dataset), string(d.Platform), d.Domain, d.ThreadID, d.Author, d.Date, d.Text, string(d.Truth.TargetGender)} {
+		n += stringLen(s)
+	}
+	for _, s := range subs {
+		n += stringLen(string(s))
+	}
+	for _, t := range d.Truth.DoxPII {
+		n += stringLen(string(t))
+	}
+	return n
 }
 
 // docDecoder walks a payload with strict bounds checks; every read

@@ -214,11 +214,11 @@ func ReadManifest(dir string) (generation uint64, segments []SegmentInfo, err er
 }
 
 // verifySegment checks a committed segment's files: exact sizes per
-// the manifest and a checksum-valid index (which also yields the
-// loaded index). Record payloads are checksum-verified on read.
+// the manifest and a verified index (openIndex), which it keeps. Record
+// payloads are checksum-verified on read.
 func (s *Store) verifySegment(si SegmentInfo) error {
-	segPath := filepath.Join(s.dir, si.Name+segSuffix)
-	st, err := os.Stat(segPath)
+	base := filepath.Join(s.dir, si.Name)
+	st, err := os.Stat(base + segSuffix)
 	if err != nil {
 		return &CorruptError{Segment: si.Name, Err: err}
 	}
@@ -226,7 +226,7 @@ func (s *Store) verifySegment(si SegmentInfo) error {
 		return &CorruptError{Segment: si.Name, Offset: min(st.Size(), si.SegBytes),
 			Err: fmt.Errorf("segment file is %d bytes, manifest committed %d", st.Size(), si.SegBytes)}
 	}
-	idxData, err := os.ReadFile(filepath.Join(s.dir, si.Name+idxSuffix))
+	idxData, err := os.ReadFile(base + idxSuffix)
 	if err != nil {
 		return &CorruptError{Segment: si.Name, Err: err}
 	}
@@ -234,7 +234,7 @@ func (s *Store) verifySegment(si SegmentInfo) error {
 		return &CorruptError{Segment: si.Name,
 			Err: fmt.Errorf("index file is %d bytes, manifest committed %d", len(idxData), si.IdxBytes)}
 	}
-	ix, err := decodeIndex(idxData)
+	ix, err := openIndex(idxData)
 	if err != nil {
 		return &CorruptError{Segment: si.Name, Err: err}
 	}
@@ -455,13 +455,15 @@ type builtSegment struct {
 // index. It does no I/O and touches no store state, so it can run
 // beside the commit of the segment before it.
 func buildSegment(docs []corpus.Document) builtSegment {
+	size := segHeaderSz
+	for i := range docs {
+		size += recordSize(payloadLen(&docs[i]))
+	}
+	seg := append(make([]byte, 0, size), segHeader()...)
 	ib := newIndexBuilder()
-	seg := segHeader()
-	var payload []byte
 	for i := range docs {
 		ib.add(&docs[i], uint64(len(seg)))
-		payload = encodeDoc(payload[:0], &docs[i])
-		seg = appendRecord(seg, payload)
+		seg = appendDocRecord(seg, &docs[i])
 	}
 	idx, ix := ib.encode()
 	return builtSegment{docs: uint32(len(docs)), seg: seg, idx: idx, ix: ix}

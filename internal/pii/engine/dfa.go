@@ -96,13 +96,13 @@ func pcKey(pid, pc int32) uint16 { return uint16(pid)<<11 | uint16(pc) }
 
 // dfaRun is the mutable per-session half: the bounded state cache.
 type dfaRun struct {
-	d      *DFA
-	ids    map[string]int32
-	sets   [][]uint16 // parked NFA set per state (prevW excluded)
-	prevW  []bool     // prevW flag per state
-	next   [][]int32  // transition table, -1 = not yet computed
-	acc    [][]uint16 // accept mask per transition
-	gen int // bumped on every flush
+	d     *DFA
+	ids   map[string]int32
+	sets  [][]uint16 // parked NFA set per state (prevW excluded)
+	prevW []bool     // prevW flag per state
+	next  [][]int32  // transition table, -1 = not yet computed
+	acc   [][]uint16 // accept mask per transition
+	gen   int        // bumped on every flush
 	// scratch for closure
 	work    []uint16
 	parked  []uint16

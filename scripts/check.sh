@@ -20,6 +20,15 @@ go build ./...
 echo "== go vet ./..."
 go vet ./...
 
+# Every tracked Go file (bench/ too) must be gofmt-clean.
+echo "== gofmt -l"
+unformatted=$(git ls-files -z '*.go' | xargs -0 gofmt -l)
+if [[ -n "$unformatted" ]]; then
+  echo "gofmt -l lists files that are not gofmt-clean:" >&2
+  echo "$unformatted" >&2
+  exit 1
+fi
+
 if [[ $fast -eq 0 ]]; then
   echo "== go test ./..."
   go test ./...
@@ -42,10 +51,11 @@ go test -race ./internal/resilience/... ./internal/core/... ./internal/obs/... .
 # lifetime) invariants of the store's mmap read path — plus the
 # concurrent segment writer behind IngestJSONL and AppendAll (decode,
 # build and commit on three goroutines: byte identity with single
-# Appends, error paths, no leaked goroutine), repeated under the race
-# detector.
+# Appends, error paths, no leaked goroutine), and lookups racing to be
+# the first to decode a posting on a freshly opened store, repeated
+# under the race detector.
 echo "== store race step"
-go test -race -count=2 -run 'TestScanWhileAppend|TestDocConcurrentWithClose|TestLookupQueryDocsConcurrentWithClose|TestIngestJSONL|TestAppendAll' ./internal/corpus/store/
+go test -race -count=2 -run 'TestScanWhileAppend|TestDocConcurrentWithClose|TestLookupQueryDocsConcurrentWithClose|TestIngestJSONL|TestAppendAll|TestLookupConcurrentFirstUse' ./internal/corpus/store/
 
 # Runner race certification: Process's recycled reply window (each
 # reply channel handed from feeder to worker to emitter and back, with
@@ -58,8 +68,9 @@ go test -race -count=3 -run 'TestProcess|TestRunSlice|TestContextCancellation|Te
 # featurize, PII clean path, pooled detector scoring), the annotation
 # stages on a cue-free document (taxonomy gate, seed query) and the obs
 # metric handles it records into must stay allocation-free; the JSONL
-# line decoder allocates only its strings, and the segment index
-# builder nothing on terms it has seen. These run
+# line decoder allocates only its strings, the segment index builder
+# nothing on terms it has seen, and store Open a fixed few per segment
+# (no posting is decoded until a lookup reads it). These run
 # under the race detector above too, but the race detector changes the
 # allocator, so assert them in a plain run.
 echo "== alloc-regression tests"
@@ -99,12 +110,15 @@ if [[ $fast -eq 0 ]]; then
 
   # Corpus-store differential fuzz smokes: the segment record decoder
   # must reject every non-canonical framing and round-trip every
-  # accepted payload byte-identically, and the posting bitmaps must
-  # agree with a naive in-memory oracle. One -fuzz target per
-  # invocation (go test rejects multi-target fuzz runs).
+  # accepted payload byte-identically, the posting bitmaps must agree
+  # with a naive in-memory oracle, and Open's one-pass index check must
+  # reject exactly the .idx bytes an eager decode rejects, with every
+  # lookup then decoding the eager decode's posting. One -fuzz target
+  # per invocation (go test rejects multi-target fuzz runs).
   echo "== store fuzz smokes (-fuzztime=10s each)"
   go test -run '^$' -fuzz '^FuzzSegmentDecode$' -fuzztime 10s ./internal/corpus/store/
   go test -run '^$' -fuzz '^FuzzPostingIterator$' -fuzztime 10s ./internal/corpus/store/
+  go test -run '^$' -fuzz '^FuzzIndexOpen$' -fuzztime 10s ./internal/corpus/store/
 
   # Feedback body fuzz smoke: POST /v1/feedback answers 202 or 400 on
   # any body, a 202 hands the retrain sink exactly the accepted items
