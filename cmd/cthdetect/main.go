@@ -49,6 +49,7 @@ import (
 
 	"harassrepro"
 	"harassrepro/internal/core"
+	"harassrepro/internal/detector"
 	"harassrepro/internal/pii"
 	"harassrepro/internal/resilience"
 	"harassrepro/internal/streamcli"
@@ -77,11 +78,11 @@ func main() {
 	flag.Parse()
 	reg := tool.Start()
 
-	var det *core.Detector
+	var det *detector.Detector
 	switch {
 	case *rulesOnly:
 	case *models != "":
-		d, err := core.LoadDetector(*models)
+		d, err := detector.Load(*models)
 		if err != nil {
 			tool.Fail("%v", err)
 		}

@@ -68,6 +68,7 @@ import (
 	"time"
 
 	"harassrepro/internal/core"
+	"harassrepro/internal/detector"
 	"harassrepro/internal/lifecycle"
 	"harassrepro/internal/obs"
 	"harassrepro/internal/registry"
@@ -114,9 +115,9 @@ func main() {
 	// buildDetector loads (-models) or trains (-scale) the classifiers;
 	// with -registry it only runs when the registry has no committed
 	// generation yet.
-	buildDetector := func() (*core.Detector, error) {
+	buildDetector := func() (*detector.Detector, error) {
 		if *models != "" {
-			d, err := core.LoadDetector(*models)
+			d, err := detector.Load(*models)
 			if err != nil {
 				return nil, err
 			}

@@ -27,6 +27,7 @@ import (
 	"harassrepro/internal/annotate"
 	"harassrepro/internal/core"
 	"harassrepro/internal/corpus"
+	"harassrepro/internal/detector"
 	"harassrepro/internal/gender"
 	"harassrepro/internal/harm"
 	"harassrepro/internal/pii"
@@ -235,12 +236,12 @@ func (s *Study) SaveModels(dir string) error {
 // without corpora or pipeline state — the deployable artifact for
 // platforms.
 type Detector struct {
-	d *core.Detector
+	d *detector.Detector
 }
 
 // LoadDetector reads a model directory written by SaveModels.
 func LoadDetector(dir string) (*Detector, error) {
-	d, err := core.LoadDetector(dir)
+	d, err := detector.Load(dir)
 	if err != nil {
 		return nil, err
 	}
@@ -322,11 +323,11 @@ type StreamSummary struct {
 // degrades it instead). Results are in input order. err is non-nil
 // only when ctx was cancelled.
 func (d *Detector) ScoreStream(ctx context.Context, docs []StreamDocument, opts StreamOptions) ([]StreamResult, StreamSummary, error) {
-	in := make([]core.StreamDoc, len(docs))
+	in := make([]detector.StreamDoc, len(docs))
 	for i, sd := range docs {
-		in[i] = core.StreamDoc{ID: sd.ID, Platform: sd.Platform, Text: sd.Text}
+		in[i] = detector.StreamDoc{ID: sd.ID, Platform: sd.Platform, Text: sd.Text}
 	}
-	results, sum, err := d.d.ScoreBatch(ctx, in, core.StreamOptions{
+	results, sum, err := d.d.ScoreBatch(ctx, in, detector.StreamOptions{
 		Workers:  opts.Workers,
 		Seed:     opts.Seed,
 		Annotate: opts.Annotate,

@@ -186,9 +186,8 @@ type Pipeline struct {
 	// vectors is the run's tokenize-once memo (vectors.go), set by the
 	// vectors stage; nil on a Pipeline built without the graph.
 	vectors vectorMemo
-	// scorers pools tokenize/featurize scratch for vectorize; safe for
-	// concurrent use once Tokenizer and Hasher are set.
-	scorers sync.Pool
+	// featurizers pools vectorize's scratch (features.Featurizer).
+	featurizers sync.Pool
 	// g is the run's memoized artifact graph (artifacts.go); opts are
 	// the scheduling options the run was started with.
 	g    *graph.Graph

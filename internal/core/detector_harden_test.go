@@ -5,11 +5,21 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"harassrepro/internal/detector"
 )
 
-// Hardening suite: LoadDetector over corrupt, truncated and
+// Hardening suite: detector.Load over corrupt, truncated and
 // partially-written model directories must always return a descriptive
 // error — never panic, nil-deref or hand back a broken detector.
+
+// The files of a model directory (detector.ModelFiles).
+const (
+	vocabFile = "vocab.txt"
+	doxFile   = "dox.model"
+	cthFile   = "cth.model"
+	metaFile  = "meta.json"
+)
 
 // validMeta is a metadata file consistent with tiny valid models.
 const validMeta = `{"version":1,"buckets":16,"dox_text_len":512,"cth_text_len":128,
@@ -27,17 +37,17 @@ func writeDir(t *testing.T, files map[string][]byte) string {
 	return dir
 }
 
-// loadMustFail asserts LoadDetector errors without panicking.
+// loadMustFail asserts detector.Load errors without panicking.
 func loadMustFail(t *testing.T, dir, label string) error {
 	t.Helper()
 	defer func() {
 		if r := recover(); r != nil {
-			t.Fatalf("%s: LoadDetector panicked: %v", label, r)
+			t.Fatalf("%s: detector.Load panicked: %v", label, r)
 		}
 	}()
-	d, err := LoadDetector(dir)
+	d, err := detector.Load(dir)
 	if err == nil {
-		t.Fatalf("%s: LoadDetector accepted a corrupt directory (detector %v)", label, d != nil)
+		t.Fatalf("%s: detector.Load accepted a corrupt directory (detector %v)", label, d != nil)
 	}
 	if err.Error() == "" {
 		t.Fatalf("%s: empty error message", label)
@@ -120,9 +130,9 @@ func TestValidateModelDirNamesEveryMissingFile(t *testing.T) {
 	}
 	for _, tc := range cases {
 		dir := writeDir(t, tc.present)
-		err := ValidateModelDir(dir)
+		err := detector.ValidateModelDir(dir)
 		if err == nil {
-			t.Fatalf("%s: ValidateModelDir accepted an incomplete directory", tc.label)
+			t.Fatalf("%s: detector.ValidateModelDir accepted an incomplete directory", tc.label)
 		}
 		for _, name := range tc.missing {
 			if !strings.Contains(err.Error(), name) {
@@ -134,13 +144,13 @@ func TestValidateModelDirNamesEveryMissingFile(t *testing.T) {
 				t.Errorf("%s: error names present file %s: %v", tc.label, name, err)
 			}
 		}
-		// LoadDetector must surface the same up-front diagnosis.
+		// detector.Load must surface the same up-front diagnosis.
 		if lerr := loadMustFail(t, dir, tc.label); !strings.Contains(lerr.Error(), tc.missing[0]) {
-			t.Errorf("%s: LoadDetector error does not name %s: %v", tc.label, tc.missing[0], lerr)
+			t.Errorf("%s: detector.Load error does not name %s: %v", tc.label, tc.missing[0], lerr)
 		}
 	}
-	if err := ValidateModelDir(filepath.Join(t.TempDir(), "nope")); err == nil {
-		t.Fatal("ValidateModelDir accepted a missing directory")
+	if err := detector.ValidateModelDir(filepath.Join(t.TempDir(), "nope")); err == nil {
+		t.Fatal("detector.ValidateModelDir accepted a missing directory")
 	}
 }
 

@@ -1,10 +1,12 @@
 package core
 
-// Golden equivalence tests for the pooled zero-allocation scoring path.
-// referenceVectorize is a verbatim copy of the legacy Detector.vectorize
+// Golden equivalence tests for the deployed detector's pooled
+// zero-allocation scoring path, against the parts of the pipeline that
+// trained it. referenceVectorize is the legacy detector vectorize
 // (fresh tokenizer output, fresh merge slice, allocating
-// Hasher.Vectorize); every fast-path score must match it bit for bit,
-// and streamed batches must be bit-identical at every worker count.
+// Hasher.Vectorize) over the pipeline's tokenizer and hasher; every
+// detector score must match it bit for bit, and streamed batches must
+// be bit-identical at every worker count.
 
 import (
 	"context"
@@ -12,36 +14,43 @@ import (
 	"strings"
 	"testing"
 
+	"harassrepro/internal/detector"
 	"harassrepro/internal/features"
 	"harassrepro/internal/obs"
 	"harassrepro/internal/randx"
+	"harassrepro/internal/resilience"
 	"harassrepro/internal/testutil"
 	"harassrepro/internal/tokenize"
 )
 
-// referenceVectorize is the legacy Detector.vectorize.
-func referenceVectorize(d *Detector, text string, maxLen int, rng *randx.Source) features.Vector {
-	toks := d.tok.Tokenize(text)
+// referenceVectorize is the legacy detector vectorize over p's
+// tokenizer and hasher.
+func referenceVectorize(p *Pipeline, text string, maxLen int, rng *randx.Source) features.Vector {
+	toks := p.Tokenizer.Tokenize(text)
 	spans := tokenize.Spans(toks, maxLen, 2, tokenize.SpanRandomNoOverlap, rng)
 	if len(spans) == 1 {
-		return d.hasher.Vectorize(spans[0])
+		return p.Hasher.Vectorize(spans[0])
 	}
 	var merged []string
 	for _, s := range spans {
 		merged = append(merged, s...)
 	}
-	return d.hasher.Vectorize(merged)
+	return p.Hasher.Vectorize(merged)
 }
 
+// detectorStream is the fixed span-sampling stream a detector's
+// ScoreCTH, ScoreDox and Scores start every call from.
+func detectorStream() *randx.Source { return randx.New(1).Split("detector") }
+
 // testDetector saves the shared pipeline's models and loads them back.
-func testDetector(t testing.TB) *Detector {
+func testDetector(t testing.TB) *detector.Detector {
 	t.Helper()
 	p := sharedPipeline(t)
 	dir := t.TempDir()
 	if err := p.SaveModels(dir); err != nil {
 		t.Fatal(err)
 	}
-	det, err := LoadDetector(dir)
+	det, err := detector.Load(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,8 +83,8 @@ func tokenLenText(n int) string {
 // goldenStreamDocs mixes short chat messages, PII-bearing text, long
 // pastes (forcing the span-sampling branch), documents at the span-length
 // boundaries, unicode and junk.
-func goldenStreamDocs() []StreamDoc {
-	docs := []StreamDoc{
+func goldenStreamDocs() []detector.StreamDoc {
+	docs := []detector.StreamDoc{
 		{ID: "chat-1", Platform: "discord", Text: "we need to mass-report his twitter and youtube, spread the word"},
 		{ID: "chat-2", Platform: "telegram", Text: "anyone up for ranked tonight, patch notes are out"},
 		{ID: "dox-1", Platform: "pastes", Text: "dropping her info now Address: 99 Cedar Lane, phone 555-867-5309, jane.roe@example.com"},
@@ -84,10 +93,10 @@ func goldenStreamDocs() []StreamDoc {
 		{ID: "long-1", Platform: "pastes", Text: strings.Repeat("target lives at 12 oak street and posts on twitter dot com every night ", 40)},
 	}
 	for _, tl := range tokenLenDocs {
-		docs = append(docs, StreamDoc{ID: tl.id, Platform: "boards", Text: tokenLenText(tl.tokens)})
+		docs = append(docs, detector.StreamDoc{ID: tl.id, Platform: "boards", Text: tokenLenText(tl.tokens)})
 	}
 	for i := 0; i < 40; i++ {
-		docs = append(docs, StreamDoc{
+		docs = append(docs, detector.StreamDoc{
 			ID:       fmt.Sprintf("fill-%d", i),
 			Platform: "discord",
 			Text:     fmt.Sprintf("message %d: report this account before it spreads %d", i, i*i),
@@ -96,60 +105,57 @@ func goldenStreamDocs() []StreamDoc {
 	return docs
 }
 
-// TestScoreWithMatchesLegacyComposition pins the fast scoring path to
-// the legacy tokenizer/hasher composition, including the long-document
-// span branch: same text, same rng state, same score bits.
+// TestScoreWithMatchesLegacyComposition pins the detector's
+// single-task scores to the legacy tokenizer/hasher composition with
+// the trained models, including the long-document span branch: same
+// text, same rng state, same score bits.
 func TestScoreWithMatchesLegacyComposition(t *testing.T) {
+	p := sharedPipeline(t)
 	det := testDetector(t)
 	for _, doc := range goldenStreamDocs() {
-		for name, maxLen := range map[string]int{"dox": det.meta.DoxTextLen, "cth": det.meta.CTHTextLen} {
-			m := det.dox
-			if name == "cth" {
-				m = det.cth
-			}
-			fastRng := randx.New(7).Split(doc.ID)
-			legacyRng := randx.New(7).Split(doc.ID)
-			fast := det.scoreWith(m, doc.Text, maxLen, fastRng)
-			legacy := m.Score(referenceVectorize(det, doc.Text, maxLen, legacyRng))
-			if fast != legacy {
-				t.Errorf("%s score for %s: fast %v, legacy %v", name, doc.ID, fast, legacy)
-			}
+		legacyCTH := p.CTH.Model.Score(referenceVectorize(p, doc.Text, p.CTH.TextLen, detectorStream()))
+		legacyDox := p.Dox.Model.Score(referenceVectorize(p, doc.Text, p.Dox.TextLen, detectorStream()))
+		if fast := det.ScoreCTH(doc.Text); fast != legacyCTH {
+			t.Errorf("cth score for %s: fast %v, legacy %v", doc.ID, fast, legacyCTH)
+		}
+		if fast := det.ScoreDox(doc.Text); fast != legacyDox {
+			t.Errorf("dox score for %s: fast %v, legacy %v", doc.ID, fast, legacyDox)
 		}
 	}
 }
 
 // TestGoldenStreamDocTokenCounts pins the boundary documents to their
-// token counts at the detector's span lengths, so each length regime of
+// token counts at the trained span lengths, so each length regime of
 // the fused scorer is really exercised.
 func TestGoldenStreamDocTokenCounts(t *testing.T) {
-	det := testDetector(t)
-	if det.meta.CTHTextLen != 128 || det.meta.DoxTextLen != 512 {
+	p := sharedPipeline(t)
+	if p.CTH.TextLen != 128 || p.Dox.TextLen != 512 {
 		t.Fatalf("span lengths cth %d, dox %d; the boundary documents assume 128 and 512",
-			det.meta.CTHTextLen, det.meta.DoxTextLen)
+			p.CTH.TextLen, p.Dox.TextLen)
 	}
 	for _, tl := range tokenLenDocs {
-		if got := len(det.tok.Tokenize(tokenLenText(tl.tokens))); got != tl.tokens {
+		if got := len(p.Tokenizer.Tokenize(tokenLenText(tl.tokens))); got != tl.tokens {
 			t.Errorf("%s: %d tokens, want %d", tl.id, got, tl.tokens)
 		}
 	}
 }
 
 // TestScoreBothMatchesLegacyComposition pins the fused scorer to the
-// legacy per-task composition in every length regime: one tokenize for
-// both classifiers, from the same per-task rng states, gives the same
-// score bits as tokenizing and featurizing once per task. Scores, the
-// public form, must equal ScoreCTH and ScoreDox.
+// legacy per-task composition in every length regime: Scores, one
+// tokenize for both classifiers, gives the same score bits as
+// tokenizing and featurizing once per task from the same stream, and
+// equals ScoreCTH and ScoreDox. (TestScoreBatchWorkerCountInvariance
+// pins the fused scorer with a distinct stream per task.)
 func TestScoreBothMatchesLegacyComposition(t *testing.T) {
+	p := sharedPipeline(t)
 	det := testDetector(t)
 	for _, doc := range goldenStreamDocs() {
-		cthRng, doxRng := randx.New(7).Split(doc.ID+"/cth"), randx.New(7).Split(doc.ID+"/dox")
-		wantCTH := det.cth.Score(referenceVectorize(det, doc.Text, det.meta.CTHTextLen, cthRng))
-		wantDox := det.dox.Score(referenceVectorize(det, doc.Text, det.meta.DoxTextLen, doxRng))
-		cth, dox := det.scoreBoth(doc.Text, randx.New(7).Split(doc.ID+"/cth"), randx.New(7).Split(doc.ID+"/dox"))
+		wantCTH := p.CTH.Model.Score(referenceVectorize(p, doc.Text, p.CTH.TextLen, detectorStream()))
+		wantDox := p.Dox.Model.Score(referenceVectorize(p, doc.Text, p.Dox.TextLen, detectorStream()))
+		cth, dox := det.Scores(doc.Text)
 		if cth != wantCTH || dox != wantDox {
-			t.Errorf("%s: scoreBoth (%v, %v), legacy (%v, %v)", doc.ID, cth, dox, wantCTH, wantDox)
+			t.Errorf("%s: Scores (%v, %v), legacy (%v, %v)", doc.ID, cth, dox, wantCTH, wantDox)
 		}
-		cth, dox = det.Scores(doc.Text)
 		if wantCTH, wantDox := det.ScoreCTH(doc.Text), det.ScoreDox(doc.Text); cth != wantCTH || dox != wantDox {
 			t.Errorf("%s: Scores (%v, %v), ScoreCTH/ScoreDox (%v, %v)", doc.ID, cth, dox, wantCTH, wantDox)
 		}
@@ -162,6 +168,7 @@ func TestScoreBothMatchesLegacyComposition(t *testing.T) {
 // not break — and equal to the legacy two-pass composition (tokenize and
 // featurize once per classifier) with the stream's own rng derivation.
 func TestScoreBatchWorkerCountInvariance(t *testing.T) {
+	p := sharedPipeline(t)
 	det := testDetector(t)
 	docs := goldenStreamDocs()
 	base := randx.New(42)
@@ -169,7 +176,7 @@ func TestScoreBatchWorkerCountInvariance(t *testing.T) {
 	doxBase := base.Split("score-dox")
 	for _, instrumented := range []bool{false, true} {
 		for _, workers := range []int{1, 2, 8} {
-			opts := StreamOptions{Workers: workers, Seed: 42, Ordered: true, Annotate: true}
+			opts := detector.StreamOptions{Workers: workers, Seed: 42, Ordered: true, Annotate: true}
 			if instrumented {
 				opts.Metrics = obs.NewRegistry()
 			}
@@ -183,8 +190,8 @@ func TestScoreBatchWorkerCountInvariance(t *testing.T) {
 			for i, r := range results {
 				cthRng := cthBase.SplitNVal("doc", i)
 				doxRng := doxBase.SplitNVal("doc", i)
-				wantCTH := det.cth.Score(referenceVectorize(det, docs[i].Text, det.meta.CTHTextLen, &cthRng))
-				wantDox := det.dox.Score(referenceVectorize(det, docs[i].Text, det.meta.DoxTextLen, &doxRng))
+				wantCTH := p.CTH.Model.Score(referenceVectorize(p, docs[i].Text, p.CTH.TextLen, &cthRng))
+				wantDox := p.Dox.Model.Score(referenceVectorize(p, docs[i].Text, p.Dox.TextLen, &doxRng))
 				if r.Item.CTH != wantCTH || r.Item.Dox != wantDox {
 					t.Errorf("workers=%d metrics=%v doc %s: streamed (%v, %v) != legacy (%v, %v)",
 						workers, instrumented, r.Item.ID, r.Item.CTH, r.Item.Dox, wantCTH, wantDox)
@@ -208,7 +215,7 @@ func TestScoreStreamSteadyStateAllocs(t *testing.T) {
 	det := testDetector(t)
 	for _, text := range []string{
 		"we need to mass-report his twitter and youtube, spread the word",
-		tokenLenText(det.meta.DoxTextLen + 100),
+		tokenLenText(sharedPipeline(t).Dox.TextLen + 100),
 	} {
 		det.Scores(text) // warm pooled scratch
 		if n := testing.AllocsPerRun(200, func() {
@@ -231,10 +238,9 @@ func TestAnnotateStagesCueFreeAllocs(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("allocation counts differ under the race detector")
 	}
-	det := testDetector(t)
-	sd := StreamDoc{ID: "x", Text: "anyone up for ranked tonight, the patch notes are out and they look good"}
+	sd := detector.StreamDoc{ID: "x", Text: "anyone up for ranked tonight, the patch notes are out and they look good"}
 	ran := 0
-	for _, st := range det.streamStages(StreamOptions{Annotate: true}) {
+	for _, st := range runnerStages(testDetector(t), detector.StreamOptions{Annotate: true}) {
 		if st.Name != "pii" && st.Name != "taxonomy" {
 			continue
 		}
@@ -249,4 +255,16 @@ func TestAnnotateStagesCueFreeAllocs(t *testing.T) {
 	if ran != 2 || sd.PII != nil || sd.Attacks != nil || sd.SeedQuery {
 		t.Fatalf("ran %d annotation stages, doc = %+v", ran, sd)
 	}
+}
+
+// runnerStages returns the stages det's runner for opts is built from,
+// caught on their way through opts.StageWrap.
+func runnerStages(det *detector.Detector, opts detector.StreamOptions) []resilience.Stage[detector.StreamDoc] {
+	var stages []resilience.Stage[detector.StreamDoc]
+	opts.StageWrap = func(st resilience.Stage[detector.StreamDoc]) resilience.Stage[detector.StreamDoc] {
+		stages = append(stages, st)
+		return st
+	}
+	det.Runner(opts)
+	return stages
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"math"
 	"os"
 	"path/filepath"
@@ -8,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"harassrepro/internal/detector"
 	"harassrepro/internal/randx"
 )
 
@@ -18,12 +20,12 @@ func TestSaveModelsLoadDetector(t *testing.T) {
 		t.Fatal(err)
 	}
 	// All four artifacts exist.
-	for _, f := range []string{vocabFile, doxFile, cthFile, metaFile} {
+	for _, f := range detector.ModelFiles() {
 		if _, err := os.Stat(filepath.Join(dir, f)); err != nil {
 			t.Fatalf("artifact %s: %v", f, err)
 		}
 	}
-	det, err := LoadDetector(dir)
+	det, err := detector.Load(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +70,7 @@ func TestPipelineDetectorMatchesSaveLoadRoundTrip(t *testing.T) {
 	if err := p.SaveModels(dir); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadDetector(dir)
+	loaded, err := detector.Load(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,18 +156,18 @@ func TestDetectorScoresArePureFunctionsOfText(t *testing.T) {
 }
 
 func TestLoadDetectorErrors(t *testing.T) {
-	if _, err := LoadDetector(t.TempDir()); err == nil {
+	if _, err := detector.Load(t.TempDir()); err == nil {
 		t.Error("empty directory should error")
 	}
 	// Corrupt metadata.
 	dir := t.TempDir()
 	os.WriteFile(filepath.Join(dir, metaFile), []byte("not json"), 0o644)
-	if _, err := LoadDetector(dir); err == nil {
+	if _, err := detector.Load(dir); err == nil {
 		t.Error("corrupt metadata should error")
 	}
 	// Wrong version.
 	os.WriteFile(filepath.Join(dir, metaFile), []byte(`{"version":99}`), 0o644)
-	if _, err := LoadDetector(dir); err == nil {
+	if _, err := detector.Load(dir); err == nil {
 		t.Error("unsupported version should error")
 	}
 }
@@ -176,7 +178,7 @@ func TestDetectorExplain(t *testing.T) {
 	if err := p.SaveModels(dir); err != nil {
 		t.Fatal(err)
 	}
-	det, err := LoadDetector(dir)
+	det, err := detector.Load(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,5 +200,41 @@ func TestDetectorExplain(t *testing.T) {
 	}
 	if got := det.ExplainDox("dropping her info now Address: 99 Cedar Lane", 3); len(got) == 0 {
 		t.Error("dox explanation empty")
+	}
+}
+
+// detectorFixture is internal/detector's committed model directory:
+// SaveModels of Run(QuickConfig(1)), the detector those tests load.
+const detectorFixture = "../detector/testdata/quick-seed1"
+
+// TestDetectorFixtureMatchesSaveModels byte-compares the shared
+// pipeline's SaveModels output with internal/detector's fixture.
+// Regenerate the fixture with:
+//
+//	go test ./internal/core -run TestDetectorFixtureMatchesSaveModels -update
+func TestDetectorFixtureMatchesSaveModels(t *testing.T) {
+	dir := t.TempDir()
+	if err := sharedPipeline(t).SaveModels(dir); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range detector.ModelFiles() {
+		got, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(detectorFixture, name)
+		if *updateGolden {
+			if err := os.WriteFile(path, got, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("missing fixture %s (run with -update): %v", path, err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: SaveModels wrote %d bytes that differ from the fixture's %d (run with -update)", name, len(got), len(want))
+		}
 	}
 }

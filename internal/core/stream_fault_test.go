@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"harassrepro/internal/corpus"
+	"harassrepro/internal/detector"
 	"harassrepro/internal/obs"
 	"harassrepro/internal/randx"
 	"harassrepro/internal/resilience"
@@ -21,13 +22,13 @@ import (
 
 var (
 	detOnce sync.Once
-	det     *Detector
+	det     *detector.Detector
 	detErr  error
 )
 
 // sharedDetector saves the shared pipeline's models and loads them as
 // a Detector, once per test binary.
-func sharedDetector(t *testing.T) *Detector {
+func sharedDetector(t *testing.T) *detector.Detector {
 	t.Helper()
 	detOnce.Do(func() {
 		p := sharedPipeline(t)
@@ -35,7 +36,7 @@ func sharedDetector(t *testing.T) *Detector {
 		if detErr = p.SaveModels(dir); detErr != nil {
 			return
 		}
-		det, detErr = LoadDetector(dir)
+		det, detErr = detector.Load(dir)
 	})
 	if detErr != nil {
 		t.Fatal(detErr)
@@ -45,7 +46,7 @@ func sharedDetector(t *testing.T) *Detector {
 
 // streamCorpus converts a slice of the QuickConfig boards corpus into
 // stream documents.
-func streamCorpus(t *testing.T, n int) []StreamDoc {
+func streamCorpus(t *testing.T, n int) []detector.StreamDoc {
 	t.Helper()
 	p := sharedPipeline(t)
 	c := p.Corpora[corpus.Boards]
@@ -55,10 +56,10 @@ func streamCorpus(t *testing.T, n int) []StreamDoc {
 	if n > c.Len() {
 		n = c.Len()
 	}
-	docs := make([]StreamDoc, n)
+	docs := make([]detector.StreamDoc, n)
 	for i := 0; i < n; i++ {
 		d := &c.Docs[i]
-		docs[i] = StreamDoc{ID: d.ID, Platform: string(d.Platform), Text: d.Text}
+		docs[i] = detector.StreamDoc{ID: d.ID, Platform: string(d.Platform), Text: d.Text}
 	}
 	return docs
 }
@@ -85,7 +86,7 @@ func (p faultPlan) hits(stage string, index int) bool {
 func TestScoreStreamChaos(t *testing.T) {
 	det := sharedDetector(t)
 	docs := streamCorpus(t, 300)
-	opts := StreamOptions{Workers: 4, Seed: 11, Annotate: true}
+	opts := detector.StreamOptions{Workers: 4, Seed: 11, Annotate: true}
 
 	clean, cleanSum, err := det.ScoreBatch(context.Background(), docs, opts)
 	if err != nil {
@@ -103,9 +104,9 @@ func TestScoreStreamChaos(t *testing.T) {
 	}
 	faultOpts := opts
 	faultOpts.Metrics = obs.NewRegistry()
-	faultOpts.StageWrap = func(st resilience.Stage[StreamDoc]) resilience.Stage[StreamDoc] {
+	faultOpts.StageWrap = func(st resilience.Stage[detector.StreamDoc]) resilience.Stage[detector.StreamDoc] {
 		inner, counts := st.Fn, calls[st.Name]
-		st.Fn = func(ctx context.Context, index int, sd *StreamDoc) error {
+		st.Fn = func(ctx context.Context, index int, sd *detector.StreamDoc) error {
 			counts[index].Add(1)
 			err := inner(ctx, index, sd)
 			if plan.hits(st.Name, index) {
@@ -230,9 +231,9 @@ func TestScoreStreamChaos(t *testing.T) {
 func TestScoreStreamDeterministicAcrossWorkers(t *testing.T) {
 	det := sharedDetector(t)
 	docs := streamCorpus(t, 120)
-	run := func(workers int) []resilience.Result[StreamDoc] {
+	run := func(workers int) []resilience.Result[detector.StreamDoc] {
 		res, _, err := det.ScoreBatch(context.Background(),
-			docs, StreamOptions{Workers: workers, Seed: 7})
+			docs, detector.StreamOptions{Workers: workers, Seed: 7})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -257,11 +258,11 @@ func TestScoreStreamMatchesSequentialScores(t *testing.T) {
 		"anyone up for ranked tonight, patch notes are out",
 		"DOX: Jane Roe / Address: 99 Cedar Lane, Riverton, TX, 75001",
 	}
-	var docs []StreamDoc
+	var docs []detector.StreamDoc
 	for i, txt := range texts {
-		docs = append(docs, StreamDoc{ID: fmt.Sprintf("t%d", i), Text: txt})
+		docs = append(docs, detector.StreamDoc{ID: fmt.Sprintf("t%d", i), Text: txt})
 	}
-	res, sum, err := det.ScoreBatch(context.Background(), docs, StreamOptions{Workers: 2, Seed: 1})
+	res, sum, err := det.ScoreBatch(context.Background(), docs, detector.StreamOptions{Workers: 2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,11 +283,11 @@ func TestScoreStreamMatchesSequentialScores(t *testing.T) {
 // document, quarantined by the score stage.
 func TestScoreStreamEmptyTextQuarantined(t *testing.T) {
 	det := sharedDetector(t)
-	docs := []StreamDoc{
+	docs := []detector.StreamDoc{
 		{ID: "ok", Text: "hello there"},
 		{ID: "empty", Text: ""},
 	}
-	res, sum, err := det.ScoreBatch(context.Background(), docs, StreamOptions{Workers: 2, Seed: 1})
+	res, sum, err := det.ScoreBatch(context.Background(), docs, detector.StreamOptions{Workers: 2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +303,7 @@ func TestScoreStreamEmptyTextQuarantined(t *testing.T) {
 func TestScoreStreamChannelOrdered(t *testing.T) {
 	det := sharedDetector(t)
 	docs := streamCorpus(t, 80)
-	in := make(chan StreamDoc)
+	in := make(chan detector.StreamDoc)
 	go func() {
 		defer close(in)
 		for _, d := range docs {
@@ -310,7 +311,7 @@ func TestScoreStreamChannelOrdered(t *testing.T) {
 		}
 	}()
 	out := det.ScoreStream(context.Background(), in,
-		StreamOptions{Workers: 4, Seed: 3, Ordered: true, Annotate: true})
+		detector.StreamOptions{Workers: 4, Seed: 3, Ordered: true, Annotate: true})
 	n := 0
 	for res := range out {
 		if res.Index != n {
@@ -331,15 +332,15 @@ func TestScoreStreamChannelOrdered(t *testing.T) {
 func TestScoreStreamLatencyDeadline(t *testing.T) {
 	det := sharedDetector(t)
 	docs := streamCorpus(t, 60)
-	opts := StreamOptions{Workers: 4, Seed: 5}
+	opts := detector.StreamOptions{Workers: 4, Seed: 5}
 	clean, _, err := det.ScoreBatch(context.Background(), docs, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	plan := faultPlan{seed: 31, rate: 0.2}
-	opts.StageWrap = func(st resilience.Stage[StreamDoc]) resilience.Stage[StreamDoc] {
+	opts.StageWrap = func(st resilience.Stage[detector.StreamDoc]) resilience.Stage[detector.StreamDoc] {
 		inner := st.Fn
-		st.Fn = func(ctx context.Context, index int, sd *StreamDoc) error {
+		st.Fn = func(ctx context.Context, index int, sd *detector.StreamDoc) error {
 			ctx, cancel := context.WithTimeout(ctx, 10*time.Millisecond)
 			defer cancel()
 			if plan.hits(st.Name, index) {

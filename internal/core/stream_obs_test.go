@@ -10,17 +10,18 @@ import (
 	"slices"
 	"testing"
 
+	"harassrepro/internal/detector"
 	"harassrepro/internal/obs"
 	"harassrepro/internal/randx"
 	"harassrepro/internal/resilience"
 	"harassrepro/internal/testutil"
 )
 
-// metricsOpts returns golden StreamOptions with a fresh registry
+// metricsOpts returns golden detector.StreamOptions with a fresh registry
 // attached.
-func metricsOpts(workers int) (StreamOptions, *obs.Registry) {
+func metricsOpts(workers int) (detector.StreamOptions, *obs.Registry) {
 	reg := obs.NewRegistry()
-	return StreamOptions{
+	return detector.StreamOptions{
 		Workers: workers, Seed: 42, Ordered: true, Annotate: true,
 		Metrics: reg,
 	}, reg
@@ -32,7 +33,7 @@ func metricsOpts(workers int) (StreamOptions, *obs.Registry) {
 func TestScoreStreamMetricsDoNotChangeResults(t *testing.T) {
 	det := testDetector(t)
 	docs := goldenStreamDocs()
-	plain, plainSum, err := det.ScoreBatch(context.Background(), docs, StreamOptions{
+	plain, plainSum, err := det.ScoreBatch(context.Background(), docs, detector.StreamOptions{
 		Workers: 4, Seed: 42, Ordered: true, Annotate: true,
 	})
 	if err != nil {
@@ -80,9 +81,8 @@ func TestScoreStreamMetricsWorkerInvariance(t *testing.T) {
 
 	// The sampled-doc set is fixed by the seed, so its size is too.
 	var sampledDocs uint64
-	sampleProbe := newScoreMetrics(obs.NewRegistry(), 42)
 	for i := range docs {
-		if sampleProbe.sampled(i) {
+		if phaseSampled(42, i) {
 			sampledDocs++
 		}
 	}
@@ -90,7 +90,7 @@ func TestScoreStreamMetricsWorkerInvariance(t *testing.T) {
 		t.Fatalf("degenerate sample size %d of %d: test would prove nothing", sampledDocs, n)
 	}
 
-	var baseline []resilience.Result[StreamDoc]
+	var baseline []resilience.Result[detector.StreamDoc]
 	var baseSnap obs.Snapshot
 	for _, workers := range []int{1, 4, 16} {
 		opts, reg := metricsOpts(workers)
@@ -204,21 +204,30 @@ func TestScoreStreamMetricsReconcilePII(t *testing.T) {
 	}
 }
 
-// TestScoreBothAllocs gates the fused scoring hot path at zero
-// allocations per document, plain and instrumented — for unsampled
-// documents and for sampled ones — on a short document (one shared
-// vector) and a long one (spans for both tasks).
+// phaseSampled is the detector's phase-sampling decision, pinned here so
+// that a change to it shows: the document at index of a run with seed
+// is timed when its draw from the seed's "phase-sample" stream falls
+// under 1/8.
+func phaseSampled(seed uint64, index int) bool {
+	rng := randx.New(seed).Split("phase-sample").SplitNVal("doc", index)
+	return rng.Float64() < 1.0/8
+}
+
+// TestScoreBothAllocs gates the fused scoring hot path — the stream's
+// score stage — at zero allocations per document, plain and
+// instrumented, for unsampled documents and for sampled ones, on a
+// short document (one shared vector) and a long one (spans for both
+// tasks).
 func TestScoreBothAllocs(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("allocation counts differ under the race detector")
 	}
 	det := testDetector(t)
-	sm := newScoreMetrics(obs.NewRegistry(), 42)
 
 	// Find one unsampled and one sampled index.
 	unsampled, sampled := -1, -1
 	for i := 0; i < 10000 && (unsampled < 0 || sampled < 0); i++ {
-		if sm.sampled(i) {
+		if phaseSampled(42, i) {
 			if sampled < 0 {
 				sampled = i
 			}
@@ -230,30 +239,39 @@ func TestScoreBothAllocs(t *testing.T) {
 		t.Fatal("could not find both a sampled and an unsampled index")
 	}
 
-	base := randx.New(42)
-	cthBase, doxBase := base.Split("score-cth"), base.Split("score-dox")
 	for _, doc := range []struct{ name, text string }{
 		{"short", "we need to mass-report his twitter and youtube, spread the word"},
 		{"long", tokenLenText(513)},
 	} {
 		for _, tc := range []struct {
-			name  string
-			score func(cthRng, doxRng *randx.Source)
+			name    string
+			metrics *obs.Registry
+			index   int
 		}{
-			{"scoreBoth", func(c, d *randx.Source) { det.scoreBoth(doc.text, c, d) }},
-			{"scoreBothObs unsampled", func(c, d *randx.Source) { det.scoreBothObs(doc.text, c, d, sm, unsampled) }},
-			{"scoreBothObs sampled", func(c, d *randx.Source) { det.scoreBothObs(doc.text, c, d, sm, sampled) }},
+			{"plain", nil, 0},
+			{"metrics unsampled", obs.NewRegistry(), unsampled},
+			{"metrics sampled", obs.NewRegistry(), sampled},
 		} {
-			// Allocated once: the indirect call would move per-run
-			// stack copies to the heap.
-			cthRng, doxRng := new(randx.Source), new(randx.Source)
-			run := func() {
-				*cthRng, *doxRng = cthBase.SplitNVal("doc", 0), doxBase.SplitNVal("doc", 0)
-				tc.score(cthRng, doxRng)
+			var score resilience.Stage[detector.StreamDoc]
+			for _, st := range runnerStages(det, detector.StreamOptions{Seed: 42, Metrics: tc.metrics}) {
+				if st.Name == "score" {
+					score = st
+				}
 			}
+			sd := &detector.StreamDoc{Text: doc.text}
+			run := func() { _ = score.Fn(context.Background(), tc.index, sd) }
 			run() // warm scratch
 			if n := testing.AllocsPerRun(200, run); n > 0 {
-				t.Errorf("%s (%s doc) allocates %v per op, want 0", tc.name, doc.name, n)
+				t.Errorf("score stage, %s (%s doc) allocates %v per op, want 0", tc.name, doc.name, n)
+			}
+			if tc.metrics != nil {
+				want := 0.0
+				if tc.index == sampled {
+					want = 202 // the warm run, AllocsPerRun's own warm-up, 200 runs
+				}
+				if got := counterValue(tc.metrics.Snapshot(), "score_phase_sampled_total"); got != want {
+					t.Errorf("score stage, %s (%s doc): %v documents sampled, want %v", tc.name, doc.name, got, want)
+				}
 			}
 		}
 	}
@@ -276,38 +294,4 @@ func counterValue(s obs.Snapshot, name string, labels ...obs.Label) float64 {
 		return float64(*m.Value)
 	}
 	return 0
-}
-
-// BenchmarkScoreBatch runs the same documents at the same seed through
-// the plain and the instrumented stream, so the instrumentation
-// overhead is the ratio of its two sub-benchmarks:
-//
-//	go test -run '^$' -bench '^BenchmarkScoreBatch$' -count 10 ./internal/core/
-//
-// The batch is a few hundred documents so that the per-document cost,
-// not the per-batch metric registration, is what the ratio shows.
-func BenchmarkScoreBatch(b *testing.B) {
-	det := testDetector(b)
-	var docs []StreamDoc
-	for len(docs) < 256 {
-		docs = append(docs, goldenStreamDocs()...)
-	}
-	for _, arm := range []struct {
-		name    string
-		metrics *obs.Registry
-	}{
-		{"plain", nil},
-		{"metrics", obs.NewRegistry()},
-	} {
-		b.Run(arm.name, func(b *testing.B) {
-			opts := StreamOptions{Seed: 42, Metrics: arm.metrics}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := det.ScoreBatch(context.Background(), docs, opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }

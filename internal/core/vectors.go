@@ -84,7 +84,7 @@ func buildVectorMemo(tok *tokenize.Tokenizer, h *features.Hasher, texts []string
 				toks := sess.Tokenize(texts[i])
 				e := &entries[i]
 				e.n = len(toks)
-				e.vec = ownedVector(feat.Vectorize(toks))
+				e.vec = feat.Vectorize(toks).Clone()
 				if e.n > keepOver {
 					e.toks = slices.Clone(toks)
 				}
@@ -99,15 +99,13 @@ func buildVectorMemo(tok *tokenize.Tokenizer, h *features.Hasher, texts []string
 	return memo
 }
 
-// vectorize converts document text to the model input vector at the
-// given span length: tokens are reduced with the paper's
-// random-no-overlap strategy and the spans' features are pooled. A
-// corpus text is read from the run's memo — its shared vector when it
-// fits maxLen, else its cached tokens featurized with rng. Any other
-// text (or any text of a Pipeline built without the graph) is tokenized
-// here. Both routes draw from rng exactly when the text is longer than
-// maxLen, so they are bit-identical (bit-identical, too, to the legacy
-// tokenizer/hasher composition — see fastpath_test.go).
+// vectorize converts document text to the model input vector at span
+// length maxLen (Featurizer.VectorizeSpans). A corpus text is read from
+// the run's memo — its shared vector when it fits maxLen, else its
+// cached tokens featurized with rng. Any other text (or any text of a
+// Pipeline built without the graph) is tokenized here. Both routes draw
+// from rng exactly when the text is longer than maxLen, so they are
+// bit-identical (and equal to the legacy tokenizer/hasher composition).
 //
 // The result may be shared with other callers: treat it as read-only.
 func (p *Pipeline) vectorize(text string, maxLen int, rng *randx.Source) features.Vector {
@@ -115,26 +113,18 @@ func (p *Pipeline) vectorize(text string, maxLen int, rng *randx.Source) feature
 	if e != nil && e.n <= maxLen {
 		return e.vec
 	}
-	sc, _ := p.scorers.Get().(*scorer)
-	if sc == nil {
-		sc = &scorer{sess: p.Tokenizer.NewSession(), feat: p.Hasher.NewFeaturizer()}
-	}
 	var toks []string
 	if e != nil {
 		toks = e.toks
 	}
 	if toks == nil {
-		toks = sc.sess.Tokenize(text)
+		toks = p.Tokenizer.Tokenize(text)
 	}
-	out := ownedVector(sc.featurize(toks, maxLen, rng))
-	p.scorers.Put(sc)
+	feat, _ := p.featurizers.Get().(*features.Featurizer)
+	if feat == nil {
+		feat = p.Hasher.NewFeaturizer()
+	}
+	out := feat.VectorizeSpans(toks, maxLen, rng).Clone()
+	p.featurizers.Put(feat)
 	return out
-}
-
-// ownedVector copies a vector out of featurizer scratch.
-func ownedVector(v features.Vector) features.Vector {
-	return features.Vector{
-		Indices: append([]uint32(nil), v.Indices...),
-		Values:  append([]float64(nil), v.Values...),
-	}
 }

@@ -201,7 +201,8 @@ func encodeDoc(buf []byte, d *corpus.Document) []byte {
 		flags |= tfHardNegative
 	}
 	buf = append(buf, flags)
-	subs := d.Truth.CTHLabel.Subs()
+	var scratch [taxonomy.SubcategoryCount + 1]taxonomy.Sub
+	subs := d.Truth.CTHLabel.AppendSubs(scratch[:0])
 	buf = binary.AppendUvarint(buf, uint64(len(subs)))
 	for _, s := range subs {
 		buf = appendString(buf, string(s))
@@ -217,7 +218,8 @@ func encodeDoc(buf []byte, d *corpus.Document) []byte {
 
 // payloadLen is len(encodeDoc(nil, d)), computed without encoding.
 func payloadLen(d *corpus.Document) int {
-	subs := d.Truth.CTHLabel.Subs()
+	var scratch [taxonomy.SubcategoryCount + 1]taxonomy.Sub
+	subs := d.Truth.CTHLabel.AppendSubs(scratch[:0])
 	n := 1 + uvarintLen(uint64(d.PosInThread)) + uvarintLen(uint64(d.ThreadSize)) + uvarintLen(uint64(d.Truth.TargetID)) +
 		uvarintLen(uint64(len(subs))) + uvarintLen(uint64(len(d.Truth.DoxPII)))
 	for _, s := range [...]string{d.ID, string(d.Dataset), string(d.Platform), d.Domain, d.ThreadID, d.Author, d.Date, d.Text, string(d.Truth.TargetGender)} {

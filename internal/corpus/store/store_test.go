@@ -12,6 +12,7 @@ import (
 	"harassrepro/internal/gender"
 	"harassrepro/internal/pii"
 	"harassrepro/internal/taxonomy"
+	"harassrepro/internal/testutil"
 )
 
 // testDocs returns a small deterministic batch exercising every field,
@@ -330,4 +331,27 @@ func TestAppendDeterminism(t *testing.T) {
 		}
 	}
 	compareStoreDirs(t, dirs[0], dirs[1])
+}
+
+// TestEncodeLabelledDocAllocs pins the write path's per-document cost:
+// sizing a labelled document (subcategories and PII types) with
+// payloadLen and encoding it into a buffer with room allocates nothing.
+func TestEncodeLabelledDocAllocs(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	d := &testDocs(1, "enc-")[0]
+	if len(d.Truth.CTHLabel.Subs()) != 2 || len(d.Truth.DoxPII) != 2 {
+		t.Fatalf("document is not labelled: %+v", d.Truth)
+	}
+	buf := make([]byte, 0, payloadLen(d))
+	allocs := testing.AllocsPerRun(100, func() {
+		buf = encodeDoc(buf[:0], d)
+		if len(buf) != payloadLen(d) {
+			t.Fatalf("encoded %d bytes, payloadLen %d", len(buf), payloadLen(d))
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("payloadLen + encodeDoc of a labelled document allocate %v per op, want 0", allocs)
+	}
 }

@@ -1,4 +1,4 @@
-package core
+package detector
 
 import (
 	"context"
@@ -73,17 +73,16 @@ var (
 func (d *Detector) streamStages(opts StreamOptions) []resilience.Stage[StreamDoc] {
 	// Per-document scoring randomness is derived from (seed, task,
 	// index), never from the detector's shared stream: scheduling
-	// cannot perturb it. The per-task splits keep the labels of
-	// the per-task stages they came from, so spans are sampled as before.
-	// They are hoisted out of the per-document closure and the
-	// per-document child streams are derived by value (SplitNVal), keeping
-	// the hot path allocation-free while producing the same child states
-	// as Split().SplitN().
+	// cannot perturb it. The per-task splits keep the labels of the
+	// per-task stages they replaced, so spans are sampled as before; they
+	// are hoisted out of the per-document closure, and each document's
+	// child streams are derived by value (SplitNVal: Split().SplitN()'s
+	// states, no allocation).
 	base := randx.New(opts.Seed)
 	cthBase := base.Split("score-cth")
 	doxBase := base.Split("score-dox")
-	// With a registry the stage routes through the instrumented path;
-	// both consume randomness identically, so scores do not change.
+	// With a registry the score stage counts and samples; the
+	// instruments never draw span randomness, so scores do not change.
 	var sm *scoreMetrics
 	ext := streamExtractor
 	if opts.Metrics != nil {
@@ -101,11 +100,7 @@ func (d *Detector) streamStages(opts StreamOptions) []resilience.Stage[StreamDoc
 			}
 			cthRng := cthBase.SplitNVal("doc", index)
 			doxRng := doxBase.SplitNVal("doc", index)
-			if sm != nil {
-				sd.CTH, sd.Dox = d.scoreBothObs(sd.Text, &cthRng, &doxRng, sm, index)
-			} else {
-				sd.CTH, sd.Dox = d.scoreBoth(sd.Text, &cthRng, &doxRng)
-			}
+			sd.CTH, sd.Dox = d.scoreBoth(sd.Text, &cthRng, &doxRng, sm, index)
 			return nil
 		},
 	}}

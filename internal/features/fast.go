@@ -26,7 +26,12 @@ package features
 // Golden tests assert bit-identical vectors against the legacy
 // string-building implementation.
 
-import "math/bits"
+import (
+	"math/bits"
+
+	"harassrepro/internal/randx"
+	"harassrepro/internal/tokenize"
+)
 
 // FNV-1a constants, matching hash/fnv.
 const (
@@ -74,6 +79,8 @@ type Featurizer struct {
 	occSum  []uint64 // bit w%64 of word w/64: occ[w] is nonzero
 	idx     []uint32
 	out     []float64
+	spans   [][]string // span-sampling scratch for long documents
+	merged  []string   // span-merge scratch for long documents
 }
 
 // NewFeaturizer returns a Featurizer sharing the hasher's configuration.
@@ -144,4 +151,21 @@ func (f *Featurizer) Vectorize(tokens []string) Vector {
 		}
 	}
 	return Vector{Indices: f.idx, Values: f.out}
+}
+
+// VectorizeSpans vectorizes a tokenized document at span length maxLen:
+// whole, drawing nothing from rng, when it has at most maxLen tokens;
+// else the two of its maxLen-token chunks rng picks (the paper's
+// random-no-overlap reduction), counted together. toks is not reordered,
+// and the result aliases the scratch, as Vectorize's does.
+func (f *Featurizer) VectorizeSpans(toks []string, maxLen int, rng *randx.Source) Vector {
+	if len(toks) <= maxLen {
+		return f.Vectorize(toks)
+	}
+	f.spans = tokenize.AppendRandomSpans(f.spans[:0], toks, maxLen, 2, rng)
+	f.merged = f.merged[:0]
+	for _, s := range f.spans {
+		f.merged = append(f.merged, s...)
+	}
+	return f.Vectorize(f.merged)
 }

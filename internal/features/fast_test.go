@@ -16,7 +16,9 @@ import (
 	"testing"
 	"testing/quick"
 
+	"harassrepro/internal/randx"
 	"harassrepro/internal/testutil"
+	"harassrepro/internal/tokenize"
 )
 
 // referenceVectorize is the legacy Hasher.Vectorize: per-feature string
@@ -271,6 +273,50 @@ func TestFeaturizerZeroAllocs(t *testing.T) {
 		f.Vectorize(tokens)
 	}); n != 0 {
 		t.Errorf("Featurizer.Vectorize allocates %v per op, want 0", n)
+	}
+}
+
+// TestVectorizeSpansMatchesReference pins VectorizeSpans to the legacy
+// span composition — tokenize.Spans with the random-no-overlap strategy,
+// spans merged, then Hasher.Vectorize — on one reused Featurizer, at
+// lengths below, at and above the document's, and requires both to
+// leave the rng in the same state.
+func TestVectorizeSpansMatchesReference(t *testing.T) {
+	h := NewHasher(HasherConfig{Buckets: 1 << 12, Bigrams: true})
+	f := h.NewFeaturizer()
+	toks := distinctTokens(300)
+	for _, maxLen := range []int{1, 7, 128, 299, 300, 512} {
+		got, want := randx.New(3).Split("spans"), randx.New(3).Split("spans")
+		var merged []string
+		for _, s := range tokenize.Spans(toks, maxLen, 2, tokenize.SpanRandomNoOverlap, want) {
+			merged = append(merged, s...)
+		}
+		if v := f.VectorizeSpans(toks, maxLen, got); !equalVec(v, h.Vectorize(merged)) {
+			t.Errorf("maxLen %d: VectorizeSpans differs from the legacy composition", maxLen)
+		}
+		if got.Uint64() != want.Uint64() {
+			t.Errorf("maxLen %d: rng states diverge", maxLen)
+		}
+	}
+}
+
+// TestVectorizeSpansZeroAllocs: span sampling and merging reuse the
+// Featurizer's scratch, so a steady-state long document allocates
+// nothing.
+func TestVectorizeSpansZeroAllocs(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	f := NewHasher(HasherConfig{Bigrams: true}).NewFeaturizer()
+	toks := distinctTokens(600)
+	rng := new(randx.Source)
+	run := func() {
+		*rng = *randx.New(5)
+		f.VectorizeSpans(toks, 128, rng)
+	}
+	run() // warm the scratch
+	if n := testing.AllocsPerRun(100, run); n != 0 {
+		t.Errorf("Featurizer.VectorizeSpans allocates %v per op, want 0", n)
 	}
 }
 

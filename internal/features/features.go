@@ -29,6 +29,15 @@ func (v Vector) Dot(weights []float64) float64 {
 	return sum
 }
 
+// Clone returns a copy of v that owns its slices: how a vector outlives
+// the Featurizer scratch it aliases.
+func (v Vector) Clone() Vector {
+	return Vector{
+		Indices: append([]uint32(nil), v.Indices...),
+		Values:  append([]float64(nil), v.Values...),
+	}
+}
+
 // HasherConfig configures a feature Hasher.
 type HasherConfig struct {
 	// Buckets is the hashed feature space size. Defaults to 1<<18.

@@ -33,8 +33,8 @@ import (
 	"time"
 
 	"harassrepro/internal/annotate"
-	"harassrepro/internal/core"
 	"harassrepro/internal/corpus/store"
+	"harassrepro/internal/detector"
 	"harassrepro/internal/registry"
 	"harassrepro/internal/serve"
 )
@@ -469,7 +469,7 @@ func (m *Manager) handleShadow(w http.ResponseWriter, r *http.Request) {
 // BootModel loads or trains the serving model for harassd startup: the
 // registry's active generation when one exists, otherwise the detector
 // produced by train is committed and activated as generation 1.
-func BootModel(reg *registry.Registry, seed uint64, train func() (*core.Detector, error)) (*serve.Model, *core.Detector, error) {
+func BootModel(reg *registry.Registry, seed uint64, train func() (*detector.Detector, error)) (*serve.Model, *detector.Detector, error) {
 	if gen := reg.Active(); gen != 0 {
 		det, err := reg.Load(gen)
 		if err != nil {

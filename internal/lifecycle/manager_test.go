@@ -12,7 +12,7 @@ import (
 	"testing"
 	"time"
 
-	"harassrepro/internal/core"
+	"harassrepro/internal/detector"
 	"harassrepro/internal/features"
 	"harassrepro/internal/model"
 	"harassrepro/internal/registry"
@@ -108,7 +108,7 @@ func TestBootModelTrainsOnceThenLoads(t *testing.T) {
 		t.Fatal(err)
 	}
 	trained := 0
-	train := func() (*core.Detector, error) {
+	train := func() (*detector.Detector, error) {
 		trained++
 		// Materialise a tiny model via a scratch dir and load it back:
 		// the boot path only needs a Save-able detector.
@@ -119,7 +119,7 @@ func TestBootModelTrainsOnceThenLoads(t *testing.T) {
 		if err := tinySave(t, 5)(scratch); err != nil {
 			return nil, err
 		}
-		return core.LoadDetector(scratch)
+		return detector.Load(scratch)
 	}
 
 	mdl, _, err := BootModel(reg, 5, train)

@@ -8,7 +8,7 @@ import (
 	"strings"
 	"sync"
 
-	"harassrepro/internal/core"
+	"harassrepro/internal/detector"
 	"harassrepro/internal/durable"
 )
 
@@ -56,7 +56,7 @@ func Create(dir string) (*Registry, error) {
 
 // Open loads an existing registry, validating every committed
 // generation's model directory. Damage is quarantined, never served:
-// a committed generation that fails core.LoadDetector is moved into
+// a committed generation that fails detector.Load is moved into
 // quarantine/ and dropped from the manifest (resetting Active to the
 // newest surviving generation if it pointed at the damage), and
 // uncommitted gen-* orphans left by a crash mid-commit are swept into
@@ -102,7 +102,7 @@ func (r *Registry) recover() error {
 	dirty := false
 	// Committed generations must load; quarantine the ones that don't.
 	for name, gen := range committed {
-		if _, err := core.LoadDetector(filepath.Join(r.dir, name)); err != nil {
+		if _, err := detector.Load(filepath.Join(r.dir, name)); err != nil {
 			if qerr := r.quarantine(name); qerr != nil {
 				return qerr
 			}
@@ -170,7 +170,7 @@ func (r *Registry) quarantine(name string) error {
 
 // Commit writes a new model generation: save is called with the fresh
 // generation directory and must leave a complete SaveModels layout
-// there (core.Detector.Save or Pipeline.SaveModels both qualify). The
+// there (detector.Detector.Save or Pipeline.SaveModels both qualify). The
 // registry fsyncs the written files, validates the directory by
 // loading it, and only then commits the manifest — a crash anywhere
 // before that final rename leaves an orphan directory that the next
@@ -197,7 +197,7 @@ func (r *Registry) Commit(info Entry, save func(dir string) error) (uint64, erro
 	if err := durable.SyncTree(gdir); err != nil {
 		return fail(fmt.Errorf("registry: commit generation %d: %w", gen, err))
 	}
-	if _, err := core.LoadDetector(gdir); err != nil {
+	if _, err := detector.Load(gdir); err != nil {
 		return fail(fmt.Errorf("registry: commit generation %d: saved model does not validate: %w", gen, err))
 	}
 	durable.SyncDir(r.dir)
@@ -252,18 +252,18 @@ func (r *Registry) Rollback() (uint64, error) {
 }
 
 // Load reads a committed generation's detector.
-func (r *Registry) Load(gen uint64) (*core.Detector, error) {
+func (r *Registry) Load(gen uint64) (*detector.Detector, error) {
 	r.mu.Lock()
 	e := r.man.entry(gen)
 	r.mu.Unlock()
 	if e == nil {
 		return nil, fmt.Errorf("registry: load: generation %d not committed", gen)
 	}
-	return core.LoadDetector(filepath.Join(r.dir, genDirName(gen)))
+	return detector.Load(filepath.Join(r.dir, genDirName(gen)))
 }
 
 // LoadActive reads the active generation's detector.
-func (r *Registry) LoadActive() (*core.Detector, uint64, error) {
+func (r *Registry) LoadActive() (*detector.Detector, uint64, error) {
 	gen := r.Active()
 	if gen == 0 {
 		return nil, 0, fmt.Errorf("registry: no active generation")

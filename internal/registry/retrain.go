@@ -6,9 +6,9 @@ import (
 	"sort"
 
 	"harassrepro/internal/annotate"
-	"harassrepro/internal/core"
 	"harassrepro/internal/corpus"
 	"harassrepro/internal/corpus/store"
+	"harassrepro/internal/detector"
 	"harassrepro/internal/features"
 	"harassrepro/internal/model"
 	"harassrepro/internal/randx"
@@ -75,7 +75,7 @@ type RetrainResult struct {
 // modified; the candidate shares its vocabulary and feature space, so
 // it can shadow-score the same traffic for divergence measurement
 // before promotion.
-func Retrain(base *core.Detector, fb []Feedback, cfg RetrainConfig) (*core.Detector, RetrainResult, error) {
+func Retrain(base *detector.Detector, fb []Feedback, cfg RetrainConfig) (*detector.Detector, RetrainResult, error) {
 	if base == nil {
 		return nil, RetrainResult{}, fmt.Errorf("registry: retrain: nil base detector")
 	}
@@ -198,7 +198,7 @@ var errReplayDone = errors.New("registry: replay complete")
 // replay is deterministic). The selected
 // documents are vectorized after the scan, negatives first, in one
 // fixed order on the shared rng stream.
-func replayExamples(base *core.Detector, task annotate.Task, vecRng *randx.Source, cfg RetrainConfig) ([]model.Example, error) {
+func replayExamples(base *detector.Detector, task annotate.Task, vecRng *randx.Source, cfg RetrainConfig) ([]model.Example, error) {
 	limit := cfg.ReplayLimit
 	if limit <= 0 {
 		limit = 256

@@ -8,14 +8,14 @@ import (
 	"testing"
 
 	"harassrepro/internal/annotate"
-	"harassrepro/internal/core"
 	"harassrepro/internal/corpus"
 	"harassrepro/internal/corpus/store"
+	"harassrepro/internal/detector"
 	"harassrepro/internal/randx"
 )
 
 // tinyBase commits and loads the tinySaver detector as a retrain base.
-func tinyBase(t *testing.T) *core.Detector {
+func tinyBase(t *testing.T) *detector.Detector {
 	t.Helper()
 	r, err := Create(t.TempDir())
 	if err != nil {

@@ -22,7 +22,7 @@ import (
 	"testing"
 	"time"
 
-	"harassrepro/internal/core"
+	"harassrepro/internal/detector"
 	"harassrepro/internal/obs"
 	"harassrepro/internal/resilience"
 )
@@ -46,10 +46,10 @@ type goldenBackend struct {
 	delay time.Duration
 }
 
-func (g *goldenBackend) Runner(opts core.StreamOptions) *resilience.Runner[core.StreamDoc] {
-	return stageRunner(opts, resilience.Stage[core.StreamDoc]{
+func (g *goldenBackend) Runner(opts detector.StreamOptions) *resilience.Runner[detector.StreamDoc] {
+	return stageRunner(opts, resilience.Stage[detector.StreamDoc]{
 		Name: "golden-score",
-		Fn: func(ctx context.Context, _ int, sd *core.StreamDoc) error {
+		Fn: func(ctx context.Context, _ int, sd *detector.StreamDoc) error {
 			if err := pause(ctx, g.delay); err != nil {
 				return err
 			}
@@ -79,9 +79,9 @@ func (p panicPlan) hits(stage, text string) bool {
 const planned = "planned panic"
 
 // stageWrap adapts the plan to Config.StageWrap.
-func (p panicPlan) stageWrap(st resilience.Stage[core.StreamDoc]) resilience.Stage[core.StreamDoc] {
+func (p panicPlan) stageWrap(st resilience.Stage[detector.StreamDoc]) resilience.Stage[detector.StreamDoc] {
 	inner := st.Fn
-	st.Fn = func(ctx context.Context, index int, sd *core.StreamDoc) error {
+	st.Fn = func(ctx context.Context, index int, sd *detector.StreamDoc) error {
 		err := inner(ctx, index, sd)
 		if p.hits(st.Name, sd.Text) {
 			panic(planned)
@@ -292,9 +292,9 @@ func TestInjectedStallEndsAt504AndDelaysNobody(t *testing.T) {
 	s := New(Config{
 		Backend:        &goldenBackend{},
 		RequestTimeout: deadline,
-		StageWrap: func(st resilience.Stage[core.StreamDoc]) resilience.Stage[core.StreamDoc] {
+		StageWrap: func(st resilience.Stage[detector.StreamDoc]) resilience.Stage[detector.StreamDoc] {
 			healthy := st.Fn
-			st.Fn = func(ctx context.Context, index int, sd *core.StreamDoc) error {
+			st.Fn = func(ctx context.Context, index int, sd *detector.StreamDoc) error {
 				if strings.Contains(sd.Text, "wedge") {
 					entered <- struct{}{}
 					if err := pause(ctx, time.Hour); err != nil {

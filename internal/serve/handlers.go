@@ -41,8 +41,8 @@ import (
 	"time"
 
 	"harassrepro/internal/annotate"
-	"harassrepro/internal/core"
 	"harassrepro/internal/corpus"
+	"harassrepro/internal/detector"
 	"harassrepro/internal/obs/obshttp"
 	"harassrepro/internal/resilience"
 )
@@ -195,7 +195,7 @@ func (s *Server) refuse(w http.ResponseWriter, rf refusal) {
 // request slot, its scoring slot, the document slots of anything left
 // unscored — has been returned by the time score returns, so the handler
 // writes its response, results or refusal, holding nothing.
-func (s *Server) score(r *http.Request, docs []core.StreamDoc) ([]ScoreResult, uint64, refusal) {
+func (s *Server) score(r *http.Request, docs []detector.StreamDoc) ([]ScoreResult, uint64, refusal) {
 	if rf := s.admit(len(docs)); rf.code != 0 {
 		return nil, 0, rf
 	}
@@ -321,7 +321,7 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "missing text")
 		return
 	}
-	results, gen, rf := s.score(r, []core.StreamDoc{{ID: req.ID, Platform: req.Platform, Text: req.Text}})
+	results, gen, rf := s.score(r, []detector.StreamDoc{{ID: req.ID, Platform: req.Platform, Text: req.Text}})
 	if rf.code != 0 {
 		s.refuse(w, rf)
 		return
@@ -390,7 +390,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 // quarantine (one JSON document per line — the cmd/corpusgen
 // interchange format). perr non-empty means the whole body is
 // unusable.
-func (s *Server) parseBatch(body []byte) (docs []core.StreamDoc, quarantined []BatchLineError, perr string) {
+func (s *Server) parseBatch(body []byte) (docs []detector.StreamDoc, quarantined []BatchLineError, perr string) {
 	trimmed := bytes.TrimLeft(body, " \t\r\n")
 	if len(trimmed) > 0 && trimmed[0] == '[' {
 		var reqs []ScoreRequest
@@ -402,7 +402,7 @@ func (s *Server) parseBatch(body []byte) (docs []core.StreamDoc, quarantined []B
 				quarantined = append(quarantined, BatchLineError{Line: i + 1, Error: "missing text"})
 				continue
 			}
-			docs = append(docs, core.StreamDoc{ID: req.ID, Platform: req.Platform, Text: req.Text})
+			docs = append(docs, detector.StreamDoc{ID: req.ID, Platform: req.Platform, Text: req.Text})
 		}
 		return docs, quarantined, ""
 	}
@@ -410,7 +410,7 @@ func (s *Server) parseBatch(body []byte) (docs []core.StreamDoc, quarantined []B
 	bad, err := corpus.EachJSONL(bytes.NewReader(body),
 		corpus.JSONLOptions{Lenient: true, MaxLineBytes: s.cfg.MaxLineBytes},
 		func(d *corpus.Document) error {
-			docs = append(docs, core.StreamDoc{ID: d.ID, Platform: string(d.Platform), Text: d.Text})
+			docs = append(docs, detector.StreamDoc{ID: d.ID, Platform: string(d.Platform), Text: d.Text})
 			return nil
 		})
 	if err != nil {
@@ -424,7 +424,7 @@ func (s *Server) parseBatch(body []byte) (docs []core.StreamDoc, quarantined []B
 
 // toScoreResult converts a runner result to the wire form, stamped with
 // the generation that produced it.
-func toScoreResult(res resilience.Result[core.StreamDoc], gen uint64) ScoreResult {
+func toScoreResult(res resilience.Result[detector.StreamDoc], gen uint64) ScoreResult {
 	out := ScoreResult{
 		ID:        res.Item.ID,
 		Status:    res.Status.String(),

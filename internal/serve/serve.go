@@ -49,25 +49,25 @@ import (
 	"sync/atomic"
 	"time"
 
-	"harassrepro/internal/core"
+	"harassrepro/internal/detector"
 	"harassrepro/internal/obs"
 	"harassrepro/internal/obs/obshttp"
 	"harassrepro/internal/resilience"
 )
 
-// Backend is a model's scoring engine. *core.Detector implements it
+// Backend is a model's scoring engine. *detector.Detector implements it
 // with the pooled zero-allocation scorers; it is an interface only so
 // tests can substitute a fake with controllable latency. The server
 // calls Runner once per model and then scores every document with the
 // returned runner's RunItem on the request's own goroutine, so the
 // runner must be safe for concurrent use (resilience runners are).
 type Backend interface {
-	Runner(opts core.StreamOptions) *resilience.Runner[core.StreamDoc]
+	Runner(opts detector.StreamOptions) *resilience.Runner[detector.StreamDoc]
 }
 
 // Thresholder exposes a model's per-platform decision thresholds, used
 // by the shadow scorer to turn score divergence into label flips.
-// *core.Detector satisfies it.
+// *detector.Detector satisfies it.
 type Thresholder interface {
 	CTHThreshold(platform string) float64
 	DoxThreshold(platform string) float64
@@ -157,9 +157,9 @@ type Config struct {
 	// Default 1s.
 	RetryAfter time.Duration
 	// StageWrap, if set, wraps every scoring stage of every model the
-	// server loads (core.StreamOptions.StageWrap): the hook the fault
+	// server loads (detector.StreamOptions.StageWrap): the hook the fault
 	// tests inject stage panics and stalls through.
-	StageWrap func(resilience.Stage[core.StreamDoc]) resilience.Stage[core.StreamDoc]
+	StageWrap func(resilience.Stage[detector.StreamDoc]) resilience.Stage[detector.StreamDoc]
 	// Metrics, if set, receives the serving instruments (request/
 	// latency/queue-depth/batch-size) alongside the backend's scoring
 	// and per-stage panic/failure metrics, and mounts /metrics,
@@ -218,7 +218,7 @@ func scoringSlots() int {
 // loads, once, and scores all of its documents through.
 type loaded struct {
 	*Model
-	runner *resilience.Runner[core.StreamDoc]
+	runner *resilience.Runner[detector.StreamDoc]
 }
 
 // Server is the scoring service. Create with New, optionally bind with
@@ -288,7 +288,7 @@ func New(cfg Config) *Server {
 
 // load builds m's stage runner with the server's scoring options.
 func (s *Server) load(m *Model) *loaded {
-	return &loaded{Model: m, runner: m.Backend.Runner(core.StreamOptions{
+	return &loaded{Model: m, runner: m.Backend.Runner(detector.StreamOptions{
 		Seed:      s.cfg.Seed,
 		Annotate:  s.cfg.Annotate,
 		StageWrap: s.cfg.StageWrap,

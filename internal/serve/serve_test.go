@@ -24,19 +24,19 @@ import (
 	"testing"
 	"time"
 
-	"harassrepro/internal/core"
+	"harassrepro/internal/detector"
 	"harassrepro/internal/obs"
 	"harassrepro/internal/resilience"
 )
 
 // stageRunner builds a one-stage runner the way a detector builds its
 // own: the server's metrics and stage wrap applied.
-func stageRunner(opts core.StreamOptions, stage resilience.Stage[core.StreamDoc]) *resilience.Runner[core.StreamDoc] {
+func stageRunner(opts detector.StreamOptions, stage resilience.Stage[detector.StreamDoc]) *resilience.Runner[detector.StreamDoc] {
 	if opts.StageWrap != nil {
 		stage = opts.StageWrap(stage)
 	}
-	return resilience.NewRunner(resilience.Config[core.StreamDoc]{
-		Describe: func(sd *core.StreamDoc) string { return sd.ID },
+	return resilience.NewRunner(resilience.Config[detector.StreamDoc]{
+		Describe: func(sd *detector.StreamDoc) string { return sd.ID },
 		Metrics:  opts.Metrics,
 	}, stage)
 }
@@ -61,10 +61,10 @@ type fakeBackend struct {
 	calls atomic.Int64
 }
 
-func (f *fakeBackend) Runner(opts core.StreamOptions) *resilience.Runner[core.StreamDoc] {
-	return stageRunner(opts, resilience.Stage[core.StreamDoc]{
+func (f *fakeBackend) Runner(opts detector.StreamOptions) *resilience.Runner[detector.StreamDoc] {
+	return stageRunner(opts, resilience.Stage[detector.StreamDoc]{
 		Name: "fake-score",
-		Fn: func(ctx context.Context, _ int, sd *core.StreamDoc) error {
+		Fn: func(ctx context.Context, _ int, sd *detector.StreamDoc) error {
 			f.calls.Add(1)
 			if err := pause(ctx, f.delay); err != nil {
 				return err

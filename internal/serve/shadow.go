@@ -15,7 +15,7 @@ import (
 	"fmt"
 	"sync"
 
-	"harassrepro/internal/core"
+	"harassrepro/internal/detector"
 	"harassrepro/internal/resilience"
 )
 
@@ -44,7 +44,7 @@ type ShadowStats struct {
 // shadowDoc is one document as the active model scored it, with the
 // model that did (its thresholds decide the active label).
 type shadowDoc struct {
-	item   core.StreamDoc
+	item   detector.StreamDoc
 	active *Model
 }
 
@@ -52,7 +52,7 @@ type shadowDoc struct {
 type shadowState struct {
 	srv      *Server
 	model    *Model
-	runner   *resilience.Runner[core.StreamDoc]
+	runner   *resilience.Runner[detector.StreamDoc]
 	permille uint64 // sample when hash(text) % 1000 < permille
 	ch       chan shadowDoc
 	cancel   context.CancelFunc
@@ -81,7 +81,7 @@ func (s *Server) SetShadow(m *Model, rate float64) error {
 	st := &shadowState{
 		srv:      s,
 		model:    m,
-		runner:   m.Backend.Runner(core.StreamOptions{Seed: m.Seed}),
+		runner:   m.Backend.Runner(detector.StreamOptions{Seed: m.Seed}),
 		permille: uint64(rate * 1000),
 		ch:       make(chan shadowDoc, shadowQueueDepth),
 		cancel:   cancel,
@@ -130,7 +130,7 @@ func (st *shadowState) snapshot() ShadowStats {
 // offer samples one document the active model scored into the shadow
 // queue. Called on request goroutines; never blocks — a full queue
 // drops the document and counts it.
-func (st *shadowState) offer(active *Model, item core.StreamDoc) {
+func (st *shadowState) offer(active *Model, item detector.StreamDoc) {
 	if st.permille == 0 || textHash(item.Text)%1000 >= st.permille {
 		return
 	}
@@ -165,7 +165,7 @@ func (st *shadowState) run(ctx context.Context) {
 		case <-ctx.Done():
 			return
 		case sd := <-st.ch:
-			res := st.runner.RunItem(ctx, n, core.StreamDoc{Platform: sd.item.Platform, Text: sd.item.Text})
+			res := st.runner.RunItem(ctx, n, detector.StreamDoc{Platform: sd.item.Platform, Text: sd.item.Text})
 			if res.Status != resilience.StatusQuarantined {
 				st.record(sd, res.Item)
 			}
@@ -174,7 +174,7 @@ func (st *shadowState) run(ctx context.Context) {
 }
 
 // record accounts one active/candidate comparison.
-func (st *shadowState) record(sd shadowDoc, cand core.StreamDoc) {
+func (st *shadowState) record(sd shadowDoc, cand detector.StreamDoc) {
 	delta := absf(sd.item.CTH - cand.CTH)
 	if d := absf(sd.item.Dox - cand.Dox); d > delta {
 		delta = d

@@ -22,7 +22,7 @@ import (
 	"testing"
 	"time"
 
-	"harassrepro/internal/core"
+	"harassrepro/internal/detector"
 	"harassrepro/internal/obs"
 	"harassrepro/internal/resilience"
 )
@@ -46,10 +46,10 @@ type genBackend struct {
 	delay time.Duration
 }
 
-func (g *genBackend) Runner(opts core.StreamOptions) *resilience.Runner[core.StreamDoc] {
-	return stageRunner(opts, resilience.Stage[core.StreamDoc]{
+func (g *genBackend) Runner(opts detector.StreamOptions) *resilience.Runner[detector.StreamDoc] {
+	return stageRunner(opts, resilience.Stage[detector.StreamDoc]{
 		Name: "gen-score",
-		Fn: func(ctx context.Context, _ int, sd *core.StreamDoc) error {
+		Fn: func(ctx context.Context, _ int, sd *detector.StreamDoc) error {
 			if err := pause(ctx, g.delay); err != nil {
 				return err
 			}

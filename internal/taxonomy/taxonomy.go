@@ -216,11 +216,16 @@ func (l Label) Subs() []Sub {
 	if l.bits == 0 {
 		return nil
 	}
-	out := make([]Sub, 0, l.Size())
+	return l.AppendSubs(make([]Sub, 0, l.Size()))
+}
+
+// AppendSubs appends Subs to dst: no allocation when dst has room for
+// SubcategoryCount+1 (Generic is a label bit too).
+func (l Label) AppendSubs(dst []Sub) []Sub {
 	for b := l.bits; b != 0; b &= b - 1 {
-		out = append(out, subTable[bits.TrailingZeros32(b)])
+		dst = append(dst, subTable[bits.TrailingZeros32(b)])
 	}
-	return out
+	return dst
 }
 
 // Parents returns the label's distinct parent attack types in Table 5

@@ -34,15 +34,16 @@ if [[ $fast -eq 0 ]]; then
   go test ./...
 fi
 
-# The concurrent runtime (worker pool, panic isolation, streaming
-# scoring), the metrics core shared across its workers, the HTTP
-# serving layer scoring each request on its own goroutine through that
-# runtime's per-document path, the corpus store (concurrent segment
-# reads under Scan/Lookup, crash-recovery reopen), and the model
-# lifecycle (registry commits racing opens, hot-swaps racing traffic)
-# must be race-clean, not just correct.
-echo "== go test -race ./internal/resilience/... ./internal/core/... ./internal/obs/... ./internal/serve/... ./internal/corpus/... ./internal/registry/... ./internal/lifecycle/..."
-go test -race ./internal/resilience/... ./internal/core/... ./internal/obs/... ./internal/serve/... ./internal/corpus/... ./internal/registry/... ./internal/lifecycle/...
+# The concurrent runtime (worker pool, panic isolation), the streaming
+# scoring artifact (pooled scorers, instrumented scoring), the metrics
+# core shared across its workers, the HTTP serving layer scoring each
+# request on its own goroutine through that runtime's per-document
+# path, the corpus store (concurrent segment reads under Scan/Lookup,
+# crash-recovery reopen), and the model lifecycle (registry commits
+# racing opens, hot-swaps racing traffic) must be race-clean, not just
+# correct.
+echo "== go test -race ./internal/resilience/... ./internal/detector/... ./internal/core/... ./internal/obs/... ./internal/serve/... ./internal/corpus/... ./internal/registry/... ./internal/lifecycle/..."
+go test -race ./internal/resilience/... ./internal/detector/... ./internal/core/... ./internal/obs/... ./internal/serve/... ./internal/corpus/... ./internal/registry/... ./internal/lifecycle/...
 
 # Store race certification: three concurrent scanners racing a live
 # appender, point reads racing Close, and query walks (which hold a
@@ -74,7 +75,7 @@ go test -race -count=3 -run 'TestProcess|TestRunSlice|TestContextCancellation|Te
 # under the race detector above too, but the race detector changes the
 # allocator, so assert them in a plain run.
 echo "== alloc-regression tests"
-go test -run 'Allocs' ./internal/tokenize/ ./internal/features/ ./internal/pii/ ./internal/taxonomy/ ./internal/query/ ./internal/core/ ./internal/obs/ ./internal/corpus/ ./internal/corpus/store/
+go test -run 'Allocs' ./internal/tokenize/ ./internal/features/ ./internal/pii/ ./internal/taxonomy/ ./internal/query/ ./internal/detector/... ./internal/core/ ./internal/obs/ ./internal/corpus/ ./internal/corpus/store/
 
 if [[ $fast -eq 0 ]]; then
   # Differential fuzz smoke: the one-pass PII engine must stay
@@ -119,6 +120,12 @@ if [[ $fast -eq 0 ]]; then
   go test -run '^$' -fuzz '^FuzzSegmentDecode$' -fuzztime 10s ./internal/corpus/store/
   go test -run '^$' -fuzz '^FuzzPostingIterator$' -fuzztime 10s ./internal/corpus/store/
   go test -run '^$' -fuzz '^FuzzIndexOpen$' -fuzztime 10s ./internal/corpus/store/
+
+  # Model directory fuzz smoke: detector.Load over arbitrary meta.json
+  # and vocab.txt bytes must return an error naming the file at fault
+  # or a detector whose scores lie in [0, 1], and never panic.
+  echo "== model directory fuzz smoke (-fuzztime=10s)"
+  go test -run '^$' -fuzz '^FuzzLoad$' -fuzztime 10s ./internal/detector/
 
   # Feedback body fuzz smoke: POST /v1/feedback answers 202 or 400 on
   # any body, a 202 hands the retrain sink exactly the accepted items
