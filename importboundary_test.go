@@ -15,11 +15,16 @@ import (
 // the released model directory alone.
 var boundaryRoots = []string{"internal/detector", "internal/serve", "internal/lifecycle", "internal/registry"}
 
+// detectorForbidden are the corpus generator's packages. The detector
+// is the serving artifact, so it must not link them either.
+var detectorForbidden = []string{"internal/corpus", "internal/synth", "internal/gender"}
+
 // TestScoringStackAvoidsPipeline walks the in-module imports of the
 // non-test Go files of each boundary root, transitively, and fails if
-// any of them reaches internal/core.
+// any of them reaches internal/core, or internal/detector reaches a
+// package of detectorForbidden.
 func TestScoringStackAvoidsPipeline(t *testing.T) {
-	const module, forbidden = "harassrepro/", "internal/core"
+	const module = "harassrepro/"
 	imports := map[string][]string{} // package dir → in-module imports
 	load := func(dir string) []string {
 		if deps, ok := imports[dir]; ok {
@@ -70,12 +75,18 @@ func TestScoringStackAvoidsPipeline(t *testing.T) {
 				queue = append(queue, dep)
 			}
 		}
-		if _, reached := via[forbidden]; reached {
-			chain := forbidden
-			for p := via[forbidden]; p != ""; p = via[p] {
-				chain = p + " → " + chain
+		forbidden := []string{"internal/core"}
+		if root == "internal/detector" {
+			forbidden = append(forbidden, detectorForbidden...)
+		}
+		for _, f := range forbidden {
+			if _, reached := via[f]; reached {
+				chain := f
+				for p := via[f]; p != ""; p = via[p] {
+					chain = p + " → " + chain
+				}
+				t.Errorf("%s imports %s: %s", root, f, chain)
 			}
-			t.Errorf("%s imports %s: %s", root, forbidden, chain)
 		}
 	}
 }

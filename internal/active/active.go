@@ -129,7 +129,7 @@ func Run(seed []model.Example, pool []Instance, annotators *annotate.Pool, cfg C
 	for i := range poolIndices {
 		poolIndices[i] = -1
 	}
-	taken := map[int]bool{} // pool indices already annotated
+	taken := make([]bool, len(pool)) // pool indices already annotated
 	var history []IterationStats
 	var m *model.LogReg
 	var err error
@@ -190,9 +190,9 @@ func Run(seed []model.Example, pool []Instance, annotators *annotate.Pool, cfg C
 // sample selects the iteration's annotation candidates per the strategy.
 // The per-iteration budget is Bins*PerBin for every strategy, so regimes
 // are comparable.
-func sample(cfg Config, scores []float64, taken map[int]bool, rng *randx.Source) []int {
+func sample(cfg Config, scores []float64, taken []bool, rng *randx.Source) []int {
 	budget := cfg.Bins * cfg.PerBin
-	var avail []int
+	avail := make([]int, 0, len(scores))
 	for i := range scores {
 		if !taken[i] {
 			avail = append(avail, i)
@@ -228,21 +228,13 @@ func sample(cfg Config, scores []float64, taken map[int]bool, rng *randx.Source)
 	default: // StrategyStratified
 		bins := make([][]int, cfg.Bins)
 		for _, i := range avail {
-			b := int(scores[i] * float64(cfg.Bins))
-			if b >= cfg.Bins {
-				b = cfg.Bins - 1
-			}
+			b := min(int(scores[i]*float64(cfg.Bins)), cfg.Bins-1)
 			bins[b] = append(bins[b], i)
 		}
-		var out []int
+		out := make([]int, 0, min(budget, len(avail)))
 		for _, bin := range bins {
-			idx := append([]int(nil), bin...)
-			randx.Shuffle(rng, idx)
-			n := cfg.PerBin
-			if n > len(idx) {
-				n = len(idx)
-			}
-			out = append(out, idx[:n]...)
+			randx.Shuffle(rng, bin)
+			out = append(out, bin[:min(cfg.PerBin, len(bin))]...)
 		}
 		return out
 	}

@@ -301,7 +301,7 @@ func (p *Pipeline) ActiveLearningAblation() (string, error) {
 	for _, plat := range taskPlatforms(task) {
 		platDocs[plat] = p.docsFor(plat)
 	}
-	pool, _ := p.buildPool(task, platDocs, p.CTH.TextLen, rng.Split("pool"))
+	pool := p.buildPool(task, platDocs, p.CTH.TextLen, rng.Split("pool"))
 	seed, _, err := p.seedAnnotations(task, platDocs, rng.Split("seed"))
 	if err != nil {
 		return "", err

@@ -13,12 +13,6 @@ import (
 	"harassrepro/internal/threshold"
 )
 
-// instanceRef ties a pool instance back to its document and platform.
-type instanceRef struct {
-	doc  *corpus.Document
-	plat corpus.Platform
-}
-
 // runTask executes steps 2-7 of Figure 1 for one task.
 func (p *Pipeline) runTask(task annotate.Task) (*TaskRun, error) {
 	rng := p.rng.Split("task-" + string(task))
@@ -66,7 +60,7 @@ func (p *Pipeline) runTask(task annotate.Task) (*TaskRun, error) {
 	var bestRun active.Result
 	bestScore := -1.0
 	for _, maxLen := range lengths {
-		pool, _ := p.buildPool(task, platDocs, maxLen, rng.Split(fmt.Sprintf("pool-%d", maxLen)))
+		pool := p.buildPool(task, platDocs, maxLen, rng.Split(fmt.Sprintf("pool-%d", maxLen)))
 		res, err := active.Run(seedExamples[maxLen], pool, crowd, active.Config{
 			PerBin:     p.Config.ActivePerBin,
 			Iterations: 2,
@@ -234,20 +228,23 @@ func (p *Pipeline) seedAnnotations(task annotate.Task, platDocs map[corpus.Platf
 }
 
 // buildPool vectorizes a task's documents into an active-learning pool.
-func (p *Pipeline) buildPool(task annotate.Task, platDocs map[corpus.Platform][]*corpus.Document, maxLen int, rng *randx.Source) ([]active.Instance, map[string]instanceRef) {
-	var pool []active.Instance
-	refs := map[string]instanceRef{}
-	for _, plat := range taskPlatforms(task) {
+func (p *Pipeline) buildPool(task annotate.Task, platDocs map[corpus.Platform][]*corpus.Document, maxLen int, rng *randx.Source) []active.Instance {
+	plats := taskPlatforms(task)
+	n := 0
+	for _, plat := range plats {
+		n += len(platDocs[plat])
+	}
+	pool := make([]active.Instance, 0, n)
+	for _, plat := range plats {
 		for _, d := range platDocs[plat] {
 			pool = append(pool, active.Instance{
 				ID:    d.ID,
 				X:     p.vectorize(d.Text, maxLen, rng),
 				Truth: truth(task, d),
 			})
-			refs[d.ID] = instanceRef{doc: d, plat: plat}
 		}
 	}
-	return pool, refs
+	return pool
 }
 
 // buildEvalSet has experts label a stratified held-out sample used for

@@ -13,7 +13,6 @@
 package corpus
 
 import (
-	"fmt"
 	"time"
 
 	"harassrepro/internal/gender"
@@ -149,24 +148,36 @@ var RawSizes = map[Dataset]int{
 	Pastes: 32_555_682,
 }
 
+// datasetSpans holds DatasetDates parsed once.
+var datasetSpans = func() map[Dataset][2]time.Time {
+	m := make(map[Dataset][2]time.Time, len(DatasetDates))
+	for ds, r := range DatasetDates {
+		lo, _ := time.Parse(time.DateOnly, r[0])
+		hi, _ := time.Parse(time.DateOnly, r[1])
+		m[ds] = [2]time.Time{lo, hi}
+	}
+	return m
+}()
+
 // dateFor interpolates a YYYY-MM-DD date at fraction f within the data
 // set's Table 1 range.
 func dateFor(ds Dataset, f float64) string {
-	r := DatasetDates[ds]
-	lo, _ := time.Parse("2006-01-02", r[0])
-	hi, _ := time.Parse("2006-01-02", r[1])
+	r := datasetSpans[ds]
 	if f < 0 {
 		f = 0
 	}
 	if f > 1 {
 		f = 1
 	}
-	d := lo.Add(time.Duration(f * float64(hi.Sub(lo))))
+	d := r[0].Add(time.Duration(f * float64(r[1].Sub(r[0]))))
 	return d.Format("2006-01-02")
 }
 
 // docID builds a stable document identifier.
-func docID(p Platform, n int) string { return fmt.Sprintf("%s-%08d", p, n) }
+func docID(p Platform, n int) string {
+	b := append(make([]byte, 0, len(p)+9), p...)
+	return string(synth.AppendZeroPadded(append(b, '-'), n, 8))
+}
 
 // sub11 holds the Table 11 per-data-set subcategory prevalence (percent).
 // Columns: boards, chat, gab. Used as the planted attack-type mixture.

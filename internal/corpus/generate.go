@@ -3,6 +3,7 @@ package corpus
 import (
 	"fmt"
 	"math"
+	"strings"
 
 	"harassrepro/internal/gender"
 	"harassrepro/internal/pii"
@@ -385,19 +386,7 @@ func (g *Generator) benignDoc(p Platform, rng *randx.Source) (string, GroundTrut
 // surface features (used for diagnostics on classifier false positives).
 func looksMobilizing(text string) bool {
 	for _, m := range []string{"we need to", "we should", "lets ", "we will", "we have to"} {
-		if len(text) >= len(m) && containsFold(text, m) {
-			return true
-		}
-	}
-	return false
-}
-
-func containsFold(haystack, needle string) bool {
-	// Benign generator output is already lower-case; plain substring
-	// search suffices and avoids an import cycle with strings.ToLower
-	// costs in hot paths.
-	for i := 0; i+len(needle) <= len(haystack); i++ {
-		if haystack[i:i+len(needle)] == needle {
+		if strings.Contains(text, m) {
 			return true
 		}
 	}

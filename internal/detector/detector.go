@@ -18,7 +18,6 @@ import (
 	"sync"
 
 	"harassrepro/internal/annotate"
-	"harassrepro/internal/corpus"
 	"harassrepro/internal/features"
 	"harassrepro/internal/model"
 	"harassrepro/internal/randx"
@@ -319,14 +318,18 @@ func (d *Detector) TaskThresholds(task annotate.Task) map[string]float64 {
 	return copyThresholds(d.meta.DoxThresholds)
 }
 
+// thresholdPlatforms orders Platforms' output: corpus's platform names,
+// spelt out so the detector need not link the corpus generator.
+var thresholdPlatforms = []string{"boards", "discord", "telegram", "gab", "pastes"}
+
 // Platforms lists the platforms with saved thresholds.
 func (d *Detector) Platforms() []string {
 	out := []string{}
-	for _, plat := range []corpus.Platform{corpus.PlatformBoards, corpus.PlatformDiscord, corpus.PlatformTelegram, corpus.PlatformGab, corpus.PlatformPastes} {
-		_, dox := d.meta.DoxThresholds[string(plat)]
-		_, cth := d.meta.CTHThresholds[string(plat)]
+	for _, plat := range thresholdPlatforms {
+		_, dox := d.meta.DoxThresholds[plat]
+		_, cth := d.meta.CTHThresholds[plat]
 		if dox || cth {
-			out = append(out, string(plat))
+			out = append(out, plat)
 		}
 	}
 	return out

@@ -64,6 +64,22 @@ func streamDocs(t testing.TB, n int) []StreamDoc {
 	return docs
 }
 
+// TestThresholdPlatformsAreCorpusPlatforms holds the detector's own
+// platform list to corpus's constants, in order, and checks the fixture
+// reports every one of them.
+func TestThresholdPlatformsAreCorpusPlatforms(t *testing.T) {
+	var want []string
+	for _, p := range []corpus.Platform{corpus.PlatformBoards, corpus.PlatformDiscord, corpus.PlatformTelegram, corpus.PlatformGab, corpus.PlatformPastes} {
+		want = append(want, string(p))
+	}
+	if strings.Join(thresholdPlatforms, ",") != strings.Join(want, ",") {
+		t.Errorf("thresholdPlatforms = %q, want corpus's %q", thresholdPlatforms, want)
+	}
+	if got := fixtureDetector(t).Platforms(); strings.Join(got, ",") != strings.Join(want, ",") {
+		t.Errorf("fixture Platforms() = %q, want %q", got, want)
+	}
+}
+
 // wordsText is n single-letter words, each one token, in a
 // pseudo-random order, so every span of it has its own features.
 func wordsText(n int) string {
@@ -267,35 +283,40 @@ func benchDocs() []StreamDoc {
 }
 
 // BenchmarkScoreBatch runs the same documents at the same seed through
-// the plain and the instrumented stream, so the instrumentation
-// overhead is the ratio of its two sub-benchmarks:
+// the plain and the instrumented stream:
 //
 //	go test -run '^$' -bench '^BenchmarkScoreBatch$' -count 10 ./internal/detector/
 //
-// The batch is a few hundred documents so that the per-document cost,
-// not the per-batch metric registration, is what the ratio shows.
+// The per-document instrumentation overhead is the ratio of the
+// metrics and plain arms at docs=4096, where the per-call cost of
+// building the instruments is spread thin; the docs=1 arms show that
+// per-call cost as their difference in ns/op.
 func BenchmarkScoreBatch(b *testing.B) {
 	d := fixtureDetector(b)
-	var docs []StreamDoc
-	for len(docs) < 256 {
-		docs = append(docs, benchDocs()...)
+	var all []StreamDoc
+	for len(all) < 4096 {
+		all = append(all, benchDocs()...)
 	}
-	for _, arm := range []struct {
-		name    string
-		metrics *obs.Registry
-	}{
-		{"plain", nil},
-		{"metrics", obs.NewRegistry()},
-	} {
-		b.Run(arm.name, func(b *testing.B) {
-			opts := StreamOptions{Seed: 42, Metrics: arm.metrics}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := d.ScoreBatch(context.Background(), docs, opts); err != nil {
-					b.Fatal(err)
+	for _, n := range []int{4096, 1} {
+		docs := all[:n]
+		for _, arm := range []struct {
+			name    string
+			metrics *obs.Registry
+		}{
+			{"plain", nil},
+			{"metrics", obs.NewRegistry()},
+		} {
+			b.Run(fmt.Sprintf("%s/docs=%d", arm.name, n), func(b *testing.B) {
+				opts := StreamOptions{Seed: 42, Metrics: arm.metrics}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, _, err := d.ScoreBatch(context.Background(), docs, opts); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-		})
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/doc")
+			})
+		}
 	}
 }

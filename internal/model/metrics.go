@@ -1,8 +1,9 @@
 package model
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Confusion is a binary confusion matrix.
@@ -128,31 +129,33 @@ func AUCROC(scores []float64, labels []bool) float64 {
 	if n == 0 || n != len(labels) {
 		return math.NaN()
 	}
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
+	type scored struct {
+		s   float64
+		pos bool
 	}
-	sort.Slice(idx, func(a, b int) bool { return scores[idx[a]] < scores[idx[b]] })
-	ranks := make([]float64, n)
+	pts := make([]scored, n)
+	for i := range pts {
+		pts[i] = scored{scores[i], labels[i]}
+	}
+	slices.SortFunc(pts, func(a, b scored) int { return cmp.Compare(a.s, b.s) })
+	// Every member of a tie group gets the group's 1-based midrank. The
+	// midranks are multiples of 1/2, so the sum is exact in any order.
+	var nPos, nNeg, rankSum float64
 	for i := 0; i < n; {
-		j := i
-		for j+1 < n && scores[idx[j+1]] == scores[idx[i]] {
+		j := i + 1
+		for j < n && pts[j].s == pts[i].s {
 			j++
 		}
-		mid := float64(i+j)/2 + 1 // 1-based midrank
-		for k := i; k <= j; k++ {
-			ranks[idx[k]] = mid
+		pos := 0
+		for _, p := range pts[i:j] {
+			if p.pos {
+				pos++
+			}
 		}
-		i = j + 1
-	}
-	var nPos, nNeg, rankSum float64
-	for i, l := range labels {
-		if l {
-			nPos++
-			rankSum += ranks[i]
-		} else {
-			nNeg++
-		}
+		rankSum += float64(pos) * (float64(i+j-1)/2 + 1)
+		nPos += float64(pos)
+		nNeg += float64(j - i - pos)
+		i = j
 	}
 	if nPos == 0 || nNeg == 0 {
 		return math.NaN()

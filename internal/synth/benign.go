@@ -1,7 +1,7 @@
 package synth
 
 import (
-	"fmt"
+	"strconv"
 	"strings"
 
 	"harassrepro/internal/randx"
@@ -156,5 +156,5 @@ func capitalize(s string) string {
 func SyntheticUsername(rng *randx.Source) string {
 	adjectives := []string{"grim", "silent", "rusty", "pale", "lone", "odd", "swift", "dull"}
 	nouns := []string{"falcon", "anvil", "cipher", "lantern", "badger", "comet", "mole", "crow"}
-	return fmt.Sprintf("%s_%s%d", randx.Pick(rng, adjectives), randx.Pick(rng, nouns), rng.Intn(1000))
+	return randx.Pick(rng, adjectives) + "_" + randx.Pick(rng, nouns) + strconv.Itoa(rng.Intn(1000))
 }

@@ -12,6 +12,7 @@ package synth
 
 import (
 	"fmt"
+	"strconv"
 
 	"harassrepro/internal/gender"
 	"harassrepro/internal/pii"
@@ -123,34 +124,34 @@ func NewPersona(rng *randx.Source) Persona {
 	}
 	p.LastName = randx.Pick(rng, lastNames)
 
-	p.StreetAddress = fmt.Sprintf("%d %s %s",
-		rng.IntRange(1, 9999),
-		capitalize(randx.Pick(rng, streetNames)),
-		randx.Pick(rng, streetSuffixes))
+	// Go evaluates the calls in each expression left to right, so the
+	// random draws happen in the order they are written.
+	p.StreetAddress = strconv.Itoa(rng.IntRange(1, 9999)) + " " +
+		capitalize(randx.Pick(rng, streetNames)) + " " + randx.Pick(rng, streetSuffixes)
 	p.City = randx.Pick(rng, cities)
 	p.State = randx.Pick(rng, states)
-	p.Zip = fmt.Sprintf("%05d", rng.IntRange(10000, 99899))
+	p.Zip = strconv.Itoa(rng.IntRange(10000, 99899))
 
 	// Reserved fictional exchange: AAA-555-01XX.
-	p.Phone = fmt.Sprintf("%d%02d555%04d", rng.IntRange(2, 9), rng.IntRange(12, 99), 100+rng.Intn(100))
+	p.Phone = strconv.Itoa(rng.IntRange(2, 9)) + strconv.Itoa(rng.IntRange(12, 99)) +
+		"555" + string(AppendZeroPadded(nil, 100+rng.Intn(100), 4))
 	p.SSN = synthSSN(rng)
-	p.Email = fmt.Sprintf("%s.%s%d@%s", p.FirstName, p.LastName, rng.IntRange(1, 99), randx.Pick(rng, emailDomains))
+	p.Email = p.FirstName + "." + p.LastName + strconv.Itoa(rng.IntRange(1, 99)) + "@" + randx.Pick(rng, emailDomains)
 	p.Card = synthCard(rng)
 
 	// Handles carry numeric discriminators so distinct personas do not
 	// collide (colliding handles would spuriously link unrelated doxes
 	// in the §7.3 repeated-dox analysis).
-	disc := rng.IntRange(10, 99999)
-	base := p.FirstName + "." + p.LastName
-	p.FacebookHandle = fmt.Sprintf("%s.%d", base, disc)
-	p.InstagramHandle = fmt.Sprintf("%s_%s_%d", p.FirstName, p.LastName, disc)
+	disc := strconv.Itoa(rng.IntRange(10, 99999))
+	p.FacebookHandle = p.FirstName + "." + p.LastName + "." + disc
+	p.InstagramHandle = p.FirstName + "_" + p.LastName + "_" + disc
 	// Twitter usernames are at most 15 characters.
 	tw := p.LastName
 	if len(tw) > 8 {
 		tw = tw[:8]
 	}
-	p.TwitterHandle = fmt.Sprintf("%s_%s%d", p.FirstName[:1], tw, disc)
-	p.YouTubeHandle = fmt.Sprintf("%s%s%dvlogs", p.FirstName, p.LastName, disc)
+	p.TwitterHandle = p.FirstName[:1] + "_" + tw + disc
+	p.YouTubeHandle = p.FirstName + p.LastName + disc + "vlogs"
 
 	p.Employer = randx.Pick(rng, employers)
 	p.FamilyMember = randx.Pick(rng, familyMembers)
@@ -166,7 +167,20 @@ func synthSSN(rng *randx.Source) string {
 	}
 	group := rng.IntRange(1, 99)
 	serial := rng.IntRange(1, 9999)
-	return fmt.Sprintf("%03d-%02d-%04d", area, group, serial)
+	b := AppendZeroPadded(make([]byte, 0, 11), area, 3)
+	b = AppendZeroPadded(append(b, '-'), group, 2)
+	return string(AppendZeroPadded(append(b, '-'), serial, 4))
+}
+
+// AppendZeroPadded appends the decimal form of n ≥ 0 to b, left-padded
+// with zeros to width digits: the bytes of fmt's "%0<width>d".
+func AppendZeroPadded(b []byte, n, width int) []byte {
+	var digits [20]byte
+	d := strconv.AppendInt(digits[:0], int64(n), 10)
+	for i := len(d); i < width; i++ {
+		b = append(b, '0')
+	}
+	return append(b, d...)
 }
 
 // cardPrefixes are test-only IIN prefixes per network (the classic
@@ -184,9 +198,9 @@ var cardPrefixes = []struct {
 // synthCard returns a Luhn-valid fictional card number in a test prefix.
 func synthCard(rng *randx.Source) string {
 	cp := randx.Pick(rng, cardPrefixes)
-	payload := cp.prefix
-	for len(payload) < cp.length-1 {
-		payload += fmt.Sprintf("%d", rng.Intn(10))
+	b := append(make([]byte, 0, cp.length), cp.prefix...)
+	for len(b) < cp.length-1 {
+		b = append(b, byte('0'+rng.Intn(10)))
 	}
-	return payload + string(pii.LuhnChecksumDigit(payload))
+	return string(append(b, pii.LuhnChecksumDigit(string(b))))
 }

@@ -14,15 +14,37 @@ import (
 // touches the words that actually contain the merged pair (found through
 // an inverted pair→words index), instead of recounting and re-sorting
 // every adjacent pair in the corpus on every iteration the way the
-// textbook loop does. Pieces are interned to integer ids so the scan for
-// the best pair compares ids, not strings. Selection is bit-equivalent
-// to scanning all candidate pairs in lexicographic (a, b) order with a
-// strict score comparison — the maximum score wins and exact float ties
-// keep the lexicographically smallest pair — so the produced vocabulary
-// is identical to the reference implementation's, merge for merge.
+// textbook loop does. Pieces are interned to integer ids, and the scan
+// for the best pair visits only pairs whose frequency has reached the
+// minimum (trainer.cand), not every pair ever created. Selection is
+// bit-equivalent to scanning all candidate pairs in lexicographic (a, b)
+// order with a strict score comparison — the maximum score wins and
+// exact float ties keep the lexicographically smallest pair — so the
+// produced vocabulary is identical to the reference implementation's,
+// merge for merge.
 func Train(corpus []string, cfg TrainerConfig) *Vocab {
 	cfg.fillDefaults()
+	tr := newTrainer(corpus, cfg)
+	// len(tr.ids) counts every piece ever created — including pieces
+	// later merged down to zero frequency — matching the reference
+	// loop's len(pieceFreq) stopping rule exactly.
+	for len(tr.ids) < cfg.VocabSize {
+		best := tr.selectBest()
+		if best < 0 {
+			break
+		}
+		if !tr.applyMerge(best) {
+			// The merge applied nowhere (stale pair); with exact pair
+			// bookkeeping this is unreachable, but avoid looping forever.
+			break
+		}
+	}
+	return tr.vocab()
+}
 
+// newTrainer segments every distinct corpus word into characters and
+// counts their adjacent pairs.
+func newTrainer(corpus []string, cfg TrainerConfig) *trainer {
 	// Word frequency table over the corpus.
 	wordFreq := map[string]int{}
 	for _, doc := range corpus {
@@ -43,6 +65,7 @@ func Train(corpus []string, cfg TrainerConfig) *Vocab {
 
 	tr := &trainer{
 		ids:     make(map[string]int32, cfg.VocabSize),
+		words:   make([]segWord, 0, len(sortedWords)),
 		pairIdx: make(map[uint64]int32, 4*len(sortedWords)),
 		minPair: int64(cfg.MinPairFrequency),
 	}
@@ -71,26 +94,15 @@ func Train(corpus []string, cfg TrainerConfig) *Vocab {
 			tr.addPair(w.ids[i], w.ids[i+1], w.freq, int32(wi))
 		}
 	}
+	return tr
+}
 
-	// len(tr.ids) counts every piece ever created — including pieces
-	// later merged down to zero frequency — matching the reference
-	// loop's len(pieceFreq) stopping rule exactly.
-	for len(tr.ids) < cfg.VocabSize {
-		best := tr.selectBest()
-		if best < 0 {
-			break
-		}
-		if !tr.applyMerge(best) {
-			// The merge applied nowhere (stale pair); with exact pair
-			// bookkeeping this is unreachable, but avoid looping forever.
-			break
-		}
-	}
-
-	pieces := make([]string, 0, len(tr.strs))
-	for id, c := range tr.cnt {
+// vocab returns the pieces that still occur in the corpus.
+func (t *trainer) vocab() *Vocab {
+	pieces := make([]string, 0, len(t.strs))
+	for id, c := range t.cnt {
 		if c > 0 {
-			pieces = append(pieces, tr.strs[id])
+			pieces = append(pieces, t.strs[id])
 		}
 	}
 	return NewVocab(pieces)
@@ -103,11 +115,11 @@ type segWord struct {
 }
 
 // pairRec is one adjacent piece pair and its current corpus frequency.
-// Records are append-only; a pair whose frequency drops below the merge
-// threshold stays in place and is skipped by the selection scan.
+// Records are append-only; cand marks a record listed in trainer.cand.
 type pairRec struct {
 	a, b int32
 	freq int64
+	cand bool
 }
 
 type trainer struct {
@@ -120,6 +132,11 @@ type trainer struct {
 	pairIdx   map[uint64]int32 // packed (a, b) -> index into pairs
 	pairs     []pairRec
 	pairWords [][]int32 // pair index -> word indices that contributed counts
+
+	// cand lists the pairs whose frequency has reached minPair: a pair
+	// enters in addPair and leaves lazily in selectBest once it drops
+	// below, so selection never scans every pair ever created.
+	cand []int32
 
 	// stamp/gen deduplicate word visits within one merge application:
 	// pairWords lists may hold duplicate or stale entries.
@@ -153,7 +170,12 @@ func (t *trainer) addPair(a, b int32, freq int, wi int32) {
 		t.pairs = append(t.pairs, pairRec{a: a, b: b})
 		t.pairWords = append(t.pairWords, nil)
 	}
-	t.pairs[pi].freq += int64(freq)
+	p := &t.pairs[pi]
+	p.freq += int64(freq)
+	if p.freq >= t.minPair && !p.cand {
+		p.cand = true
+		t.cand = append(t.cand, pi)
+	}
 	t.pairWords[pi] = append(t.pairWords[pi], wi)
 }
 
@@ -164,18 +186,26 @@ func (t *trainer) decPair(a, b int32, freq int) {
 // selectBest returns the index of the best-scoring eligible pair, or -1.
 // Ties on the exact float score keep the lexicographically smallest
 // (a, b) — the pair a sorted scan with a strict ">" would have kept.
+// That rule does not depend on scan order, so candidates may be
+// reordered as they are pruned.
 func (t *trainer) selectBest() int32 {
 	best := int32(-1)
 	bestScore := -1.0
-	for i := range t.pairs {
+	for k := 0; k < len(t.cand); {
+		i := t.cand[k]
 		p := &t.pairs[i]
 		if p.freq < t.minPair {
+			p.cand = false
+			last := len(t.cand) - 1
+			t.cand[k] = t.cand[last]
+			t.cand = t.cand[:last]
 			continue
 		}
+		k++
 		score := float64(p.freq) / (float64(t.cnt[p.a]) * float64(t.cnt[p.b]))
-		if score > bestScore || (score == bestScore && t.lexLess(int32(i), best)) {
+		if score > bestScore || (score == bestScore && t.lexLess(i, best)) {
 			bestScore = score
-			best = int32(i)
+			best = i
 		}
 	}
 	return best

@@ -12,6 +12,9 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"harassrepro/internal/corpus"
+	"harassrepro/internal/randx"
 )
 
 // referenceTrain is the legacy Train, kept verbatim.
@@ -192,4 +195,102 @@ func equalStrings(a, b []string) bool {
 		}
 	}
 	return true
+}
+
+// selectBestScanAll is the selection Train used before the candidate
+// list: a scan over every pair ever created. It is the oracle for
+// selectBest.
+func (t *trainer) selectBestScanAll() int32 {
+	best := int32(-1)
+	bestScore := -1.0
+	for i := range t.pairs {
+		p := &t.pairs[i]
+		if p.freq < t.minPair {
+			continue
+		}
+		score := float64(p.freq) / (float64(t.cnt[p.a]) * float64(t.cnt[p.b]))
+		if score > bestScore || (score == bestScore && t.lexLess(int32(i), best)) {
+			bestScore = score
+			best = int32(i)
+		}
+	}
+	return best
+}
+
+// trainScanAll is Train with selectBestScanAll in place of selectBest.
+func trainScanAll(corpus []string, cfg TrainerConfig) *Vocab {
+	cfg.fillDefaults()
+	tr := newTrainer(corpus, cfg)
+	for len(tr.ids) < cfg.VocabSize {
+		best := tr.selectBestScanAll()
+		if best < 0 || !tr.applyMerge(best) {
+			break
+		}
+	}
+	return tr.vocab()
+}
+
+// quickTokenizerSample rebuilds the documents the pipeline's tokenizer
+// stage trains on at quick scale: core.Pipeline.trainTokenizer's draw
+// over corpus.Generate at core.QuickConfig's volume and positive scales.
+func quickTokenizerSample(seed uint64) []string {
+	byDS := corpus.NewGenerator(corpus.Config{Seed: seed, VolumeScale: 40_000, PositiveScale: 20}).Generate()
+	rng := randx.New(seed).Split("core").Split("vocab")
+	var sample []string
+	for _, ds := range corpus.Datasets() {
+		c, ok := byDS[ds]
+		if !ok {
+			continue
+		}
+		for i := 0; i < min(800, c.Len()); i++ {
+			sample = append(sample, c.Docs[rng.Intn(c.Len())].Text)
+		}
+	}
+	return sample
+}
+
+// TestTrainMatchesScanAllOnQuickCorpora trains the pipeline's
+// vocabulary (core's default VocabSize, 3000) at quick seeds 1, 7 and
+// 42 with both selections. Seed 1's vocabulary must also equal the
+// committed quick-seed1 model directory's, which shows the sample above
+// is the one the pipeline draws.
+func TestTrainMatchesScanAllOnQuickCorpora(t *testing.T) {
+	saved, err := LoadVocabFile("../detector/testdata/quick-seed1/vocab.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := TrainerConfig{VocabSize: 3000}
+	for _, seed := range []uint64{1, 7, 42} {
+		sample := quickTokenizerSample(seed)
+		got, want := Train(sample, cfg).Pieces(), trainScanAll(sample, cfg).Pieces()
+		if !equalStrings(got, want) {
+			t.Errorf("seed %d: vocab diverged from the scan-all selection (%d vs %d pieces)", seed, len(got), len(want))
+		}
+		if seed == 1 && !equalStrings(got, saved.Pieces()) {
+			t.Errorf("seed 1: vocab (%d pieces) differs from the committed quick-seed1 vocab.txt (%d)", len(got), len(saved.Pieces()))
+		}
+	}
+}
+
+// FuzzTrainMatchesReference trains on small fuzzed corpora (one
+// document per line) with MinPairFrequency 2 or 3 and a small
+// VocabSize; the candidate-list selection and the scan-all one must
+// produce the same vocabulary.
+func FuzzTrainMatchesReference(f *testing.F) {
+	for _, docs := range trainCorpora() {
+		if len(docs) <= 8 {
+			f.Add(strings.Join(docs, "\n"), uint8(0), uint16(40))
+		}
+	}
+	f.Add("aaa aaaa aaaaa bbb abab ababab\naaa bbb abab", uint8(1), uint16(12))
+	f.Fuzz(func(t *testing.T, text string, minPair uint8, vocab uint16) {
+		if len(text) > 4096 {
+			return
+		}
+		docs := strings.Split(text, "\n")
+		cfg := TrainerConfig{VocabSize: 20 + int(vocab%300), MinPairFrequency: 2 + int(minPair%2)}
+		if got, want := Train(docs, cfg).Pieces(), trainScanAll(docs, cfg).Pieces(); !equalStrings(got, want) {
+			t.Errorf("%+v: vocab diverged\n got (%d): %q\nwant (%d): %q", cfg, len(got), got, len(want), want)
+		}
+	})
 }

@@ -103,6 +103,12 @@ if [[ $fast -eq 0 ]]; then
   echo "== tokenizer differential fuzz smoke (-fuzztime=10s)"
   go test -run '^$' -fuzz '^FuzzSessionMatchesReference$' -fuzztime 10s ./internal/tokenize/
 
+  # WordPiece trainer differential fuzz smoke: selection over the
+  # candidate list must pick the same merges as the scan over every
+  # pair (its in-test oracle) on small fuzzed corpora.
+  echo "== trainer differential fuzz smoke (-fuzztime=10s)"
+  go test -run '^$' -fuzz '^FuzzTrainMatchesReference$' -fuzztime 10s ./internal/tokenize/
+
   # JSONL decoder differential fuzz smoke: the schema decoder plus its
   # encoding/json fallback must give the plain encoding/json decode (its
   # in-test oracle) the same document and the same error on any line.
