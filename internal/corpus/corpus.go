@@ -17,6 +17,7 @@ import (
 
 	"harassrepro/internal/gender"
 	"harassrepro/internal/pii"
+	"harassrepro/internal/randx"
 	"harassrepro/internal/synth"
 	"harassrepro/internal/taxonomy"
 )
@@ -213,23 +214,25 @@ var sub11 = map[taxonomy.Sub][3]float64{
 	taxonomy.SubGeneric:              {7.14, 5.60, 4.57},
 }
 
-// subMixFor returns the Table 11 mixture column for a platform as
-// parallel (subs, weights) slices.
-func subMixFor(p Platform) ([]taxonomy.Sub, []float64) {
-	col := 0
-	switch p {
-	case PlatformDiscord, PlatformTelegram:
-		col = 1
-	case PlatformGab:
-		col = 2
+// subSamplers holds the planted attack-type sampler for each Table 11
+// column and Table 10 gender column, [t11][genderColumn(g)]: the
+// column's weights over subSamplerSubs tilted by target gender.
+var subSamplerSubs = taxonomy.Subs()
+var subSamplers = func() (out [3][3]*randx.Weighted) {
+	for col := range out {
+		for gcol, g := range []gender.Gender{gender.Unknown, gender.Female, gender.Male} {
+			weights := make([]float64, len(subSamplerSubs))
+			for i, s := range subSamplerSubs {
+				weights[i] = sub11[s][col] * genderTilt(s, g)
+				if weights[i] <= 0 {
+					weights[i] = 1e-6
+				}
+			}
+			out[col][gcol] = randx.NewWeighted(weights)
+		}
 	}
-	subs := taxonomy.Subs()
-	weights := make([]float64, len(subs))
-	for i, s := range subs {
-		weights[i] = sub11[s][col]
-	}
-	return subs, weights
-}
+	return out
+}()
 
 // pii6 holds the Table 6 per-data-set PII prevalence (percent).
 // Columns: boards, chat, gab, pastes.
@@ -245,22 +248,32 @@ var pii6 = map[pii.Type][4]float64{
 	pii.YouTube:    {8.24, 2.00, 1.09, 11.80},
 }
 
-// piiRatesFor returns the Table 6 column for a platform.
-func piiRatesFor(p Platform) map[pii.Type]float64 {
-	col := 0
-	switch p {
-	case PlatformDiscord, PlatformTelegram:
-		col = 1
-	case PlatformGab:
-		col = 2
-	case PlatformPastes:
-		col = 3
-	}
-	out := make(map[pii.Type]float64, len(pii6))
-	for t, row := range pii6 {
-		out[t] = row[col] / 100
+// piiTypes is the order samplePII draws PII types in, and piiRates
+// each Table 6 column as per-type probabilities in that order.
+var piiTypes = pii.AllTypes()
+var piiRates = func() (out [4][]float64) {
+	for col := range out {
+		out[col] = make([]float64, len(piiTypes))
+		for i, t := range piiTypes {
+			out[col][i] = pii6[t][col] / 100
+		}
 	}
 	return out
+}()
+
+// tableColumns returns a platform's column in Table 6 (boards, chat,
+// gab, pastes) and in Table 11 (boards, chat, gab; pastes and blogs
+// take the boards column).
+func tableColumns(p Platform) (t6, t11 int) {
+	switch p {
+	case PlatformDiscord, PlatformTelegram:
+		return 1, 1
+	case PlatformGab:
+		return 2, 2
+	case PlatformPastes:
+		return 3, 0
+	}
+	return 0, 0
 }
 
 // Gender mixture over calls to harassment (Table 10 totals):

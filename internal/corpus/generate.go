@@ -183,15 +183,8 @@ func (g *Generator) recordDox(id int, p Platform) {
 // inferred-gender class, following Table 11 x Table 10 mixtures and the
 // §6.2 multi-type co-occurrence structure.
 func (g *Generator) sampleCTHLabel(p Platform, gcls gender.Gender, rng *randx.Source) taxonomy.Label {
-	subs, base := subMixFor(p)
-	weights := make([]float64, len(base))
-	for i, s := range subs {
-		weights[i] = base[i] * genderTilt(s, gcls)
-		if weights[i] <= 0 {
-			weights[i] = 1e-6
-		}
-	}
-	w := randx.NewWeighted(weights)
+	_, t11 := tableColumns(p)
+	subs, w := subSamplerSubs, subSamplers[t11][genderColumn(gcls)]
 	primary := subs[w.Sample(rng)]
 	chosen := []taxonomy.Sub{primary}
 
@@ -244,11 +237,12 @@ func (g *Generator) sampleCTHLabel(p Platform, gcls gender.Gender, rng *randx.So
 // rejected and resampled so the conditional mixture keeps Table 6's
 // relative shape (a fixed fallback type would inflate that type alone).
 func (g *Generator) samplePII(p Platform, rng *randx.Source) []pii.Type {
-	rates := piiRatesFor(p)
+	t6, _ := tableColumns(p)
+	rates := piiRates[t6]
 	for attempt := 0; attempt < 64; attempt++ {
 		var out []pii.Type
-		for _, t := range pii.AllTypes() {
-			if rng.Bool(rates[t]) {
+		for i, t := range piiTypes {
+			if rng.Bool(rates[i]) {
 				out = append(out, t)
 			}
 		}

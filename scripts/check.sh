@@ -162,23 +162,6 @@ if [[ $fast -eq 0 ]]; then
   echo "== bench/ smoke (all workloads) + unit tests"
   bash bench/run.sh -workload all -smoke
   (cd bench && go test ./...)
-
-  # Serving lifecycle smoke: harassd on an ephemeral port, endpoint
-  # curls, concurrent load in healthy / hot-swap / shadow-scoring
-  # phases, and SIGTERMs that must drain to exit 0; -gate enforces the
-  # same-run lifecycle cost (shadow-scoring overhead at most 10% rps)
-  # and leaves the committed BENCH_serve.json alone.
-  echo "== serving lifecycle smoke + shadow gate"
-  scripts/bench_serve.sh -gate
-
-  # Hot-swap chaos certification: the in-process swap storm under
-  # -race (zero lost requests, every single and batch response scored
-  # wholly by one model generation — golden equality against both
-  # pure-generation runs), then a live harassd -registry swap storm under a fixed
-  # 320-request load that must lose nothing, be served by both
-  # generations, and drain cleanly.
-  echo "== hot-swap chaos certification"
-  scripts/chaos_swap.sh
 fi
 
 if [[ "$(git status --porcelain)" != "$tree_before" ]]; then
